@@ -1,8 +1,9 @@
 """hsskit: rank-structured matrix approximation from entries or matvec queries.
 
-Builds telescoping (hierarchical), one-level, and uniform block low-rank
+Builds telescoping (hierarchical) and uniform block low-rank (BLR2)
 factorizations of a square matrix accessed either explicitly or only through
-black-box products with the matrix and its transpose, with query accounting,
+black-box products with the matrix and its transpose; a one-level
+factorization is BLR2 with a diagonal pattern.  Includes query accounting,
 quasi-optimality constants, test-problem generators, and an experiment
 harness.
 """
@@ -15,6 +16,7 @@ from .blr2 import (
     blr2_factors_from_sketches,
     blr2_from_matvecs,
     blr2_reconstruct,
+    blr2_remainder,
 )
 from .experiment import (
     CSV_HEADER,
@@ -49,7 +51,6 @@ from .matvec import (
     TheoremBounds,
     hss_from_matvecs_fresh,
     hss_from_matvecs_reused,
-    sss_level_from_sketches,
     theorem_bounds,
 )
 from .oracle import (
@@ -61,19 +62,16 @@ from .oracle import (
     level_apply_transpose,
     oracle_from_factorization,
 )
-from .sketching import SketchBundle, block_nullify, pcps_basis, recover_diagonal
+from .sketching import pcps_basis
 from .structures import (
     BlockPartition,
     LevelFactors,
-    SSSFactorization,
     TelescopingFactorization,
     hss_apply,
     hss_apply_transpose,
     hss_block_col,
     hss_block_row,
     reconstruct_dense,
-    sss_apply,
-    sss_reconstruct,
     validate_hss_ranks,
 )
 from .testbed import (

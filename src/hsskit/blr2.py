@@ -1,11 +1,14 @@
 """Uniform block low-rank (BLR2) approximation from matvec queries.
 
-The flat analogue of the telescoping construction: one b x b partition with
-block size m, shared rank-k bases per block row/column, and a block-sparse
-remainder supported on an inadmissible pattern S.  With a diagonal pattern
-and m = 2k this class coincides with the one-level factorization used per
-level of the hierarchical drivers, and the build step here reproduces that
-step exactly when fed the same sketches.
+One b x b partition with block size m, shared rank-k bases per block
+row/column, and a block-sparse remainder supported on an inadmissible
+pattern S.  With a diagonal pattern and m = 2k this is the one-level
+factorization, and :func:`blr2_factors_from_sketches` is the one-level step:
+the hierarchical drivers in :mod:`hsskit.matvec` call it once per level with
+``BLR2Pattern.diagonal(2**level, 2k)``.  The step nullifies the pattern
+blocks of each test-matrix line, extracts rank-k bases from the nullified
+sketches (sketched SVD or pivoted QR), and un-sketches the pattern blocks
+from an independent pair of sketches with the bases held fixed.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import RngStream, gaussian, nullspace_basis, right_pinv_apply
+from .kernels import RngStream, gaussian, nullspace_basis, pivoted_qr_basis, right_pinv_apply
 from .oracle import MatvecOracle
 from .sketching import pcps_basis
 from .structures import block_apply, block_apply_t, block_to_dense
 
 __all__ = [
+    "BASIS_METHODS",
     "BLR2Factorization",
     "BLR2Pattern",
     "blr2_apply",
@@ -27,7 +31,10 @@ __all__ = [
     "blr2_factors_from_sketches",
     "blr2_from_matvecs",
     "blr2_reconstruct",
+    "blr2_remainder",
 ]
+
+BASIS_METHODS = ("svd-pcps", "pivoted-qr")
 
 
 @dataclass(frozen=True)
@@ -36,7 +43,8 @@ class BLR2Pattern:
 
     ``pairs`` lists the (row, col) positions, 0-based, whose blocks live in
     the dense remainder; every other block must be low-rank through the
-    shared bases.
+    shared bases.  ``sorted_pairs`` is the order in which a factorization
+    stacks its remainder blocks.
     """
 
     block_count: int
@@ -51,6 +59,17 @@ class BLR2Pattern:
         for i, j in pairs:
             if not (0 <= i < self.block_count and 0 <= j < self.block_count):
                 raise ValueError(f"pattern pair {(i, j)} out of range")
+        # Per-line index tuples, built once: the build step looks them up
+        # for every block row and column.
+        ordered = tuple(sorted(pairs))
+        rows = [[] for _ in range(self.block_count)]
+        cols = [[] for _ in range(self.block_count)]
+        for i, j in ordered:
+            rows[i].append(j)
+            cols[j].append(i)
+        object.__setattr__(self, "sorted_pairs", ordered)
+        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "_cols", tuple(map(tuple, cols)))
 
     @classmethod
     def diagonal(cls, block_count: int, block_size: int) -> "BLR2Pattern":
@@ -70,26 +89,23 @@ class BLR2Pattern:
     def dim(self) -> int:
         return self.block_count * self.block_size
 
+    def _line(self, lines: tuple, i: int) -> tuple:
+        if not 0 <= i < self.block_count:
+            raise IndexError(f"block index {i} out of range [0, {self.block_count})")
+        return lines[i]
+
     def row_inadmissible(self, i: int) -> tuple:
         """Columns j with (i, j) in the pattern (dense-remainder blocks)."""
-        return tuple(j for j in range(self.block_count) if (i, j) in self.pairs)
-
-    def row_admissible(self, i: int) -> tuple:
-        return tuple(j for j in range(self.block_count) if (i, j) not in self.pairs)
+        return self._line(self._rows, i)
 
     def col_inadmissible(self, j: int) -> tuple:
         """Rows i with (i, j) in the pattern."""
-        return tuple(i for i in range(self.block_count) if (i, j) in self.pairs)
-
-    def col_admissible(self, j: int) -> tuple:
-        return tuple(i for i in range(self.block_count) if (i, j) not in self.pairs)
+        return self._line(self._cols, j)
 
     @property
     def max_blocks_per_line(self) -> int:
         """Largest number of pattern blocks in any row or column."""
-        per_row = [len(self.row_inadmissible(i)) for i in range(self.block_count)]
-        per_col = [len(self.col_inadmissible(j)) for j in range(self.block_count)]
-        return max(per_row + per_col)
+        return max(map(len, self._rows + self._cols))
 
     def width_floor(self, k: int) -> int:
         """Smallest admissible sketch width for rank k."""
@@ -101,7 +117,9 @@ class BLR2Factorization:
     """B = U X V^T + D with D supported on the pattern.
 
     U, V: (b, m, k) orthonormal-column blocks; X: (bk, bk) dense core;
-    D: dict mapping pattern pairs to (m, m) blocks.
+    D: (nnz, m, m) remainder blocks, one per pair of ``pattern.sorted_pairs``
+    in that order.  With a diagonal pattern and m = 2k, D[i] is diagonal
+    block i, as in :class:`~hsskit.structures.LevelFactors`.
     """
 
     pattern: BLR2Pattern
@@ -109,19 +127,21 @@ class BLR2Factorization:
     U: np.ndarray
     V: np.ndarray
     X: np.ndarray
-    D: dict
+    D: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "D", np.asarray(self.D, dtype=np.float64))
         b, m, k = self.pattern.block_count, self.pattern.block_size, self.rank_param
         if self.U.shape != (b, m, k) or self.V.shape != (b, m, k):
             raise ValueError(f"bases must have shape {(b, m, k)}")
         if self.X.shape != (b * k, b * k):
             raise ValueError(f"X must have shape {(b*k, b*k)}, got {self.X.shape}")
-        for key, blk in self.D.items():
-            if key not in self.pattern.pairs:
-                raise ValueError(f"remainder block {key} lies outside the pattern")
-            if blk.shape != (m, m):
-                raise ValueError(f"remainder block {key} must be ({m}, {m})")
+        nnz = len(self.pattern.sorted_pairs)
+        if self.D.shape != (nnz, m, m):
+            raise ValueError(
+                f"D must stack one ({m}, {m}) block per pattern pair, "
+                f"shape {(nnz, m, m)}, got {self.D.shape}"
+            )
 
     @property
     def dim(self) -> int:
@@ -129,83 +149,159 @@ class BLR2Factorization:
 
 
 def _stack_blocks(arr: np.ndarray, indices, m: int) -> np.ndarray:
-    if not indices:
-        return np.zeros((0, arr.shape[1]))
     return np.vstack([arr[j * m : (j + 1) * m] for j in indices])
 
 
-def blr2_block_nullify(omega, pattern: BLR2Pattern, i: int, side: str = "row"):
-    """Nullspace basis for the pattern blocks of one row (or column).
+def _as_sketches(pattern: BLR2Pattern, names, arrays) -> list:
+    """Coerce sketch arrays to float64 and check that all are (dim, s)."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    expected = (pattern.dim, arrays[0].shape[-1])
+    for name, arr in zip(names, arrays):
+        if arr.shape != expected:
+            raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
+    return arrays
 
-    Returns ``(P, G)``: P is orthonormal with omega / psi blocks indexed by
-    the pattern line mapped to zero, and G stacks the remaining (admissible)
-    blocks multiplied by P.  For Y = A omega this gives Y_i @ P equal to the
-    admissible part of block row i of A times G, the implicit Gaussian test
-    matrix.
+
+def blr2_block_nullify(omega, images, pattern: BLR2Pattern, i: int, side: str = "row"):
+    """Nullify the pattern blocks of one row (or column) of a test matrix.
+
+    Returns ``(P, sketch)``: P is an orthonormal basis of the nullspace of
+    the blocks of omega (psi for a column) that pattern line i hits, and
+    sketch = images_i @ P.  For images = A omega the sketch equals the
+    admissible part of block row i of A times the implicit Gaussian test
+    matrix formed by the remaining blocks of omega times P.  A line with no
+    pattern blocks gets P = I.
     """
-    omega = np.asarray(omega, dtype=np.float64)
-    m = pattern.block_size
-    if omega.shape[0] != pattern.dim:
-        raise ValueError(f"test matrix has {omega.shape[0]} rows, expected {pattern.dim}")
     if side == "row":
-        hit, kept = pattern.row_inadmissible(i), pattern.row_admissible(i)
+        hit = pattern.row_inadmissible(i)
     elif side == "col":
-        hit, kept = pattern.col_inadmissible(i), pattern.col_admissible(i)
+        hit = pattern.col_inadmissible(i)
     else:
         raise ValueError("side must be 'row' or 'col'")
-    stacked = _stack_blocks(omega, hit, m)
-    s = omega.shape[1]
-    if stacked.shape[0] == 0:
-        P = np.eye(s)
-    else:
-        P = nullspace_basis(stacked)
-        if P.shape[1] != s - stacked.shape[0]:
+    omega = np.asarray(omega, dtype=np.float64)
+    images = np.asarray(images, dtype=np.float64)
+    if omega.shape[0] != pattern.dim:
+        raise ValueError(f"test matrix has {omega.shape[0]} rows, expected {pattern.dim}")
+    if images.shape != omega.shape:
+        raise ValueError(f"images shape {images.shape} does not match test matrix {omega.shape}")
+    m, s = pattern.block_size, omega.shape[1]
+    if hit:
+        P = nullspace_basis(_stack_blocks(omega, hit, m))
+        if P.shape[1] != s - len(hit) * m:
+            # A Gaussian draw is full rank almost surely; hitting this means
+            # the random stream is broken, not that padding is wanted.
             raise np.linalg.LinAlgError(
-                f"pattern blocks for {side} {i} are rank-deficient"
+                f"pattern blocks for {side} {i} are rank-deficient "
+                f"(nullspace has {P.shape[1]} columns, expected {s - len(hit) * m})"
             )
-    return P, _stack_blocks(omega, kept, m) @ P
+    else:
+        P = np.eye(s)
+    return P, images[i * m : (i + 1) * m] @ P
 
 
-def blr2_factors_from_sketches(pattern, k, omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag):
-    """Recover (U, V, D) from one set of sketches and their images."""
+def _line_slab(Q, images, tests, line, i: int, m: int) -> np.ndarray:
+    """(I - Q Q^T) images_i pinv(tests stacked over the blocks of ``line``)."""
+    block = images[i * m : (i + 1) * m]
+    return right_pinv_apply(block - Q @ (Q.T @ block), _stack_blocks(tests, line, m))
+
+
+def blr2_remainder(pattern: BLR2Pattern, U, V, omega_diag, psi_diag, Y_diag, Z_diag) -> np.ndarray:
+    """Recover the pattern blocks from the diagonal-recovery sketch pair.
+
+    Given fixed orthonormal bases U, V (b, m, k) and Y_diag = A omega_diag,
+    Z_diag = A^T psi_diag, block (i, j) of the result is
+
+        R_i[:, j] + U_i U_i^T C_j[:, i]^T,
+        R_i = (I - U_i U_i^T) Y_i pinv(Omega_i),
+        C_j = (I - V_j V_j^T) Z_j pinv(Psi_j),
+
+    where Omega_i (Psi_j) stacks the omega_diag (psi_diag) blocks of pattern
+    row i (column j) and the slices pick the columns of block j (i).  Blocks
+    are stacked in ``pattern.sorted_pairs`` order.  The sketches must be
+    independent of U and V and have at least (blocks per line) * m + 1
+    columns; for a one-pair pattern {(i, i)} this is the classic diagonal
+    recovery with at least 2k + 1 columns (2k + 2 for the error bound).
+    """
+    m = pattern.block_size
+    names = ("omega_diag", "psi_diag", "Y_diag", "Z_diag")
+    omega_diag, psi_diag, Y_diag, Z_diag = _as_sketches(
+        pattern, names, (omega_diag, psi_diag, Y_diag, Z_diag)
+    )
+    floor = pattern.max_blocks_per_line * m + 1
+    if omega_diag.shape[1] < floor:
+        raise ValueError(
+            f"diagonal-recovery sketches need at least {floor} columns, got {omega_diag.shape[1]}"
+        )
+    # Un-sketch whole pattern lines at once, then slice out each block.
+    pairs = pattern.sorted_pairs
+    rows = {
+        i: _line_slab(U[i], Y_diag, omega_diag, pattern.row_inadmissible(i), i, m)
+        for i in {i for i, _ in pairs}
+    }
+    cols = {
+        j: _line_slab(V[j], Z_diag, psi_diag, pattern.col_inadmissible(j), j, m)
+        for j in {j for _, j in pairs}
+    }
+    D = np.empty((len(pairs), m, m))
+    for p, (i, j) in enumerate(pairs):
+        jpos = pattern.row_inadmissible(i).index(j) * m
+        ipos = pattern.col_inadmissible(j).index(i) * m
+        D[p] = rows[i][:, jpos : jpos + m] + U[i] @ (U[i].T @ cols[j][:, ipos : ipos + m].T)
+    return D
+
+
+def blr2_factors_from_sketches(
+    pattern, k, omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag, basis_method="svd-pcps"
+):
+    """Recover (U, V, D) from one set of sketches and their images.
+
+    All eight arrays are (pattern.dim, s): the test matrices and their images
+    Y = A omega, Z = A^T psi, Y_diag = A omega_diag, Z_diag = A^T psi_diag.
+    Bases come from the nullified sketches through ``basis_method``, one of
+    :data:`BASIS_METHODS` ("svd-pcps": sketched SVD; "pivoted-qr": leading
+    columns of a column-pivoted QR).  D is stacked in
+    ``pattern.sorted_pairs`` order, see :func:`blr2_remainder`.
+    """
+    if basis_method not in BASIS_METHODS:
+        raise ValueError(f"basis_method must be one of {BASIS_METHODS}")
+    names = ("omega", "psi", "omega_diag", "psi_diag", "Y", "Z", "Y_diag", "Z_diag")
+    omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag = _as_sketches(
+        pattern, names, (omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag)
+    )
+    extract = pcps_basis if basis_method == "svd-pcps" else pivoted_qr_basis
     b, m = pattern.block_count, pattern.block_size
     U = np.empty((b, m, k))
     V = np.empty((b, m, k))
     for i in range(b):
-        P, _ = blr2_block_nullify(omega, pattern, i, side="row")
-        U[i] = pcps_basis(Y[i * m : (i + 1) * m] @ P, k)
+        _, row_sketch = blr2_block_nullify(omega, Y, pattern, i, "row")
+        U[i] = extract(row_sketch, k)
     for j in range(b):
-        Q, _ = blr2_block_nullify(psi, pattern, j, side="col")
-        V[j] = pcps_basis(Z[j * m : (j + 1) * m] @ Q, k)
-
-    # Un-sketch whole pattern lines at once, then slice out each block.
-    row_slabs, col_slabs = {}, {}
-    D = {}
-    for i, j in sorted(pattern.pairs):
-        if i not in row_slabs:
-            yi = Y_diag[i * m : (i + 1) * m]
-            deflated = yi - U[i] @ (U[i].T @ yi)
-            row_slabs[i] = right_pinv_apply(
-                deflated, _stack_blocks(omega_diag, pattern.row_inadmissible(i), m)
-            )
-        if j not in col_slabs:
-            zj = Z_diag[j * m : (j + 1) * m]
-            deflated = zj - V[j] @ (V[j].T @ zj)
-            col_slabs[j] = right_pinv_apply(
-                deflated, _stack_blocks(psi_diag, pattern.col_inadmissible(j), m)
-            )
-        jpos = pattern.row_inadmissible(i).index(j)
-        ipos = pattern.col_inadmissible(j).index(i)
-        row_block = row_slabs[i][:, jpos * m : (jpos + 1) * m]
-        col_block = col_slabs[j][:, ipos * m : (ipos + 1) * m]
-        D[(i, j)] = row_block + U[i] @ (U[i].T @ col_block.T)
-    return U, V, D
+        _, col_sketch = blr2_block_nullify(psi, Z, pattern, j, "col")
+        V[j] = extract(col_sketch, k)
+    return U, V, blr2_remainder(pattern, U, V, omega_diag, psi_diag, Y_diag, Z_diag)
 
 
-def _remainder_matmul(pattern: BLR2Pattern, D: dict, x: np.ndarray) -> np.ndarray:
+def _query_sketches(stream: RngStream, pattern: BLR2Pattern, s: int, apply, apply_transpose):
+    """Draw the four Gaussian test matrices of a one-level step, one (m, s)
+    block per ``stream.child(block, role)``, and query their images through
+    ``apply`` / ``apply_transpose`` (4s queries).  Returns the eight arrays
+    in the argument order of :func:`blr2_factors_from_sketches`."""
+    b, m = pattern.block_count, pattern.block_size
+    omega, psi, omega_diag, psi_diag = (
+        np.vstack([gaussian(m, s, stream.child(blk, role)) for blk in range(b)])
+        for role in ("omega", "psi", "omega-diag", "psi-diag")
+    )
+    Y = apply(omega)
+    Z = apply_transpose(psi)
+    Y_diag = apply(omega_diag)
+    Z_diag = apply_transpose(psi_diag)
+    return omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag
+
+
+def _remainder_matmul(pattern: BLR2Pattern, D: np.ndarray, x: np.ndarray) -> np.ndarray:
     m = pattern.block_size
     out = np.zeros((pattern.dim, x.shape[1]))
-    for (i, j), blk in D.items():
+    for (i, j), blk in zip(pattern.sorted_pairs, D):
         out[i * m : (i + 1) * m] += blk @ x[j * m : (j + 1) * m]
     return out
 
@@ -219,24 +315,13 @@ def blr2_from_matvecs(
     realized by probing A with the b*k columns of the block-diagonal V and
     correcting with the recovered remainder.
     """
-    b, m = pattern.block_count, pattern.block_size
     if oracle.dim != pattern.dim:
         raise ValueError(f"oracle dim {oracle.dim} does not match pattern dim {pattern.dim}")
     floor = pattern.width_floor(k)
     if s < floor:
         raise ValueError(f"s={s} below the pattern floor {floor}")
-    stream = RngStream(seed)
-    draw = lambda role: np.vstack(
-        [gaussian(m, s, stream.child(blk, role)) for blk in range(b)]
-    )
-    omega, psi, omega_diag, psi_diag = (draw(r) for r in ("omega", "psi", "omega-diag", "psi-diag"))
-    Y = oracle.apply(omega)
-    Z = oracle.apply_transpose(psi)
-    Y_diag = oracle.apply(omega_diag)
-    Z_diag = oracle.apply_transpose(psi_diag)
-    U, V, D = blr2_factors_from_sketches(
-        pattern, k, omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag
-    )
+    sketches = _query_sketches(RngStream(seed), pattern, s, oracle.apply, oracle.apply_transpose)
+    U, V, D = blr2_factors_from_sketches(pattern, k, *sketches)
     V_dense = block_to_dense(V)
     AV = oracle.apply(V_dense)  # b*k probe queries
     X = block_apply_t(U, AV - _remainder_matmul(pattern, D, V_dense))
@@ -247,7 +332,7 @@ def blr2_reconstruct(F: BLR2Factorization) -> np.ndarray:
     """Dense matrix represented by a BLR2 factorization."""
     dense = block_apply(F.V, block_apply(F.U, F.X).T).T
     m = F.pattern.block_size
-    for (i, j), blk in F.D.items():
+    for (i, j), blk in zip(F.pattern.sorted_pairs, F.D):
         dense[i * m : (i + 1) * m, j * m : (j + 1) * m] += blk
     return dense
 

@@ -186,6 +186,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     with open(args.src, "rb") as fh:
         T = formats.deserialize(fh.read())
+    T.validate()
     A = formats.read_dense(args.against)
     err = frobenius_error(A, T)
     print(f"relative frobenius error: {err:.6e}")
@@ -233,7 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--csv", required=True)
     sweep.set_defaults(func=_cmd_sweep)
 
-    validate = sub.add_parser("validate", help="compare a factorization against a matrix")
+    validate = sub.add_parser(
+        "validate", help="check a factorization's bases and compare it against a matrix"
+    )
     validate.add_argument("--in", dest="src", required=True)
     validate.add_argument("--against", required=True)
     validate.set_defaults(func=_cmd_validate)

@@ -1,6 +1,10 @@
 """Telescoping factorizations from black-box matvec queries.
 
-Two drivers share one per-level compression step:
+Two drivers share one loop.  At every level it compresses one block row and
+column per block with the one-level step
+:func:`~hsskit.blr2.blr2_factors_from_sketches` (a BLR2 build with the
+diagonal pattern and block size m = 2k); the drivers differ only in where
+each level's sketches come from:
 
   - ``hss_from_matvecs_fresh`` draws four independent Gaussian test matrices
     at every level and reaches the compressed operator through the query
@@ -11,8 +15,8 @@ Two drivers share one per-level compression step:
     compresses sketches and images through the recovered factors instead of
     re-querying, for 4s + 2k queries total.  The compressed test matrices are
     no longer Gaussian; that is the defining behavior of this baseline, which
-    trades guarantees for queries.  Bases come from either the sketched-SVD
-    step or a column-pivoted QR.
+    trades guarantees for queries.  Bases come from either the sketched SVD
+    or a column-pivoted QR.
 
 Per-level and per-block randomness is keyed by (seed, level, block, role)
 paths, so both drivers draw identical level-L sketches for the same seed.
@@ -22,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .kernels import RngStream, gaussian, pivoted_qr_basis
+from .blr2 import BASIS_METHODS, BLR2Pattern, _query_sketches, blr2_factors_from_sketches
+from .kernels import RngStream
 from .oracle import MatvecOracle, level_apply, level_apply_transpose
-from .sketching import SketchBundle, block_nullify, pcps_basis, recover_diagonal
 from .structures import (
     LevelFactors,
     TelescopingFactorization,
@@ -42,14 +47,11 @@ __all__ = [
     "TheoremBounds",
     "hss_from_matvecs_fresh",
     "hss_from_matvecs_reused",
-    "sss_level_from_sketches",
     "theorem_bounds",
 ]
 
-BASIS_METHODS = ("svd-pcps", "pivoted-qr")
 SKETCH_POLICIES = ("fresh", "reused")
 
-_ROLES = ("omega", "psi", "omega-diag", "psi-diag")
 
 
 @dataclass(frozen=True)
@@ -122,75 +124,6 @@ def theorem_bounds(s: int, k: int, L: int) -> TheoremBounds:
     return TheoremBounds(gamma, gamma, gamma_diag, factor)
 
 
-def _draw_level(stream: RngStream, level: int, blocks: int, block_rows: int, s: int, role: str):
-    """Stack per-(level, block, role) Gaussian draws into one test matrix."""
-    return np.vstack(
-        [gaussian(block_rows, s, stream.child(level, b, role)) for b in range(blocks)]
-    )
-
-
-def _sample_bundle(oracle, fixed_levels, level: int, k: int, s: int, stream: RngStream):
-    blocks, w = 1 << level, 2 * k
-    omega, psi, omega_diag, psi_diag = (
-        _draw_level(stream, level, blocks, w, s, role) for role in _ROLES
-    )
-    return SketchBundle(
-        omega=omega,
-        psi=psi,
-        omega_diag=omega_diag,
-        psi_diag=psi_diag,
-        Y=level_apply(oracle, fixed_levels, omega),
-        Z=level_apply_transpose(oracle, fixed_levels, psi),
-        Y_diag=level_apply(oracle, fixed_levels, omega_diag),
-        Z_diag=level_apply_transpose(oracle, fixed_levels, psi_diag),
-        block_rows=w,
-    )
-
-
-def sss_level_from_sketches(bundle: SketchBundle, k: int, basis_method: str = "svd-pcps") -> LevelFactors:
-    """Recover one level of factors (U, V, D) from a sketch bundle."""
-    if basis_method not in BASIS_METHODS:
-        raise ValueError(f"basis_method must be one of {BASIS_METHODS}")
-    extract = pcps_basis if basis_method == "svd-pcps" else pivoted_qr_basis
-    b, w = bundle.block_count, bundle.block_rows
-    U = np.empty((b, w, k))
-    V = np.empty((b, w, k))
-    D = np.empty((b, w, w))
-    for i in range(b):
-        _, row_sketch = block_nullify(bundle.omega, bundle.Y, i, w)
-        U[i] = extract(row_sketch, k)
-        _, col_sketch = block_nullify(bundle.psi, bundle.Z, i, w)
-        V[i] = extract(col_sketch, k)
-        D[i] = recover_diagonal(
-            U[i],
-            V[i],
-            bundle.block("Y_diag", i),
-            bundle.block("omega_diag", i),
-            bundle.block("Z_diag", i),
-            bundle.block("psi_diag", i),
-        )
-    return LevelFactors(U, V, D)
-
-
-def _finish(oracle, levels, k: int) -> TelescopingFactorization:
-    root = level_apply(oracle, levels, np.eye(2 * k))
-    return TelescopingFactorization(tuple(reversed(levels)), root)
-
-
-def hss_from_matvecs_fresh(oracle: MatvecOracle, config: MatvecConfig) -> TelescopingFactorization:
-    """Build a factorization with fresh sketches per level (4sL + 2k queries)."""
-    if config.sketch_policy != "fresh":
-        raise ValueError("config.sketch_policy must be 'fresh'")
-    if oracle.dim != config.dim:
-        raise ValueError(f"oracle dim {oracle.dim} does not match config dim {config.dim}")
-    stream = RngStream(config.seed)
-    levels = []
-    for level in range(config.L, 0, -1):
-        bundle = _sample_bundle(oracle, levels, level, config.k, config.s, stream)
-        levels.append(sss_level_from_sketches(bundle, config.k, "svd-pcps"))
-    return _finish(oracle, levels, config.k)
-
-
 def _compress_forward(lf: LevelFactors, sketch, image):
     """Push a (test matrix, image) pair one level down: the compressed pair
     sketches U^T (M - D) V when the image sketched M."""
@@ -201,33 +134,51 @@ def _compress_transpose(lf: LevelFactors, sketch, image):
     return block_apply_t(lf.U, sketch), block_apply_t(lf.V, image - block_apply_t(lf.D, sketch))
 
 
+def _compress_sketches(lf: LevelFactors, sketches):
+    """Compress a level's sketches through its recovered factors (no queries)."""
+    omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag = sketches
+    omega, Y = _compress_forward(lf, omega, Y)
+    omega_diag, Y_diag = _compress_forward(lf, omega_diag, Y_diag)
+    psi, Z = _compress_transpose(lf, psi, Z)
+    psi_diag, Z_diag = _compress_transpose(lf, psi_diag, Z_diag)
+    return omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag
+
+
+def _build(oracle: MatvecOracle, config: MatvecConfig) -> TelescopingFactorization:
+    """Compress level L down to level 1, then probe the root core (2k queries).
+
+    Level L always queries fresh sketches; later levels query again under the
+    fresh policy and compress the previous level's sketches under the reused
+    one.
+    """
+    if oracle.dim != config.dim:
+        raise ValueError(f"oracle dim {oracle.dim} does not match config dim {config.dim}")
+    k = config.k
+    stream = RngStream(config.seed)
+    levels, sketches = [], None
+    for level in range(config.L, 0, -1):
+        pattern = BLR2Pattern.diagonal(1 << level, 2 * k)
+        if sketches is None or config.sketch_policy == "fresh":
+            apply = partial(level_apply, oracle, levels)
+            apply_t = partial(level_apply_transpose, oracle, levels)
+            sketches = _query_sketches(stream.child(level), pattern, config.s, apply, apply_t)
+        else:
+            sketches = _compress_sketches(levels[-1], sketches)
+        U, V, D = blr2_factors_from_sketches(pattern, k, *sketches, basis_method=config.basis_method)
+        levels.append(LevelFactors(U, V, D))
+    root = level_apply(oracle, levels, np.eye(2 * k))
+    return TelescopingFactorization(tuple(reversed(levels)), root)
+
+
+def hss_from_matvecs_fresh(oracle: MatvecOracle, config: MatvecConfig) -> TelescopingFactorization:
+    """Build a factorization with fresh sketches per level (4sL + 2k queries)."""
+    if config.sketch_policy != "fresh":
+        raise ValueError("config.sketch_policy must be 'fresh'")
+    return _build(oracle, config)
+
+
 def hss_from_matvecs_reused(oracle: MatvecOracle, config: MatvecConfig) -> TelescopingFactorization:
     """Build a factorization reusing one set of sketches (4s + 2k queries)."""
     if config.sketch_policy != "reused":
         raise ValueError("config.sketch_policy must be 'reused'")
-    if oracle.dim != config.dim:
-        raise ValueError(f"oracle dim {oracle.dim} does not match config dim {config.dim}")
-    stream = RngStream(config.seed)
-    k, w = config.k, 2 * config.k
-    blocks = 1 << config.L
-    omega, psi, omega_diag, psi_diag = (
-        _draw_level(stream, config.L, blocks, w, config.s, role) for role in _ROLES
-    )
-    Y = oracle.apply(omega)
-    Z = oracle.apply_transpose(psi)
-    Y_diag = oracle.apply(omega_diag)
-    Z_diag = oracle.apply_transpose(psi_diag)
-
-    levels = []
-    for level in range(config.L, 0, -1):
-        bundle = SketchBundle(
-            omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag, block_rows=w
-        )
-        lf = sss_level_from_sketches(bundle, k, config.basis_method)
-        levels.append(lf)
-        if level > 1:
-            omega, Y = _compress_forward(lf, omega, Y)
-            omega_diag, Y_diag = _compress_forward(lf, omega_diag, Y_diag)
-            psi, Z = _compress_transpose(lf, psi, Z)
-            psi_diag, Z_diag = _compress_transpose(lf, psi_diag, Z_diag)
-    return _finish(oracle, levels, k)
+    return _build(oracle, config)

@@ -1,98 +1,18 @@
-"""Randomized sketching primitives for matvec-only approximation.
+"""Sketched rank-k bases for matvec-only approximation.
 
-Three ingredients:
-
-  - Block nullification: from a Gaussian sketch Y = M Omega, multiply block i
-    of Y by an orthonormal nullspace basis of the matching block of Omega;
-    the product equals the off-diagonal block row of M times an implicit
-    Gaussian test matrix with fewer columns.
-  - Sketched rank-k bases: the top-k left singular subspace of a Gaussian
-    sketch of B is itself a near-optimal subspace for B, so no transposed
-    products with individual blocks are ever needed.
-  - Diagonal recovery: least-squares un-sketching of the diagonal blocks
-    given fixed left/right bases and an independent pair of sketches.
+The top-k left singular subspace of a Gaussian sketch of B is itself a
+near-optimal subspace for B, so no transposed products with individual
+blocks are ever needed.  The one-level step in :mod:`hsskit.blr2` applies it
+to nullified sketches, whose implicit test matrices are Gaussian.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .kernels import nullspace_basis, right_pinv_apply, truncated_svd_left
+from .kernels import truncated_svd_left
 
-__all__ = ["SketchBundle", "block_nullify", "pcps_basis", "recover_diagonal"]
-
-
-@dataclass(frozen=True)
-class SketchBundle:
-    """Per-level test matrices and their images under a compressed operator.
-
-    ``omega``/``psi`` drive the basis extraction (forward / transpose side);
-    ``omega_diag``/``psi_diag`` are the independent pair reserved for diagonal
-    recovery.  Images: Y = M omega, Z = M^T psi, and likewise for the diag
-    pair.  ``block_rows`` is the partition block size (2k).
-    """
-
-    omega: np.ndarray
-    psi: np.ndarray
-    omega_diag: np.ndarray
-    psi_diag: np.ndarray
-    Y: np.ndarray
-    Z: np.ndarray
-    Y_diag: np.ndarray
-    Z_diag: np.ndarray
-
-    block_rows: int
-
-    def __post_init__(self):
-        n, s = self.omega.shape
-        for name in ("psi", "omega_diag", "psi_diag", "Y", "Z", "Y_diag", "Z_diag"):
-            arr = getattr(self, name)
-            if arr.shape != (n, s):
-                raise ValueError(f"{name} has shape {arr.shape}, expected {(n, s)}")
-        if n % self.block_rows != 0:
-            raise ValueError(f"{n} rows do not split into blocks of {self.block_rows}")
-
-    @property
-    def block_count(self) -> int:
-        return self.omega.shape[0] // self.block_rows
-
-    @property
-    def width(self) -> int:
-        return self.omega.shape[1]
-
-    def block(self, name: str, i: int) -> np.ndarray:
-        lo = i * self.block_rows
-        return getattr(self, name)[lo : lo + self.block_rows]
-
-
-def block_nullify(omega, images, i: int, block_rows: int):
-    """Nullify block i of the test matrix and sketch the off-diagonal row.
-
-    Returns ``(P, sketch)`` where P is an orthonormal nullspace basis of block
-    i of omega (exactly s - block_rows columns for a Gaussian draw) and
-    sketch = images_i @ P.  The sketch equals the off-diagonal block row of
-    the sketched operator times the implicit Gaussian formed by the remaining
-    blocks of omega multiplied by P.
-    """
-    omega = np.asarray(omega, dtype=np.float64)
-    images = np.asarray(images, dtype=np.float64)
-    n, s = omega.shape
-    if images.shape != (n, s):
-        raise ValueError(f"images shape {images.shape} does not match omega {omega.shape}")
-    if n % block_rows != 0 or not 0 <= i < n // block_rows:
-        raise IndexError(f"block index {i} invalid for {n} rows of {block_rows}")
-    lo = i * block_rows
-    P = nullspace_basis(omega[lo : lo + block_rows])
-    if P.shape[1] != s - block_rows:
-        # A Gaussian block is full rank almost surely; hitting this means the
-        # random stream is broken, not that padding is wanted.
-        raise np.linalg.LinAlgError(
-            f"test-matrix block {i} is rank-deficient "
-            f"(nullspace has {P.shape[1]} columns, expected {s - block_rows})"
-        )
-    return P, images[lo : lo + block_rows] @ P
+__all__ = ["pcps_basis"]
 
 
 def pcps_basis(sketch, k: int) -> np.ndarray:
@@ -108,28 +28,3 @@ def pcps_basis(sketch, k: int) -> np.ndarray:
             f"sketch must have at least k + 2 = {k + 2} columns, got shape {sketch.shape}"
         )
     return truncated_svd_left(sketch, k)
-
-
-def recover_diagonal(U, V, Y_diag_i, omega_diag_i, Z_diag_i, psi_diag_i) -> np.ndarray:
-    """Recover one remainder block from the diagonal-recovery sketch pair.
-
-    Given fixed orthonormal bases U, V (2k, k) for block i and the block-i
-    slices of the diag sketches and their images, returns
-
-        (I - U U^T) Y_i pinv(Omega_i) + U U^T [ (I - V V^T) Z_i pinv(Psi_i) ]^T
-
-    The sketches must be independent of U and V and have at least 2k + 1
-    columns (2k + 2 for the error bound to hold).
-    """
-    U = np.asarray(U, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    w = U.shape[0]
-    for name, arr in (("omega_diag_i", omega_diag_i), ("psi_diag_i", psi_diag_i)):
-        arr = np.asarray(arr)
-        if arr.shape[0] != w or arr.shape[1] < w + 1:
-            raise ValueError(
-                f"{name} must be ({w}, >= {w + 1}), got {arr.shape}"
-            )
-    row_term = right_pinv_apply(Y_diag_i - U @ (U.T @ Y_diag_i), omega_diag_i)
-    col_term = right_pinv_apply(Z_diag_i - V @ (V.T @ Z_diag_i), psi_diag_i)
-    return row_term + U @ (U.T @ col_term.T)

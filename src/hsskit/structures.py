@@ -28,7 +28,6 @@ from .kernels import as_matrix
 __all__ = [
     "BlockPartition",
     "LevelFactors",
-    "SSSFactorization",
     "TelescopingFactorization",
     "block_apply",
     "block_apply_t",
@@ -38,8 +37,6 @@ __all__ = [
     "hss_block_col",
     "hss_block_row",
     "reconstruct_dense",
-    "sss_apply",
-    "sss_reconstruct",
     "validate_hss_ranks",
 ]
 
@@ -222,45 +219,6 @@ class TelescopingFactorization:
                         f"level {j + 1} {name} blocks deviate from orthonormality "
                         f"by {defect:.3e} (tol {tol:.1e})"
                     )
-
-
-@dataclass(frozen=True)
-class SSSFactorization:
-    """One-level factorization B = U X V^T + D with block-diagonal U, V, D."""
-
-    U: np.ndarray
-    V: np.ndarray
-    X: np.ndarray
-    D: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "X", as_matrix(self.X, "X"))
-        b, w, k = self.U.shape
-        if self.V.shape != (b, w, k) or self.D.shape != (b, w, w):
-            raise ValueError("inconsistent SSS factor shapes")
-        if self.X.shape != (b * k, b * k):
-            raise ValueError(f"X must be {(b*k, b*k)}, got {self.X.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.U.shape[0] * self.U.shape[1]
-
-
-def sss_reconstruct(f: SSSFactorization) -> np.ndarray:
-    """Dense matrix represented by an SSS factorization."""
-    core = block_apply(f.U, f.X)
-    return block_apply(f.V, core.T).T + block_to_dense(f.D)
-
-
-def sss_apply(f: SSSFactorization, x) -> np.ndarray:
-    """Apply an SSS factorization to a vector or block of vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    vec = x.ndim == 1
-    xm = x[:, None] if vec else x
-    if xm.shape[0] != f.dim:
-        raise ValueError(f"operand has {xm.shape[0]} rows, expected {f.dim}")
-    y = block_apply(f.U, f.X @ block_apply_t(f.V, xm)) + block_apply(f.D, xm)
-    return y[:, 0] if vec else y
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,8 @@ from .kernels import RngStream, as_matrix, gaussian
 from .oracle import MatvecOracle
 from .structures import (
     LevelFactors,
-    SSSFactorization,
     TelescopingFactorization,
     reconstruct_dense,
-    sss_reconstruct,
 )
 
 __all__ = [
@@ -106,10 +104,9 @@ def random_blr2_matrix(pattern: BLR2Pattern, k: int, seed: int) -> np.ndarray:
         U[i] = np.linalg.qr(gaussian(m, k, stream.child(i, "U")))[0]
         V[i] = np.linalg.qr(gaussian(m, k, stream.child(i, "V")))[0]
     X = gaussian(b * k, b * k, stream.child(0, "X"))
-    D = {
-        (i, j): gaussian(m, m, stream.child(i, j, "D"))
-        for i, j in sorted(pattern.pairs)
-    }
+    D = np.empty((len(pattern.sorted_pairs), m, m))
+    for p, (i, j) in enumerate(pattern.sorted_pairs):
+        D[p] = gaussian(m, m, stream.child(i, j, "D"))
     return blr2_reconstruct(BLR2Factorization(pattern, k, U, V, X, D))
 
 
@@ -292,8 +289,6 @@ def frobenius_error(A, approx) -> float:
         raise ValueError("reference matrix has zero norm")
     if isinstance(approx, TelescopingFactorization):
         B = reconstruct_dense(approx)
-    elif isinstance(approx, SSSFactorization):
-        B = sss_reconstruct(approx)
     elif isinstance(approx, BLR2Factorization):
         B = blr2_reconstruct(approx)
     else:

@@ -7,7 +7,7 @@ check.
 
 import numpy as np
 
-from hsskit import RngStream, SSSFactorization, gaussian
+from hsskit import BLR2Factorization, BLR2Pattern, RngStream, gaussian
 
 
 def rand_orthonormal(rows, cols, rng):
@@ -17,14 +17,15 @@ def rand_orthonormal(rows, cols, rng):
 
 
 def random_sss(level, k, seed):
-    """Random exactly-SSS factorization at the given level."""
+    """Random one-level factorization at the given level: BLR2 with the
+    diagonal pattern and block size 2k."""
     rng = np.random.default_rng(seed)
     b, w = 2**level, 2 * k
     U = np.stack([rand_orthonormal(w, k, rng) for _ in range(b)])
     V = np.stack([rand_orthonormal(w, k, rng) for _ in range(b)])
     X = rng.standard_normal((b * k, b * k))
     D = np.stack([rng.standard_normal((w, w)) for _ in range(b)])
-    return SSSFactorization(U=U, V=V, X=X, D=D)
+    return BLR2Factorization(BLR2Pattern.diagonal(b, w), k, U, V, X, D)
 
 
 def svd_tail_energy(B, k):

@@ -16,13 +16,13 @@ from hsskit import (
     MatvecConfig,
     MatvecOracle,
     RngStream,
-    SketchBundle,
     TruncatedPayloadError,
     VersionMismatchError,
     banded_inverse_oracle,
+    blr2_block_nullify,
     blr2_factors_from_sketches,
     blr2_from_matvecs,
-    block_nullify,
+    blr2_remainder,
     dense_from_oracle,
     deserialize,
     frobenius_error,
@@ -37,15 +37,14 @@ from hsskit import (
     random_blr2_matrix,
     random_hss_matrix,
     random_telescoping,
-    recover_diagonal,
     reconstruct_dense,
     serialize,
-    sss_level_from_sketches,
     theorem_bounds,
     validate_hss_ranks,
 )
 from hsskit.structures import (
     BlockPartition,
+    LevelFactors,
     block_apply_t,
     block_to_dense,
     hss_block_col,
@@ -93,22 +92,21 @@ def test_criterion_02_block_nullification_identity():
         omega, psi, od, pd = (draw(r) for r in ("omega", "psi", "omega-diag", "psi-diag"))
         Y = level_apply(oracle, levels, omega)
         Z = level_apply_transpose(oracle, levels, psi)
+        pattern = BLR2Pattern.diagonal(blocks, w)
         for i in range(blocks):
-            P, sketch = block_nullify(omega, Y, i, w)
+            P, sketch = blr2_block_nullify(omega, Y, pattern, i)
             G = np.vstack([omega[j * w : (j + 1) * w] for j in range(blocks) if j != i]) @ P
             gap = np.abs(sketch - hss_block_row(dense, part, i) @ G).max()
             worst = max(worst, gap)
-            Q, csketch = block_nullify(psi, Z, i, w)
+            Q, csketch = blr2_block_nullify(psi, Z, pattern, i, "col")
             H = np.vstack([psi[j * w : (j + 1) * w] for j in range(blocks) if j != i]) @ Q
             cgap = np.abs(csketch - hss_block_col(dense, part, i).T @ H).max()
             worst = max(worst, cgap)
             assert gap <= 1e-11 and cgap <= 1e-11, f"level {level} block {i}"
-        bundle = SketchBundle(
-            omega, psi, od, pd, Y, Z,
+        lf = LevelFactors(*blr2_factors_from_sketches(
+            pattern, k, omega, psi, od, pd, Y, Z,
             level_apply(oracle, levels, od), level_apply_transpose(oracle, levels, pd),
-            block_rows=w,
-        )
-        lf = sss_level_from_sketches(bundle, k)
+        ))
         levels.append(lf)
         dense = block_apply_t(lf.U, dense - block_to_dense(lf.D))
         dense = block_apply_t(lf.V, dense.T).T
@@ -182,15 +180,17 @@ def test_criterion_06_monte_carlo_envelopes():
             np.linalg.norm(row - U @ (U.T @ row)) ** 2
             + np.linalg.norm(col - (col @ V) @ V.T) ** 2
         )
+        # Fixed-basis recovery of D_ii: the remainder step on the one-pair
+        # pattern {(i, i)}.
+        one_pair = BLR2Pattern(n // w, w, frozenset({(i, i)}))
+        bases = lambda Q: np.broadcast_to(Q, (one_pair.block_count,) + Q.shape)
         stream = RngStream(800 + k).child("mc-diag")
         resids = []
         for trial in range(300):
             omega = gaussian(n, s, stream.child(trial, "o"))
             psi = gaussian(n, s, stream.child(trial, "p"))
             Y, Z = A @ omega, A.T @ psi
-            D = recover_diagonal(
-                U, V, Y[lo : lo + w], omega[lo : lo + w], Z[lo : lo + w], psi[lo : lo + w]
-            )
+            (D,) = blr2_remainder(one_pair, bases(U), bases(V), omega, psi, Y, Z)
             resids.append(np.linalg.norm(Aii - D - U @ (U.T @ (Aii - D)) @ V @ V.T) ** 2)
         assert np.mean(resids) <= bound, f"(k={k}, s={s})"
     _report(6, started, "sketched-basis and diagonal-recovery expectation envelopes hold")
@@ -284,23 +284,25 @@ def test_criterion_10_blr2_recovery_and_specialization():
             MatvecOracle.from_dense(A), pattern, k, s=pattern.width_floor(k), seed=seed + 10
         )
         assert frobenius_error(A, F) <= 1e-9
-    # Diagonal-pattern build step coincides with the per-level step.
+    # The finest level of the fresh driver is the diagonal-pattern step fed
+    # the driver's own level-L draws.
     k, level = 2, 3
     m, b = 2 * k, 1 << level
     pattern = BLR2Pattern.diagonal(b, m)
     n, s = pattern.dim, 3 * k + 2
     A = np.random.default_rng(77).standard_normal((n, n))
-    stream = RngStream(78).child("spec")
-    omega, psi, od, pd = (gaussian(n, s, stream.child(r)) for r in range(4))
+    T = hss_from_matvecs_fresh(MatvecOracle.from_dense(A), MatvecConfig(level, k, s, seed=78))
+    stream = RngStream(78)
+    omega, psi, od, pd = (
+        np.vstack([gaussian(m, s, stream.child(level, blk, role)) for blk in range(b)])
+        for role in ("omega", "psi", "omega-diag", "psi-diag")
+    )
     Y, Yd, Z, Zd = A @ omega, A @ od, A.T @ psi, A.T @ pd
     U2, V2, D2 = blr2_factors_from_sketches(pattern, k, omega, psi, od, pd, Y, Z, Yd, Zd)
-    lf = sss_level_from_sketches(
-        SketchBundle(omega, psi, od, pd, Y, Z, Yd, Zd, block_rows=m), k
-    )
-    assert np.abs(U2 - lf.U).max() <= 1e-10
-    assert np.abs(V2 - lf.V).max() <= 1e-10
-    for i in range(b):
-        assert np.abs(D2[(i, i)] - lf.D[i]).max() <= 1e-10
+    finest = T.levels[-1]
+    assert np.array_equal(U2, finest.U)
+    assert np.array_equal(V2, finest.V)
+    assert np.array_equal(D2, finest.D)
     _report(10, started, "flat-pattern recovery exact; diagonal pattern matches the level step")
 
 

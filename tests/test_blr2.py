@@ -5,27 +5,38 @@ from hsskit import (
     BLR2Factorization,
     BLR2Pattern,
     CountingOracle,
+    MatvecConfig,
     MatvecOracle,
     RngStream,
-    SketchBundle,
     blr2_apply,
     blr2_block_nullify,
     blr2_factors_from_sketches,
     blr2_from_matvecs,
     blr2_reconstruct,
-    block_nullify,
     frobenius_error,
     gaussian,
+    hss_from_matvecs_fresh,
+    nullspace_basis,
     random_blr2_matrix,
-    sss_level_from_sketches,
 )
+
+
+def _outside(pattern, hit):
+    """Block indices of a row or column that the pattern does not hit."""
+    return tuple(j for j in range(pattern.block_count) if j not in hit)
 
 
 def _rho(A, pattern, i):
     """Admissible part of block row i (brute-force slicer)."""
     m = pattern.block_size
-    cols = pattern.row_admissible(i)
+    cols = _outside(pattern, pattern.row_inadmissible(i))
     return np.hstack([A[i * m : (i + 1) * m, j * m : (j + 1) * m] for j in cols])
+
+
+def _implicit_gaussian(omega, pattern, P, kept):
+    """Admissible blocks of a test matrix times the nullspace basis P."""
+    m = pattern.block_size
+    return np.vstack([omega[j * m : (j + 1) * m] for j in kept]) @ P
 
 
 class TestPattern:
@@ -33,7 +44,8 @@ class TestPattern:
         pat = BLR2Pattern.diagonal(4, 3)
         assert pat.max_blocks_per_line == 1
         assert pat.row_inadmissible(2) == (2,)
-        assert pat.row_admissible(2) == (0, 1, 3)
+        assert pat.col_inadmissible(2) == (2,)
+        assert _outside(pat, pat.row_inadmissible(2)) == (0, 1, 3)
         assert pat.width_floor(2) == 3 + 2 + 2
 
     def test_tridiagonal(self):
@@ -55,20 +67,21 @@ class TestBlr2BlockNullify:
         omega = gaussian(16, 10, RngStream(0).child("b2"))
         Y = gaussian(16, 10, RngStream(0).child("b2y"))
         for i in range(4):
-            P_pat, _ = blr2_block_nullify(omega, pat, i, side="row")
-            P_plain, _ = block_nullify(omega, Y, i, 4)
+            P_pat, sketch = blr2_block_nullify(omega, Y, pat, i, side="row")
+            P_plain = nullspace_basis(omega[4 * i : 4 * i + 4])
             assert np.array_equal(P_pat, P_plain)
+            assert np.array_equal(sketch, Y[4 * i : 4 * i + 4] @ P_plain)
 
     def test_tridiagonal_dimensions(self):
         pat = BLR2Pattern.tridiagonal(8, 4)
         s = 16  # 3 * 4 + 2 + 2 with k = 2
         omega = gaussian(pat.dim, s, RngStream(1).child("b2"))
         for i in range(8):
-            P, G = blr2_block_nullify(omega, pat, i, side="row")
+            P, sketch = blr2_block_nullify(omega, np.zeros_like(omega), pat, i, side="row")
             hit = len(pat.row_inadmissible(i)) * 4
             assert P.shape == (s, s - hit)
             assert P.shape[1] >= s - pat.max_blocks_per_line * 4
-            assert G.shape == (pat.dim - hit, s - hit)
+            assert sketch.shape == (4, s - hit)
 
     def test_implicit_sketch_identity(self):
         pat = BLR2Pattern.tridiagonal(8, 4)
@@ -78,8 +91,8 @@ class TestBlr2BlockNullify:
         Y = A @ omega
         m = pat.block_size
         for i in range(8):
-            P, G = blr2_block_nullify(omega, pat, i, side="row")
-            got = Y[i * m : (i + 1) * m] @ P
+            P, got = blr2_block_nullify(omega, Y, pat, i, side="row")
+            G = _implicit_gaussian(omega, pat, P, _outside(pat, pat.row_inadmissible(i)))
             assert np.abs(got - _rho(A, pat, i) @ G).max() <= 1e-11
 
     def test_column_side(self):
@@ -90,10 +103,10 @@ class TestBlr2BlockNullify:
         Z = A.T @ psi
         m = 2
         for j in range(4):
-            Q, H = blr2_block_nullify(psi, pat, j, side="col")
-            rows = pat.col_admissible(j)
+            Q, got = blr2_block_nullify(psi, Z, pat, j, side="col")
+            rows = _outside(pat, pat.col_inadmissible(j))
+            H = _implicit_gaussian(psi, pat, Q, rows)
             gamma = np.vstack([A[i * m : (i + 1) * m, j * m : (j + 1) * m] for i in rows])
-            got = Z[j * m : (j + 1) * m] @ Q
             assert np.abs(got - gamma.T @ H).max() <= 1e-11
 
 
@@ -117,7 +130,7 @@ class TestBlr2Build:
         F = blr2_from_matvecs(MatvecOracle.from_dense(np.zeros((16, 16))), pat, 2, s=8, seed=4)
         assert not blr2_reconstruct(F).any()
         assert not F.X.any()
-        assert all(not blk.any() for blk in F.D.values())
+        assert not F.D.any()
 
     def test_query_count(self):
         pat = BLR2Pattern.diagonal(8, 4)
@@ -190,37 +203,36 @@ class TestBlr2Containers:
         assert np.linalg.norm(blr2_apply(F, x) - dense @ x) <= 1e-12 * np.linalg.norm(dense @ x)
 
     def test_remainder_outside_pattern_rejected(self):
+        # D stacks one block per pattern pair; a third block has no pair.
         pat = BLR2Pattern.diagonal(2, 4)
         k = 2
         U = np.stack([np.eye(4)[:, :2]] * 2)
         X = np.zeros((4, 4))
         with pytest.raises(ValueError):
-            BLR2Factorization(pat, k, U, U, X, {(0, 1): np.zeros((4, 4))})
+            BLR2Factorization(pat, k, U, U, X, np.zeros((3, 4, 4)))
 
 
 class TestSpecialization:
     def test_diagonal_blr2_step_equals_one_level_step(self):
-        # With a diagonal pattern, block size m = 2k and the same sketches,
-        # the flat build step and the per-level step of the hierarchical
-        # driver produce identical factors.
+        # The finest level of the fresh driver is the BLR2 step with the
+        # diagonal pattern and m = 2k, fed the driver's own level-L draws.
         k, level = 2, 3
         m = 2 * k
         b = 1 << level
         pat = BLR2Pattern.diagonal(b, m)
         n = pat.dim
         s = 3 * k + 2
-        rng = np.random.default_rng(16)
-        A = rng.standard_normal((n, n))
-        stream = RngStream(17).child("spec")
-        omega, psi, od, pd = (gaussian(n, s, stream.child(r)) for r in range(4))
-        Y, Yd = A @ omega, A @ od
-        Z, Zd = A.T @ psi, A.T @ pd
-
-        U2, V2, D2 = blr2_factors_from_sketches(pat, k, omega, psi, od, pd, Y, Z, Yd, Zd)
-        bundle = SketchBundle(omega, psi, od, pd, Y, Z, Yd, Zd, block_rows=m)
-        lf = sss_level_from_sketches(bundle, k)
-
-        assert np.abs(U2 - lf.U).max() <= 1e-10
-        assert np.abs(V2 - lf.V).max() <= 1e-10
-        for i in range(b):
-            assert np.abs(D2[(i, i)] - lf.D[i]).max() <= 1e-10
+        A = np.random.default_rng(16).standard_normal((n, n))
+        T = hss_from_matvecs_fresh(MatvecOracle.from_dense(A), MatvecConfig(level, k, s, seed=17))
+        stream = RngStream(17)
+        omega, psi, od, pd = (
+            np.vstack([gaussian(m, s, stream.child(level, blk, role)) for blk in range(b)])
+            for role in ("omega", "psi", "omega-diag", "psi-diag")
+        )
+        U, V, D = blr2_factors_from_sketches(
+            pat, k, omega, psi, od, pd, A @ omega, A.T @ psi, A @ od, A.T @ pd
+        )
+        finest = T.levels[-1]
+        assert np.array_equal(U, finest.U)
+        assert np.array_equal(V, finest.V)
+        assert np.array_equal(D, finest.D)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from hsskit import deserialize, frobenius_error, read_dense, reconstruct_dense
+from hsskit import (
+    LevelFactors,
+    TelescopingFactorization,
+    deserialize,
+    frobenius_error,
+    read_dense,
+    reconstruct_dense,
+    serialize,
+)
 from hsskit.cli import load_pattern, main
 
 
@@ -114,3 +122,20 @@ def test_validate_reports_format_errors(tmp_path, capsys):
     main(["gen", "hss", "--n", "16", "--k", "2", "--out", str(mat)])
     assert main(["validate", "--in", str(broken), "--against", str(mat)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_validate_rejects_non_orthonormal_bases(tmp_path, capsys):
+    mat = tmp_path / "m.dmat"
+    fac = tmp_path / "m.hssf"
+    main(["gen", "hss", "--n", "32", "--k", "2", "--seed", "1", "--out", str(mat)])
+    main(["approx", "explicit", "--L", "3", "--k", "2", "--in", str(mat), "--out", str(fac)])
+    T = deserialize(fac.read_bytes())
+    finest = T.levels[-1]
+    scaled = LevelFactors(2.0 * finest.U, finest.V, finest.D)
+    bad = tmp_path / "bad.hssf"
+    bad.write_bytes(serialize(TelescopingFactorization(T.levels[:-1] + (scaled,), T.root)))
+    capsys.readouterr()
+    assert main(["validate", "--in", str(bad), "--against", str(mat)]) == 1
+    captured = capsys.readouterr()
+    assert "level 3 U blocks" in captured.err
+    assert "relative frobenius error" not in captured.out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hsskit import (
+    BLR2Factorization,
     BlockPartition,
     frobenius_error,
     greedy_hss_explicit,
@@ -9,11 +10,11 @@ from hsskit import (
     hss_block_col,
     hss_block_row,
     random_hss_matrix,
+    blr2_reconstruct,
     reconstruct_dense,
-    sss_reconstruct,
     sss_step_explicit,
 )
-from hsskit.structures import SSSFactorization, block_apply, block_apply_t, block_to_dense
+from hsskit.structures import block_apply, block_apply_t, block_to_dense
 
 from helpers import random_sss, svd_tail_energy
 
@@ -21,9 +22,11 @@ from helpers import random_sss, svd_tail_energy
 class TestSssStepExplicit:
     def test_exactly_sss_input_recovered(self):
         f = random_sss(3, 2, seed=0)
-        A = sss_reconstruct(f)
+        A = blr2_reconstruct(f)
         factors, A_next = sss_step_explicit(A, 3, 2)
-        approx = sss_reconstruct(SSSFactorization(factors.U, factors.V, A_next, factors.D))
+        approx = blr2_reconstruct(
+            BLR2Factorization(f.pattern, 2, factors.U, factors.V, A_next, factors.D)
+        )
         assert np.linalg.norm(A - approx) <= 1e-10 * np.linalg.norm(A)
 
     def test_hard_instance_top_level_bases(self):

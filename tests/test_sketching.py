@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from hsskit import (
+    BLR2Pattern,
     BlockPartition,
     RngStream,
-    SketchBundle,
-    block_nullify,
+    blr2_block_nullify,
+    blr2_factors_from_sketches,
+    blr2_reconstruct,
+    blr2_remainder,
     gaussian,
     hss_block_row,
     pcps_basis,
-    recover_diagonal,
-    sss_reconstruct,
 )
 
 from helpers import rand_orthonormal, random_sss, svd_tail_energy
@@ -34,8 +35,9 @@ class TestBlockNullify:
         omega = gaussian(part.dim, 3 * k + 2, RngStream(0).child("bn"))
         Y = A @ omega
         w = part.block_size
+        pat = BLR2Pattern.diagonal(part.block_count, w)
         for i in range(part.block_count):
-            P, sketch = block_nullify(omega, Y, i, w)
+            P, sketch = blr2_block_nullify(omega, Y, pat, i)
             G = _stacked_off_blocks(omega, i, w) @ P
             want = hss_block_row(A, part, i) @ G
             assert np.abs(sketch - want).max() <= 1e-11
@@ -45,7 +47,7 @@ class TestBlockNullify:
         n = (1 << (level + 1)) * k
         omega = gaussian(n, s, RngStream(1).child("bn"))
         Y = np.zeros((n, s))
-        P, sketch = block_nullify(omega, Y, 0, 2 * k)
+        P, sketch = blr2_block_nullify(omega, Y, BLR2Pattern.diagonal(n // (2 * k), 2 * k), 0)
         assert P.shape == (26, 10)
         assert sketch.shape == (16, 10)
 
@@ -55,10 +57,11 @@ class TestBlockNullify:
         k, level, s = 2, 3, 8
         n, w = (1 << (level + 1)) * k, 2 * k
         stream = RngStream(2).child("bn-moments")
+        pat = BLR2Pattern.diagonal(n // w, w)
         samples = []
         for trial in range(200):
             omega = gaussian(n, s, stream.child(trial))
-            P, _ = block_nullify(omega, np.zeros((n, s)), 1, w)
+            P, _ = blr2_block_nullify(omega, np.zeros((n, s)), pat, 1)
             samples.append((_stacked_off_blocks(omega, 1, w) @ P).ravel())
         flat = np.concatenate(samples)
         assert abs(flat.mean()) < 0.05
@@ -68,12 +71,14 @@ class TestBlockNullify:
         omega = gaussian(8, 6, RngStream(3).child("bn"))
         omega[1] = omega[0]  # first block (2 rows) now rank one
         with pytest.raises(np.linalg.LinAlgError):
-            block_nullify(omega, np.zeros((8, 6)), 0, 2)
+            blr2_block_nullify(omega, np.zeros((8, 6)), BLR2Pattern.diagonal(4, 2), 0)
 
     def test_index_validation(self):
         omega = gaussian(8, 6, RngStream(4).child("bn"))
-        with pytest.raises(IndexError):
-            block_nullify(omega, np.zeros((8, 6)), 4, 2)
+        for i in (4, 99, -1):
+            for side in ("row", "col"):
+                with pytest.raises(IndexError):
+                    blr2_block_nullify(omega, np.zeros((8, 6)), BLR2Pattern.diagonal(4, 2), i, side)
 
 
 class TestPcpsBasis:
@@ -115,16 +120,19 @@ class TestPcpsBasis:
 
 
 class TestRecoverDiagonal:
+    """Remainder recovery with fixed bases: a one-pair pattern {(i, i)}
+    recovers D_ii."""
+
     def _sketch_block(self, A, U, V, i, s, stream):
         n, w = A.shape[0], U.shape[0]
         omega = gaussian(n, s, stream.child(i, "omega"))
         psi = gaussian(n, s, stream.child(i, "psi"))
         Y = A @ omega
         Z = A.T @ psi
-        lo = i * w
-        return recover_diagonal(
-            U, V, Y[lo : lo + w], omega[lo : lo + w], Z[lo : lo + w], psi[lo : lo + w]
-        )
+        pat = BLR2Pattern(n // w, w, frozenset({(i, i)}))
+        stack = lambda basis: np.broadcast_to(basis, (pat.block_count,) + basis.shape)
+        (D,) = blr2_remainder(pat, stack(U), stack(V), omega, psi, Y, Z)
+        return D
 
     def test_block_diagonal_matrix_recovered_exactly(self):
         rng = np.random.default_rng(7)
@@ -144,7 +152,7 @@ class TestRecoverDiagonal:
 
     def test_exactly_structured_matrix_zero_residual(self):
         f = random_sss(2, 2, seed=9)
-        A = sss_reconstruct(f)
+        A = blr2_reconstruct(f)
         w, k = 4, 2
         stream = RngStream(10).child("rd")
         for i in range(4):
@@ -178,20 +186,30 @@ class TestRecoverDiagonal:
         assert np.mean(resids) <= bound
 
     def test_width_floor(self):
-        U = np.eye(4)[:, :2]
+        # Recovery needs at least rows + 1 sketch columns.
+        pat = BLR2Pattern(1, 4, frozenset({(0, 0)}))
+        U = np.eye(4)[None, :, :2]
+        zero = np.zeros((4, 4))
         with pytest.raises(ValueError):
-            recover_diagonal(U, U, np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))
+            blr2_remainder(pat, U, U, zero, zero, zero, zero)
 
 
 class TestSketchBundle:
+    """The one-level step's check of its eight sketch arrays."""
+
     def test_shape_validation(self):
         n, s = 8, 6
         arrs = [gaussian(n, s, RngStream(11).child("sb", i)) for i in range(8)]
-        bundle = SketchBundle(*arrs, block_rows=4)
-        assert bundle.block_count == 2
-        assert bundle.width == 6
-        assert np.array_equal(bundle.block("omega", 1), arrs[0][4:])
+        U, V, D = blr2_factors_from_sketches(
+            BLR2Pattern.diagonal(2, 4), 2, *arrs, basis_method="pivoted-qr"
+        )
+        assert U.shape == V.shape == (2, 4, 2)
+        assert D.shape == (2, 4, 4)
         with pytest.raises(ValueError):
-            SketchBundle(*arrs, block_rows=3)
-        with pytest.raises(ValueError):
-            SketchBundle(arrs[0][:4], *arrs[1:], block_rows=4)
+            blr2_factors_from_sketches(BLR2Pattern.diagonal(2, 3), 2, *arrs)
+        names = ("omega", "psi", "omega_diag", "psi_diag", "Y", "Z", "Y_diag", "Z_diag")
+        for pos, name in enumerate(names):
+            bad = list(arrs)
+            bad[pos] = bad[pos][:4]
+            with pytest.raises(ValueError, match=f"^{name} has shape"):
+                blr2_factors_from_sketches(BLR2Pattern.diagonal(2, 4), 2, *bad)

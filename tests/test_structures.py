@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hsskit import (
+    BLR2Factorization,
     BlockPartition,
     LevelFactors,
     RngStream,
@@ -11,10 +12,10 @@ from hsskit import (
     hss_apply_transpose,
     hss_block_col,
     hss_block_row,
+    blr2_apply,
+    blr2_reconstruct,
     random_telescoping,
     reconstruct_dense,
-    sss_apply,
-    sss_reconstruct,
     validate_hss_ranks,
 )
 
@@ -130,16 +131,18 @@ class TestApply:
 
 
 class TestSSSContainer:
+    """The one-level container: BLR2 with the diagonal pattern."""
+
     def test_reconstruct_and_apply_agree(self):
         f = random_sss(3, 2, seed=0)
-        dense = sss_reconstruct(f)
+        dense = blr2_reconstruct(f)
         x = np.random.default_rng(1).standard_normal((f.dim, 2))
-        assert np.linalg.norm(sss_apply(f, x) - dense @ x) <= 1e-12 * np.linalg.norm(dense @ x)
+        assert np.linalg.norm(blr2_apply(f, x) - dense @ x) <= 1e-12 * np.linalg.norm(dense @ x)
 
     def test_shape_validation(self):
         f = random_sss(2, 2, seed=1)
         with pytest.raises(ValueError):
-            type(f)(U=f.U, V=f.V, X=f.X[:-1], D=f.D)
+            BLR2Factorization(f.pattern, f.rank_param, f.U, f.V, f.X[:-1], f.D)
 
 
 class TestValidateRanks:
