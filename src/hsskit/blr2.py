@@ -9,6 +9,12 @@ the hierarchical drivers in :mod:`hsskit.matvec` call it once per level with
 blocks of each test-matrix line, extracts rank-k bases from the nullified
 sketches (sketched SVD or pivoted QR), and un-sketches the pattern blocks
 from an independent pair of sketches with the bases held fixed.
+
+The step works on stacks, not on one block at a time: the block rows (and
+columns) of the pattern are grouped by how many pattern blocks they hold,
+and each group goes through the stacked kernels of :mod:`hsskit.kernels` in
+one call.  The diagonal pattern of the hierarchical drivers is one group per
+side.
 """
 
 from __future__ import annotations
@@ -35,6 +41,28 @@ __all__ = [
 ]
 
 BASIS_METHODS = ("svd-pcps", "pivoted-qr")
+
+
+def _line_groups(lines: tuple, pair_position) -> tuple:
+    """Group the lines (block rows or columns) of a pattern by their number h
+    of pattern blocks, so that each group is one stack for the kernels.
+
+    Returns one ``(members, hits, positions)`` per h, in increasing h:
+    ``members`` (g,) are the line indices, ``hits`` (g, h) their pattern
+    blocks and ``positions`` (g, h) those blocks' places in ``sorted_pairs``.
+    """
+    by_count = {}
+    for i, hit in enumerate(lines):
+        by_count.setdefault(len(hit), []).append(i)
+    groups = []
+    for h, members in sorted(by_count.items()):
+        shape = (len(members), h)
+        hits = np.array([lines[i] for i in members], dtype=np.intp).reshape(shape)
+        positions = np.array(
+            [[pair_position(i, j) for j in lines[i]] for i in members], dtype=np.intp
+        ).reshape(shape)
+        groups.append((np.array(members, dtype=np.intp), hits, positions))
+    return tuple(groups)
 
 
 @dataclass(frozen=True)
@@ -70,6 +98,13 @@ class BLR2Pattern:
         object.__setattr__(self, "sorted_pairs", ordered)
         object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
         object.__setattr__(self, "_cols", tuple(map(tuple, cols)))
+        position = {pair: p for p, pair in enumerate(ordered)}
+        object.__setattr__(
+            self, "_row_groups", _line_groups(self._rows, lambda i, j: position[i, j])
+        )
+        object.__setattr__(
+            self, "_col_groups", _line_groups(self._cols, lambda j, i: position[i, j])
+        )
 
     @classmethod
     def diagonal(cls, block_count: int, block_size: int) -> "BLR2Pattern":
@@ -148,10 +183,6 @@ class BLR2Factorization:
         return self.pattern.dim
 
 
-def _stack_blocks(arr: np.ndarray, indices, m: int) -> np.ndarray:
-    return np.vstack([arr[j * m : (j + 1) * m] for j in indices])
-
-
 def _as_sketches(pattern: BLR2Pattern, names, arrays) -> list:
     """Coerce sketch arrays to float64 and check that all are (dim, s)."""
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
@@ -162,6 +193,28 @@ def _as_sketches(pattern: BLR2Pattern, names, arrays) -> list:
     return arrays
 
 
+def _nullify(tests: np.ndarray, images: np.ndarray, members, hits):
+    """Nullify the pattern blocks of a group of lines with h blocks each.
+
+    ``tests`` and ``images`` are (b, m, s) block stacks.  Returns ``(P,
+    sketches)``: P (g, s, s - h m) holds orthonormal nullspace bases of the
+    stacked pattern blocks of ``tests``, one per line of ``members``, and
+    sketches (g, m, s - h m) the image blocks of those lines times P.  With
+    h = 0, P is None and the sketches are the image blocks themselves.
+    """
+    g, h = hits.shape
+    if h == 0:
+        return None, images[members]
+    _, m, s = tests.shape
+    P = nullspace_basis(tests[hits].reshape(g, h * m, s))
+    return P, images[members] @ P
+
+
+def _blocks(pattern: BLR2Pattern, arr: np.ndarray) -> np.ndarray:
+    """View a (dim, s) array as its (b, m, s) stack of block rows."""
+    return arr.reshape(pattern.block_count, pattern.block_size, -1)
+
+
 def blr2_block_nullify(omega, images, pattern: BLR2Pattern, i: int, side: str = "row"):
     """Nullify the pattern blocks of one row (or column) of a test matrix.
 
@@ -170,7 +223,9 @@ def blr2_block_nullify(omega, images, pattern: BLR2Pattern, i: int, side: str = 
     sketch = images_i @ P.  For images = A omega the sketch equals the
     admissible part of block row i of A times the implicit Gaussian test
     matrix formed by the remaining blocks of omega times P.  A line with no
-    pattern blocks gets P = I.
+    pattern blocks gets P = I.  Raises ``LinAlgError`` when those blocks are
+    rank-deficient.  The build step nullifies whole groups of lines at once
+    through the same code.
     """
     if side == "row":
         hit = pattern.row_inadmissible(i)
@@ -184,25 +239,27 @@ def blr2_block_nullify(omega, images, pattern: BLR2Pattern, i: int, side: str = 
         raise ValueError(f"test matrix has {omega.shape[0]} rows, expected {pattern.dim}")
     if images.shape != omega.shape:
         raise ValueError(f"images shape {images.shape} does not match test matrix {omega.shape}")
-    m, s = pattern.block_size, omega.shape[1]
-    if hit:
-        P = nullspace_basis(_stack_blocks(omega, hit, m))
-        if P.shape[1] != s - len(hit) * m:
-            # A Gaussian draw is full rank almost surely; hitting this means
-            # the random stream is broken, not that padding is wanted.
-            raise np.linalg.LinAlgError(
-                f"pattern blocks for {side} {i} are rank-deficient "
-                f"(nullspace has {P.shape[1]} columns, expected {s - len(hit) * m})"
-            )
-    else:
-        P = np.eye(s)
-    return P, images[i * m : (i + 1) * m] @ P
+    hits = np.array(hit, dtype=np.intp).reshape(1, len(hit))
+    P, sketch = _nullify(_blocks(pattern, omega), _blocks(pattern, images), [i], hits)
+    return (np.eye(omega.shape[1]) if P is None else P[0]), sketch[0]
 
 
-def _line_slab(Q, images, tests, line, i: int, m: int) -> np.ndarray:
-    """(I - Q Q^T) images_i pinv(tests stacked over the blocks of ``line``)."""
-    block = images[i * m : (i + 1) * m]
-    return right_pinv_apply(block - Q @ (Q.T @ block), _stack_blocks(tests, line, m))
+def _unsketch(groups, nnz: int, Q: np.ndarray, images: np.ndarray, tests: np.ndarray) -> np.ndarray:
+    """For every pattern pair of one side, the (m, m) block of
+    (I - Q_i Q_i^T) images_i pinv(tests stacked over the pattern blocks of
+    line i) that belongs to the pair, stacked in ``sorted_pairs`` order.
+    ``Q``, ``images`` and ``tests`` are (b, m, .) block stacks."""
+    _, m, s = tests.shape
+    out = np.empty((nnz, m, m))
+    for members, hits, positions in groups:
+        g, h = hits.shape
+        if h == 0:
+            continue
+        block, basis = images[members], Q[members]
+        residual = block - basis @ (basis.transpose(0, 2, 1) @ block)
+        slabs = right_pinv_apply(residual, tests[hits].reshape(g, h * m, s))
+        out[positions] = slabs.reshape(g, m, h, m).transpose(0, 2, 1, 3)
+    return out
 
 
 def blr2_remainder(pattern: BLR2Pattern, U, V, omega_diag, psi_diag, Y_diag, Z_diag) -> np.ndarray:
@@ -221,6 +278,8 @@ def blr2_remainder(pattern: BLR2Pattern, U, V, omega_diag, psi_diag, Y_diag, Z_d
     independent of U and V and have at least (blocks per line) * m + 1
     columns; for a one-pair pattern {(i, i)} this is the classic diagonal
     recovery with at least 2k + 1 columns (2k + 2 for the error bound).
+    Lines with the same number of pattern blocks are un-sketched as one
+    stack.
     """
     m = pattern.block_size
     names = ("omega_diag", "psi_diag", "Y_diag", "Z_diag")
@@ -232,22 +291,15 @@ def blr2_remainder(pattern: BLR2Pattern, U, V, omega_diag, psi_diag, Y_diag, Z_d
         raise ValueError(
             f"diagonal-recovery sketches need at least {floor} columns, got {omega_diag.shape[1]}"
         )
-    # Un-sketch whole pattern lines at once, then slice out each block.
     pairs = pattern.sorted_pairs
-    rows = {
-        i: _line_slab(U[i], Y_diag, omega_diag, pattern.row_inadmissible(i), i, m)
-        for i in {i for i, _ in pairs}
-    }
-    cols = {
-        j: _line_slab(V[j], Z_diag, psi_diag, pattern.col_inadmissible(j), j, m)
-        for j in {j for _, j in pairs}
-    }
-    D = np.empty((len(pairs), m, m))
-    for p, (i, j) in enumerate(pairs):
-        jpos = pattern.row_inadmissible(i).index(j) * m
-        ipos = pattern.col_inadmissible(j).index(i) * m
-        D[p] = rows[i][:, jpos : jpos + m] + U[i] @ (U[i].T @ cols[j][:, ipos : ipos + m].T)
-    return D
+    R = _unsketch(
+        pattern._row_groups, len(pairs), U, _blocks(pattern, Y_diag), _blocks(pattern, omega_diag)
+    )
+    C = _unsketch(
+        pattern._col_groups, len(pairs), V, _blocks(pattern, Z_diag), _blocks(pattern, psi_diag)
+    )
+    Ur = U[np.array([i for i, _ in pairs], dtype=np.intp)]
+    return R + Ur @ (Ur.transpose(0, 2, 1) @ C.transpose(0, 2, 1))
 
 
 def blr2_factors_from_sketches(
@@ -260,7 +312,11 @@ def blr2_factors_from_sketches(
     Bases come from the nullified sketches through ``basis_method``, one of
     :data:`BASIS_METHODS` ("svd-pcps": sketched SVD; "pivoted-qr": leading
     columns of a column-pivoted QR).  D is stacked in
-    ``pattern.sorted_pairs`` order, see :func:`blr2_remainder`.
+    ``pattern.sorted_pairs`` order, see :func:`blr2_remainder`.  Lines with
+    the same number of pattern blocks form one stack: the nullspaces, the
+    sketched SVDs and the remainder's pseudo-inverses take one kernel call
+    per group and side (one group for the diagonal pattern, two for the
+    tridiagonal one); pivoted QR stays one call per line.
     """
     if basis_method not in BASIS_METHODS:
         raise ValueError(f"basis_method must be one of {BASIS_METHODS}")
@@ -268,16 +324,20 @@ def blr2_factors_from_sketches(
     omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag = _as_sketches(
         pattern, names, (omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag)
     )
-    extract = pcps_basis if basis_method == "svd-pcps" else pivoted_qr_basis
     b, m = pattern.block_count, pattern.block_size
     U = np.empty((b, m, k))
     V = np.empty((b, m, k))
-    for i in range(b):
-        _, row_sketch = blr2_block_nullify(omega, Y, pattern, i, "row")
-        U[i] = extract(row_sketch, k)
-    for j in range(b):
-        _, col_sketch = blr2_block_nullify(psi, Z, pattern, j, "col")
-        V[j] = extract(col_sketch, k)
+    for basis, groups, tests, images in (
+        (U, pattern._row_groups, omega, Y),
+        (V, pattern._col_groups, psi, Z),
+    ):
+        for members, hits, _ in groups:
+            _, sketches = _nullify(_blocks(pattern, tests), _blocks(pattern, images), members, hits)
+            if basis_method == "svd-pcps":
+                basis[members] = pcps_basis(sketches, k)
+            else:
+                # scipy has no stacked column-pivoted QR.
+                basis[members] = [pivoted_qr_basis(sketch, k) for sketch in sketches]
     return U, V, blr2_remainder(pattern, U, V, omega_diag, psi_diag, Y_diag, Z_diag)
 
 

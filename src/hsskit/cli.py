@@ -101,6 +101,8 @@ def _oracle_from_source(src: str) -> MatvecOracle:
         )
     if family == "hard":
         n = _p_int(params, "n")
+        if n < 4 or n & (n - 1):
+            raise ValueError(f"hard instance needs n a power of two >= 4, got n={n}")
         return MatvecOracle.from_dense(hard_instance(n.bit_length() - 2, _p_float(params, "delta", 0.1)))
     if family == "hss":
         n, k = _p_int(params, "n"), _p_int(params, "k")
@@ -199,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a test matrix and write it as DMAT")
     gen.add_argument("family", choices=("hard", "bie", "hss", "banded", "grid"))
-    gen.add_argument("--n", type=int, help="matrix dimension")
+    gen.add_argument("--n", type=int, help="matrix dimension (all families but hard)")
     gen.add_argument("--k", type=int, default=8, help="rank parameter (hss)")
     gen.add_argument("--L", type=int, default=4, help="levels (hard)")
     gen.add_argument("--delta", type=float, default=0.1, help="perturbation (hard)")
@@ -248,6 +250,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "approx" and args.algo != "explicit" and args.s is None:
         parser.error("matvec algorithms require --s")
+    if args.command == "gen" and args.family != "hard" and args.n is None:
+        parser.error(f"gen {args.family} requires --n")
     try:
         return args.func(args)
     except (ConfigError, formats.FormatError, ValueError, OSError) as exc:

@@ -15,8 +15,8 @@ from .structures import (
     BlockPartition,
     LevelFactors,
     TelescopingFactorization,
+    _diagonal_blocks,
     block_apply_t,
-    block_to_dense,
     hss_block_col,
     hss_block_row,
 )
@@ -39,13 +39,15 @@ def sss_step_explicit(A, level: int, k: int):
     b, w = part.block_count, part.block_size
     U = np.empty((b, w, k))
     V = np.empty((b, w, k))
-    D = np.empty((b, w, w))
     for i in range(b):
         U[i] = truncated_svd_left(hss_block_row(A, part, i), k)
         V[i] = truncated_svd_left(hss_block_col(A, part, i).T, k)
-        D[i] = A[i * w : (i + 1) * w, i * w : (i + 1) * w]
+    remainder = np.array(A, order="C")
+    diagonal = _diagonal_blocks(remainder, w)
+    D = diagonal.copy()
+    diagonal -= D
     factors = LevelFactors(U, V, D)
-    core = block_apply_t(U, A - block_to_dense(D))
+    core = block_apply_t(U, remainder)
     A_next = block_apply_t(V, core.T).T
     return factors, A_next
 

@@ -8,9 +8,16 @@ built on:
   - ``gaussian``: reproducible i.i.d. standard-normal test matrices.
   - ``truncated_svd_left``: top-k left singular subspace with deterministic
     sign / tie handling.
-  - ``nullspace_basis``: orthonormal nullspace basis of a wide matrix.
+  - ``nullspace_basis``: orthonormal nullspace basis of a wide matrix, from
+    a complete QR of its transpose.
   - ``pivoted_qr_basis``: leading columns of a column-pivoted QR.
-  - ``right_pinv_apply``: Y @ pinv(Omega) for wide Omega via one SVD.
+  - ``right_pinv_apply``: Y @ pinv(Omega) for wide Omega via a thin QR of
+    Omega^T and one triangular solve.
+
+``truncated_svd_left``, ``nullspace_basis`` and ``right_pinv_apply`` take one
+matrix or a stack (b, r, c) of equal-shape matrices and return the matching
+leading shape; one LAPACK-backed call serves a whole level of blocks, and the
+input checks run once per stack.  A 2-D argument is a stack of one.
 
 All functions are pure; streams are value types.
 """
@@ -93,56 +100,84 @@ def gaussian(rows: int, cols: int, stream: RngStream) -> np.ndarray:
     return stream.generator().standard_normal((rows, cols))
 
 
+def _as_stack(a, name: str):
+    """Coerce a 2-D matrix or a (b, r, c) stack to a 3-D float64 stack and
+    reject non-finite entries.  Returns ``(stack, single)``; ``single`` says
+    the input was 2-D, i.e. a stack of one."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim not in (2, 3):
+        raise ValueError(f"{name} must be a 2-D matrix or a 3-D stack, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return (arr[None], True) if arr.ndim == 2 else (arr, False)
+
+
 def _fix_signs(U: np.ndarray) -> np.ndarray:
     """Flip column signs so the largest-magnitude entry of each is positive."""
-    U = np.array(U, copy=True)
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            U[:, j] = -col
-    return U
+    lead = np.argmax(np.abs(U), axis=-2)[..., None, :]
+    return np.where(np.take_along_axis(U, lead, axis=-2) < 0, -U, U)
+
+
+def _check_full_rank(R: np.ndarray, single: bool):
+    """Raise ``LinAlgError`` naming the first stack member whose square
+    factor R of omega^T has its smallest singular value at or below
+    ``RANK_CUTOFF`` relative to its largest (a zero R counts as
+    rank-deficient; an empty R has full rank)."""
+    if R.shape[-1] == 0:
+        return
+    svals = np.linalg.svd(R, compute_uv=False)
+    deficient = svals[:, -1] <= RANK_CUTOFF * svals[:, 0]
+    if deficient.any():
+        where = "" if single else f" (stack index {int(np.flatnonzero(deficient)[0])})"
+        raise np.linalg.LinAlgError(f"omega is numerically rank-deficient{where}")
 
 
 def truncated_svd_left(B, k: int) -> np.ndarray:
     """Top-k left singular vectors of B, as an orthonormal (rows, k) matrix.
 
-    U U^T B is a best rank-k approximation of B in the Frobenius norm.
-    Columns are sign-normalized; when retained and discarded singular values
-    tie to within ``TIE_CUTOFF`` relative, the lexicographically earlier
-    singular vectors are kept so results are deterministic.
+    B is one matrix or a stack (b, rows, cols); a stack gives a (b, rows, k)
+    stack, member by member.  U U^T B is a best rank-k approximation of B in
+    the Frobenius norm.  Columns are sign-normalized; when retained and
+    discarded singular values tie to within ``TIE_CUTOFF`` relative, the
+    lexicographically earlier singular vectors are kept so results are
+    deterministic.
     """
-    B = as_matrix(B, "B")
-    if not 1 <= k <= min(B.shape):
-        raise ValueError(f"k={k} out of range for shape {B.shape}")
+    B, single = _as_stack(B, "B")
+    if not 1 <= k <= min(B.shape[1:]):
+        raise ValueError(f"k={k} out of range for shape {B.shape[1:]}")
     U, svals, _ = np.linalg.svd(B, full_matrices=False)
     U = _fix_signs(U)
-    if k < svals.size and svals[0] > 0:
-        tied = np.abs(svals - svals[k - 1]) <= TIE_CUTOFF * svals[0]
-        if tied[k:].any():
-            group = np.flatnonzero(tied)
-            order = sorted(group, key=lambda j: tuple(U[:, j]))
-            columns = np.arange(U.shape[1])
+    if k < svals.shape[1]:
+        tied = np.abs(svals - svals[:, k - 1 : k]) <= TIE_CUTOFF * svals[:, :1]
+        # Reorder only the members whose kept and dropped values tie.
+        for t in np.flatnonzero(tied[:, k:].any(axis=1) & (svals[:, 0] > 0)):
+            group = np.flatnonzero(tied[t])
+            order = sorted(group, key=lambda j: tuple(U[t, :, j]))
+            columns = np.arange(U.shape[2])
             columns[group] = order
-            U = U[:, columns]
-    return np.ascontiguousarray(U[:, :k])
+            U[t] = U[t][:, columns]
+    U = np.ascontiguousarray(U[:, :, :k])
+    return U[0] if single else U
 
 
 def nullspace_basis(omega) -> np.ndarray:
     """Orthonormal basis P of the nullspace of a wide matrix, so omega @ P = 0.
 
-    Uses a full SVD; right singular vectors whose singular values fall below
-    ``RANK_CUTOFF`` relative to the largest are taken as the nullspace.  For a
-    Gaussian (m, n) input with m < n the result has n - m columns almost surely.
+    omega is one (m, n) matrix with m < n or a stack (b, m, n); the result is
+    (n, n - m), or (b, n, n - m) for a stack.  P is the trailing n - m columns
+    of a complete QR of omega^T.  Raises ``LinAlgError``, naming the stack
+    index, when a member's singular values (those of its R factor) fall to
+    ``RANK_CUTOFF`` relative to the largest; a Gaussian input is full rank
+    almost surely.
     """
-    omega = as_matrix(omega, "omega")
-    m, n = omega.shape
+    omega, single = _as_stack(omega, "omega")
+    m, n = omega.shape[1:]
     if m >= n:
         raise ValueError(f"expected a wide matrix (rows < cols), got {m}x{n}")
-    _, svals, Vt = np.linalg.svd(omega, full_matrices=True)
-    smax = svals[0] if svals.size else 0.0
-    rank = int(np.count_nonzero(svals > RANK_CUTOFF * smax))
-    return np.ascontiguousarray(Vt[rank:].T)
+    Q, R = np.linalg.qr(omega.transpose(0, 2, 1), mode="complete")
+    _check_full_rank(R[:, :m], single)
+    P = np.ascontiguousarray(Q[:, :, m:])
+    return P[0] if single else P
 
 
 def pivoted_qr_basis(B, k: int) -> np.ndarray:
@@ -157,17 +192,21 @@ def pivoted_qr_basis(B, k: int) -> np.ndarray:
 def right_pinv_apply(Y, omega) -> np.ndarray:
     """Compute Y @ pinv(omega) for a wide, full-row-rank omega.
 
-    Equivalent to Y Omega^T (Omega Omega^T)^{-1}; computed from one SVD of
-    omega.  Raises ``LinAlgError`` when omega is numerically rank-deficient.
+    Y (r, n) and omega (m, n), or stacks (b, r, n) and (b, m, n) of equal
+    length.  With the thin QR omega^T = Q R this is (Y Q) R^{-T}, one solve
+    with the small R.  Raises ``LinAlgError``, naming the stack index, when
+    omega is numerically rank-deficient.
     """
-    Y = as_matrix(Y, "Y")
-    omega = as_matrix(omega, "omega")
-    m, n = omega.shape
-    if Y.shape[1] != n:
-        raise ValueError(f"column mismatch: Y is {Y.shape}, omega is {omega.shape}")
+    Y, single = _as_stack(Y, "Y")
+    omega, single_omega = _as_stack(omega, "omega")
+    if single != single_omega or Y.shape[0] != omega.shape[0]:
+        raise ValueError(f"stack mismatch: Y is {Y.shape}, omega is {omega.shape}")
+    m, n = omega.shape[1:]
+    if Y.shape[2] != n:
+        raise ValueError(f"column mismatch: Y is {Y.shape[1:]}, omega is {omega.shape[1:]}")
     if m > n:
         raise ValueError(f"omega must be wide (rows <= cols), got {m}x{n}")
-    U, svals, Vt = np.linalg.svd(omega, full_matrices=False)
-    if svals[0] == 0.0 or svals[-1] <= RANK_CUTOFF * svals[0]:
-        raise np.linalg.LinAlgError("omega is numerically rank-deficient")
-    return (Y @ Vt.T) @ ((1.0 / svals)[:, None] * U.T)
+    Q, R = np.linalg.qr(omega.transpose(0, 2, 1))
+    _check_full_rank(R, single)
+    X = np.ascontiguousarray(np.linalg.solve(R, (Y @ Q).transpose(0, 2, 1)).transpose(0, 2, 1))
+    return X[0] if single else X

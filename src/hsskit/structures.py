@@ -50,15 +50,13 @@ ORTHO_TOL = 1e-12
 def block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Multiply blockdiag(blocks) @ x, with x of shape (b*cols, :)."""
     b, r, c = blocks.shape
-    xb = x.reshape(b, c, -1)
-    return np.einsum("bij,bjs->bis", blocks, xb).reshape(b * r, -1)
+    return np.matmul(blocks, x.reshape(b, c, -1)).reshape(b * r, -1)
 
 
 def block_apply_t(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Multiply blockdiag(blocks).T @ x, with x of shape (b*rows, :)."""
     b, r, c = blocks.shape
-    xb = x.reshape(b, r, -1)
-    return np.einsum("bij,bis->bjs", blocks, xb).reshape(b * c, -1)
+    return np.matmul(blocks.transpose(0, 2, 1), x.reshape(b, r, -1)).reshape(b * c, -1)
 
 
 def block_to_dense(blocks: np.ndarray) -> np.ndarray:
@@ -66,10 +64,20 @@ def block_to_dense(blocks: np.ndarray) -> np.ndarray:
     return scipy.linalg.block_diag(*blocks)
 
 
+def _diagonal_blocks(M: np.ndarray, w: int) -> np.ndarray:
+    """Writable (b, w, w) view of the diagonal w x w blocks of a square M:
+    adding D to the view adds blockdiag(D) to M in place, with no N x N
+    temporary."""
+    s0, s1 = M.strides
+    return np.lib.stride_tricks.as_strided(
+        M, shape=(M.shape[0] // w, w, w), strides=(w * (s0 + s1), s0, s1), writeable=True
+    )
+
+
 def _orthonormal_defect(blocks: np.ndarray) -> float:
     """Max-norm deviation of block columns from orthonormality."""
     k = blocks.shape[2]
-    grams = np.einsum("bij,bik->bjk", blocks, blocks)
+    grams = np.matmul(blocks.transpose(0, 2, 1), blocks)
     return float(np.max(np.abs(grams - np.eye(k))))
 
 
@@ -229,9 +237,9 @@ def reconstruct_dense(T: TelescopingFactorization) -> np.ndarray:
     """Expand the telescoping recursion into the dense represented matrix."""
     B = T.root
     for lf in T.levels:
-        B = block_apply(lf.U, B)
-        B = block_apply(lf.V, B.T).T + block_to_dense(lf.D)
-    return B
+        B = block_apply(lf.V, block_apply(lf.U, B).T).T
+        _diagonal_blocks(B, lf.D.shape[1])[...] += lf.D
+    return np.ascontiguousarray(B)
 
 
 def _apply(T: TelescopingFactorization, x, transpose: bool) -> np.ndarray:

@@ -53,6 +53,25 @@ def test_approx_requires_width_for_matvec_algos(tmp_path):
         main(["approx", "fresh", "--L", "3", "--k", "2", "--in", "hss:n=32,k=2", "--out", "x.hssf"])
 
 
+@pytest.mark.parametrize("family", ["banded", "grid", "hss", "bie"])
+def test_gen_requires_n(tmp_path, capsys, family):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", family, "--out", str(tmp_path / "x.dmat")])
+    assert exc.value.code == 2
+    assert f"gen {family} requires --n" in capsys.readouterr().err
+    assert not (tmp_path / "x.dmat").exists()
+
+
+@pytest.mark.parametrize("n", [100, 2, 0])
+def test_hard_spec_rejects_non_power_of_two(tmp_path, capsys, n):
+    code = main([
+        "approx", "explicit", "--L", "5", "--k", "1", "--in", f"hard:n={n}",
+        "--out", str(tmp_path / "x.hssf"),
+    ])
+    assert code == 1
+    assert f"power of two >= 4, got n={n}" in capsys.readouterr().err
+
+
 def test_sweep_cli(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(

@@ -126,3 +126,13 @@ class TestOneLevelOptimality:
         expected = block_apply_t(factors.U, A - block_to_dense(factors.D))
         expected = block_apply_t(factors.V, expected.T).T
         assert np.abs(X - expected).max() <= 1e-12
+
+    def test_in_place_remainder_matches_block_diag_difference(self):
+        # D is subtracted through a view of the diagonal blocks; the result
+        # must equal the explicit A - block_diag(D), also for a transposed
+        # (Fortran-ordered) input.
+        A = np.random.default_rng(5).standard_normal((32, 32))
+        for M in (A, A.T):
+            factors, X = sss_step_explicit(M, 2, 4)
+            expected = block_apply_t(factors.U, M - block_to_dense(factors.D))
+            assert np.array_equal(X, block_apply_t(factors.V, expected.T).T)

@@ -142,6 +142,9 @@ class TestNullspaceBasis:
         with pytest.raises(ValueError):
             nullspace_basis(np.eye(3))
 
+    def test_no_rows_gives_identity(self):
+        assert np.array_equal(nullspace_basis(np.zeros((0, 4))), np.eye(4))
+
     def test_defining_properties_random_shapes(self):
         stream = RngStream(2)
         for trial, (m, n) in enumerate([(2, 7), (5, 9), (8, 26), (1, 4)]):

@@ -1,0 +1,110 @@
+"""Property tests for the stacked kernels, the block operations and the
+one-level step on irregular patterns.
+
+Shapes and seeds come from hypothesis; matrix entries come from seeded numpy
+draws, so every example is well conditioned almost surely.  Examples are
+derandomized, so every run checks the same cases.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hsskit import (
+    BLR2Pattern,
+    MatvecOracle,
+    blr2_from_matvecs,
+    blr2_reconstruct,
+    nullspace_basis,
+    random_blr2_matrix,
+    right_pinv_apply,
+    truncated_svd_left,
+)
+from hsskit.structures import block_apply, block_apply_t, block_to_dense
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+seeds = st.integers(0, 2**32 - 1)
+stack_sizes = st.integers(1, 6)
+dims = st.integers(1, 8)
+
+
+class TestStackedKernelsMatchTwoD:
+    @PROPERTY
+    @given(seed=seeds, b=stack_sizes, r=dims, c=dims, data=st.data())
+    def test_truncated_svd_left(self, seed, b, r, c, data):
+        k = data.draw(st.integers(1, min(r, c)))
+        B = np.random.default_rng(seed).standard_normal((b, r, c))
+        got = truncated_svd_left(B, k)
+        assert got.shape == (b, r, k)
+        for i in range(b):
+            assert np.array_equal(got[i], truncated_svd_left(B[i], k))
+
+    @PROPERTY
+    @given(seed=seeds, b=stack_sizes, m=dims, extra=dims)
+    def test_nullspace_basis(self, seed, b, m, extra):
+        omega = np.random.default_rng(seed).standard_normal((b, m, m + extra))
+        got = nullspace_basis(omega)
+        assert got.shape == (b, m + extra, extra)
+        for i in range(b):
+            assert np.array_equal(got[i], nullspace_basis(omega[i]))
+            assert np.abs(omega[i] @ got[i]).max() <= 1e-12 * np.abs(omega[i]).max() * (m + extra)
+
+    @PROPERTY
+    @given(seed=seeds, b=stack_sizes, r=dims, m=dims, extra=st.integers(0, 8))
+    def test_right_pinv_apply(self, seed, b, r, m, extra):
+        rng = np.random.default_rng(seed)
+        omega = rng.standard_normal((b, m, m + extra))
+        Y = rng.standard_normal((b, r, m + extra))
+        got = right_pinv_apply(Y, omega)
+        assert got.shape == (b, r, m)
+        for i in range(b):
+            assert np.array_equal(got[i], right_pinv_apply(Y[i], omega[i]))
+
+
+class TestRankDeficientMember:
+    @PROPERTY
+    @given(seed=seeds, b=st.integers(2, 6), m=st.integers(2, 6), data=st.data())
+    def test_named_by_stack_index(self, seed, b, m, data):
+        bad = data.draw(st.integers(0, b - 1))
+        omega = np.random.default_rng(seed).standard_normal((b, m, m + 3))
+        omega[bad, -1] = omega[bad, 0]
+        with pytest.raises(np.linalg.LinAlgError, match=rf"stack index {bad}\)"):
+            nullspace_basis(omega)
+        with pytest.raises(np.linalg.LinAlgError, match=rf"stack index {bad}\)"):
+            right_pinv_apply(np.ones((b, 2, m + 3)), omega)
+
+
+class TestBlockOps:
+    @PROPERTY
+    @given(seed=seeds, b=stack_sizes, r=dims, c=dims, width=st.integers(1, 5))
+    def test_match_dense_block_diagonal(self, seed, b, r, c, width):
+        rng = np.random.default_rng(seed)
+        blocks = rng.standard_normal((b, r, c))
+        dense = block_to_dense(blocks)
+        x = rng.standard_normal((b * c, width))
+        xt = rng.standard_normal((b * r, width))
+        tol = 1e-13 * max(r, c)
+        assert np.allclose(block_apply(blocks, x), dense @ x, rtol=tol, atol=tol * np.abs(x).max())
+        assert np.allclose(
+            block_apply_t(blocks, xt), dense.T @ xt, rtol=tol, atol=tol * np.abs(xt).max()
+        )
+
+
+# Block rows hold 3, 0, 1, 1, 0 pattern blocks and block columns 1, 1, 0,
+# 0, 3, so the step stacks three line groups on each side, one of them empty
+# of pattern blocks.
+IRREGULAR_PAIRS = frozenset({(0, 0), (0, 1), (0, 4), (2, 4), (3, 4)})
+
+
+class TestIrregularPatternStep:
+    @PROPERTY
+    @given(seed=seeds, m=st.integers(2, 4), data=st.data())
+    def test_recovers_blr2_matrix_exactly(self, seed, m, data):
+        pattern = BLR2Pattern(5, m, IRREGULAR_PAIRS)
+        k = data.draw(st.integers(1, m - 1))
+        s = pattern.width_floor(k) + data.draw(st.integers(0, 3))
+        A = random_blr2_matrix(pattern, k, seed)
+        F = blr2_from_matvecs(MatvecOracle.from_dense(A), pattern, k, s, seed + 1)
+        assert np.linalg.norm(blr2_reconstruct(F) - A) <= 1e-9 * np.linalg.norm(A)

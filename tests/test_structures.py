@@ -19,6 +19,8 @@ from hsskit import (
     validate_hss_ranks,
 )
 
+from hsskit.structures import block_apply, block_to_dense
+
 from helpers import brute_block_col, brute_block_row, random_sss
 
 
@@ -99,6 +101,17 @@ class TestReconstruct:
         T = random_telescoping(3, 2, RngStream(1).child("dims"))
         assert T.dim == 32
         assert reconstruct_dense(T).shape == (32, 32)
+
+    def test_diagonal_added_in_place_matches_block_diag_sum(self):
+        # Reference: the same recursion with an explicit N x N block_diag(D)
+        # added at every level.
+        T = random_telescoping(4, 3, RngStream(2).child("in-place"))
+        B = T.root
+        for lf in T.levels:
+            B = block_apply(lf.V, block_apply(lf.U, B).T).T + block_to_dense(lf.D)
+        got = reconstruct_dense(T)
+        assert np.array_equal(got, B)
+        assert got.flags["C_CONTIGUOUS"]
 
 
 class TestApply:
