@@ -9,8 +9,8 @@ Subcommands::
     hsskit validate --in FILE.hssf --against FILE.dmat
 
 ``approx --in`` accepts either a DMAT file or an oracle spec of the form
-"family:key=value,..." (families: banded, grid, bie, hard, hss), so the
-matvec drivers can run without ever materializing the operator.
+"family:key=value,..." (a family of ``hsskit.testbed.FAMILIES``; gen flags are
+the same parameters), so the matvec drivers never materialize the operator.
 """
 
 from __future__ import annotations
@@ -21,20 +21,13 @@ import time
 
 from . import formats
 from .blr2 import BLR2Pattern, blr2_from_matvecs
-from .experiment import ConfigError, run_sweep
-from .greedy import greedy_hss_explicit
-from .matvec import MatvecConfig, hss_from_matvecs_fresh, hss_from_matvecs_reused
+from .experiment import ALGORITHMS, ConfigError, run_cell, run_sweep
 from .oracle import CountingOracle, MatvecOracle, dense_from_oracle
-from .testbed import (
-    banded_inverse_oracle,
-    bie_star_matrix,
-    frobenius_error,
-    grid_schur_oracle,
-    hard_instance,
-    random_hss_matrix,
-)
+from .testbed import FAMILIES, frobenius_error, make_problem
 
-APPROX_ALGOS = ("explicit", "fresh", "reused-svd", "reused-qr")
+APPROX_ALGOS = tuple(a for a in ALGORITHMS if a != "bstar")
+# Every family parameter is also a gen flag.
+_GEN_PARAMS = {name for family in FAMILIES.values() for name in family.params}
 
 
 def load_pattern(spec: str, block_count: int, block_size: int) -> BLR2Pattern:
@@ -72,86 +65,38 @@ def _parse_spec(text: str) -> tuple:
     return family.strip(), params
 
 
-def _p_int(params, key, default=None):
-    if key in params:
-        return int(params[key])
-    if default is None:
-        raise ValueError(f"oracle spec is missing required parameter {key!r}")
-    return default
-
-
-def _p_float(params, key, default):
-    return float(params[key]) if key in params else default
-
-
 def _oracle_from_source(src: str) -> MatvecOracle:
     if src.endswith(".dmat"):
         return MatvecOracle.from_dense(formats.read_dense(src))
-    family, params = _parse_spec(src)
-    if family == "banded":
-        n = _p_int(params, "n")
-        return banded_inverse_oracle(
-            n, _p_int(params, "bandwidth", 2 * _p_int(params, "k", 8) + 1), _p_int(params, "seed", 0)
-        )
-    if family == "grid":
-        return grid_schur_oracle(_p_int(params, "n"))
-    if family == "bie":
-        return MatvecOracle.from_dense(
-            bie_star_matrix(_p_int(params, "n"), _p_float(params, "amplitude", 0.3), _p_int(params, "arms", 5))
-        )
-    if family == "hard":
-        n = _p_int(params, "n")
-        if n < 4 or n & (n - 1):
-            raise ValueError(f"hard instance needs n a power of two >= 4, got n={n}")
-        return MatvecOracle.from_dense(hard_instance(n.bit_length() - 2, _p_float(params, "delta", 0.1)))
-    if family == "hss":
-        n, k = _p_int(params, "n"), _p_int(params, "k")
-        L = (n // k).bit_length() - 2
-        return MatvecOracle.from_dense(random_hss_matrix(L, k, _p_int(params, "seed", 0)))
-    raise ValueError(f"unknown oracle family {family!r}")
+    return make_problem(*_parse_spec(src))[0]
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "hard":
-        A = hard_instance(args.L, args.delta)
-    elif args.family == "bie":
-        A = bie_star_matrix(args.n, args.amplitude, args.arms)
-    elif args.family == "hss":
-        L = (args.n // args.k).bit_length() - 2
-        A = random_hss_matrix(L, args.k, args.seed)
-    elif args.family == "banded":
-        A = dense_from_oracle(banded_inverse_oracle(args.n, args.bandwidth, args.seed))
-    elif args.family == "grid":
-        A = dense_from_oracle(grid_schur_oracle(args.n))
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
+    params = {k: v for k, v in vars(args).items() if k in _GEN_PARAMS and v is not None}
+    if args.L is not None:
+        if args.family != "hard" or args.n is not None or args.L < 1:
+            raise ValueError(f"--L takes L >= 1 in place of --n, for hard only; got --L {args.L}")
+        params["n"] = 2 ** (args.L + 1)
+    _, A = make_problem(args.family, params, dense=True)
     formats.write_dense(A, args.out)
     print(f"wrote {args.family} matrix {A.shape[0]}x{A.shape[1]} to {args.out}")
     return 0
 
 
 def _cmd_approx(args) -> int:
-    oracle = CountingOracle(_oracle_from_source(args.src))
+    base = _oracle_from_source(args.src)
     started = time.perf_counter()
-    if args.algo == "explicit":
-        T = greedy_hss_explicit(dense_from_oracle(oracle), args.L, args.k)
-        sketch_q, probe_q = 0, oracle.dim
-    else:
-        policy = "fresh" if args.algo == "fresh" else "reused"
-        method = "pivoted-qr" if args.algo == "reused-qr" else "svd-pcps"
-        cfg = MatvecConfig(args.L, args.k, args.s, args.seed, method, policy)
-        build = hss_from_matvecs_fresh if policy == "fresh" else hss_from_matvecs_reused
-        T = build(oracle, cfg)
-        sketch_q = 4 * args.s * (args.L if policy == "fresh" else 1)
-        probe_q = 2 * args.k
+    T, fwd, tr = run_cell(args.algo, base, args.L, args.k, args.s, args.seed)
     wall = time.perf_counter() - started
+    explicit = args.algo == "explicit"
+    sketch_q = 0 if explicit else 4 * args.s * (args.L if args.algo == "fresh" else 1)
+    probe_q = base.dim if explicit else 2 * args.k
     with open(args.out, "wb") as fh:
         fh.write(formats.serialize(T))
-    counter = oracle.counter
     print(f"wrote factorization (L={T.depth}, k={T.rank_param}) to {args.out}")
     print(
-        f"queries: {counter.forward_count} forward + {counter.transpose_count} transpose "
-        f"= {counter.total} total ({sketch_q} sketch + {probe_q} probe)"
+        f"queries: {fwd} forward + {tr} transpose = {fwd + tr} total "
+        f"({sketch_q} sketch + {probe_q} probe)"
     )
     print(f"wall time: {wall * 1e3:.1f} ms")
     return 0
@@ -200,15 +145,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a test matrix and write it as DMAT")
-    gen.add_argument("family", choices=("hard", "bie", "hss", "banded", "grid"))
-    gen.add_argument("--n", type=int, help="matrix dimension (all families but hard)")
-    gen.add_argument("--k", type=int, default=8, help="rank parameter (hss)")
-    gen.add_argument("--L", type=int, default=4, help="levels (hard)")
-    gen.add_argument("--delta", type=float, default=0.1, help="perturbation (hard)")
-    gen.add_argument("--amplitude", type=float, default=0.3, help="arm amplitude (bie)")
-    gen.add_argument("--arms", type=int, default=5, help="arm count (bie)")
-    gen.add_argument("--bandwidth", type=int, default=17, help="total bandwidth (banded)")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("family", choices=tuple(FAMILIES))
+    gen.add_argument("--n", type=int, help="matrix dimension")
+    gen.add_argument("--k", type=int, help="rank parameter (hss, banded)")
+    gen.add_argument("--L", type=int, help="levels: n = 2**(L+1) (hard)")
+    gen.add_argument("--delta", type=float, help="perturbation (hard)")
+    gen.add_argument("--amplitude", type=float, help="arm amplitude (bie)")
+    gen.add_argument("--arms", type=int, help="arm count (bie)")
+    gen.add_argument("--bandwidth", type=int, help="total bandwidth (banded)")
+    gen.add_argument("--seed", type=int, help="generator seed (banded, hss)")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 
@@ -250,7 +195,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "approx" and args.algo != "explicit" and args.s is None:
         parser.error("matvec algorithms require --s")
-    if args.command == "gen" and args.family != "hard" and args.n is None:
+    if args.command == "gen" and args.n is None and FAMILIES[args.family].params["n"][1] is None:
         parser.error(f"gen {args.family} requires --n")
     try:
         return args.func(args)

@@ -9,19 +9,18 @@ bytes.
 
 Config keys::
 
-    matrix      banded | grid | bie | hard | hss
+    matrix      a problem family of hsskit.testbed.FAMILIES
     n           operator dimension (must equal 2**(L+1) * k)
     k           approximation rank
     algorithms  comma list of fresh | reused-svd | reused-qr | explicit | bstar
     s           comma list of sketch widths
     trials      number of trials per cell            (default 1)
     seed        base seed; trial t uses seed + t      (default 0)
-    matrix_seed generator seed for banded / hss       (default 0)
-    bandwidth   banded only                           (default 2k + 1)
-    delta       hard only                             (default 0.1)
-    amplitude   bie only                              (default 0.3)
-    arms        bie only                              (default 5)
     timing      on | off                              (default off)
+
+The family keys matrix_seed (the family's seed), bandwidth, delta, amplitude
+and arms follow the README's table of families; n and k also go to every
+family that takes them.  A family key the chosen family lacks is an error.
 """
 
 from __future__ import annotations
@@ -34,31 +33,24 @@ import numpy as np
 from .greedy import greedy_hss_explicit
 from .matvec import MatvecConfig, hss_from_matvecs_fresh, hss_from_matvecs_reused
 from .oracle import CountingOracle, MatvecOracle, dense_from_oracle
-from .testbed import (
-    banded_inverse_oracle,
-    bie_star_matrix,
-    frobenius_error,
-    grid_schur_oracle,
-    hard_instance,
-    random_hss_matrix,
-)
+from .testbed import FAMILIES, frobenius_error, make_problem, resolve_params, tree_levels
 
 __all__ = [
     "ALGORITHMS",
     "CSV_HEADER",
     "ConfigError",
     "ExperimentRecord",
-    "MATRIX_FAMILIES",
     "parse_config",
     "records_to_csv",
+    "run_cell",
     "run_experiment",
     "run_sweep",
 ]
 
 CSV_HEADER = "matrix,algorithm,L,k,s,trial,seed,fwd_q,tr_q,rel_err,wall_ms"
 
-MATRIX_FAMILIES = ("banded", "grid", "bie", "hard", "hss")
-ALGORITHMS = ("fresh", "reused-svd", "reused-qr", "explicit", "bstar")
+# bstar, the closed-form reference of the hard family, is not a factorization.
+ALGORITHMS = ("explicit", "fresh", "reused-svd", "reused-qr", "bstar")
 
 
 class ConfigError(ValueError):
@@ -82,6 +74,10 @@ class ExperimentRecord:
     wall_ms: float
 
 
+# Config keys that set a family parameter, mapped to the registry's name.
+_FAMILY_KEYS = {"matrix_seed": "seed", **{k: k for k in ("bandwidth", "delta", "amplitude", "arms")}}
+_PARAM_TYPES = {name: kind for fam in FAMILIES.values() for name, (kind, _) in fam.params.items()}
+
 _KEY_PARSERS = {
     "matrix": str,
     "n": int,
@@ -90,12 +86,8 @@ _KEY_PARSERS = {
     "s": lambda v: tuple(int(p) for p in v.split(",")),
     "trials": int,
     "seed": int,
-    "matrix_seed": int,
-    "bandwidth": int,
-    "delta": float,
-    "amplitude": float,
-    "arms": int,
     "timing": str,
+    **{key: _PARAM_TYPES[name] for key, name in _FAMILY_KEYS.items()},
 }
 
 _REQUIRED_KEYS = ("matrix", "n", "k", "algorithms", "s")
@@ -103,7 +95,7 @@ _REQUIRED_KEYS = ("matrix", "n", "k", "algorithms", "s")
 
 def parse_config(text: str) -> dict:
     """Parse flat key = value config text; errors carry line numbers."""
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,76 +112,59 @@ def parse_config(text: str) -> dict:
             values[key] = _KEY_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        lines[key] = lineno
     for key in _REQUIRED_KEYS:
         if key not in values:
             raise ConfigError(f"missing required key {key!r}")
 
     values.setdefault("trials", 1)
     values.setdefault("seed", 0)
-    values.setdefault("matrix_seed", 0)
-    values.setdefault("bandwidth", 2 * values["k"] + 1)
-    values.setdefault("delta", 0.1)
-    values.setdefault("amplitude", 0.3)
-    values.setdefault("arms", 5)
     values.setdefault("timing", "off")
 
-    if values["matrix"] not in MATRIX_FAMILIES:
-        raise ConfigError(f"matrix must be one of {MATRIX_FAMILIES}, got {values['matrix']!r}")
+    family = values["matrix"]
+    if family not in FAMILIES:
+        raise ConfigError(f"matrix must be one of {tuple(FAMILIES)}, got {family!r}")
+    takes = FAMILIES[family].params
+    given = {key: values[key] for key in ("n", "k") if key in takes}
+    for key, name in _FAMILY_KEYS.items():
+        if key in values:
+            if name not in takes:
+                raise ConfigError(f"line {lines[key]}: {key!r} does not apply to matrix = {family}")
+            given[name] = values[key]
     for algo in values["algorithms"]:
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
     if values["timing"] not in ("on", "off"):
         raise ConfigError(f"timing must be 'on' or 'off', got {values['timing']!r}")
-    if "bstar" in values["algorithms"] and values["matrix"] != "hard":
+    if "bstar" in values["algorithms"] and family != "hard":
         raise ConfigError("algorithm 'bstar' is defined only for the hard matrix family")
     if values["trials"] < 1:
         raise ConfigError("trials must be >= 1")
 
     n, k = values["n"], values["k"]
-    ratio = n // k
-    if n % k or ratio < 4 or ratio & (ratio - 1):
+    values["L"] = tree_levels(n, k)
+    if values["L"] is None:
         raise ConfigError(f"n = {n} does not conform to 2**(L+1) * k for k = {k}")
-    values["L"] = ratio.bit_length() - 2
+    try:
+        values["family_params"] = resolve_params(family, given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return values
 
 
-def _build_problem(cfg: dict):
-    """Return (base oracle, dense reference) for the configured family."""
-    family, n, k = cfg["matrix"], cfg["n"], cfg["k"]
-    if family == "banded":
-        oracle = banded_inverse_oracle(n, cfg["bandwidth"], cfg["matrix_seed"])
-        return oracle, dense_from_oracle(oracle)
-    if family == "grid":
-        oracle = grid_schur_oracle(n)
-        return oracle, dense_from_oracle(oracle)
-    if family == "bie":
-        A = bie_star_matrix(n, cfg["amplitude"], cfg["arms"])
-        return MatvecOracle.from_dense(A), A
-    if family == "hard":
-        A = hard_instance(n.bit_length() - 2, cfg["delta"])
-        return MatvecOracle.from_dense(A), A
-    if family == "hss":
-        A = random_hss_matrix(cfg["L"], k, cfg["matrix_seed"])
-        return MatvecOracle.from_dense(A), A
-    raise ConfigError(f"unknown matrix family {family!r}")
-
-
-def _run_cell(algorithm: str, base: MatvecOracle, A: np.ndarray, L: int, k: int, s: int, seed: int):
-    """Run one algorithm; returns (approximation, fwd queries, tr queries)."""
+def run_cell(algorithm: str, base: MatvecOracle, L: int, k: int, s, seed: int):
+    """The one map from an algorithm of :data:`ALGORITHMS` to a build on ``base``.
+    Returns (approximation, fwd queries, tr queries)."""
     counting = CountingOracle(base)
-    if algorithm == "fresh":
-        approx = hss_from_matvecs_fresh(
-            counting, MatvecConfig(L, k, s, seed, "svd-pcps", "fresh")
-        )
-    elif algorithm in ("reused-svd", "reused-qr"):
-        method = "svd-pcps" if algorithm == "reused-svd" else "pivoted-qr"
-        approx = hss_from_matvecs_reused(
-            counting, MatvecConfig(L, k, s, seed, method, "reused")
-        )
-    elif algorithm == "explicit":
+    if algorithm == "explicit":
         approx = greedy_hss_explicit(dense_from_oracle(counting), L, k)
     elif algorithm == "bstar":
-        approx = np.full_like(A, 0.5)
+        approx = np.full((base.dim, base.dim), 0.5)
+    elif algorithm in ALGORITHMS:
+        method = "pivoted-qr" if algorithm == "reused-qr" else "svd-pcps"
+        policy = "fresh" if algorithm == "fresh" else "reused"
+        build = hss_from_matvecs_fresh if policy == "fresh" else hss_from_matvecs_reused
+        approx = build(counting, MatvecConfig(L, k, s, seed, method, policy))
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     return approx, counting.counter.forward_count, counting.counter.transpose_count
@@ -203,7 +178,7 @@ def run_experiment(config) -> list:
     off.
     """
     cfg = dict(config)
-    base, A = _build_problem(cfg)
+    base, A = make_problem(cfg["matrix"], cfg["family_params"], dense=True)
     L, k = cfg["L"], cfg["k"]
     timing = cfg.get("timing", "off") == "on"
     records = []
@@ -212,23 +187,11 @@ def run_experiment(config) -> list:
             for trial in range(cfg["trials"]):
                 seed = cfg["seed"] + trial
                 start = time.perf_counter()
-                approx, fwd, tr = _run_cell(algorithm, base, A, L, k, s, seed)
+                approx, fwd, tr = run_cell(algorithm, base, L, k, s, seed)
                 wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
-                records.append(
-                    ExperimentRecord(
-                        matrix_name=cfg["matrix"],
-                        algorithm=algorithm,
-                        L=L,
-                        k=k,
-                        s=s,
-                        trial=trial,
-                        seed=seed,
-                        forward_queries=fwd,
-                        transpose_queries=tr,
-                        rel_error_fro=frobenius_error(A, approx),
-                        wall_ms=wall_ms,
-                    )
-                )
+                err = frobenius_error(A, approx)
+                records.append(ExperimentRecord(cfg["matrix"], algorithm, L, k, s, trial, seed,
+                                                fwd, tr, err, wall_ms))
     records.sort(key=lambda r: (r.matrix_name, r.algorithm, r.L, r.k, r.s, r.trial))
     return records
 

@@ -14,17 +14,21 @@ Generator families:
   - ``random_telescoping`` / ``random_hss_matrix`` / ``random_blr2_matrix``:
     random members of the structured classes, for exact-recovery testing.
 
-All sizes must conform to the perfect-tree dimension contract N = 2**(L+1)*k.
+``FAMILIES`` is the one registry of named test problems: parameters, defaults
+and rule for n.  CLI ``gen``, ``--in`` specs and sweeps build through it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
 
 from .blr2 import BLR2Factorization, BLR2Pattern, blr2_reconstruct
 from .kernels import RngStream, as_matrix, gaussian
-from .oracle import MatvecOracle
+from .oracle import MatvecOracle, dense_from_oracle
 from .structures import (
     LevelFactors,
     TelescopingFactorization,
@@ -32,15 +36,20 @@ from .structures import (
 )
 
 __all__ = [
+    "FAMILIES",
+    "Family",
     "banded_inverse_oracle",
     "bie_star_matrix",
     "frobenius_error",
     "grid_schur_oracle",
     "hard_instance",
+    "make_problem",
     "random_banded_matrix",
     "random_blr2_matrix",
     "random_hss_matrix",
     "random_telescoping",
+    "resolve_params",
+    "tree_levels",
 ]
 
 
@@ -171,7 +180,6 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
 # Schur complement of a grid-graph Laplacian
 
 
-_GRID_COLS = 51
 _SIDE_WIDTH = 25
 
 
@@ -275,6 +283,89 @@ def bie_star_matrix(n_nodes: int, arm_amplitude: float, arm_count: int) -> np.nd
     A = 0.5 * np.eye(n_nodes) - (weights[None, :] / (2.0 * np.pi)) * kernel
     np.fill_diagonal(A, 0.5 - weights * curvature / (4.0 * np.pi))
     return A
+
+
+# ---------------------------------------------------------------------------
+# problem registry
+
+
+@dataclass(frozen=True)
+class Family:
+    """A test-problem family.  ``params`` maps each parameter to (type,
+    default); a None default means required, a callable one is computed from
+    the parameters before it.  ``n_ok`` checks ``n_rule``; ``build`` returns
+    (oracle, dense matrix or None).  Callables take parameters as keywords."""
+
+    params: dict
+    n_rule: str
+    n_ok: Callable[..., bool]
+    build: Callable[..., tuple]
+
+
+def tree_levels(n: int, k: int) -> Optional[int]:
+    """The L >= 1 with n = 2**(L+1) * k, or None when there is none."""
+    ratio, rest = divmod(n, k) if k >= 1 else (0, 1)
+    if rest or ratio < 4 or ratio & (ratio - 1):
+        return None
+    return ratio.bit_length() - 2
+
+
+def _dense(A: np.ndarray) -> tuple:
+    return MatvecOracle.from_dense(A), A
+
+
+_N = (int, None)  # a required dimension
+
+FAMILIES = {
+    "banded": Family(
+        {"n": _N, "k": (int, 8), "bandwidth": (int, lambda k, **_: 2 * k + 1), "seed": (int, 0)},
+        "n > (bandwidth - 1) / 2", lambda n, bandwidth, **_: n > (bandwidth - 1) // 2,
+        lambda n, k, bandwidth, seed: (banded_inverse_oracle(n, bandwidth, seed), None)),
+    "grid": Family({"n": _N}, "n >= 2", lambda n: n >= 2, lambda n: (grid_schur_oracle(n), None)),
+    "bie": Family(
+        {"n": _N, "amplitude": (float, 0.3), "arms": (int, 5)}, "n >= 2", lambda n, **_: n >= 2,
+        lambda n, amplitude, arms: _dense(bie_star_matrix(n, amplitude, arms))),
+    "hard": Family(
+        {"n": (int, 32), "delta": (float, 0.1)}, "n a power of two >= 4",
+        lambda n, **_: tree_levels(n, 1) is not None,
+        lambda n, delta: _dense(hard_instance(tree_levels(n, 1), delta))),
+    "hss": Family(
+        {"n": _N, "k": (int, 8), "seed": (int, 0)}, "n = 2**(L+1) * k with L >= 1",
+        lambda n, k, **_: tree_levels(n, k) is not None,
+        lambda n, k, seed: _dense(random_hss_matrix(tree_levels(n, k), k, seed))),
+}
+
+
+def resolve_params(family: str, given: dict) -> dict:
+    """Parse ``given`` (strings or values) as the family's parameters, fill in
+    the defaults and check the rule for n."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown problem family {family!r}; families: {', '.join(FAMILIES)}")
+    spec = FAMILIES[family]
+    for key in given:
+        if key not in spec.params:
+            raise ValueError(f"{family} has no parameter {key!r}; it takes {', '.join(spec.params)}")
+    params = {}
+    for key, (kind, default) in spec.params.items():
+        if key in given:
+            try:
+                params[key] = kind(given[key])
+            except ValueError:
+                raise ValueError(f"bad {kind.__name__} for {key!r}: {given[key]!r}") from None
+        elif default is None:
+            raise ValueError(f"{family} needs parameter {key!r}")
+        else:
+            params[key] = default(**params) if callable(default) else default
+    if not spec.n_ok(**params):
+        raise ValueError(f"{family} needs {spec.n_rule}, got n={params['n']}")
+    return params
+
+
+def make_problem(family: str, given: dict, dense: bool = False) -> tuple:
+    """Build a registered test problem: (oracle, dense matrix or None).  The
+    families that are not dense by nature give their matrix only if asked."""
+    oracle, A = FAMILIES[family].build(**resolve_params(family, given))
+    return oracle, dense_from_oracle(oracle) if dense and A is None else A
 
 
 # ---------------------------------------------------------------------------

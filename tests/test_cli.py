@@ -4,13 +4,18 @@ import pytest
 from hsskit import (
     LevelFactors,
     TelescopingFactorization,
+    dense_from_oracle,
     deserialize,
     frobenius_error,
+    parse_config,
     read_dense,
     reconstruct_dense,
+    run_experiment,
     serialize,
 )
-from hsskit.cli import load_pattern, main
+from hsskit import experiment
+from hsskit.cli import _oracle_from_source, load_pattern, main
+from hsskit.testbed import FAMILIES
 
 
 def test_gen_writes_dmat(tmp_path, capsys):
@@ -70,6 +75,75 @@ def test_hard_spec_rejects_non_power_of_two(tmp_path, capsys, n):
     ])
     assert code == 1
     assert f"power of two >= 4, got n={n}" in capsys.readouterr().err
+
+
+def test_hss_rejects_non_conforming_n(tmp_path, capsys):
+    mat, fac = tmp_path / "x.dmat", tmp_path / "x.hssf"
+    assert main(["gen", "hss", "--n", "100", "--k", "8", "--out", str(mat)]) == 1
+    assert "n=100" in capsys.readouterr().err
+    assert not mat.exists()
+    code = main(["approx", "explicit", "--L", "2", "--k", "8", "--in", "hss:n=100,k=8", "--out", str(fac)])
+    assert code == 1
+    assert "n=100" in capsys.readouterr().err
+    assert not fac.exists()
+
+
+def test_spec_rejects_unknown_key(tmp_path, capsys):
+    code = main([
+        "approx", "explicit", "--L", "4", "--k", "4", "--in", "banded:n=128,bandwith=9",
+        "--out", str(tmp_path / "x.hssf"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "'bandwith'" in err
+    assert "n, k, bandwidth, seed" in err
+
+
+def test_spec_rejects_unparsable_value(tmp_path, capsys):
+    code = main([
+        "approx", "explicit", "--L", "4", "--k", "4", "--in", "banded:n=abc",
+        "--out", str(tmp_path / "x.hssf"),
+    ])
+    assert code == 1
+    assert "'n'" in capsys.readouterr().err
+
+
+# One instance per registry family, as family parameters; the sweep's k is the
+# family's k where it has one.
+FAMILY_CASES = {
+    "banded": {"n": 64, "k": 4},
+    "grid": {"n": 16},
+    "bie": {"n": 32, "amplitude": 0.25, "arms": 3},
+    "hard": {"n": 16, "delta": 0.2},
+    "hss": {"n": 32, "k": 2, "seed": 3},
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_gen_spec_and_sweep_build_the_same_matrix(tmp_path, monkeypatch, family):
+    params = FAMILY_CASES[family]
+    out = tmp_path / "m.dmat"
+    gen_flags = [item for key, value in params.items() for item in (f"--{key}", str(value))]
+    assert main(["gen", family, *gen_flags, "--out", str(out)]) == 0
+    spec = f"{family}:" + ",".join(f"{key}={value}" for key, value in params.items())
+    from_spec = dense_from_oracle(_oracle_from_source(spec))
+    config = {"matrix_seed" if key == "seed" else key: value for key, value in params.items()}
+    config.setdefault("k", 2)
+    text = "".join(f"{key} = {value}\n" for key, value in config.items())
+    references = []
+    monkeypatch.setattr(experiment, "frobenius_error", lambda A, approx: references.append(A) or 0.0)
+    run_experiment(parse_config(f"matrix = {family}\n{text}algorithms = explicit\ns = 8\n"))
+    assert len(references) == 1
+    assert np.array_equal(read_dense(out), from_spec)
+    assert np.array_equal(references[0], from_spec)
+
+
+def test_gen_hard_levels_give_the_power_of_two_n(tmp_path):
+    by_levels, by_n = tmp_path / "l.dmat", tmp_path / "n.dmat"
+    assert main(["gen", "hard", "--L", "3", "--out", str(by_levels)]) == 0
+    assert main(["gen", "hard", "--n", "16", "--out", str(by_n)]) == 0
+    assert np.array_equal(read_dense(by_levels), read_dense(by_n))
+    assert main(["gen", "hard", "--L", "3", "--n", "16", "--out", str(tmp_path / "x.dmat")]) == 1
 
 
 def test_sweep_cli(tmp_path):

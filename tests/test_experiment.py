@@ -57,6 +57,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="conform"):
             parse_config("matrix = hss\nn = 33\nk = 2\nalgorithms = fresh\ns = 8\n")
 
+    def test_zero_rank_rejected(self):
+        with pytest.raises(ConfigError, match="conform"):
+            parse_config("matrix = hss\nn = 32\nk = 0\nalgorithms = fresh\ns = 8\n")
+
     def test_bstar_requires_hard_family(self):
         with pytest.raises(ConfigError, match="bstar"):
             parse_config("matrix = hss\nn = 32\nk = 2\nalgorithms = bstar\ns = 8\n")
@@ -64,6 +68,14 @@ class TestParseConfig:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("matrix = hss\nmatrix = hard\n")
+
+    def test_hard_family_rejects_non_power_of_two(self):
+        with pytest.raises(ConfigError, match="n=24"):
+            parse_config("matrix = hard\nn = 24\nk = 3\nalgorithms = explicit\ns = 11\n")
+
+    def test_key_of_another_family_rejected(self):
+        with pytest.raises(ConfigError, match=r"line 4: 'delta' does not apply to matrix = bie"):
+            parse_config("matrix = bie\nn = 32\nk = 2\ndelta = 0.5\nalgorithms = fresh\ns = 8\n")
 
 
 class TestRunExperiment:

@@ -17,6 +17,7 @@ from hsskit import (
     reconstruct_dense,
     validate_hss_ranks,
 )
+from hsskit.testbed import make_problem, resolve_params
 
 
 class TestHardInstance:
@@ -156,3 +157,40 @@ class TestFrobeniusError:
         A = random_hss_matrix(2, 2, seed=8)
         o = MatvecOracle.from_dense(A)
         assert frobenius_error(dense_from_oracle(o), A) == 0.0
+
+
+class TestRegistry:
+    def test_banded_bandwidth_defaults_to_2k_plus_1(self):
+        assert resolve_params("banded", {"n": 64}) == {"n": 64, "k": 8, "bandwidth": 17, "seed": 0}
+        assert resolve_params("banded", {"n": "64", "k": "4"})["bandwidth"] == 9
+        assert resolve_params("banded", {"n": 64, "k": 4, "bandwidth": 5})["bandwidth"] == 5
+
+    def test_strings_are_parsed_to_the_parameter_types(self):
+        params = resolve_params("bie", {"n": "32", "amplitude": "0.25"})
+        assert params == {"n": 32, "amplitude": 0.25, "arms": 5}
+        assert isinstance(params["amplitude"], float)
+
+    @pytest.mark.parametrize(
+        "family, given",
+        [("banded", {"n": 8}), ("grid", {"n": 1}), ("bie", {"n": 1}), ("hard", {"n": 24}),
+         ("hss", {"n": 100, "k": 8}), ("hss", {"n": 16, "k": 8})],
+    )
+    def test_non_conforming_n_is_named(self, family, given):
+        with pytest.raises(ValueError, match=rf"^{family} needs .*, got n={given['n']}$"):
+            resolve_params(family, given)
+
+    def test_missing_and_unknown_names_rejected(self):
+        with pytest.raises(ValueError, match="grid needs parameter 'n'"):
+            resolve_params("grid", {})
+        with pytest.raises(ValueError, match="unknown problem family 'band'"):
+            resolve_params("band", {"n": 8})
+        with pytest.raises(ValueError, match="hard has no parameter 'seed'; it takes n, delta"):
+            resolve_params("hard", {"n": 8, "seed": 1})
+
+    def test_dense_matrix_only_on_request_for_oracle_families(self):
+        oracle, A = make_problem("grid", {"n": 8})
+        assert A is None
+        _, A = make_problem("grid", {"n": 8}, dense=True)
+        assert np.array_equal(A, dense_from_oracle(oracle))
+        _, A = make_problem("hard", {})
+        assert np.array_equal(A, hard_instance(4, 0.1))
