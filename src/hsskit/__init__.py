@@ -57,9 +57,8 @@ from .oracle import (
     CountingOracle,
     MatvecOracle,
     QueryCounter,
+    compress_oracle,
     dense_from_oracle,
-    level_apply,
-    level_apply_transpose,
     oracle_from_factorization,
 )
 from .sketching import pcps_basis
@@ -69,7 +68,6 @@ from .structures import (
     TelescopingFactorization,
     hss_apply,
     hss_apply_transpose,
-    hss_block_col,
     hss_block_row,
     reconstruct_dense,
     validate_hss_ranks,

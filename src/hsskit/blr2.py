@@ -341,20 +341,20 @@ def blr2_factors_from_sketches(
     return U, V, blr2_remainder(pattern, U, V, omega_diag, psi_diag, Y_diag, Z_diag)
 
 
-def _query_sketches(stream: RngStream, pattern: BLR2Pattern, s: int, apply, apply_transpose):
+def _query_sketches(stream: RngStream, pattern: BLR2Pattern, s: int, op: MatvecOracle):
     """Draw the four Gaussian test matrices of a one-level step, one (m, s)
     block per ``stream.child(block, role)``, and query their images through
-    ``apply`` / ``apply_transpose`` (4s queries).  Returns the eight arrays
-    in the argument order of :func:`blr2_factors_from_sketches`."""
+    ``op`` (4s queries).  Returns the eight arrays in the argument order of
+    :func:`blr2_factors_from_sketches`."""
     b, m = pattern.block_count, pattern.block_size
     omega, psi, omega_diag, psi_diag = (
         np.vstack([gaussian(m, s, stream.child(blk, role)) for blk in range(b)])
         for role in ("omega", "psi", "omega-diag", "psi-diag")
     )
-    Y = apply(omega)
-    Z = apply_transpose(psi)
-    Y_diag = apply(omega_diag)
-    Z_diag = apply_transpose(psi_diag)
+    Y = op.apply(omega)
+    Z = op.apply_transpose(psi)
+    Y_diag = op.apply(omega_diag)
+    Z_diag = op.apply_transpose(psi_diag)
     return omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag
 
 
@@ -380,7 +380,7 @@ def blr2_from_matvecs(
     floor = pattern.width_floor(k)
     if s < floor:
         raise ValueError(f"s={s} below the pattern floor {floor}")
-    sketches = _query_sketches(RngStream(seed), pattern, s, oracle.apply, oracle.apply_transpose)
+    sketches = _query_sketches(RngStream(seed), pattern, s, oracle)
     U, V, D = blr2_factors_from_sketches(pattern, k, *sketches)
     V_dense = block_to_dense(V)
     AV = oracle.apply(V_dense)  # b*k probe queries

@@ -33,7 +33,7 @@ import numpy as np
 from .greedy import greedy_hss_explicit
 from .matvec import MatvecConfig, hss_from_matvecs_fresh, hss_from_matvecs_reused
 from .oracle import CountingOracle, MatvecOracle, dense_from_oracle
-from .testbed import FAMILIES, frobenius_error, make_problem, resolve_params, tree_levels
+from .testbed import FAMILIES, check_param, frobenius_error, make_problem, resolve_params, tree_levels
 
 __all__ = [
     "ALGORITHMS",
@@ -130,6 +130,10 @@ def parse_config(text: str) -> dict:
         if key in values:
             if name not in takes:
                 raise ConfigError(f"line {lines[key]}: {key!r} does not apply to matrix = {family}")
+            try:
+                check_param(family, name, values[key])
+            except ValueError as exc:
+                raise ConfigError(f"line {lines[key]}: {key!r}: {exc}") from exc
             given[name] = values[key]
     for algo in values["algorithms"]:
         if algo not in ALGORITHMS:

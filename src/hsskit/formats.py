@@ -98,6 +98,20 @@ def deserialize(data: bytes) -> TelescopingFactorization:
         raise VersionMismatchError(f"unsupported version {version}")
     if depth < 1 or k < 1:
         raise FormatError(f"invalid header fields L={depth}, k={k}")
+    # Level l holds 2**l blocks of 8k^2 floats, so a payload of len(data)
+    # bytes holds fewer than len(data).bit_length() levels.  Checking that
+    # first keeps a corrupt L from sizing an enormous payload.
+    if depth >= len(data).bit_length():
+        raise TruncatedPayloadError(
+            f"header declares L={depth}, k={k}: more levels than {len(data)} bytes can hold"
+        )
+    size = 16 + 8 * ((2 ** (depth + 1) - 2) * 8 * k * k + 4 * k * k)
+    if size > len(data):
+        raise TruncatedPayloadError(
+            f"header declares L={depth}, k={k}: {size} bytes, the payload has {len(data)}"
+        )
+    if size < len(data):
+        raise FormatError(f"{len(data) - size} trailing bytes after the L={depth}, k={k} payload")
     reader = _Reader(data, 16)
     levels = []
     for level in range(depth, 0, -1):
@@ -107,8 +121,6 @@ def deserialize(data: bytes) -> TelescopingFactorization:
         D = reader.take(b * 2 * k * 2 * k, (b, 2 * k, 2 * k))
         levels.append(LevelFactors(U, V, D))
     root = reader.take(2 * k * 2 * k, (2 * k, 2 * k))
-    if reader.offset != len(data):
-        raise FormatError(f"{len(data) - reader.offset} trailing bytes after payload")
     return TelescopingFactorization(tuple(reversed(levels)), root)
 
 

@@ -17,7 +17,6 @@ from .structures import (
     TelescopingFactorization,
     _diagonal_blocks,
     block_apply_t,
-    hss_block_col,
     hss_block_row,
 )
 
@@ -41,7 +40,7 @@ def sss_step_explicit(A, level: int, k: int):
     V = np.empty((b, w, k))
     for i in range(b):
         U[i] = truncated_svd_left(hss_block_row(A, part, i), k)
-        V[i] = truncated_svd_left(hss_block_col(A, part, i).T, k)
+        V[i] = truncated_svd_left(hss_block_row(A.T, part, i), k)
     remainder = np.array(A, order="C")
     diagonal = _diagonal_blocks(remainder, w)
     D = diagonal.copy()

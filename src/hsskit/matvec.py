@@ -7,10 +7,10 @@ diagonal pattern and block size m = 2k); the drivers differ only in where
 each level's sketches come from:
 
   - ``hss_from_matvecs_fresh`` draws four independent Gaussian test matrices
-    at every level and reaches the compressed operator through the query
-    recursion, for 4sL sketch queries plus 2k probes for the root core.  Its
-    expected error is quasi-optimal with the constants in
-    :func:`theorem_bounds`.
+    at every level and queries the compressed operator, an oracle chained by
+    :func:`~hsskit.oracle.compress_oracle` after each level, for 4sL sketch
+    queries plus 2k probes for the root core.  Its expected error is
+    quasi-optimal with the constants in :func:`theorem_bounds`.
   - ``hss_from_matvecs_reused`` draws the four test matrices once, then
     compresses sketches and images through the recovered factors instead of
     re-querying, for 4s + 2k queries total.  The compressed test matrices are
@@ -26,19 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .blr2 import BASIS_METHODS, BLR2Pattern, _query_sketches, blr2_factors_from_sketches
 from .kernels import RngStream
-from .oracle import MatvecOracle, level_apply, level_apply_transpose
-from .structures import (
-    LevelFactors,
-    TelescopingFactorization,
-    block_apply,
-    block_apply_t,
-)
+from .oracle import MatvecOracle, compress_oracle
+from .structures import LevelFactors, TelescopingFactorization, block_apply, block_apply_t
 
 __all__ = [
     "BASIS_METHODS",
@@ -124,49 +118,46 @@ def theorem_bounds(s: int, k: int, L: int) -> TheoremBounds:
     return TheoremBounds(gamma, gamma, gamma_diag, factor)
 
 
-def _compress_forward(lf: LevelFactors, sketch, image):
+def _compress(lf: LevelFactors, sketch, image):
     """Push a (test matrix, image) pair one level down: the compressed pair
-    sketches U^T (M - D) V when the image sketched M."""
+    sketches U^T (M - D) V when the image sketched M.  A transpose pair goes
+    down through ``lf.T``."""
     return block_apply_t(lf.V, sketch), block_apply_t(lf.U, image - block_apply(lf.D, sketch))
-
-
-def _compress_transpose(lf: LevelFactors, sketch, image):
-    return block_apply_t(lf.U, sketch), block_apply_t(lf.V, image - block_apply_t(lf.D, sketch))
 
 
 def _compress_sketches(lf: LevelFactors, sketches):
     """Compress a level's sketches through its recovered factors (no queries)."""
     omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag = sketches
-    omega, Y = _compress_forward(lf, omega, Y)
-    omega_diag, Y_diag = _compress_forward(lf, omega_diag, Y_diag)
-    psi, Z = _compress_transpose(lf, psi, Z)
-    psi_diag, Z_diag = _compress_transpose(lf, psi_diag, Z_diag)
+    omega, Y = _compress(lf, omega, Y)
+    omega_diag, Y_diag = _compress(lf, omega_diag, Y_diag)
+    psi, Z = _compress(lf.T, psi, Z)
+    psi_diag, Z_diag = _compress(lf.T, psi_diag, Z_diag)
     return omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag
 
 
 def _build(oracle: MatvecOracle, config: MatvecConfig) -> TelescopingFactorization:
     """Compress level L down to level 1, then probe the root core (2k queries).
 
-    Level L always queries fresh sketches; later levels query again under the
-    fresh policy and compress the previous level's sketches under the reused
-    one.
+    ``op`` is the oracle of the operator still to compress: A at level L,
+    then each level's compressed operator.  Level L always queries fresh
+    sketches; later levels query ``op`` again under the fresh policy and
+    compress the previous level's sketches under the reused one.
     """
     if oracle.dim != config.dim:
         raise ValueError(f"oracle dim {oracle.dim} does not match config dim {config.dim}")
     k = config.k
     stream = RngStream(config.seed)
-    levels, sketches = [], None
+    op, levels, sketches = oracle, [], None
     for level in range(config.L, 0, -1):
         pattern = BLR2Pattern.diagonal(1 << level, 2 * k)
         if sketches is None or config.sketch_policy == "fresh":
-            apply = partial(level_apply, oracle, levels)
-            apply_t = partial(level_apply_transpose, oracle, levels)
-            sketches = _query_sketches(stream.child(level), pattern, config.s, apply, apply_t)
+            sketches = _query_sketches(stream.child(level), pattern, config.s, op)
         else:
             sketches = _compress_sketches(levels[-1], sketches)
         U, V, D = blr2_factors_from_sketches(pattern, k, *sketches, basis_method=config.basis_method)
         levels.append(LevelFactors(U, V, D))
-    root = level_apply(oracle, levels, np.eye(2 * k))
+        op = compress_oracle(op, levels[-1])
+    root = op.apply(np.eye(2 * k))
     return TelescopingFactorization(tuple(reversed(levels)), root)
 
 

@@ -1,13 +1,14 @@
-"""Black-box matvec access: oracles, query accounting, level recursion.
+"""Black-box matvec access: oracles, query accounting, compressed operators.
 
 An oracle exposes products with an N x N operator A and its transpose on
-vectors or dense blocks of vectors.  ``CountingOracle`` wraps any oracle and
-charges one query per vector (a width-s block costs s).
+vectors or dense blocks of vectors; ``oracle.T`` is the oracle of A^T.  Each
+reply of a user's product is checked once, where it is made, for its shape
+and finite entries.  ``CountingOracle`` wraps any oracle and charges one
+query per vector (a width-s block costs s).
 
-``level_apply`` simulates products with the compressed operators that arise
-while a telescoping factorization is being built: given the factors already
-fixed at the outer levels, each column of the operand costs exactly one query
-against A.
+``compress_oracle`` is the oracle of the compressed operator U^T (A - D) V of
+one fixed level; chained once per level, it reaches every coarser operator
+at one query against A per operand column.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import threading
 import numpy as np
 
 from .structures import (
+    LevelFactors,
     TelescopingFactorization,
     block_apply,
     block_apply_t,
@@ -28,22 +30,44 @@ __all__ = [
     "CountingOracle",
     "MatvecOracle",
     "QueryCounter",
+    "compress_oracle",
     "dense_from_oracle",
-    "level_apply",
-    "level_apply_transpose",
     "oracle_from_factorization",
 ]
 
 
+def _checked(product, direction: str):
+    """Wrap a user's product so that each reply is checked where it is made.
+    A method of another oracle checks its own replies and stays unwrapped."""
+    if isinstance(getattr(product, "__self__", None), MatvecOracle):
+        return product
+
+    def call(x: np.ndarray) -> np.ndarray:
+        y = np.asarray(product(x), dtype=np.float64)
+        if y.shape != x.shape:
+            raise ValueError(f"oracle {direction} reply has shape {y.shape}, expected {x.shape}")
+        if not np.isfinite(y).all():
+            raise ValueError(f"oracle {direction} reply of shape {y.shape} has non-finite entries")
+        return y
+
+    return call
+
+
 class MatvecOracle:
-    """Linear operator accessed only through apply / apply_transpose."""
+    """Linear operator accessed only through apply / apply_transpose, whose
+    replies must have the operand's shape and finite entries."""
 
     def __init__(self, dim: int, apply, apply_transpose):
+        self._bind(dim, _checked(apply, "forward"), _checked(apply_transpose, "transpose"))
+
+    def _bind(self, dim: int, apply, apply_transpose) -> "MatvecOracle":
+        """Set the two products, which must reply with checked arrays."""
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
         self._apply = apply
         self._apply_transpose = apply_transpose
+        return self
 
     def _coerce(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -59,12 +83,22 @@ class MatvecOracle:
         """A.T @ x for a vector or a dense block of vectors."""
         return self._apply_transpose(self._coerce(x))
 
+    @property
+    def T(self) -> "MatvecOracle":
+        """The oracle of A^T: the two products swapped."""
+        return _internal_oracle(self.dim, self._apply_transpose, self._apply)
+
     @classmethod
     def from_dense(cls, A) -> "MatvecOracle":
         A = np.ascontiguousarray(A, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {A.shape}")
         return cls(A.shape[0], A.__matmul__, A.T.__matmul__)
+
+
+def _internal_oracle(dim: int, apply, apply_transpose) -> MatvecOracle:
+    """An oracle over products built from already-checked replies."""
+    return object.__new__(MatvecOracle)._bind(dim, apply, apply_transpose)
 
 
 class QueryCounter:
@@ -111,35 +145,30 @@ class CountingOracle(MatvecOracle):
             self.counter.add_transpose(_width(x))
             return inner.apply_transpose(x)
 
-        super().__init__(inner.dim, fwd, tr)
+        self._bind(inner.dim, fwd, tr)
 
 
-def level_apply(oracle: MatvecOracle, levels, omega) -> np.ndarray:
-    """Product of the compressed operator defined by ``levels`` with omega.
+def _compressed_product(oracle: MatvecOracle, lf: LevelFactors):
+    def apply(x):
+        hat = block_apply(lf.V, x)
+        return block_apply_t(lf.U, oracle.apply(hat) - block_apply(lf.D, hat))
 
-    ``levels`` holds the already-fixed LevelFactors ordered from the finest
-    level outward-in (levels[0] is the finest; levels[-1] the innermost fixed
-    level).  With j = len(levels) levels fixed, the compressed operator acts
-    on dim(A) / 2**j rows and each column of omega costs one forward query.
+    return apply
+
+
+def compress_oracle(oracle: MatvecOracle, lf: LevelFactors) -> MatvecOracle:
+    """The oracle of U^T (A - D) V, where ``oracle`` serves A and ``lf`` holds
+    one level's fixed factors.
+
+    Each operand column costs one query against ``oracle``: forward for
+    ``apply``, transpose for ``apply_transpose``, whose product is the same
+    body on ``(oracle.T, lf.T)``.
     """
-    omega = np.asarray(omega, dtype=np.float64)
-    if not levels:
-        return oracle.apply(omega)
-    lf = levels[-1]
-    hat = block_apply(lf.V, omega)
-    return block_apply_t(lf.U, level_apply(oracle, levels[:-1], hat) - block_apply(lf.D, hat))
-
-
-def level_apply_transpose(oracle: MatvecOracle, levels, psi) -> np.ndarray:
-    """Transpose analogue of :func:`level_apply`; costs one transpose query
-    per column."""
-    psi = np.asarray(psi, dtype=np.float64)
-    if not levels:
-        return oracle.apply_transpose(psi)
-    lf = levels[-1]
-    hat = block_apply(lf.U, psi)
-    inner = level_apply_transpose(oracle, levels[:-1], hat)
-    return block_apply_t(lf.V, inner - block_apply_t(lf.D, hat))
+    return _internal_oracle(
+        lf.block_count * lf.rank_param,
+        _compressed_product(oracle, lf),
+        _compressed_product(oracle.T, lf.T),
+    )
 
 
 def dense_from_oracle(oracle: MatvecOracle) -> np.ndarray:

@@ -14,11 +14,15 @@ N x N matrix with N = 2**(L+1) * k built by the recursion
 
 applied from a (2k, 2k) root core outward, where U and V are block-diagonal
 with orthonormal (2k, k) blocks and D is block-diagonal with (2k, 2k) blocks.
+
+Transposition is data: ``LevelFactors.T`` and ``TelescopingFactorization.T``
+represent the transpose, so each operation has one body and runs on ``T.T``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +38,6 @@ __all__ = [
     "block_to_dense",
     "hss_apply",
     "hss_apply_transpose",
-    "hss_block_col",
     "hss_block_row",
     "reconstruct_dense",
     "validate_hss_ranks",
@@ -126,22 +129,14 @@ def hss_block_row(A, part: BlockPartition, i: int) -> np.ndarray:
     """Block row i of A with the diagonal block removed (0-based index).
 
     Returns the (block_size, dim - block_size) horizontal concatenation of
-    blocks (i, j) for j != i.
+    blocks (i, j) for j != i.  Block column i is ``hss_block_row(A.T, part,
+    i).T``.
     """
     A = as_matrix(A, "A")
     _check_partitioned(A, part, i)
     w = part.block_size
     rows = A[i * w : (i + 1) * w]
     return np.ascontiguousarray(np.hstack([rows[:, : i * w], rows[:, (i + 1) * w :]]))
-
-
-def hss_block_col(A, part: BlockPartition, i: int) -> np.ndarray:
-    """Block column i of A with the diagonal block removed (0-based index)."""
-    A = as_matrix(A, "A")
-    _check_partitioned(A, part, i)
-    w = part.block_size
-    cols = A[:, i * w : (i + 1) * w]
-    return np.ascontiguousarray(np.vstack([cols[: i * w], cols[(i + 1) * w :]]))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +175,11 @@ class LevelFactors:
     def rank_param(self) -> int:
         return self.U.shape[2]
 
+    @property
+    def T(self) -> "LevelFactors":
+        """The level of the transposed operator: U and V swap, D blocks transpose."""
+        return LevelFactors(self.V, self.U, self.D.transpose(0, 2, 1))
+
 
 @dataclass(frozen=True)
 class TelescopingFactorization:
@@ -217,6 +217,11 @@ class TelescopingFactorization:
     def dim(self) -> int:
         return (1 << (self.depth + 1)) * self.rank_param
 
+    @cached_property
+    def T(self) -> "TelescopingFactorization":
+        """The factorization of the transposed matrix (views, built once)."""
+        return TelescopingFactorization(tuple(lf.T for lf in self.levels), self.root.T)
+
     def validate(self, tol: float = ORTHO_TOL):
         """Raise unless every basis block is orthonormal to within ``tol``."""
         for j, lf in enumerate(self.levels):
@@ -242,7 +247,11 @@ def reconstruct_dense(T: TelescopingFactorization) -> np.ndarray:
     return np.ascontiguousarray(B)
 
 
-def _apply(T: TelescopingFactorization, x, transpose: bool) -> np.ndarray:
+def hss_apply(T: TelescopingFactorization, x) -> np.ndarray:
+    """Multiply the represented matrix by x without materializing it.
+
+    Costs O(N k) arithmetic per vector.
+    """
     x = np.asarray(x, dtype=np.float64)
     vec = x.ndim == 1
     xm = x[:, None] if vec else x
@@ -253,28 +262,17 @@ def _apply(T: TelescopingFactorization, x, transpose: bool) -> np.ndarray:
     cur = xm
     for lf in reversed(T.levels):
         down.append(cur)
-        cur = block_apply_t(lf.U if transpose else lf.V, cur)
-    y = (T.root.T if transpose else T.root) @ cur
+        cur = block_apply_t(lf.V, cur)
+    y = T.root @ cur
     # Ascend: expand through the (left) bases and add the remainders.
     for lf, xs in zip(T.levels, reversed(down)):
-        if transpose:
-            y = block_apply(lf.V, y) + block_apply_t(lf.D, xs)
-        else:
-            y = block_apply(lf.U, y) + block_apply(lf.D, xs)
+        y = block_apply(lf.U, y) + block_apply(lf.D, xs)
     return y[:, 0] if vec else y
 
 
-def hss_apply(T: TelescopingFactorization, x) -> np.ndarray:
-    """Multiply the represented matrix by x without materializing it.
-
-    Costs O(N k) arithmetic per vector.
-    """
-    return _apply(T, x, transpose=False)
-
-
 def hss_apply_transpose(T: TelescopingFactorization, x) -> np.ndarray:
-    """Multiply the transpose of the represented matrix by x."""
-    return _apply(T, x, transpose=True)
+    """Multiply the transpose of the represented matrix by x: ``hss_apply(T.T, x)``."""
+    return hss_apply(T.T, x)
 
 
 def validate_hss_ranks(A, L: int, k: int, tol: float) -> bool:
@@ -297,7 +295,7 @@ def validate_hss_ranks(A, L: int, k: int, tol: float) -> bool:
         width = n >> (level + 1)  # 2k' with k' = 2**(L-level) * k
         part = BlockPartition(level, width)
         for i in range(part.block_count):
-            for slab in (hss_block_row(A, part, i), hss_block_col(A, part, i)):
+            for slab in (hss_block_row(A, part, i), hss_block_row(A.T, part, i)):
                 svals = np.linalg.svd(slab, compute_uv=False)
                 if svals.size > k and svals[k] > tol * smax:
                     return False

@@ -20,7 +20,7 @@ and rule for n.  CLI ``gen``, ``--in`` specs and sweeps build through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,6 +40,7 @@ __all__ = [
     "Family",
     "banded_inverse_oracle",
     "bie_star_matrix",
+    "check_param",
     "frobenius_error",
     "grid_schur_oracle",
     "hard_instance",
@@ -293,13 +294,15 @@ def bie_star_matrix(n_nodes: int, arm_amplitude: float, arm_count: int) -> np.nd
 class Family:
     """A test-problem family.  ``params`` maps each parameter to (type,
     default); a None default means required, a callable one is computed from
-    the parameters before it.  ``n_ok`` checks ``n_rule``; ``build`` returns
-    (oracle, dense matrix or None).  Callables take parameters as keywords."""
+    the parameters before it.  ``n_ok`` checks ``n_rule``; ``rules`` maps a
+    parameter to (rule, check of its value); ``build`` returns (oracle, dense
+    matrix or None).  Callables take parameters as keywords."""
 
     params: dict
     n_rule: str
     n_ok: Callable[..., bool]
     build: Callable[..., tuple]
+    rules: dict = field(default_factory=dict)
 
 
 def tree_levels(n: int, k: int) -> Optional[int]:
@@ -320,7 +323,8 @@ FAMILIES = {
     "banded": Family(
         {"n": _N, "k": (int, 8), "bandwidth": (int, lambda k, **_: 2 * k + 1), "seed": (int, 0)},
         "n > (bandwidth - 1) / 2", lambda n, bandwidth, **_: n > (bandwidth - 1) // 2,
-        lambda n, k, bandwidth, seed: (banded_inverse_oracle(n, bandwidth, seed), None)),
+        lambda n, k, bandwidth, seed: (banded_inverse_oracle(n, bandwidth, seed), None),
+        {"bandwidth": ("odd and positive", lambda v: v >= 1 and v % 2 == 1)}),
     "grid": Family({"n": _N}, "n >= 2", lambda n: n >= 2, lambda n: (grid_schur_oracle(n), None)),
     "bie": Family(
         {"n": _N, "amplitude": (float, 0.3), "arms": (int, 5)}, "n >= 2", lambda n, **_: n >= 2,
@@ -328,7 +332,8 @@ FAMILIES = {
     "hard": Family(
         {"n": (int, 32), "delta": (float, 0.1)}, "n a power of two >= 4",
         lambda n, **_: tree_levels(n, 1) is not None,
-        lambda n, delta: _dense(hard_instance(tree_levels(n, 1), delta))),
+        lambda n, delta: _dense(hard_instance(tree_levels(n, 1), delta)),
+        {"delta": ("in (0, 1)", lambda v: 0.0 < v < 1.0)}),
     "hss": Family(
         {"n": _N, "k": (int, 8), "seed": (int, 0)}, "n = 2**(L+1) * k with L >= 1",
         lambda n, k, **_: tree_levels(n, k) is not None,
@@ -336,9 +341,17 @@ FAMILIES = {
 }
 
 
+def check_param(family: str, name: str, value) -> None:
+    """Raise ValueError, naming the parameter, unless ``value`` meets the
+    family's rule for it."""
+    rule = FAMILIES[family].rules.get(name)
+    if rule is not None and not rule[1](value):
+        raise ValueError(f"{family} needs {name} {rule[0]}, got {name}={value!r}")
+
+
 def resolve_params(family: str, given: dict) -> dict:
     """Parse ``given`` (strings or values) as the family's parameters, fill in
-    the defaults and check the rule for n."""
+    the defaults and check the parameter rules and the rule for n."""
     if family not in FAMILIES:
         raise ValueError(f"unknown problem family {family!r}; families: {', '.join(FAMILIES)}")
     spec = FAMILIES[family]
@@ -356,6 +369,8 @@ def resolve_params(family: str, given: dict) -> dict:
             raise ValueError(f"{family} needs parameter {key!r}")
         else:
             params[key] = default(**params) if callable(default) else default
+    for key, value in params.items():
+        check_param(family, key, value)
     if not spec.n_ok(**params):
         raise ValueError(f"{family} needs {spec.n_rule}, got n={params['n']}")
     return params

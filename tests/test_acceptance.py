@@ -23,6 +23,7 @@ from hsskit import (
     blr2_factors_from_sketches,
     blr2_from_matvecs,
     blr2_remainder,
+    compress_oracle,
     dense_from_oracle,
     deserialize,
     frobenius_error,
@@ -31,8 +32,6 @@ from hsskit import (
     hard_instance,
     hss_from_matvecs_fresh,
     hss_from_matvecs_reused,
-    level_apply,
-    level_apply_transpose,
     pcps_basis,
     random_blr2_matrix,
     random_hss_matrix,
@@ -47,7 +46,6 @@ from hsskit.structures import (
     LevelFactors,
     block_apply_t,
     block_to_dense,
-    hss_block_col,
     hss_block_row,
 )
 
@@ -78,9 +76,8 @@ def test_criterion_02_block_nullification_identity():
     L, k, s = 4, 4, 14
     n, w = (1 << (L + 1)) * k, 2 * k
     A = np.random.default_rng(2024).standard_normal((n, n))
-    oracle = MatvecOracle.from_dense(A)
+    op = MatvecOracle.from_dense(A)
     stream = RngStream(7)
-    levels = []
     dense = A
     worst = 0.0
     for level in range(L, 0, -1):
@@ -90,8 +87,8 @@ def test_criterion_02_block_nullification_identity():
             [gaussian(w, s, stream.child(level, b, role)) for b in range(blocks)]
         )
         omega, psi, od, pd = (draw(r) for r in ("omega", "psi", "omega-diag", "psi-diag"))
-        Y = level_apply(oracle, levels, omega)
-        Z = level_apply_transpose(oracle, levels, psi)
+        Y = op.apply(omega)
+        Z = op.apply_transpose(psi)
         pattern = BLR2Pattern.diagonal(blocks, w)
         for i in range(blocks):
             P, sketch = blr2_block_nullify(omega, Y, pattern, i)
@@ -100,14 +97,14 @@ def test_criterion_02_block_nullification_identity():
             worst = max(worst, gap)
             Q, csketch = blr2_block_nullify(psi, Z, pattern, i, "col")
             H = np.vstack([psi[j * w : (j + 1) * w] for j in range(blocks) if j != i]) @ Q
-            cgap = np.abs(csketch - hss_block_col(dense, part, i).T @ H).max()
+            cgap = np.abs(csketch - hss_block_row(dense.T, part, i) @ H).max()
             worst = max(worst, cgap)
             assert gap <= 1e-11 and cgap <= 1e-11, f"level {level} block {i}"
         lf = LevelFactors(*blr2_factors_from_sketches(
             pattern, k, omega, psi, od, pd, Y, Z,
-            level_apply(oracle, levels, od), level_apply_transpose(oracle, levels, pd),
+            op.apply(od), op.apply_transpose(pd),
         ))
-        levels.append(lf)
+        op = compress_oracle(op, lf)
         dense = block_apply_t(lf.U, dense - block_to_dense(lf.D))
         dense = block_apply_t(lf.V, dense.T).T
     _report(2, started, f"implicit-sketch identity holds at every level/block, worst gap {worst:.2e}")

@@ -73,6 +73,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n=24"):
             parse_config("matrix = hard\nn = 24\nk = 3\nalgorithms = explicit\ns = 11\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("matrix = banded\nn = 64\nk = 2\nbandwidth = 8\nalgorithms = fresh\ns = 8\n",
+             r"^line 4: 'bandwidth': banded needs bandwidth odd and positive, got bandwidth=8$"),
+            ("matrix = hard\nn = 32\nk = 1\ndelta = 1.5\nalgorithms = explicit\ns = 5\n",
+             r"^line 4: 'delta': hard needs delta in \(0, 1\), got delta=1.5$"),
+        ],
+        ids=["banded-bandwidth", "hard-delta"],
+    )
+    def test_family_parameter_rule_named_with_line(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_key_of_another_family_rejected(self):
         with pytest.raises(ConfigError, match=r"line 4: 'delta' does not apply to matrix = bie"):
             parse_config("matrix = bie\nn = 32\nk = 2\ndelta = 0.5\nalgorithms = fresh\ns = 8\n")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,19 @@ class TestHssfContainer:
         blob = serialize(random_telescoping(1, 2, RngStream(4).child("ser")))
         with pytest.raises(FormatError):
             deserialize(blob + b"\x00")
+
+    @pytest.mark.parametrize("L", [40, 2**20, 2**32 - 1])
+    def test_corrupt_level_count_named(self, L):
+        blob = bytearray(serialize(random_telescoping(2, 2, RngStream(5).child("ser"))))
+        blob[8:12] = struct.pack("<I", L)
+        with pytest.raises(TruncatedPayloadError, match=rf"L={L}, k=2"):
+            deserialize(bytes(blob))
+
+    def test_every_proper_prefix_rejected(self):
+        blob = serialize(random_telescoping(1, 1, RngStream(6).child("ser")))
+        for end in range(len(blob)):
+            with pytest.raises(FormatError):
+                deserialize(blob[:end])
 
     def test_error_types_are_distinct(self):
         assert BadMagicError is not VersionMismatchError is not TruncatedPayloadError

@@ -7,7 +7,6 @@ from hsskit import (
     frobenius_error,
     greedy_hss_explicit,
     hard_instance,
-    hss_block_col,
     hss_block_row,
     random_hss_matrix,
     blr2_reconstruct,
@@ -98,7 +97,7 @@ class TestOneLevelOptimality:
             resid2 = np.linalg.norm(row - Ui @ (Ui.T @ row)) ** 2
             opt2 = svd_tail_energy(row, k)
             assert abs(resid2 - opt2) <= 1e-10 * max(opt2, 1.0)
-            col = hss_block_col(A, part, i)
+            col = hss_block_row(A.T, part, i).T
             Vi = factors.V[i]
             cresid2 = np.linalg.norm(col - (col @ Vi) @ Vi.T) ** 2
             copt2 = svd_tail_energy(col, k)

@@ -3,13 +3,14 @@ import pytest
 
 from hsskit import (
     CountingOracle,
+    MatvecConfig,
     MatvecOracle,
     QueryCounter,
     RngStream,
+    compress_oracle,
     dense_from_oracle,
     gaussian,
-    level_apply,
-    level_apply_transpose,
+    hss_from_matvecs_fresh,
     oracle_from_factorization,
     random_hss_matrix,
     random_telescoping,
@@ -51,6 +52,59 @@ class TestMatvecOracle:
         dense = reconstruct_dense(T)
         x = np.random.default_rng(5).standard_normal(T.dim)
         assert np.linalg.norm(o.apply(x) - dense @ x) <= 1e-12 * np.linalg.norm(dense @ x)
+
+
+class TestReplyChecks:
+    """A user's products are checked where they reply, at every level of a
+    build; the error names the product relative to A and both shapes.  The
+    build's sketches are (32, 8)."""
+
+    @staticmethod
+    def _build(fwd, tr):
+        A = random_hss_matrix(3, 2, seed=11)
+        o = MatvecOracle(32, lambda x: fwd(A @ x), lambda x: tr(A.T @ x))
+        return hss_from_matvecs_fresh(o, MatvecConfig(3, 2, 8, seed=0))
+
+    def test_nan_forward_reply(self):
+        with pytest.raises(
+            ValueError, match=r"^oracle forward reply of shape \(32, 8\) has non-finite entries$"
+        ):
+            self._build(lambda y: np.full_like(y, np.nan), lambda y: y)
+
+    def test_nan_transpose_reply_at_a_coarse_level(self):
+        calls = []
+
+        def tr(y):
+            # Level L makes the first two transpose calls; the third comes
+            # through the compressed operator of level L - 1.
+            calls.append(y.shape)
+            return y if len(calls) <= 2 else np.full_like(y, np.nan)
+
+        with pytest.raises(
+            ValueError, match=r"^oracle transpose reply of shape \(32, 8\) has non-finite entries$"
+        ):
+            self._build(lambda y: y, tr)
+        assert len(calls) == 3
+
+    def test_short_reply(self):
+        with pytest.raises(
+            ValueError, match=r"^oracle forward reply has shape \(31, 8\), expected \(32, 8\)$"
+        ):
+            self._build(lambda y: y[:-1], lambda y: y)
+
+    def test_one_d_reply(self):
+        with pytest.raises(
+            ValueError, match=r"^oracle transpose reply has shape \(32,\), expected \(32, 8\)$"
+        ):
+            self._build(lambda y: y, lambda y: y[:, 0])
+
+    def test_reply_of_a_wrapped_oracle(self):
+        inner = MatvecOracle(4, lambda x: x[:-1], lambda x: x)
+        outer = CountingOracle(MatvecOracle(4, inner.apply, inner.apply_transpose))
+        with pytest.raises(
+            ValueError, match=r"^oracle forward reply has shape \(3, 2\), expected \(4, 2\)$"
+        ):
+            outer.apply(np.ones((4, 2)))
 
 
 class TestQueryCounting:
@@ -95,19 +149,26 @@ class TestDenseFromOracle:
         assert o.counter.transpose_count == 0
 
 
+def _chain(o, levels):
+    """The compressed-operator oracle after the given levels, finest first."""
+    for lf in levels:
+        o = compress_oracle(o, lf)
+    return o
+
+
 class TestLevelApply:
     def test_empty_recursion_is_direct_apply(self):
         A = np.random.default_rng(7).standard_normal((16, 16))
         o = MatvecOracle.from_dense(A)
         omega = gaussian(16, 3, RngStream(0).child("la"))
-        assert np.array_equal(level_apply(o, [], omega), A @ omega)
+        assert np.array_equal(_chain(o, []).apply(omega), A @ omega)
 
     def test_one_level_matches_dense_formula(self):
         A = random_hss_matrix(3, 2, seed=1)
         factors, _ = sss_step_explicit(A, 3, 2)
         o = MatvecOracle.from_dense(A)
         omega = gaussian(16, 4, RngStream(1).child("la"))
-        got = level_apply(o, [factors], omega)
+        got = compress_oracle(o, factors).apply(omega)
         compressed = block_apply_t(factors.U, A - block_to_dense(factors.D))
         compressed = block_apply_t(factors.V, compressed.T).T
         want = compressed @ omega
@@ -122,7 +183,7 @@ class TestLevelApply:
         for level in range(L, 0, -1):
             factors, current = sss_step_explicit(current, level, k)
             levels.append(factors)
-            probe = level_apply(o, levels, np.eye(current.shape[0]))
+            probe = _chain(o, levels).apply(np.eye(current.shape[0]))
             assert np.linalg.norm(probe - current) <= 1e-10 * np.linalg.norm(current)
 
     def test_adjoint_identity(self):
@@ -132,17 +193,19 @@ class TestLevelApply:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((16, 1))
         y = rng.standard_normal((16, 1))
-        lhs = (x.T @ level_apply(o, [factors], y)).item()
-        rhs = (level_apply_transpose(o, [factors], x).T @ y).item()
+        compressed = compress_oracle(o, factors)
+        lhs = (x.T @ compressed.apply(y)).item()
+        rhs = (compressed.apply_transpose(x).T @ y).item()
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
     def test_each_column_costs_one_query(self):
         A = random_hss_matrix(3, 2, seed=4)
         factors, _ = sss_step_explicit(A, 3, 2)
         o = CountingOracle(MatvecOracle.from_dense(A))
-        level_apply(o, [factors], np.zeros((16, 7)))
+        compressed = compress_oracle(o, factors)
+        compressed.apply(np.zeros((16, 7)))
         assert o.counter.forward_count == 7
-        level_apply_transpose(o, [factors], np.zeros((16, 5)))
+        compressed.apply_transpose(np.zeros((16, 5)))
         assert o.counter.transpose_count == 5
 
     def test_dimension_mismatch(self):
@@ -150,4 +213,4 @@ class TestLevelApply:
         factors, _ = sss_step_explicit(A, 2, 2)
         o = MatvecOracle.from_dense(A)
         with pytest.raises(ValueError):
-            level_apply(o, [factors], np.zeros((7, 2)))
+            compress_oracle(o, factors).apply(np.zeros((7, 2)))

@@ -1,5 +1,5 @@
-"""Property tests for the stacked kernels, the block operations and the
-one-level step on irregular patterns.
+"""Property tests for the stacked kernels, the block operations, the
+one-level step on irregular patterns and transposition as data (``.T``).
 
 Shapes and seeds come from hypothesis; matrix entries come from seeded numpy
 draws, so every example is well conditioned almost surely.  Examples are
@@ -13,11 +13,17 @@ from hypothesis import strategies as st
 
 from hsskit import (
     BLR2Pattern,
+    CountingOracle,
     MatvecOracle,
+    RngStream,
     blr2_from_matvecs,
     blr2_reconstruct,
+    compress_oracle,
+    hss_apply,
     nullspace_basis,
     random_blr2_matrix,
+    random_telescoping,
+    reconstruct_dense,
     right_pinv_apply,
     truncated_svd_left,
 )
@@ -108,3 +114,54 @@ class TestIrregularPatternStep:
         A = random_blr2_matrix(pattern, k, seed)
         F = blr2_from_matvecs(MatvecOracle.from_dense(A), pattern, k, s, seed + 1)
         assert np.linalg.norm(blr2_reconstruct(F) - A) <= 1e-9 * np.linalg.norm(A)
+
+
+depths = st.integers(1, 4)
+ranks = st.integers(1, 3)
+
+
+def _telescoping(seed, L, k):
+    return random_telescoping(L, k, RngStream(seed).child("transpose"))
+
+
+class TestTransposeIsData:
+    @PROPERTY
+    @given(seed=seeds, L=depths, k=ranks)
+    def test_reconstruct_of_transpose(self, seed, L, k):
+        T = _telescoping(seed, L, k)
+        dense = reconstruct_dense(T)
+        assert np.allclose(reconstruct_dense(T.T), dense.T, rtol=0, atol=1e-12 * np.abs(dense).max())
+
+    @PROPERTY
+    @given(seed=seeds, L=depths, k=ranks, width=st.integers(1, 4))
+    def test_apply_adjoint_identity(self, seed, L, k, width):
+        T = _telescoping(seed, L, k)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((T.dim, width))
+        y = rng.standard_normal((T.dim, width))
+        lhs = np.sum(y * hss_apply(T, x))
+        rhs = np.sum(hss_apply(T.T, y) * x)
+        scale = np.linalg.norm(hss_apply(T, x)) * np.linalg.norm(y)
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @PROPERTY
+    @given(seed=seeds, L=depths, k=ranks, width=st.integers(1, 4))
+    def test_compressed_transpose_is_adjoint_and_charges_transpose(self, seed, L, k, width):
+        T = _telescoping(seed, L, k)
+        o = CountingOracle(MatvecOracle.from_dense(reconstruct_dense(T)))
+        compressed = compress_oracle(o, T.levels[-1])
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((compressed.dim, width))
+        y = rng.standard_normal((compressed.dim, width))
+        Ax = compressed.apply(x)
+        assert (o.counter.forward_count, o.counter.transpose_count) == (width, 0)
+        Aty = compressed.T.apply(y)
+        assert (o.counter.forward_count, o.counter.transpose_count) == (width, width)
+        assert abs(np.sum(y * Ax) - np.sum(Aty * x)) <= 1e-11 * np.linalg.norm(Ax) * np.linalg.norm(y)
+
+    @PROPERTY
+    @given(seed=seeds, L=depths, k=ranks, width=st.integers(1, 4))
+    def test_double_transpose_applies_bit_identically(self, seed, L, k, width):
+        T = _telescoping(seed, L, k)
+        x = np.random.default_rng(seed).standard_normal((T.dim, width))
+        assert np.array_equal(hss_apply(T.T.T, x), hss_apply(T, x))
