@@ -63,12 +63,10 @@ from .oracle import (
 )
 from .sketching import pcps_basis
 from .structures import (
-    BlockPartition,
     LevelFactors,
     TelescopingFactorization,
     hss_apply,
     hss_apply_transpose,
-    hss_block_row,
     reconstruct_dense,
     validate_hss_ranks,
 )

@@ -26,7 +26,7 @@ import numpy as np
 from .kernels import RngStream, gaussian, nullspace_basis, pivoted_qr_basis, right_pinv_apply
 from .oracle import MatvecOracle
 from .sketching import pcps_basis
-from .structures import block_apply, block_apply_t, block_to_dense
+from .structures import _as_operand, block_apply, block_apply_t, block_to_dense
 
 __all__ = [
     "BASIS_METHODS",
@@ -399,10 +399,8 @@ def blr2_reconstruct(F: BLR2Factorization) -> np.ndarray:
 
 def blr2_apply(F: BLR2Factorization, x) -> np.ndarray:
     """Apply a BLR2 factorization to a vector or block of vectors."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_operand(x, F.dim)
     vec = x.ndim == 1
     xm = x[:, None] if vec else x
-    if xm.shape[0] != F.dim:
-        raise ValueError(f"operand has {xm.shape[0]} rows, expected {F.dim}")
     y = block_apply(F.U, F.X @ block_apply_t(F.V, xm)) + _remainder_matmul(F.pattern, F.D, xm)
     return y[:, 0] if vec else y

@@ -3,7 +3,9 @@
 One level at a time, each off-diagonal block row / column gets the optimal
 rank-k subspace (exact truncated SVD), the remainder block is the diagonal
 block itself, and the matrix is compressed through the new bases before the
-next level.  Total arithmetic is O(N^2 k).
+next level.  A level's block rows and block columns are two views of
+A - blockdiag(D), so each side is one stacked SVD.  Total arithmetic is
+O(N^2 k).
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ import numpy as np
 
 from .kernels import as_matrix, truncated_svd_left
 from .structures import (
-    BlockPartition,
     LevelFactors,
     TelescopingFactorization,
     _diagonal_blocks,
+    _off_diagonal_slabs,
     block_apply_t,
-    hss_block_row,
 )
 
 __all__ = ["greedy_hss_explicit", "sss_step_explicit"]
@@ -32,19 +33,19 @@ def sss_step_explicit(A, level: int, k: int):
     half-size matrix handed to the next level.
     """
     A = as_matrix(A, "A")
-    part = BlockPartition(level, k)
-    if A.shape != (part.dim, part.dim):
+    if level < 0 or k < 1:
+        raise ValueError(f"need level >= 0 and k >= 1, got level={level}, k={k}")
+    w = 2 * k
+    n = (1 << level) * w
+    if A.shape != (n, n):
         raise ValueError(f"matrix of shape {A.shape} does not conform to level {level}, k={k}")
-    b, w = part.block_count, part.block_size
-    U = np.empty((b, w, k))
-    V = np.empty((b, w, k))
-    for i in range(b):
-        U[i] = truncated_svd_left(hss_block_row(A, part, i), k)
-        V[i] = truncated_svd_left(hss_block_row(A.T, part, i), k)
     remainder = np.array(A, order="C")
     diagonal = _diagonal_blocks(remainder, w)
     D = diagonal.copy()
-    diagonal -= D
+    diagonal[...] = 0.0
+    rows, cols = _off_diagonal_slabs(remainder, w)
+    U = truncated_svd_left(rows, k)
+    V = truncated_svd_left(cols, k)
     factors = LevelFactors(U, V, D)
     core = block_apply_t(U, remainder)
     A_next = block_apply_t(V, core.T).T

@@ -20,6 +20,7 @@ import numpy as np
 from .structures import (
     LevelFactors,
     TelescopingFactorization,
+    _as_operand,
     block_apply,
     block_apply_t,
     hss_apply,
@@ -69,19 +70,13 @@ class MatvecOracle:
         self._apply_transpose = apply_transpose
         return self
 
-    def _coerce(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
-            raise ValueError(f"operand shape {x.shape} does not match dim {self.dim}")
-        return x
-
     def apply(self, x) -> np.ndarray:
         """A @ x for a vector or a dense block of vectors."""
-        return self._apply(self._coerce(x))
+        return self._apply(_as_operand(x, self.dim))
 
     def apply_transpose(self, x) -> np.ndarray:
         """A.T @ x for a vector or a dense block of vectors."""
-        return self._apply_transpose(self._coerce(x))
+        return self._apply_transpose(_as_operand(x, self.dim))
 
     @property
     def T(self) -> "MatvecOracle":

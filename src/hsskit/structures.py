@@ -30,7 +30,6 @@ import scipy.linalg
 from .kernels import as_matrix
 
 __all__ = [
-    "BlockPartition",
     "LevelFactors",
     "TelescopingFactorization",
     "block_apply",
@@ -38,7 +37,6 @@ __all__ = [
     "block_to_dense",
     "hss_apply",
     "hss_apply_transpose",
-    "hss_block_row",
     "reconstruct_dense",
     "validate_hss_ranks",
 ]
@@ -48,6 +46,15 @@ ORTHO_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # block-diagonal helpers
+
+
+def _as_operand(x, dim: int) -> np.ndarray:
+    """Coerce a vector or a block of vectors with ``dim`` rows to float64;
+    reject any other shape."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] != dim:
+        raise ValueError(f"operand shape {x.shape} does not match dim {dim}")
+    return x
 
 
 def block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -77,66 +84,24 @@ def _diagonal_blocks(M: np.ndarray, w: int) -> np.ndarray:
     )
 
 
+def _off_diagonal_slabs(R: np.ndarray, w: int):
+    """Block rows and block columns of a square R whose diagonal w x w
+    blocks are zero, as two (b, w, n) views of R with no copy.
+
+    ``rows[i]`` is block row i and ``cols[i]`` is block column i transposed;
+    each is the off-diagonal slab of its block with zero columns where the
+    diagonal block was, so it has the same singular values and left singular
+    vectors as the slab itself.
+    """
+    n = R.shape[0]
+    return R.reshape(n // w, w, n), R.reshape(n, n // w, w).transpose(1, 2, 0)
+
+
 def _orthonormal_defect(blocks: np.ndarray) -> float:
     """Max-norm deviation of block columns from orthonormality."""
     k = blocks.shape[2]
     grams = np.matmul(blocks.transpose(0, 2, 1), blocks)
     return float(np.max(np.abs(grams - np.eye(k))))
-
-
-# ---------------------------------------------------------------------------
-# partitions and slab extraction
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    """Square partition of a 2**(level+1) * rank_param matrix into 2**level
-    diagonal blocks of side 2 * rank_param."""
-
-    level: int
-    rank_param: int
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        if self.rank_param < 1:
-            raise ValueError(f"rank_param must be >= 1, got {self.rank_param}")
-
-    @property
-    def block_count(self) -> int:
-        return 1 << self.level
-
-    @property
-    def block_size(self) -> int:
-        return 2 * self.rank_param
-
-    @property
-    def dim(self) -> int:
-        return self.block_count * self.block_size
-
-
-def _check_partitioned(A: np.ndarray, part: BlockPartition, i: int):
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1] or n != part.dim:
-        raise ValueError(
-            f"matrix of shape {A.shape} does not match partition dimension {part.dim}"
-        )
-    if not 0 <= i < part.block_count:
-        raise IndexError(f"block index {i} out of range [0, {part.block_count})")
-
-
-def hss_block_row(A, part: BlockPartition, i: int) -> np.ndarray:
-    """Block row i of A with the diagonal block removed (0-based index).
-
-    Returns the (block_size, dim - block_size) horizontal concatenation of
-    blocks (i, j) for j != i.  Block column i is ``hss_block_row(A.T, part,
-    i).T``.
-    """
-    A = as_matrix(A, "A")
-    _check_partitioned(A, part, i)
-    w = part.block_size
-    rows = A[i * w : (i + 1) * w]
-    return np.ascontiguousarray(np.hstack([rows[:, : i * w], rows[:, (i + 1) * w :]]))
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +217,9 @@ def hss_apply(T: TelescopingFactorization, x) -> np.ndarray:
 
     Costs O(N k) arithmetic per vector.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_operand(x, T.dim)
     vec = x.ndim == 1
     xm = x[:, None] if vec else x
-    if xm.shape[0] != T.dim:
-        raise ValueError(f"operand has {xm.shape[0]} rows, expected {T.dim}")
     # Descend: project the operand through the (right) bases level by level.
     down = []
     cur = xm
@@ -291,12 +254,13 @@ def validate_hss_ranks(A, L: int, k: int, tol: float) -> bool:
     smax = float(np.linalg.norm(A, 2))
     if smax == 0.0:
         return True
-    for level in range(1, L + 1):
-        width = n >> (level + 1)  # 2k' with k' = 2**(L-level) * k
-        part = BlockPartition(level, width)
-        for i in range(part.block_count):
-            for slab in (hss_block_row(A, part, i), hss_block_row(A.T, part, i)):
-                svals = np.linalg.svd(slab, compute_uv=False)
-                if svals.size > k and svals[k] > tol * smax:
-                    return False
+    # Finest level first: each level's diagonal blocks contain the finer
+    # levels', so one copy with the diagonal zeroed serves every level.
+    R = np.array(A, order="C")
+    for level in range(L, 0, -1):
+        w = n >> level
+        _diagonal_blocks(R, w)[...] = 0.0
+        for slabs in _off_diagonal_slabs(R, w):
+            if np.any(np.linalg.svd(slabs, compute_uv=False)[:, k] > tol * smax):
+                return False
     return True

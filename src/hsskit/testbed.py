@@ -399,4 +399,6 @@ def frobenius_error(A, approx) -> float:
         B = blr2_reconstruct(approx)
     else:
         B = as_matrix(approx, "approx")
+    if B.shape != A.shape:
+        raise ValueError(f"approx of shape {B.shape} does not match A of shape {A.shape}")
     return float(np.linalg.norm(A - B)) / denom

@@ -41,17 +41,11 @@ from hsskit import (
     theorem_bounds,
     validate_hss_ranks,
 )
-from hsskit.structures import (
-    BlockPartition,
-    LevelFactors,
-    block_apply_t,
-    block_to_dense,
-    hss_block_row,
-)
+from hsskit.structures import LevelFactors, block_apply_t, block_to_dense
 
 import pytest
 
-from helpers import rand_orthonormal
+from helpers import brute_block_col, brute_block_row, rand_orthonormal
 
 
 def _report(num, started, text):
@@ -82,7 +76,6 @@ def test_criterion_02_block_nullification_identity():
     worst = 0.0
     for level in range(L, 0, -1):
         blocks = 1 << level
-        part = BlockPartition(level, k)
         draw = lambda role: np.vstack(
             [gaussian(w, s, stream.child(level, b, role)) for b in range(blocks)]
         )
@@ -93,11 +86,11 @@ def test_criterion_02_block_nullification_identity():
         for i in range(blocks):
             P, sketch = blr2_block_nullify(omega, Y, pattern, i)
             G = np.vstack([omega[j * w : (j + 1) * w] for j in range(blocks) if j != i]) @ P
-            gap = np.abs(sketch - hss_block_row(dense, part, i) @ G).max()
+            gap = np.abs(sketch - brute_block_row(dense, w, i) @ G).max()
             worst = max(worst, gap)
             Q, csketch = blr2_block_nullify(psi, Z, pattern, i, "col")
             H = np.vstack([psi[j * w : (j + 1) * w] for j in range(blocks) if j != i]) @ Q
-            cgap = np.abs(csketch - hss_block_row(dense.T, part, i) @ H).max()
+            cgap = np.abs(csketch - brute_block_col(dense, w, i).T @ H).max()
             worst = max(worst, cgap)
             assert gap <= 1e-11 and cgap <= 1e-11, f"level {level} block {i}"
         lf = LevelFactors(*blr2_factors_from_sketches(

@@ -3,11 +3,9 @@ import pytest
 
 from hsskit import (
     BLR2Factorization,
-    BlockPartition,
     frobenius_error,
     greedy_hss_explicit,
     hard_instance,
-    hss_block_row,
     random_hss_matrix,
     blr2_reconstruct,
     reconstruct_dense,
@@ -15,7 +13,7 @@ from hsskit import (
 )
 from hsskit.structures import block_apply, block_apply_t, block_to_dense
 
-from helpers import random_sss, svd_tail_energy
+from helpers import brute_block_col, brute_block_row, random_sss, svd_tail_energy
 
 
 class TestSssStepExplicit:
@@ -89,15 +87,14 @@ class TestOneLevelOptimality:
         rng = np.random.default_rng(2)
         A = rng.standard_normal((32, 32))
         k, level = 2, 3
-        part = BlockPartition(level, k)
         factors, _ = sss_step_explicit(A, level, k)
-        for i in range(part.block_count):
-            row = hss_block_row(A, part, i)
+        for i in range(1 << level):
+            row = brute_block_row(A, 2 * k, i)
             Ui = factors.U[i]
             resid2 = np.linalg.norm(row - Ui @ (Ui.T @ row)) ** 2
             opt2 = svd_tail_energy(row, k)
             assert abs(resid2 - opt2) <= 1e-10 * max(opt2, 1.0)
-            col = hss_block_row(A.T, part, i).T
+            col = brute_block_col(A, 2 * k, i)
             Vi = factors.V[i]
             cresid2 = np.linalg.norm(col - (col @ Vi) @ Vi.T) ** 2
             copt2 = svd_tail_energy(col, k)

@@ -3,14 +3,12 @@ import pytest
 
 from hsskit import (
     BLR2Factorization,
-    BlockPartition,
     LevelFactors,
     RngStream,
     TelescopingFactorization,
     hard_instance,
     hss_apply,
     hss_apply_transpose,
-    hss_block_row,
     blr2_apply,
     blr2_reconstruct,
     random_telescoping,
@@ -18,53 +16,71 @@ from hsskit import (
     validate_hss_ranks,
 )
 
-from hsskit.structures import block_apply, block_to_dense
+from hsskit.structures import (
+    _diagonal_blocks,
+    _off_diagonal_slabs,
+    block_apply,
+    block_to_dense,
+)
 
 from helpers import brute_block_col, brute_block_row, random_sss
+
+
+def _slabs(A, w):
+    """Row and column views of a copy of A with its diagonal w x w blocks zeroed."""
+    R = np.array(A, order="C")
+    _diagonal_blocks(R, w)[...] = 0.0
+    return _off_diagonal_slabs(R, w)
+
+
+def _drop_diagonal(slab, i, w):
+    return np.delete(slab, np.s_[i * w : (i + 1) * w], axis=1)
 
 
 class TestBlockSlabs:
     def test_hard_instance_first_block_row(self):
         A = hard_instance(2, 0.1)
-        part = BlockPartition(level=2, rank_param=1)
-        got = hss_block_row(A, part, 0)
+        rows, _ = _slabs(A, 2)
         eye = np.eye(2)
         anti = np.array([[0.0, 1.1], [1.0, 0.0]])
-        assert np.array_equal(got, np.hstack([eye, eye, anti]))
+        assert np.array_equal(_drop_diagonal(rows[0], 0, 2), np.hstack([eye, eye, anti]))
 
     def test_zero_matrix(self):
-        part = BlockPartition(level=2, rank_param=1)
-        got = hss_block_row(np.zeros((8, 8)), part, 2)
-        assert got.shape == (2, 6)
-        assert not got.any()
+        rows, cols = _slabs(np.zeros((8, 8)), 2)
+        assert rows.shape == cols.shape == (4, 2, 8)
+        assert not rows[2].any() and not cols[2].any()
 
     def test_matches_brute_force_slicer(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((16, 16))
-        part = BlockPartition(level=2, rank_param=2)
+        rows, cols = _slabs(A, 4)
         for i in range(4):
-            assert np.array_equal(hss_block_row(A, part, i), brute_block_row(A, 4, i))
-            assert np.array_equal(hss_block_row(A.T, part, i).T, brute_block_col(A, 4, i))
+            assert np.array_equal(_drop_diagonal(rows[i], i, 4), brute_block_row(A, 4, i))
+            assert np.array_equal(_drop_diagonal(cols[i], i, 4).T, brute_block_col(A, 4, i))
 
     def test_concatenating_diagonal_back_recovers_block_row(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((16, 16))
-        part = BlockPartition(level=1, rank_param=4)
-        w = part.block_size
-        for i in range(part.block_count):
-            slab = hss_block_row(A, part, i)
-            diag = A[i * w : (i + 1) * w, i * w : (i + 1) * w]
-            rebuilt = np.hstack([slab[:, : i * w], diag, slab[:, i * w :]])
+        w = 8
+        rows, cols = _slabs(A, w)
+        for i in range(2):
+            assert not rows[i][:, i * w : (i + 1) * w].any()
+            assert not cols[i][:, i * w : (i + 1) * w].any()
+            rebuilt = rows[i].copy()
+            rebuilt[:, i * w : (i + 1) * w] = A[i * w : (i + 1) * w, i * w : (i + 1) * w]
             assert np.array_equal(rebuilt, A[i * w : (i + 1) * w])
 
+    def test_views_share_memory(self):
+        R = np.random.default_rng(2).standard_normal((16, 16))
+        for view in _off_diagonal_slabs(R, 4):
+            assert np.shares_memory(view, R)
+
     def test_errors(self):
-        part = BlockPartition(level=2, rank_param=1)
         with pytest.raises(ValueError):
-            hss_block_row(np.zeros((6, 6)), part, 0)
+            _off_diagonal_slabs(np.zeros((6, 6)), 4)
+        rows, _ = _off_diagonal_slabs(np.zeros((8, 8)), 2)
         with pytest.raises(IndexError):
-            hss_block_row(np.zeros((8, 8)), part, 4)
-        with pytest.raises(ValueError):
-            BlockPartition(level=-1, rank_param=1)
+            rows[4]
 
 
 class TestReconstruct:
@@ -134,6 +150,14 @@ class TestApply:
         with pytest.raises(ValueError):
             hss_apply(T, np.zeros(T.dim + 1))
 
+    def test_operand_must_be_vector_or_block(self):
+        T = random_telescoping(2, 2, RngStream(5).child("apply"))
+        for bad in (np.ones((T.dim, 2, 3)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=r"operand shape \(.*\) does not match dim"):
+                hss_apply(T, bad)
+            with pytest.raises(ValueError, match=r"operand shape"):
+                hss_apply_transpose(T, bad)
+
 
 class TestSSSContainer:
     """The one-level container: BLR2 with the diagonal pattern."""
@@ -143,6 +167,12 @@ class TestSSSContainer:
         dense = blr2_reconstruct(f)
         x = np.random.default_rng(1).standard_normal((f.dim, 2))
         assert np.linalg.norm(blr2_apply(f, x) - dense @ x) <= 1e-12 * np.linalg.norm(dense @ x)
+
+    def test_operand_must_be_vector_or_block(self):
+        f = random_sss(2, 2, seed=2)
+        for bad in (np.ones((f.dim, 2, 3)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=r"operand shape \(.*\) does not match dim"):
+                blr2_apply(f, bad)
 
     def test_shape_validation(self):
         f = random_sss(2, 2, seed=1)
@@ -166,3 +196,22 @@ class TestValidateRanks:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             validate_hss_ranks(np.zeros((10, 10)), 2, 2, 1e-10)
+
+    def test_single_block_column_violation(self):
+        # L = 2, k = 2: four level-2 blocks of side 4.  Below the diagonal,
+        # block column 0 stacks three rank-one blocks a_i b_i^T, so every
+        # block row has rank 1 <= k.  The column's rank is the dimension of
+        # span{b_1, b_2, b_3}; at level 1 only blocks 2 and 3 are
+        # off-diagonal, rank 2 <= k.  The one possible violation is the
+        # level-2 block column, and only the column view can see it.
+        rng = np.random.default_rng(3)
+        for b3_independent in (True, False):
+            A = block_to_dense(rng.standard_normal((4, 4, 4)))
+            a = rng.standard_normal((4, 4))
+            b = rng.standard_normal((4, 4))
+            if not b3_independent:
+                b[3] = b[1] - 2.0 * b[2]
+            for i in range(1, 4):
+                A[4 * i : 4 * i + 4, :4] = np.outer(a[i], b[i])
+            assert validate_hss_ranks(A, 2, 2, 1e-10) is not b3_independent
+            assert validate_hss_ranks(A.T, 2, 2, 1e-10) is not b3_independent

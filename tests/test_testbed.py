@@ -153,6 +153,14 @@ class TestFrobeniusError:
         with pytest.raises(ValueError):
             frobenius_error(np.zeros((4, 4)), np.zeros((4, 4)))
 
+    def test_dense_shape_mismatch_rejected(self):
+        # A (1, n) approximation would broadcast against A and read 1.0.
+        A = np.diag([3.0, 4.0, 5.0])
+        for approx in (np.zeros((1, 3)), np.zeros((3, 1)), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match=r"\(3, 3\)") as info:
+                frobenius_error(A, approx)
+            assert str(approx.shape) in str(info.value)
+
     def test_accepts_oracle_extracted_matrix(self):
         A = random_hss_matrix(2, 2, seed=8)
         o = MatvecOracle.from_dense(A)
