@@ -342,13 +342,13 @@ def blr2_factors_from_sketches(
 
 
 def _query_sketches(stream: RngStream, pattern: BLR2Pattern, s: int, op: MatvecOracle):
-    """Draw the four Gaussian test matrices of a one-level step, one (m, s)
-    block per ``stream.child(block, role)``, and query their images through
-    ``op`` (4s queries).  Returns the eight arrays in the argument order of
+    """Draw the four Gaussian test matrices of a one-level step, each one
+    (dim, s) draw from ``stream.child(role)`` whose block i is rows
+    [i m, (i + 1) m), and query their images through ``op`` (4s queries).
+    Returns the eight arrays in the argument order of
     :func:`blr2_factors_from_sketches`."""
-    b, m = pattern.block_count, pattern.block_size
     omega, psi, omega_diag, psi_diag = (
-        np.vstack([gaussian(m, s, stream.child(blk, role)) for blk in range(b)])
+        gaussian(pattern.dim, s, stream.child(role))
         for role in ("omega", "psi", "omega-diag", "psi-diag")
     )
     Y = op.apply(omega)

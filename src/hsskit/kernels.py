@@ -4,7 +4,9 @@ This module contains the small set of dense primitives everything else is
 built on:
 
   - ``RngStream``: splittable, path-keyed random streams (counter-based
-    Philox underneath) so block-parallel sampling is schedule-independent.
+    Philox underneath).  The sketch path keys one stream per (seed, level,
+    role) and draws the whole test matrix from it; block i of a level is a
+    row slice of that draw, so no block's sample depends on a schedule.
   - ``gaussian``: reproducible i.i.d. standard-normal test matrices.
   - ``truncated_svd_left``: top-k left singular subspace with deterministic
     sign / tie handling.
@@ -77,7 +79,9 @@ class RngStream:
     Identical (seed, path) pairs always produce identical samples; distinct
     paths behave as independent streams.  ``child`` derives a substream and
     never mutates the parent, so streams can be handed to parallel workers
-    without coordination.
+    without coordination.  Each generator set-up costs a SeedSequence and a
+    Philox, so callers key one stream per draw they need (per level and
+    role for sketches), not one per block, and slice blocks out of it.
     """
 
     seed: int
@@ -140,11 +144,17 @@ def truncated_svd_left(B, k: int) -> np.ndarray:
     the Frobenius norm.  Columns are sign-normalized; when retained and
     discarded singular values tie to within ``TIE_CUTOFF`` relative, the
     lexicographically earlier singular vectors are kept so results are
-    deterministic.
+    deterministic.  A wide stack (cols > rows) is first reduced to the
+    (b, rows, rows) stack R^T from the QR factorization B^T = Q R, which has
+    the same left singular vectors and singular values, so no (b, rows,
+    cols) right factor is ever formed.
     """
     B, single = _as_stack(B, "B")
-    if not 1 <= k <= min(B.shape[1:]):
+    rows, cols = B.shape[1:]
+    if not 1 <= k <= min(rows, cols):
         raise ValueError(f"k={k} out of range for shape {B.shape[1:]}")
+    if cols > rows:
+        B = np.linalg.qr(B.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
     U, svals, _ = np.linalg.svd(B, full_matrices=False)
     U = _fix_signs(U)
     if k < svals.shape[1]:

@@ -18,8 +18,9 @@ each level's sketches come from:
     trades guarantees for queries.  Bases come from either the sketched SVD
     or a column-pivoted QR.
 
-Per-level and per-block randomness is keyed by (seed, level, block, role)
-paths, so both drivers draw identical level-L sketches for the same seed.
+Randomness is keyed by (seed, level, role) paths: each of a level's four
+test matrices is one draw, and block i is rows [i m, (i + 1) m) of it.  Both
+drivers therefore draw identical level-L sketches for the same seed.
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ at one query against A per operand column.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .structures import (
@@ -100,22 +98,18 @@ class QueryCounter:
     """Monotone counters of single-vector queries; reset only on request."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.forward_count = 0
         self.transpose_count = 0
 
     def add_forward(self, n: int):
-        with self._lock:
-            self.forward_count += n
+        self.forward_count += n
 
     def add_transpose(self, n: int):
-        with self._lock:
-            self.transpose_count += n
+        self.transpose_count += n
 
     def reset(self):
-        with self._lock:
-            self.forward_count = 0
-            self.transpose_count = 0
+        self.forward_count = 0
+        self.transpose_count = 0
 
     @property
     def total(self) -> int:

@@ -84,7 +84,9 @@ def hard_instance(L: int, delta: float) -> np.ndarray:
 
 def random_telescoping(L: int, k: int, stream: RngStream) -> TelescopingFactorization:
     """Random factorization: orthonormal bases from QR of Gaussian blocks,
-    Gaussian remainders and root."""
+    Gaussian remainders and root.  Each block is drawn from its own (level,
+    block, role) stream, unlike the sketch draws; the matrices that ``hsskit
+    gen`` writes are pinned to this keying."""
     levels = []
     for level in range(1, L + 1):
         b, w = 1 << level, 2 * k
@@ -105,7 +107,8 @@ def random_hss_matrix(L: int, k: int, seed: int) -> np.ndarray:
 
 
 def random_blr2_matrix(pattern: BLR2Pattern, k: int, seed: int) -> np.ndarray:
-    """Dense matrix that is exactly BLR2 for the given pattern and rank."""
+    """Dense matrix that is exactly BLR2 for the given pattern and rank,
+    drawn block by block like :func:`random_telescoping`."""
     stream = RngStream(seed).child("blr2")
     b, m = pattern.block_count, pattern.block_size
     U = np.empty((b, m, k))

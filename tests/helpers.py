@@ -57,3 +57,18 @@ def brute_block_col(A, block_size, j):
 
 def rank_deficient_free_gaussian(rows, cols, seed):
     return gaussian(rows, cols, RngStream(seed).child("test"))
+
+
+def direct_svd_left(B, k):
+    """Top-k left singular vectors from the SVD of the 2-D matrix B itself,
+    with the documented sign rule (largest-magnitude entry of each column
+    positive) and tie rule (singular values within 1e-14 of the k-th,
+    relative to the largest, are ordered by their sign-normalized vectors,
+    lexicographically)."""
+    U, svals, _ = np.linalg.svd(B, full_matrices=False)
+    lead = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])]
+    U = U * np.where(lead < 0, -1.0, 1.0)
+    tied = np.flatnonzero(np.abs(svals - svals[k - 1]) <= 1e-14 * svals[0])
+    if svals[0] > 0 and tied[-1] >= k:
+        U[:, tied] = U[:, sorted(tied, key=lambda j: tuple(U[:, j]))]
+    return U[:, :k]

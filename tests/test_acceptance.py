@@ -284,7 +284,7 @@ def test_criterion_10_blr2_recovery_and_specialization():
     T = hss_from_matvecs_fresh(MatvecOracle.from_dense(A), MatvecConfig(level, k, s, seed=78))
     stream = RngStream(78)
     omega, psi, od, pd = (
-        np.vstack([gaussian(m, s, stream.child(level, blk, role)) for blk in range(b)])
+        gaussian(n, s, stream.child(level, role))
         for role in ("omega", "psi", "omega-diag", "psi-diag")
     )
     Y, Yd, Z, Zd = A @ omega, A @ od, A.T @ psi, A.T @ pd

@@ -16,9 +16,13 @@ from hsskit import (
     frobenius_error,
     gaussian,
     hss_from_matvecs_fresh,
+    hss_from_matvecs_reused,
     nullspace_basis,
     random_blr2_matrix,
 )
+
+
+ROLES = ("omega", "psi", "omega-diag", "psi-diag")
 
 
 def _outside(pattern, hit):
@@ -226,7 +230,7 @@ class TestSpecialization:
         T = hss_from_matvecs_fresh(MatvecOracle.from_dense(A), MatvecConfig(level, k, s, seed=17))
         stream = RngStream(17)
         omega, psi, od, pd = (
-            np.vstack([gaussian(m, s, stream.child(level, blk, role)) for blk in range(b)])
+            gaussian(n, s, stream.child(level, role))
             for role in ("omega", "psi", "omega-diag", "psi-diag")
         )
         U, V, D = blr2_factors_from_sketches(
@@ -236,3 +240,48 @@ class TestSpecialization:
         assert np.array_equal(U, finest.U)
         assert np.array_equal(V, finest.V)
         assert np.array_equal(D, finest.D)
+
+    def test_both_drivers_run_the_step_on_one_draw_per_role(self):
+        # A level draws each test matrix as one (dim, s) Gaussian keyed by
+        # (seed, level, role); the fresh and the reused-svd drivers share
+        # their finest level, and both equal the step fed those draws.
+        k, level, seed = 2, 3, 19
+        pat = BLR2Pattern.diagonal(1 << level, 2 * k)
+        n, s = pat.dim, 3 * k + 2
+        A = np.random.default_rng(18).standard_normal((n, n))
+        omega, psi, od, pd = (gaussian(n, s, RngStream(seed).child(level, role)) for role in ROLES)
+        want = blr2_factors_from_sketches(
+            pat, k, omega, psi, od, pd, A @ omega, A.T @ psi, A @ od, A.T @ pd
+        )
+        oracle = MatvecOracle.from_dense(A)
+        for T in (
+            hss_from_matvecs_fresh(oracle, MatvecConfig(level, k, s, seed)),
+            hss_from_matvecs_reused(oracle, MatvecConfig(level, k, s, seed, sketch_policy="reused")),
+        ):
+            finest = T.levels[-1]
+            for got, expected in zip((finest.U, finest.V, finest.D), want):
+                assert np.array_equal(got, expected)
+
+    def test_blr2_from_matvecs_draws_one_matrix_per_role(self):
+        # The flat builder queries gaussian(dim, s, RngStream(seed).child(role))
+        # for each role, then probes the core with b*k columns.
+        pat = BLR2Pattern.tridiagonal(4, 4)
+        k, seed = 2, 21
+        s = pat.width_floor(k)
+        A = random_blr2_matrix(pat, k, seed=20)
+        forward, transpose = [], []
+
+        def recorded(log, M):
+            def product(x):
+                log.append(x.copy())
+                return M @ x
+
+            return product
+
+        oracle = MatvecOracle(pat.dim, recorded(forward, A), recorded(transpose, A.T))
+        blr2_from_matvecs(oracle, pat, k, s, seed)
+        omega, psi, od, pd = (gaussian(pat.dim, s, RngStream(seed).child(role)) for role in ROLES)
+        assert [x.shape[1] for x in forward] == [s, s, pat.block_count * k]
+        assert len(transpose) == 2
+        assert np.array_equal(forward[0], omega) and np.array_equal(forward[1], od)
+        assert np.array_equal(transpose[0], psi) and np.array_equal(transpose[1], pd)

@@ -29,6 +29,8 @@ from hsskit import (
 )
 from hsskit.structures import block_apply, block_apply_t, block_to_dense
 
+from helpers import direct_svd_left
+
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 seeds = st.integers(0, 2**32 - 1)
@@ -46,6 +48,33 @@ class TestStackedKernelsMatchTwoD:
         assert got.shape == (b, r, k)
         for i in range(b):
             assert np.array_equal(got[i], truncated_svd_left(B[i], k))
+
+    @PROPERTY
+    @given(
+        seed=seeds,
+        b=stack_sizes,
+        r=st.integers(2, 8),
+        wide=st.sampled_from(["one more column", "many more columns"]),
+        data=st.data(),
+    )
+    def test_wide_truncated_svd_left_matches_direct_svd(self, seed, b, r, wide, data):
+        # A wide stack goes through the QR of B^T; each member must still get
+        # the U of its own SVD.  Member t has a scattered signed-permutation
+        # structure whose singular values tie across position k, so only the
+        # tie rule decides which of the tied vectors are kept.
+        c = r + 1 if wide == "one more column" else 40 * r + 7
+        k = data.draw(st.integers(1, r - 1))
+        t = data.draw(st.integers(0, b - 1))
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((b, r, c))
+        svals = np.sort(rng.uniform(1.0, 2.0, r))[::-1]
+        svals[k] = svals[k - 1]
+        B[t] = 0.0
+        B[t, rng.permutation(r), rng.permutation(c)[:r]] = rng.choice([-1.0, 1.0], r) * svals
+        got = truncated_svd_left(B, k)
+        assert got.shape == (b, r, k)
+        for i in range(b):
+            assert np.abs(got[i] - direct_svd_left(B[i], k)).max() <= 1e-12
 
     @PROPERTY
     @given(seed=seeds, b=stack_sizes, m=dims, extra=dims)
