@@ -10,16 +10,18 @@ blocks of each test-matrix line, extracts rank-k bases from the nullified
 sketches (sketched SVD or pivoted QR), and un-sketches the pattern blocks
 from an independent pair of sketches with the bases held fixed.
 
-The step works on stacks, not on one block at a time: the block rows (and
-columns) of the pattern are grouped by how many pattern blocks they hold,
-and each group goes through the stacked kernels of :mod:`hsskit.kernels` in
-one call.  The diagonal pattern of the hierarchical drivers is one group per
-side.
+The step works on stacks, not on one block at a time: the block rows of the
+pattern are grouped by how many pattern blocks they hold, and each group goes
+through the stacked kernels of :mod:`hsskit.kernels` in one call.  The
+diagonal pattern of the hierarchical drivers is one group per side.
+Transposition is data: the column side of every rule is the row side run on
+``pattern.T``, the pattern of A^T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,25 +45,24 @@ __all__ = [
 BASIS_METHODS = ("svd-pcps", "pivoted-qr")
 
 
-def _line_groups(lines: tuple, pair_position) -> tuple:
-    """Group the lines (block rows or columns) of a pattern by their number h
-    of pattern blocks, so that each group is one stack for the kernels.
+def _group_rows(rows: tuple) -> tuple:
+    """Group the block rows of a pattern by their number h of pattern blocks,
+    so that each group is one stack for the kernels.
 
     Returns one ``(members, hits, positions)`` per h, in increasing h:
-    ``members`` (g,) are the line indices, ``hits`` (g, h) their pattern
-    blocks and ``positions`` (g, h) those blocks' places in ``sorted_pairs``.
+    ``members`` (g,) are the row indices, ``hits`` (g, h) their pattern
+    blocks and ``positions`` (g, h) those blocks' places in ``sorted_pairs``,
+    where the pairs of each row are consecutive.
     """
+    starts = np.cumsum([0] + [len(hit) for hit in rows])
     by_count = {}
-    for i, hit in enumerate(lines):
+    for i, hit in enumerate(rows):
         by_count.setdefault(len(hit), []).append(i)
     groups = []
     for h, members in sorted(by_count.items()):
-        shape = (len(members), h)
-        hits = np.array([lines[i] for i in members], dtype=np.intp).reshape(shape)
-        positions = np.array(
-            [[pair_position(i, j) for j in lines[i]] for i in members], dtype=np.intp
-        ).reshape(shape)
-        groups.append((np.array(members, dtype=np.intp), hits, positions))
+        members = np.array(members, dtype=np.intp)
+        hits = np.array([rows[i] for i in members], dtype=np.intp).reshape(len(members), h)
+        groups.append((members, hits, starts[members, None] + np.arange(h)))
     return tuple(groups)
 
 
@@ -72,7 +73,9 @@ class BLR2Pattern:
     ``pairs`` lists the (row, col) positions, 0-based, whose blocks live in
     the dense remainder; every other block must be low-rank through the
     shared bases.  ``sorted_pairs`` is the order in which a factorization
-    stacks its remainder blocks.
+    stacks its remainder blocks.  Transposition is data: ``pattern.T`` is
+    the pattern of A^T, so the block columns of a pattern are the block rows
+    of its transpose.
     """
 
     block_count: int
@@ -87,24 +90,22 @@ class BLR2Pattern:
         for i, j in pairs:
             if not (0 <= i < self.block_count and 0 <= j < self.block_count):
                 raise ValueError(f"pattern pair {(i, j)} out of range")
-        # Per-line index tuples, built once: the build step looks them up
-        # for every block row and column.
+        # Per-row index tuples and arrays, built once: the build step and
+        # the operations on a factorization walk the pattern through them.
         ordered = tuple(sorted(pairs))
         rows = [[] for _ in range(self.block_count)]
-        cols = [[] for _ in range(self.block_count)]
         for i, j in ordered:
             rows[i].append(j)
-            cols[j].append(i)
         object.__setattr__(self, "sorted_pairs", ordered)
         object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
-        object.__setattr__(self, "_cols", tuple(map(tuple, cols)))
-        position = {pair: p for p, pair in enumerate(ordered)}
-        object.__setattr__(
-            self, "_row_groups", _line_groups(self._rows, lambda i, j: position[i, j])
-        )
-        object.__setattr__(
-            self, "_col_groups", _line_groups(self._cols, lambda j, i: position[i, j])
-        )
+        object.__setattr__(self, "_row_groups", _group_rows(self._rows))
+        # (2, nnz): the row and the column index of each pair, in order.
+        object.__setattr__(self, "_pair_index", np.array(ordered, dtype=np.intp).reshape(-1, 2).T)
+
+    @cached_property
+    def T(self) -> "BLR2Pattern":
+        """The pattern of the transposed matrix: pairs (j, i)."""
+        return BLR2Pattern(self.block_count, self.block_size, frozenset((j, i) for i, j in self.pairs))
 
     @classmethod
     def diagonal(cls, block_count: int, block_size: int) -> "BLR2Pattern":
@@ -124,23 +125,17 @@ class BLR2Pattern:
     def dim(self) -> int:
         return self.block_count * self.block_size
 
-    def _line(self, lines: tuple, i: int) -> tuple:
+    def row_inadmissible(self, i: int) -> tuple:
+        """Columns j with (i, j) in the pattern (dense-remainder blocks);
+        ``pattern.T.row_inadmissible(j)`` gives the rows of column j."""
         if not 0 <= i < self.block_count:
             raise IndexError(f"block index {i} out of range [0, {self.block_count})")
-        return lines[i]
-
-    def row_inadmissible(self, i: int) -> tuple:
-        """Columns j with (i, j) in the pattern (dense-remainder blocks)."""
-        return self._line(self._rows, i)
-
-    def col_inadmissible(self, j: int) -> tuple:
-        """Rows i with (i, j) in the pattern."""
-        return self._line(self._cols, j)
+        return self._rows[i]
 
     @property
     def max_blocks_per_line(self) -> int:
         """Largest number of pattern blocks in any row or column."""
-        return max(map(len, self._rows + self._cols))
+        return max(map(len, self._rows + self.T._rows))
 
     def width_floor(self, k: int) -> int:
         """Smallest admissible sketch width for rank k."""
@@ -194,12 +189,12 @@ def _as_sketches(pattern: BLR2Pattern, names, arrays) -> list:
 
 
 def _nullify(tests: np.ndarray, images: np.ndarray, members, hits):
-    """Nullify the pattern blocks of a group of lines with h blocks each.
+    """Nullify the pattern blocks of a group of block rows with h blocks each.
 
     ``tests`` and ``images`` are (b, m, s) block stacks.  Returns ``(P,
     sketches)``: P (g, s, s - h m) holds orthonormal nullspace bases of the
-    stacked pattern blocks of ``tests``, one per line of ``members``, and
-    sketches (g, m, s - h m) the image blocks of those lines times P.  With
+    stacked pattern blocks of ``tests``, one per row of ``members``, and
+    sketches (g, m, s - h m) the image blocks of those rows times P.  With
     h = 0, P is None and the sketches are the image blocks themselves.
     """
     g, h = hits.shape
@@ -215,24 +210,19 @@ def _blocks(pattern: BLR2Pattern, arr: np.ndarray) -> np.ndarray:
     return arr.reshape(pattern.block_count, pattern.block_size, -1)
 
 
-def blr2_block_nullify(omega, images, pattern: BLR2Pattern, i: int, side: str = "row"):
-    """Nullify the pattern blocks of one row (or column) of a test matrix.
+def blr2_block_nullify(omega, images, pattern: BLR2Pattern, i: int):
+    """Nullify the pattern blocks of one block row of a test matrix.
 
     Returns ``(P, sketch)``: P is an orthonormal basis of the nullspace of
-    the blocks of omega (psi for a column) that pattern line i hits, and
-    sketch = images_i @ P.  For images = A omega the sketch equals the
-    admissible part of block row i of A times the implicit Gaussian test
-    matrix formed by the remaining blocks of omega times P.  A line with no
-    pattern blocks gets P = I.  Raises ``LinAlgError`` when those blocks are
-    rank-deficient.  The build step nullifies whole groups of lines at once
-    through the same code.
+    the blocks of omega that pattern row i hits, and sketch = images_i @ P.
+    For images = A omega the sketch equals the admissible part of block row
+    i of A times the implicit Gaussian test matrix formed by the remaining
+    blocks of omega times P.  A row with no pattern blocks gets P = I.
+    Raises ``LinAlgError`` when those blocks are rank-deficient.  Block
+    column j is block row j of ``pattern.T``: pass psi and Z = A^T psi.  The
+    build step nullifies whole groups of rows at once through the same code.
     """
-    if side == "row":
-        hit = pattern.row_inadmissible(i)
-    elif side == "col":
-        hit = pattern.col_inadmissible(i)
-    else:
-        raise ValueError("side must be 'row' or 'col'")
+    hit = pattern.row_inadmissible(i)
     omega = np.asarray(omega, dtype=np.float64)
     images = np.asarray(images, dtype=np.float64)
     if omega.shape[0] != pattern.dim:
@@ -244,14 +234,15 @@ def blr2_block_nullify(omega, images, pattern: BLR2Pattern, i: int, side: str = 
     return (np.eye(omega.shape[1]) if P is None else P[0]), sketch[0]
 
 
-def _unsketch(groups, nnz: int, Q: np.ndarray, images: np.ndarray, tests: np.ndarray) -> np.ndarray:
-    """For every pattern pair of one side, the (m, m) block of
+def _unsketch(pattern: BLR2Pattern, Q: np.ndarray, images: np.ndarray, tests: np.ndarray) -> np.ndarray:
+    """For every pair (i, j) of the pattern, the (m, m) block j of
     (I - Q_i Q_i^T) images_i pinv(tests stacked over the pattern blocks of
-    line i) that belongs to the pair, stacked in ``sorted_pairs`` order.
-    ``Q``, ``images`` and ``tests`` are (b, m, .) block stacks."""
+    row i), stacked in ``pattern.sorted_pairs`` order.  ``Q`` is a (b, m, .)
+    block stack; ``images`` and ``tests`` are (dim, s)."""
+    images, tests = _blocks(pattern, images), _blocks(pattern, tests)
     _, m, s = tests.shape
-    out = np.empty((nnz, m, m))
-    for members, hits, positions in groups:
+    out = np.empty((len(pattern.sorted_pairs), m, m))
+    for members, hits, positions in pattern._row_groups:
         g, h = hits.shape
         if h == 0:
             continue
@@ -278,8 +269,8 @@ def blr2_remainder(pattern: BLR2Pattern, U, V, omega_diag, psi_diag, Y_diag, Z_d
     independent of U and V and have at least (blocks per line) * m + 1
     columns; for a one-pair pattern {(i, i)} this is the classic diagonal
     recovery with at least 2k + 1 columns (2k + 2 for the error bound).
-    Lines with the same number of pattern blocks are un-sketched as one
-    stack.
+    Rows with the same number of pattern blocks are un-sketched as one
+    stack; C is the same code run on ``pattern.T``.
     """
     m = pattern.block_size
     names = ("omega_diag", "psi_diag", "Y_diag", "Z_diag")
@@ -291,14 +282,11 @@ def blr2_remainder(pattern: BLR2Pattern, U, V, omega_diag, psi_diag, Y_diag, Z_d
         raise ValueError(
             f"diagonal-recovery sketches need at least {floor} columns, got {omega_diag.shape[1]}"
         )
-    pairs = pattern.sorted_pairs
-    R = _unsketch(
-        pattern._row_groups, len(pairs), U, _blocks(pattern, Y_diag), _blocks(pattern, omega_diag)
-    )
-    C = _unsketch(
-        pattern._col_groups, len(pairs), V, _blocks(pattern, Z_diag), _blocks(pattern, psi_diag)
-    )
-    Ur = U[np.array([i for i, _ in pairs], dtype=np.intp)]
+    R = _unsketch(pattern, U, Y_diag, omega_diag)
+    # C comes in the pair order of pattern.T; sorting the transpose's pairs
+    # (j, i) by (i, j) puts it in the pair order of the pattern.
+    C = _unsketch(pattern.T, V, Z_diag, psi_diag)[np.lexsort(pattern.T._pair_index)]
+    Ur = U[pattern._pair_index[0]]
     return R + Ur @ (Ur.transpose(0, 2, 1) @ C.transpose(0, 2, 1))
 
 
@@ -312,11 +300,12 @@ def blr2_factors_from_sketches(
     Bases come from the nullified sketches through ``basis_method``, one of
     :data:`BASIS_METHODS` ("svd-pcps": sketched SVD; "pivoted-qr": leading
     columns of a column-pivoted QR).  D is stacked in
-    ``pattern.sorted_pairs`` order, see :func:`blr2_remainder`.  Lines with
-    the same number of pattern blocks form one stack: the nullspaces, the
-    sketched SVDs and the remainder's pseudo-inverses take one kernel call
-    per group and side (one group for the diagonal pattern, two for the
-    tridiagonal one); pivoted QR stays one call per line.
+    ``pattern.sorted_pairs`` order, see :func:`blr2_remainder`.  Block rows
+    with the same number of pattern blocks form one stack: the nullspaces,
+    the sketched SVDs and the remainder's pseudo-inverses take one kernel
+    call per group and side (one group for the diagonal pattern, two for
+    the tridiagonal one); pivoted QR stays one call per block.  The V side
+    is the U side's code run on ``pattern.T``, psi and Z.
     """
     if basis_method not in BASIS_METHODS:
         raise ValueError(f"basis_method must be one of {BASIS_METHODS}")
@@ -327,11 +316,8 @@ def blr2_factors_from_sketches(
     b, m = pattern.block_count, pattern.block_size
     U = np.empty((b, m, k))
     V = np.empty((b, m, k))
-    for basis, groups, tests, images in (
-        (U, pattern._row_groups, omega, Y),
-        (V, pattern._col_groups, psi, Z),
-    ):
-        for members, hits, _ in groups:
+    for basis, side, tests, images in ((U, pattern, omega, Y), (V, pattern.T, psi, Z)):
+        for members, hits, _ in side._row_groups:
             _, sketches = _nullify(_blocks(pattern, tests), _blocks(pattern, images), members, hits)
             if basis_method == "svd-pcps":
                 basis[members] = pcps_basis(sketches, k)
@@ -359,11 +345,17 @@ def _query_sketches(stream: RngStream, pattern: BLR2Pattern, s: int, op: MatvecO
 
 
 def _remainder_matmul(pattern: BLR2Pattern, D: np.ndarray, x: np.ndarray) -> np.ndarray:
-    m = pattern.block_size
-    out = np.zeros((pattern.dim, x.shape[1]))
-    for (i, j), blk in zip(pattern.sorted_pairs, D):
-        out[i * m : (i + 1) * m] += blk @ x[j * m : (j + 1) * m]
-    return out
+    """The block-sparse product D x: per row group, one batched matmul of
+    each row's pattern blocks, side by side, with their blocks of x."""
+    b, m = pattern.block_count, pattern.block_size
+    w = x.shape[1]
+    xb = x.reshape(b, m, w)
+    out = np.zeros((b, m, w))
+    for members, hits, positions in pattern._row_groups:
+        g, h = hits.shape
+        slab = D[positions].transpose(0, 2, 1, 3).reshape(g, m, h * m)
+        out[members] = slab @ xb[hits].reshape(g, h * m, w)
+    return out.reshape(pattern.dim, w)
 
 
 def blr2_from_matvecs(
@@ -373,28 +365,31 @@ def blr2_from_matvecs(
 
     The core X = U^T (A - D) V needs access beyond the sketches; it is
     realized by probing A with the b*k columns of the block-diagonal V and
-    correcting with the recovered remainder.
+    subtracting U_i^T D_ij V_j from block (i, j) for every pattern pair.
     """
     if oracle.dim != pattern.dim:
         raise ValueError(f"oracle dim {oracle.dim} does not match pattern dim {pattern.dim}")
+    b, m = pattern.block_count, pattern.block_size
+    if not 1 <= k <= m:
+        raise ValueError(f"rank k={k} must lie in [1, m={m}], the block size")
     floor = pattern.width_floor(k)
     if s < floor:
         raise ValueError(f"s={s} below the pattern floor {floor}")
     sketches = _query_sketches(RngStream(seed), pattern, s, oracle)
     U, V, D = blr2_factors_from_sketches(pattern, k, *sketches)
-    V_dense = block_to_dense(V)
-    AV = oracle.apply(V_dense)  # b*k probe queries
-    X = block_apply_t(U, AV - _remainder_matmul(pattern, D, V_dense))
-    return BLR2Factorization(pattern, k, U, V, X, D)
+    X = block_apply_t(U, oracle.apply(block_to_dense(V))).reshape(b, k, b, k)  # b*k probe queries
+    rows, cols = pattern._pair_index
+    X[rows, :, cols] -= U[rows].transpose(0, 2, 1) @ D @ V[cols]
+    return BLR2Factorization(pattern, k, U, V, X.reshape(b * k, b * k), D)
 
 
 def blr2_reconstruct(F: BLR2Factorization) -> np.ndarray:
     """Dense matrix represented by a BLR2 factorization."""
-    dense = block_apply(F.V, block_apply(F.U, F.X).T).T
-    m = F.pattern.block_size
-    for (i, j), blk in zip(F.pattern.sorted_pairs, F.D):
-        dense[i * m : (i + 1) * m, j * m : (j + 1) * m] += blk
-    return dense
+    b, m = F.pattern.block_count, F.pattern.block_size
+    dense = block_apply(F.V, block_apply(F.U, F.X).T).T.reshape(b, m, b, m)
+    rows, cols = F.pattern._pair_index
+    dense[rows, :, cols] += F.D
+    return dense.reshape(F.dim, F.dim)
 
 
 def blr2_apply(F: BLR2Factorization, x) -> np.ndarray:

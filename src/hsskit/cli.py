@@ -44,8 +44,8 @@ def load_pattern(spec: str, block_count: int, block_size: int) -> BLR2Pattern:
             if not line:
                 continue
             parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{spec}:{lineno}: expected 'i j', got {raw!r}")
+            if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+                raise ValueError(f"{spec}:{lineno}: expected two integers 'i j', got {raw!r}")
             i, j = (int(p) for p in parts)
             if not (1 <= i <= block_count and 1 <= j <= block_count):
                 raise ValueError(f"{spec}:{lineno}: pair ({i}, {j}) out of range")
@@ -104,8 +104,8 @@ def _cmd_approx(args) -> int:
 
 def _cmd_blr2(args) -> int:
     base = _oracle_from_source(args.src)
-    if base.dim % args.m:
-        raise ValueError(f"operator dim {base.dim} is not a multiple of block size {args.m}")
+    if args.m < 1 or base.dim % args.m:
+        raise ValueError(f"--m {args.m} is not a positive divisor of the operator dim {base.dim}")
     pattern = load_pattern(args.pattern, base.dim // args.m, args.m)
     oracle = CountingOracle(base)
     F = blr2_from_matvecs(oracle, pattern, args.k, args.s, args.seed)

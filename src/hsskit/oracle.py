@@ -22,7 +22,6 @@ from .structures import (
     block_apply,
     block_apply_t,
     hss_apply,
-    hss_apply_transpose,
 )
 
 __all__ = [
@@ -168,4 +167,4 @@ def dense_from_oracle(oracle: MatvecOracle) -> np.ndarray:
 
 def oracle_from_factorization(T: TelescopingFactorization) -> MatvecOracle:
     """Oracle backed by the fast apply of a telescoping factorization."""
-    return MatvecOracle(T.dim, lambda x: hss_apply(T, x), lambda x: hss_apply_transpose(T, x))
+    return MatvecOracle(T.dim, lambda x: hss_apply(T, x), lambda x: hss_apply(T.T, x))

@@ -234,7 +234,8 @@ def hss_apply(T: TelescopingFactorization, x) -> np.ndarray:
 
 
 def hss_apply_transpose(T: TelescopingFactorization, x) -> np.ndarray:
-    """Multiply the transpose of the represented matrix by x: ``hss_apply(T.T, x)``."""
+    """Multiply the transpose of the represented matrix by x: ``hss_apply(T.T,
+    x)``.  Kept only because the benchmark in ``perfbench/`` calls it."""
     return hss_apply(T.T, x)
 
 

@@ -55,6 +55,21 @@ def brute_block_col(A, block_size, j):
     return np.vstack(pieces)
 
 
+def brute_blr2_parts(F):
+    """Dense blockdiag(U), blockdiag(V) and remainder of a BLR2
+    factorization, the remainder placed pair by pair."""
+    b, m, k = F.pattern.block_count, F.pattern.block_size, F.rank_param
+    Ud = np.zeros((b * m, b * k))
+    Vd = np.zeros((b * m, b * k))
+    for i in range(b):
+        Ud[i * m : (i + 1) * m, i * k : (i + 1) * k] = F.U[i]
+        Vd[i * m : (i + 1) * m, i * k : (i + 1) * k] = F.V[i]
+    Dd = np.zeros((b * m, b * m))
+    for (i, j), blk in zip(F.pattern.sorted_pairs, F.D):
+        Dd[i * m : (i + 1) * m, j * m : (j + 1) * m] = blk
+    return Ud, Vd, Dd
+
+
 def rank_deficient_free_gaussian(rows, cols, seed):
     return gaussian(rows, cols, RngStream(seed).child("test"))
 

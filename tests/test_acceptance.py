@@ -88,7 +88,7 @@ def test_criterion_02_block_nullification_identity():
             G = np.vstack([omega[j * w : (j + 1) * w] for j in range(blocks) if j != i]) @ P
             gap = np.abs(sketch - brute_block_row(dense, w, i) @ G).max()
             worst = max(worst, gap)
-            Q, csketch = blr2_block_nullify(psi, Z, pattern, i, "col")
+            Q, csketch = blr2_block_nullify(psi, Z, pattern.T, i)
             H = np.vstack([psi[j * w : (j + 1) * w] for j in range(blocks) if j != i]) @ Q
             cgap = np.abs(csketch - brute_block_col(dense, w, i).T @ H).max()
             worst = max(worst, cgap)

@@ -48,7 +48,7 @@ class TestPattern:
         pat = BLR2Pattern.diagonal(4, 3)
         assert pat.max_blocks_per_line == 1
         assert pat.row_inadmissible(2) == (2,)
-        assert pat.col_inadmissible(2) == (2,)
+        assert pat.T.row_inadmissible(2) == (2,)
         assert _outside(pat, pat.row_inadmissible(2)) == (0, 1, 3)
         assert pat.width_floor(2) == 3 + 2 + 2
 
@@ -57,7 +57,7 @@ class TestPattern:
         assert pat.max_blocks_per_line == 3
         assert pat.row_inadmissible(0) == (0, 1)
         assert pat.row_inadmissible(3) == (2, 3, 4)
-        assert pat.col_inadmissible(7) == (6, 7)
+        assert pat.T.row_inadmissible(7) == (6, 7)
         assert pat.width_floor(2) == 3 * 4 + 2 + 2
 
     def test_out_of_range_pairs_rejected(self):
@@ -71,7 +71,7 @@ class TestBlr2BlockNullify:
         omega = gaussian(16, 10, RngStream(0).child("b2"))
         Y = gaussian(16, 10, RngStream(0).child("b2y"))
         for i in range(4):
-            P_pat, sketch = blr2_block_nullify(omega, Y, pat, i, side="row")
+            P_pat, sketch = blr2_block_nullify(omega, Y, pat, i)
             P_plain = nullspace_basis(omega[4 * i : 4 * i + 4])
             assert np.array_equal(P_pat, P_plain)
             assert np.array_equal(sketch, Y[4 * i : 4 * i + 4] @ P_plain)
@@ -81,7 +81,7 @@ class TestBlr2BlockNullify:
         s = 16  # 3 * 4 + 2 + 2 with k = 2
         omega = gaussian(pat.dim, s, RngStream(1).child("b2"))
         for i in range(8):
-            P, sketch = blr2_block_nullify(omega, np.zeros_like(omega), pat, i, side="row")
+            P, sketch = blr2_block_nullify(omega, np.zeros_like(omega), pat, i)
             hit = len(pat.row_inadmissible(i)) * 4
             assert P.shape == (s, s - hit)
             assert P.shape[1] >= s - pat.max_blocks_per_line * 4
@@ -95,7 +95,7 @@ class TestBlr2BlockNullify:
         Y = A @ omega
         m = pat.block_size
         for i in range(8):
-            P, got = blr2_block_nullify(omega, Y, pat, i, side="row")
+            P, got = blr2_block_nullify(omega, Y, pat, i)
             G = _implicit_gaussian(omega, pat, P, _outside(pat, pat.row_inadmissible(i)))
             assert np.abs(got - _rho(A, pat, i) @ G).max() <= 1e-11
 
@@ -107,8 +107,8 @@ class TestBlr2BlockNullify:
         Z = A.T @ psi
         m = 2
         for j in range(4):
-            Q, got = blr2_block_nullify(psi, Z, pat, j, side="col")
-            rows = _outside(pat, pat.col_inadmissible(j))
+            Q, got = blr2_block_nullify(psi, Z, pat.T, j)
+            rows = _outside(pat, pat.T.row_inadmissible(j))
             H = _implicit_gaussian(psi, pat, Q, rows)
             gamma = np.vstack([A[i * m : (i + 1) * m, j * m : (j + 1) * m] for i in rows])
             assert np.abs(got - gamma.T @ H).max() <= 1e-11
@@ -128,6 +128,24 @@ class TestBlr2Build:
         A = random_blr2_matrix(pat, k, seed=2)
         F = blr2_from_matvecs(MatvecOracle.from_dense(A), pat, k, s=pat.width_floor(k), seed=3)
         assert frobenius_error(A, F) <= 1e-9
+
+    def test_empty_pattern(self):
+        # No pairs: D stacks no blocks, and A is all low-rank blocks.
+        pat = BLR2Pattern(4, 4, frozenset())
+        k = 2
+        A = random_blr2_matrix(pat, k, seed=22)
+        F = blr2_from_matvecs(MatvecOracle.from_dense(A), pat, k, s=pat.width_floor(k), seed=23)
+        assert F.D.shape == (0, 4, 4)
+        assert np.linalg.norm(blr2_reconstruct(F) - A) <= 1e-9 * np.linalg.norm(A)
+        x = np.random.default_rng(24).standard_normal(16)
+        assert np.linalg.norm(blr2_apply(F, x) - A @ x) <= 1e-9 * np.linalg.norm(A @ x)
+
+    def test_rank_outside_block_size_rejected(self):
+        pat = BLR2Pattern.diagonal(4, 4)
+        oracle = MatvecOracle.from_dense(np.eye(16))
+        for k in (0, -1, 5):
+            with pytest.raises(ValueError, match=rf"k={k}\b.*m=4"):
+                blr2_from_matvecs(oracle, pat, k, s=20, seed=0)
 
     def test_zero_matrix_gives_zero_factorization(self):
         pat = BLR2Pattern.diagonal(4, 4)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,22 @@ def test_load_pattern_variants(tmp_path):
     bad.write_text("5 1\n")
     with pytest.raises(ValueError):
         load_pattern(str(bad), 4, 2)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no pairs\n")
+    assert load_pattern(str(empty), 4, 2).pairs == frozenset()
+
+
+def test_load_pattern_names_non_integer_entry(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 1\n1 x\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:2: "):
+        load_pattern(str(bad), 4, 2)
+
+
+def test_blr2_rejects_zero_block_size(capsys):
+    args = ["blr2", "--pattern", "diag", "--m", "0", "--k", "2", "--s", "8", "--in", "hss:n=32,k=2"]
+    assert main(args) == 1
+    assert "--m" in capsys.readouterr().err
 
 
 def test_gen_banded_and_grid(tmp_path):

@@ -16,6 +16,7 @@ from hsskit import (
     CountingOracle,
     MatvecOracle,
     RngStream,
+    blr2_apply,
     blr2_from_matvecs,
     blr2_reconstruct,
     compress_oracle,
@@ -29,7 +30,7 @@ from hsskit import (
 )
 from hsskit.structures import block_apply, block_apply_t, block_to_dense
 
-from helpers import direct_svd_left
+from helpers import brute_blr2_parts, direct_svd_left
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -143,6 +144,48 @@ class TestIrregularPatternStep:
         A = random_blr2_matrix(pattern, k, seed)
         F = blr2_from_matvecs(MatvecOracle.from_dense(A), pattern, k, s, seed + 1)
         assert np.linalg.norm(blr2_reconstruct(F) - A) <= 1e-9 * np.linalg.norm(A)
+
+
+def _irregular_pattern(data, m):
+    """IRREGULAR_PAIRS or a subset of it (lines with 0 to 3 blocks, no pairs
+    at all included), its block rows and columns permuted."""
+    subset = data.draw(
+        st.one_of(st.just(IRREGULAR_PAIRS), st.sets(st.sampled_from(sorted(IRREGULAR_PAIRS))))
+    )
+    rows = data.draw(st.permutations(range(5)))
+    cols = data.draw(st.permutations(range(5)))
+    return BLR2Pattern(5, m, frozenset((rows[i], cols[j]) for i, j in subset))
+
+
+class TestIrregularPatternOperations:
+    @PROPERTY
+    @given(seed=seeds, m=st.integers(2, 4), width=st.integers(1, 3), data=st.data())
+    def test_match_per_pair_reference(self, seed, m, width, data):
+        # apply, reconstruct and the core X = U^T (A - D) V of a build on a
+        # generic A, against the remainder placed pair by pair.
+        pattern = _irregular_pattern(data, m)
+        k = data.draw(st.integers(1, m))
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((pattern.dim, pattern.dim))
+        F = blr2_from_matvecs(MatvecOracle.from_dense(A), pattern, k, pattern.width_floor(k), seed + 1)
+        Ud, Vd, Dd = brute_blr2_parts(F)
+        dense = Ud @ F.X @ Vd.T + Dd
+        x = rng.standard_normal((pattern.dim, width))
+        tol = 1e-12 * np.linalg.norm(A)
+        assert np.linalg.norm(F.X - Ud.T @ (A - Dd) @ Vd) <= tol
+        assert np.linalg.norm(blr2_reconstruct(F) - dense) <= tol
+        assert np.linalg.norm(blr2_apply(F, x) - dense @ x) <= tol * np.linalg.norm(x)
+        assert np.linalg.norm(blr2_apply(F, x[:, 0]) - dense @ x[:, 0]) <= tol * np.linalg.norm(x)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_transpose_is_the_column_side(self, data):
+        pattern = _irregular_pattern(data, 2)
+        assert pattern.T.T == pattern
+        assert pattern.T.sorted_pairs == tuple(sorted((j, i) for i, j in pattern.pairs))
+        for j in range(pattern.block_count):
+            hits = tuple(i for i in range(pattern.block_count) if (i, j) in pattern.pairs)
+            assert pattern.T.row_inadmissible(j) == hits
 
 
 depths = st.integers(1, 4)

@@ -73,10 +73,11 @@ class TestBlockNullify:
 
     def test_index_validation(self):
         omega = gaussian(8, 6, RngStream(4).child("bn"))
+        pattern = BLR2Pattern.diagonal(4, 2)
         for i in (4, 99, -1):
-            for side in ("row", "col"):
+            for side in (pattern, pattern.T):
                 with pytest.raises(IndexError):
-                    blr2_block_nullify(omega, np.zeros((8, 6)), BLR2Pattern.diagonal(4, 2), i, side)
+                    blr2_block_nullify(omega, np.zeros((8, 6)), side, i)
 
 
 class TestPcpsBasis:
