@@ -42,7 +42,8 @@ __all__ = [
     "blr2_remainder",
 ]
 
-BASIS_METHODS = ("svd-pcps", "pivoted-qr")
+# Each basis method, with the columns beyond k its nullified sketches need (its excess).
+BASIS_METHODS = {"svd-pcps": 2, "pivoted-qr": 0}
 
 
 def _group_rows(rows: tuple) -> tuple:
@@ -113,12 +114,7 @@ class BLR2Pattern:
 
     @classmethod
     def tridiagonal(cls, block_count: int, block_size: int) -> "BLR2Pattern":
-        pairs = {
-            (i, j)
-            for i in range(block_count)
-            for j in range(block_count)
-            if abs(i - j) <= 1
-        }
+        pairs = {(i, j) for i in range(block_count) for j in (i - 1, i, i + 1) if 0 <= j < block_count}
         return cls(block_count, block_size, frozenset(pairs))
 
     @property
@@ -137,9 +133,23 @@ class BLR2Pattern:
         """Largest number of pattern blocks in any row or column."""
         return max(map(len, self._rows + self.T._rows))
 
-    def width_floor(self, k: int) -> int:
-        """Smallest admissible sketch width for rank k."""
-        return self.max_blocks_per_line * self.block_size + k + 2
+    def width_floor(self, k: int, basis_method: str = "svd-pcps") -> int:
+        """Smallest sketch width whose fullest line keeps k plus the method's excess columns."""
+        if basis_method not in BASIS_METHODS:
+            raise ValueError(f"basis_method must be one of {tuple(BASIS_METHODS)}")
+        return self.max_blocks_per_line * self.block_size + k + BASIS_METHODS[basis_method]
+
+    def check_step(self, k: int, s: int, basis_method: str = "svd-pcps") -> None:
+        """Raise ValueError, naming the cause, unless a one-level step of rank
+        k from width-s sketches is admissible on this pattern: 1 <= k <= m
+        and s >= :meth:`width_floor`.  With the diagonal pattern and m = 2k
+        the floor is the paper's s >= 3k + 2 (3k for pivoted QR)."""
+        if not 1 <= k <= self.block_size:
+            raise ValueError(f"rank k={k} must lie in [1, m={self.block_size}], the block size")
+        floor = self.width_floor(k, basis_method)
+        if s < floor:
+            raise ValueError(f"sketch width s={s} is below the floor {floor} for k={k}, "
+                             f"m={self.block_size} and the {basis_method} basis")
 
 
 @dataclass(frozen=True)
@@ -305,14 +315,14 @@ def blr2_factors_from_sketches(
     the sketched SVDs and the remainder's pseudo-inverses take one kernel
     call per group and side (one group for the diagonal pattern, two for
     the tridiagonal one); pivoted QR stays one call per block.  The V side
-    is the U side's code run on ``pattern.T``, psi and Z.
+    is the U side's code run on ``pattern.T``, psi and Z.  A rank or sketch
+    width that :meth:`BLR2Pattern.check_step` rejects fails at entry.
     """
-    if basis_method not in BASIS_METHODS:
-        raise ValueError(f"basis_method must be one of {BASIS_METHODS}")
     names = ("omega", "psi", "omega_diag", "psi_diag", "Y", "Z", "Y_diag", "Z_diag")
     omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag = _as_sketches(
         pattern, names, (omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag)
     )
+    pattern.check_step(k, omega.shape[1], basis_method)
     b, m = pattern.block_count, pattern.block_size
     U = np.empty((b, m, k))
     V = np.empty((b, m, k))
@@ -369,12 +379,8 @@ def blr2_from_matvecs(
     """
     if oracle.dim != pattern.dim:
         raise ValueError(f"oracle dim {oracle.dim} does not match pattern dim {pattern.dim}")
-    b, m = pattern.block_count, pattern.block_size
-    if not 1 <= k <= m:
-        raise ValueError(f"rank k={k} must lie in [1, m={m}], the block size")
-    floor = pattern.width_floor(k)
-    if s < floor:
-        raise ValueError(f"s={s} below the pattern floor {floor}")
+    pattern.check_step(k, s)
+    b = pattern.block_count
     sketches = _query_sketches(RngStream(seed), pattern, s, oracle)
     U, V, D = blr2_factors_from_sketches(pattern, k, *sketches)
     X = block_apply_t(U, oracle.apply(block_to_dense(V))).reshape(b, k, b, k)  # b*k probe queries

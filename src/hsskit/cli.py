@@ -3,7 +3,7 @@
 Subcommands::
 
     hsskit gen <family> [params] --out FILE        write a test matrix (DMAT)
-    hsskit approx <algo> --L --k [--s --seed] --in SRC --out FILE
+    hsskit approx <algo> --k [--s --seed] --in SRC --out FILE
     hsskit blr2 --pattern P --m M --k K --s S --in SRC
     hsskit sweep --config CFG --csv OUT
     hsskit validate --in FILE.hssf --against FILE.dmat
@@ -11,6 +11,7 @@ Subcommands::
 ``approx --in`` accepts either a DMAT file or an oracle spec of the form
 "family:key=value,..." (a family of ``hsskit.testbed.FAMILIES``; gen flags are
 the same parameters), so the matvec drivers never materialize the operator.
+The operator's dim n and ``--k`` fix the depth L by n = 2**(L+1) * k.
 """
 
 from __future__ import annotations
@@ -23,11 +24,9 @@ from . import formats
 from .blr2 import BLR2Pattern, blr2_from_matvecs
 from .experiment import ALGORITHMS, ConfigError, run_cell, run_sweep
 from .oracle import CountingOracle, MatvecOracle, dense_from_oracle
-from .testbed import FAMILIES, frobenius_error, make_problem
+from .testbed import FAMILIES, PARAM_TYPES, frobenius_error, make_problem
 
 APPROX_ALGOS = tuple(a for a in ALGORITHMS if a != "bstar")
-# Every family parameter is also a gen flag.
-_GEN_PARAMS = {name for family in FAMILIES.values() for name in family.params}
 
 
 def load_pattern(spec: str, block_count: int, block_size: int) -> BLR2Pattern:
@@ -72,11 +71,7 @@ def _oracle_from_source(src: str) -> MatvecOracle:
 
 
 def _cmd_gen(args) -> int:
-    params = {k: v for k, v in vars(args).items() if k in _GEN_PARAMS and v is not None}
-    if args.L is not None:
-        if args.family != "hard" or args.n is not None or args.L < 1:
-            raise ValueError(f"--L takes L >= 1 in place of --n, for hard only; got --L {args.L}")
-        params["n"] = 2 ** (args.L + 1)
+    params = {k: v for k, v in vars(args).items() if k in PARAM_TYPES and v is not None}
     _, A = make_problem(args.family, params, dense=True)
     formats.write_dense(A, args.out)
     print(f"wrote {args.family} matrix {A.shape[0]}x{A.shape[1]} to {args.out}")
@@ -86,10 +81,10 @@ def _cmd_gen(args) -> int:
 def _cmd_approx(args) -> int:
     base = _oracle_from_source(args.src)
     started = time.perf_counter()
-    T, fwd, tr = run_cell(args.algo, base, args.L, args.k, args.s, args.seed)
+    T, fwd, tr = run_cell(args.algo, base, args.k, args.s, args.seed)
     wall = time.perf_counter() - started
     explicit = args.algo == "explicit"
-    sketch_q = 0 if explicit else 4 * args.s * (args.L if args.algo == "fresh" else 1)
+    sketch_q = 0 if explicit else 4 * args.s * (T.depth if args.algo == "fresh" else 1)
     probe_q = base.dim if explicit else 2 * args.k
     with open(args.out, "wb") as fh:
         fh.write(formats.serialize(T))
@@ -146,20 +141,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a test matrix and write it as DMAT")
     gen.add_argument("family", choices=tuple(FAMILIES))
-    gen.add_argument("--n", type=int, help="matrix dimension")
-    gen.add_argument("--k", type=int, help="rank parameter (hss, banded)")
-    gen.add_argument("--L", type=int, help="levels: n = 2**(L+1) (hard)")
-    gen.add_argument("--delta", type=float, help="perturbation (hard)")
-    gen.add_argument("--amplitude", type=float, help="arm amplitude (bie)")
-    gen.add_argument("--arms", type=int, help="arm count (bie)")
-    gen.add_argument("--bandwidth", type=int, help="total bandwidth (banded)")
-    gen.add_argument("--seed", type=int, help="generator seed (banded, hss)")
+    for name, kind in PARAM_TYPES.items():
+        takers = ", ".join(family for family, spec in FAMILIES.items() if name in spec.params)
+        gen.add_argument(f"--{name}", type=kind, help=f"parameter of {takers}")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen)
 
     approx = sub.add_parser("approx", help="build a factorization")
     approx.add_argument("algo", choices=APPROX_ALGOS)
-    approx.add_argument("--L", type=int, required=True)
     approx.add_argument("--k", type=int, required=True)
     approx.add_argument("--s", type=int, default=None, help="sketch width (matvec algos)")
     approx.add_argument("--seed", type=int, default=0)

@@ -13,7 +13,7 @@ Config keys::
     n           operator dimension (must equal 2**(L+1) * k)
     k           approximation rank
     algorithms  comma list of fresh | reused-svd | reused-qr | explicit | bstar
-    s           comma list of sketch widths
+    s           comma list of sketch widths, none below a listed matvec algorithm's floor
     trials      number of trials per cell            (default 1)
     seed        base seed; trial t uses seed + t      (default 0)
     timing      on | off                              (default off)
@@ -33,7 +33,8 @@ import numpy as np
 from .greedy import greedy_hss_explicit
 from .matvec import MatvecConfig, hss_from_matvecs_fresh, hss_from_matvecs_reused
 from .oracle import CountingOracle, MatvecOracle, dense_from_oracle
-from .testbed import FAMILIES, check_param, frobenius_error, make_problem, resolve_params, tree_levels
+from .testbed import FAMILIES, PARAM_TYPES, check_param, frobenius_error, make_problem
+from .testbed import resolve_params, tree_levels
 
 __all__ = [
     "ALGORITHMS",
@@ -49,8 +50,11 @@ __all__ = [
 
 CSV_HEADER = "matrix,algorithm,L,k,s,trial,seed,fwd_q,tr_q,rel_err,wall_ms"
 
+# Each matvec algorithm's (basis method, sketch policy), for parse_config and run_cell.
+_MATVEC = {"fresh": ("svd-pcps", "fresh"), "reused-svd": ("svd-pcps", "reused"),
+           "reused-qr": ("pivoted-qr", "reused")}
 # bstar, the closed-form reference of the hard family, is not a factorization.
-ALGORITHMS = ("explicit", "fresh", "reused-svd", "reused-qr", "bstar")
+ALGORITHMS = ("explicit", *_MATVEC, "bstar")
 
 
 class ConfigError(ValueError):
@@ -74,9 +78,8 @@ class ExperimentRecord:
     wall_ms: float
 
 
-# Config keys that set a family parameter, mapped to the registry's name.
-_FAMILY_KEYS = {"matrix_seed": "seed", **{k: k for k in ("bandwidth", "delta", "amplitude", "arms")}}
-_PARAM_TYPES = {name: kind for fam in FAMILIES.values() for name, (kind, _) in fam.params.items()}
+# Config keys that set a family parameter other than n and k, mapped to the registry's name.
+_FAMILY_KEYS = {"matrix_seed" if p == "seed" else p: p for p in PARAM_TYPES if p not in ("n", "k")}
 
 _KEY_PARSERS = {
     "matrix": str,
@@ -87,7 +90,7 @@ _KEY_PARSERS = {
     "trials": int,
     "seed": int,
     "timing": str,
-    **{key: _PARAM_TYPES[name] for key, name in _FAMILY_KEYS.items()},
+    **{key: PARAM_TYPES[name] for key, name in _FAMILY_KEYS.items()},
 }
 
 _REQUIRED_KEYS = ("matrix", "n", "k", "algorithms", "s")
@@ -135,9 +138,18 @@ def parse_config(text: str) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"line {lines[key]}: {key!r}: {exc}") from exc
             given[name] = values[key]
+    n, k = values["n"], values["k"]
+    values["L"] = tree_levels(n, k)
+    if values["L"] is None:
+        raise ConfigError(f"n = {n} does not conform to 2**(L+1) * k for k = {k}")
     for algo in values["algorithms"]:
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {algo!r}")
+        for s in values["s"] if algo in _MATVEC else ():
+            try:
+                MatvecConfig(values["L"], k, s, values["seed"], *_MATVEC[algo])
+            except ValueError as exc:
+                raise ConfigError(f"line {lines['s']}: s = {s} does not suit {algo}: {exc}") from exc
     if values["timing"] not in ("on", "off"):
         raise ConfigError(f"timing must be 'on' or 'off', got {values['timing']!r}")
     if "bstar" in values["algorithms"] and family != "hard":
@@ -145,10 +157,6 @@ def parse_config(text: str) -> dict:
     if values["trials"] < 1:
         raise ConfigError("trials must be >= 1")
 
-    n, k = values["n"], values["k"]
-    values["L"] = tree_levels(n, k)
-    if values["L"] is None:
-        raise ConfigError(f"n = {n} does not conform to 2**(L+1) * k for k = {k}")
     try:
         values["family_params"] = resolve_params(family, given)
     except ValueError as exc:
@@ -156,19 +164,22 @@ def parse_config(text: str) -> dict:
     return values
 
 
-def run_cell(algorithm: str, base: MatvecOracle, L: int, k: int, s, seed: int):
-    """The one map from an algorithm of :data:`ALGORITHMS` to a build on ``base``.
+def run_cell(algorithm: str, base: MatvecOracle, k: int, s, seed: int):
+    """The one map from an algorithm of :data:`ALGORITHMS` to a build on
+    ``base``, whose dim fixes the depth L by n = 2**(L+1) * k.
     Returns (approximation, fwd queries, tr queries)."""
+    L = tree_levels(base.dim, k)
+    if L is None:
+        raise ValueError(f"operator dim {base.dim} is not 2**(L+1) * k with L >= 1 for k = {k}")
     counting = CountingOracle(base)
     if algorithm == "explicit":
         approx = greedy_hss_explicit(dense_from_oracle(counting), L, k)
     elif algorithm == "bstar":
         approx = np.full((base.dim, base.dim), 0.5)
-    elif algorithm in ALGORITHMS:
-        method = "pivoted-qr" if algorithm == "reused-qr" else "svd-pcps"
-        policy = "fresh" if algorithm == "fresh" else "reused"
-        build = hss_from_matvecs_fresh if policy == "fresh" else hss_from_matvecs_reused
-        approx = build(counting, MatvecConfig(L, k, s, seed, method, policy))
+    elif algorithm in _MATVEC:
+        config = MatvecConfig(L, k, s, seed, *_MATVEC[algorithm])
+        build = hss_from_matvecs_fresh if config.sketch_policy == "fresh" else hss_from_matvecs_reused
+        approx = build(counting, config)
     else:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     return approx, counting.counter.forward_count, counting.counter.transpose_count
@@ -191,7 +202,7 @@ def run_experiment(config) -> list:
             for trial in range(cfg["trials"]):
                 seed = cfg["seed"] + trial
                 start = time.perf_counter()
-                approx, fwd, tr = run_cell(algorithm, base, L, k, s, seed)
+                approx, fwd, tr = run_cell(algorithm, base, k, s, seed)
                 wall_ms = (time.perf_counter() - start) * 1e3 if timing else 0.0
                 err = frobenius_error(A, approx)
                 records.append(ExperimentRecord(cfg["matrix"], algorithm, L, k, s, trial, seed,

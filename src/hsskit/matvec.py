@@ -48,15 +48,14 @@ __all__ = [
 SKETCH_POLICIES = ("fresh", "reused")
 
 
-
 @dataclass(frozen=True)
 class MatvecConfig:
     """Parameters of a matvec-driven factorization run.
 
-    ``s`` is the number of sketch columns.  The fresh policy requires
-    s >= 3k + 2 (the regime its error bound covers); the reused policy needs
-    s >= 3k + 2 for the SVD basis and s >= 3k for pivoted QR, since the
-    nullified sketches have s - 2k columns.
+    ``s`` is the number of sketch columns.  It must meet the floor of the
+    one-level step on a diagonal pattern with block size 2k
+    (:meth:`~hsskit.blr2.BLR2Pattern.check_step`): s >= 3k + 2 for the SVD
+    basis, which the fresh policy needs, and s >= 3k for pivoted QR.
     """
 
     L: int
@@ -69,23 +68,11 @@ class MatvecConfig:
     def __post_init__(self):
         if self.L < 1 or self.k < 1:
             raise ValueError(f"need L >= 1 and k >= 1, got L={self.L}, k={self.k}")
-        if self.basis_method not in BASIS_METHODS:
-            raise ValueError(f"basis_method must be one of {BASIS_METHODS}")
         if self.sketch_policy not in SKETCH_POLICIES:
             raise ValueError(f"sketch_policy must be one of {SKETCH_POLICIES}")
-        if self.s < 2 * self.k + 1:
-            raise ValueError(f"s={self.s} below the structural floor 2k+1={2*self.k+1}")
-        if self.sketch_policy == "fresh":
-            if self.basis_method != "svd-pcps":
-                raise ValueError("the fresh policy always extracts bases via the SVD")
-            if self.s < 3 * self.k + 2:
-                raise ValueError(f"fresh policy needs s >= 3k+2 = {3*self.k+2}, got {self.s}")
-        else:
-            floor = 3 * self.k + 2 if self.basis_method == "svd-pcps" else 3 * self.k
-            if self.s < floor:
-                raise ValueError(
-                    f"reused policy with {self.basis_method} needs s >= {floor}, got {self.s}"
-                )
+        BLR2Pattern.diagonal(1, 2 * self.k).check_step(self.k, self.s, self.basis_method)
+        if self.sketch_policy == "fresh" and self.basis_method != "svd-pcps":
+            raise ValueError("the fresh policy always extracts bases via the SVD")
 
     @property
     def dim(self) -> int:
@@ -111,8 +98,7 @@ def theorem_bounds(s: int, k: int, L: int) -> TheoremBounds:
     the best achievable squared error is (gamma_row + gamma_col) *
     (1 + gamma_diag) * L.  Requires s >= 3k + 2.
     """
-    if s < 3 * k + 2:
-        raise ValueError(f"bounds need s >= 3k+2 = {3*k+2}, got s={s}")
+    BLR2Pattern.diagonal(1, 2 * k).check_step(k, s)
     gamma = (1.0 + 2.0 * math.e * (s - 2 * k) / math.sqrt((s - 3 * k) ** 2 - 1)) ** 2
     gamma_diag = 2.0 * k / (s - 2 * k - 1)
     factor = 2.0 * gamma * (1.0 + gamma_diag) * L

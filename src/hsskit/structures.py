@@ -188,11 +188,14 @@ class TelescopingFactorization:
         return TelescopingFactorization(tuple(lf.T for lf in self.levels), self.root.T)
 
     def validate(self, tol: float = ORTHO_TOL):
-        """Raise unless every basis block is orthonormal to within ``tol``."""
+        """Raise unless all entries are finite and all basis blocks are orthonormal within ``tol``."""
         for j, lf in enumerate(self.levels):
+            for name, blocks in (("U", lf.U), ("V", lf.V), ("D", lf.D)):
+                if not np.isfinite(blocks).all():
+                    raise ValueError(f"level {j + 1} {name} blocks hold a non-finite entry")
             for name, blocks in (("U", lf.U), ("V", lf.V)):
                 defect = _orthonormal_defect(blocks)
-                if defect > tol:
+                if not defect <= tol:
                     raise ValueError(
                         f"level {j + 1} {name} blocks deviate from orthonormality "
                         f"by {defect:.3e} (tol {tol:.1e})"

@@ -38,6 +38,7 @@ from .structures import (
 __all__ = [
     "FAMILIES",
     "Family",
+    "PARAM_TYPES",
     "banded_inverse_oracle",
     "bie_star_matrix",
     "check_param",
@@ -342,6 +343,9 @@ FAMILIES = {
         lambda n, k, **_: tree_levels(n, k) is not None,
         lambda n, k, seed: _dense(random_hss_matrix(tree_levels(n, k), k, seed))),
 }
+
+# Every parameter name of the registry with its type (no two families differ on it).
+PARAM_TYPES = {name: kind for spec in FAMILIES.values() for name, (kind, _) in spec.params.items()}
 
 
 def check_param(family: str, name: str, value) -> None:

@@ -87,3 +87,22 @@ def direct_svd_left(B, k):
     if svals[0] > 0 and tied[-1] >= k:
         U[:, tied] = U[:, sorted(tied, key=lambda j: tuple(U[:, j]))]
     return U[:, :k]
+
+
+def reference_config_accepts(L, k, s, basis_method, sketch_policy):
+    """The parameter rule of a matvec run as its own hand-written floors
+    stated it: L, k >= 1, s >= 2k + 1, the fresh policy with the SVD basis
+    and s >= 3k + 2, the reused one with s >= 3k + 2 (SVD) or 3k (QR)."""
+    if L < 1 or k < 1 or s < 2 * k + 1:
+        return False
+    if sketch_policy == "fresh":
+        return basis_method == "svd-pcps" and s >= 3 * k + 2
+    return s >= (3 * k + 2 if basis_method == "svd-pcps" else 3 * k)
+
+
+def reference_width_floor(pattern, k):
+    """Sketch-width floor of a BLR2 build with the SVD basis: the fullest
+    row or column's pattern blocks times m, plus k + 2."""
+    rows = [sum(1 for i, _ in pattern.pairs if i == r) for r in range(pattern.block_count)]
+    cols = [sum(1 for _, j in pattern.pairs if j == c) for c in range(pattern.block_count)]
+    return max(rows + cols) * pattern.block_size + k + 2

@@ -21,6 +21,8 @@ from hsskit import (
     random_blr2_matrix,
 )
 
+from helpers import reference_width_floor
+
 
 ROLES = ("omega", "psi", "omega-diag", "psi-diag")
 
@@ -59,6 +61,11 @@ class TestPattern:
         assert pat.row_inadmissible(3) == (2, 3, 4)
         assert pat.T.row_inadmissible(7) == (6, 7)
         assert pat.width_floor(2) == 3 * 4 + 2 + 2
+
+    @pytest.mark.parametrize("b", [1, 2, 5])
+    def test_tridiagonal_pairs_match_brute_force(self, b):
+        brute = {(i, j) for i in range(b) for j in range(b) if abs(i - j) <= 1}
+        assert BLR2Pattern.tridiagonal(b, 3).pairs == brute
 
     def test_out_of_range_pairs_rejected(self):
         with pytest.raises(ValueError):
@@ -168,6 +175,44 @@ class TestBlr2Build:
         A = random_blr2_matrix(pat, 2, seed=7)
         with pytest.raises(ValueError):
             blr2_from_matvecs(MatvecOracle.from_dense(A), pat, 2, s=pat.width_floor(2) - 1, seed=8)
+
+    @pytest.mark.parametrize(
+        "pat",
+        [
+            BLR2Pattern.diagonal(4, 4),
+            BLR2Pattern.tridiagonal(4, 4),
+            BLR2Pattern(4, 4, frozenset({(0, 0), (0, 1), (0, 3), (2, 1), (3, 3)})),
+        ],
+        ids=["diagonal", "tridiagonal", "irregular"],
+    )
+    def test_accepts_exactly_the_reference_width(self, pat):
+        A = np.random.default_rng(29).standard_normal((pat.dim, pat.dim))
+        for k in (1, 2):
+            floor = reference_width_floor(pat, k)
+            for s in range(floor + 2):
+                oracle = CountingOracle(MatvecOracle.from_dense(A))
+                if s >= floor:
+                    blr2_from_matvecs(oracle, pat, k, s, seed=30)
+                    continue
+                with pytest.raises(ValueError, match=rf"s={s} is below the floor {floor}\b"):
+                    blr2_from_matvecs(oracle, pat, k, s, seed=30)
+                assert oracle.counter.total == 0  # rejected before any query
+
+    @pytest.mark.parametrize(
+        "k, s, method, message",
+        [
+            (0, 12, "svd-pcps", r"k=0\b.*m=4"),
+            (5, 12, "svd-pcps", r"k=5\b.*m=4"),
+            (2, 7, "svd-pcps", r"s=7 is below the floor 8\b"),
+            (2, 5, "pivoted-qr", r"s=5 is below the floor 6\b"),
+        ],
+        ids=["k0", "k5", "svd-width", "qr-width"],
+    )
+    def test_step_rejects_rank_and_width_at_entry(self, k, s, method, message):
+        pat = BLR2Pattern.diagonal(4, 4)
+        sketches = [gaussian(pat.dim, s, RngStream(31).child(i)) for i in range(8)]
+        with pytest.raises(ValueError, match=message):
+            blr2_factors_from_sketches(pat, k, *sketches, basis_method=method)
 
     def test_error_decomposes_blockwise(self):
         # Total squared error splits exactly into pattern-block terms plus

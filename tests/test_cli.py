@@ -5,15 +5,18 @@ import pytest
 
 from hsskit import (
     LevelFactors,
+    RngStream,
     TelescopingFactorization,
     dense_from_oracle,
     deserialize,
     frobenius_error,
     parse_config,
+    random_telescoping,
     read_dense,
     reconstruct_dense,
     run_experiment,
     serialize,
+    write_dense,
 )
 from hsskit import experiment
 from hsskit.cli import _oracle_from_source, load_pattern, main
@@ -22,7 +25,7 @@ from hsskit.testbed import FAMILIES
 
 def test_gen_writes_dmat(tmp_path, capsys):
     out = tmp_path / "hard.dmat"
-    assert main(["gen", "hard", "--L", "2", "--delta", "0.1", "--out", str(out)]) == 0
+    assert main(["gen", "hard", "--n", "8", "--delta", "0.1", "--out", str(out)]) == 0
     A = read_dense(out)
     assert A.shape == (8, 8)
     assert "wrote" in capsys.readouterr().out
@@ -33,7 +36,7 @@ def test_approx_explicit_and_validate(tmp_path, capsys):
     fac = tmp_path / "m.hssf"
     assert main(["gen", "hss", "--n", "32", "--k", "2", "--seed", "1", "--out", str(mat)]) == 0
     assert main([
-        "approx", "explicit", "--L", "3", "--k", "2", "--in", str(mat), "--out", str(fac),
+        "approx", "explicit", "--k", "2", "--in", str(mat), "--out", str(fac),
     ]) == 0
     assert main(["validate", "--in", str(fac), "--against", str(mat)]) == 0
     out = capsys.readouterr().out
@@ -45,7 +48,7 @@ def test_approx_explicit_and_validate(tmp_path, capsys):
 def test_approx_fresh_from_oracle_spec(tmp_path, capsys):
     fac = tmp_path / "banded.hssf"
     code = main([
-        "approx", "fresh", "--L", "4", "--k", "4", "--s", "14", "--seed", "0",
+        "approx", "fresh", "--k", "4", "--s", "14", "--seed", "0",
         "--in", "banded:n=128,bandwidth=9,seed=0", "--out", str(fac),
     ])
     assert code == 0
@@ -57,7 +60,7 @@ def test_approx_fresh_from_oracle_spec(tmp_path, capsys):
 
 def test_approx_requires_width_for_matvec_algos(tmp_path):
     with pytest.raises(SystemExit):
-        main(["approx", "fresh", "--L", "3", "--k", "2", "--in", "hss:n=32,k=2", "--out", "x.hssf"])
+        main(["approx", "fresh", "--k", "2", "--in", "hss:n=32,k=2", "--out", "x.hssf"])
 
 
 @pytest.mark.parametrize("family", ["banded", "grid", "hss", "bie"])
@@ -72,7 +75,7 @@ def test_gen_requires_n(tmp_path, capsys, family):
 @pytest.mark.parametrize("n", [100, 2, 0])
 def test_hard_spec_rejects_non_power_of_two(tmp_path, capsys, n):
     code = main([
-        "approx", "explicit", "--L", "5", "--k", "1", "--in", f"hard:n={n}",
+        "approx", "explicit", "--k", "1", "--in", f"hard:n={n}",
         "--out", str(tmp_path / "x.hssf"),
     ])
     assert code == 1
@@ -84,7 +87,7 @@ def test_hss_rejects_non_conforming_n(tmp_path, capsys):
     assert main(["gen", "hss", "--n", "100", "--k", "8", "--out", str(mat)]) == 1
     assert "n=100" in capsys.readouterr().err
     assert not mat.exists()
-    code = main(["approx", "explicit", "--L", "2", "--k", "8", "--in", "hss:n=100,k=8", "--out", str(fac)])
+    code = main(["approx", "explicit", "--k", "8", "--in", "hss:n=100,k=8", "--out", str(fac)])
     assert code == 1
     assert "n=100" in capsys.readouterr().err
     assert not fac.exists()
@@ -92,7 +95,7 @@ def test_hss_rejects_non_conforming_n(tmp_path, capsys):
 
 def test_spec_rejects_unknown_key(tmp_path, capsys):
     code = main([
-        "approx", "explicit", "--L", "4", "--k", "4", "--in", "banded:n=128,bandwith=9",
+        "approx", "explicit", "--k", "4", "--in", "banded:n=128,bandwith=9",
         "--out", str(tmp_path / "x.hssf"),
     ])
     assert code == 1
@@ -103,7 +106,7 @@ def test_spec_rejects_unknown_key(tmp_path, capsys):
 
 def test_spec_rejects_unparsable_value(tmp_path, capsys):
     code = main([
-        "approx", "explicit", "--L", "4", "--k", "4", "--in", "banded:n=abc",
+        "approx", "explicit", "--k", "4", "--in", "banded:n=abc",
         "--out", str(tmp_path / "x.hssf"),
     ])
     assert code == 1
@@ -140,12 +143,28 @@ def test_gen_spec_and_sweep_build_the_same_matrix(tmp_path, monkeypatch, family)
     assert np.array_equal(references[0], from_spec)
 
 
-def test_gen_hard_levels_give_the_power_of_two_n(tmp_path):
-    by_levels, by_n = tmp_path / "l.dmat", tmp_path / "n.dmat"
-    assert main(["gen", "hard", "--L", "3", "--out", str(by_levels)]) == 0
-    assert main(["gen", "hard", "--n", "16", "--out", str(by_n)]) == 0
-    assert np.array_equal(read_dense(by_levels), read_dense(by_n))
-    assert main(["gen", "hard", "--L", "3", "--n", "16", "--out", str(tmp_path / "x.dmat")]) == 1
+@pytest.mark.parametrize(
+    "command",
+    [["gen", "hard"], ["approx", "explicit", "--k", "1", "--in", "hard:n=16"]],
+    ids=["gen", "approx"],
+)
+def test_levels_flag_is_rejected(tmp_path, capsys, command):
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--L", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --L 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["explicit", "fresh"])
+def test_approx_rejects_dim_that_fits_no_depth(tmp_path, capsys, algo):
+    fac = tmp_path / "x.hssf"
+    code = main(["approx", algo, "--k", "3", "--s", "11", "--in", "hss:n=32,k=2", "--out", str(fac)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "operator dim 32" in err and "k = 3" in err
+    assert not fac.exists()
 
 
 def test_sweep_cli(tmp_path):
@@ -158,6 +177,18 @@ def test_sweep_cli(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("matrix,algorithm")
     assert len(lines) == 3
+
+
+def test_sweep_below_the_fresh_floor_runs_no_cell(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("matrix = hss\nn = 32\nk = 2\nalgorithms = explicit, fresh\ns = 8, 5\n")
+    cells = []
+    monkeypatch.setattr(experiment, "run_cell", lambda *args: cells.append(args))
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", str(cfg), "--csv", str(out)]) == 1
+    assert "line 5: s = 5 does not suit fresh" in capsys.readouterr().err
+    assert not cells
+    assert not out.exists()
 
 
 def test_bad_config_is_reported(tmp_path, capsys):
@@ -235,11 +266,25 @@ def test_validate_reports_format_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_rejects_non_finite_bases(tmp_path, capsys):
+    T = random_telescoping(3, 2, RngStream(1).child("nan"))
+    mat, bad = tmp_path / "m.dmat", tmp_path / "bad.hssf"
+    write_dense(reconstruct_dense(T), mat)
+    U = T.levels[0].U.copy()
+    U[0, 0, 0] = np.nan
+    poisoned = LevelFactors(U, T.levels[0].V, T.levels[0].D)
+    bad.write_bytes(serialize(TelescopingFactorization((poisoned,) + T.levels[1:], T.root)))
+    assert main(["validate", "--in", str(bad), "--against", str(mat)]) == 1
+    captured = capsys.readouterr()
+    assert "level 1 U blocks hold a non-finite entry" in captured.err
+    assert "relative frobenius error" not in captured.out
+
+
 def test_validate_rejects_non_orthonormal_bases(tmp_path, capsys):
     mat = tmp_path / "m.dmat"
     fac = tmp_path / "m.hssf"
     main(["gen", "hss", "--n", "32", "--k", "2", "--seed", "1", "--out", str(mat)])
-    main(["approx", "explicit", "--L", "3", "--k", "2", "--in", str(mat), "--out", str(fac)])
+    main(["approx", "explicit", "--k", "2", "--in", str(mat), "--out", str(fac)])
     T = deserialize(fac.read_bytes())
     finest = T.levels[-1]
     scaled = LevelFactors(2.0 * finest.U, finest.V, finest.D)

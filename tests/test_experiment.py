@@ -87,6 +87,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
+    def test_width_below_an_algorithms_floor_names_the_s_line(self):
+        text = "matrix = hss\nn = 32\nk = 2\nalgorithms = explicit, {}\ns = 8, 5\n"
+        with pytest.raises(ConfigError, match=r"^line 5: s = 5 does not suit fresh: .*floor 8\b"):
+            parse_config(text.format("fresh"))
+        with pytest.raises(ConfigError, match=r"^line 5: s = 5 does not suit reused-qr: .*floor 6\b"):
+            parse_config(text.format("reused-qr"))
+        assert parse_config(text.format("reused-qr").replace("8, 5", "8, 6"))["s"] == (8, 6)
+
     def test_key_of_another_family_rejected(self):
         with pytest.raises(ConfigError, match=r"line 4: 'delta' does not apply to matrix = bie"):
             parse_config("matrix = bie\nn = 32\nk = 2\ndelta = 0.5\nalgorithms = fresh\ns = 8\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from hsskit import (
     serialize,
     theorem_bounds,
 )
+
+from helpers import reference_config_accepts
 
 
 class TestTheoremBounds:
@@ -71,6 +74,18 @@ class TestMatvecConfig:
 
     def test_dim(self):
         assert MatvecConfig(L=4, k=4, s=14, seed=0).dim == 128
+
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_accepts_what_the_reference_rule_accepts(self, L):
+        for k, s, method, policy in itertools.product(
+            range(1, 7), range(26), ("svd-pcps", "pivoted-qr"), ("fresh", "reused")
+        ):
+            try:
+                MatvecConfig(L, k, s, 0, method, policy)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == reference_config_accepts(L, k, s, method, policy), (L, k, s, method, policy)
 
 
 class TestFreshDriver:

@@ -180,6 +180,20 @@ class TestSSSContainer:
             BLR2Factorization(f.pattern, f.rank_param, f.U, f.V, f.X[:-1], f.D)
 
 
+class TestValidate:
+    @pytest.mark.parametrize("name", ["U", "V", "D"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_factor_rejected(self, name, value):
+        T = random_telescoping(3, 2, RngStream(9).child("val"))
+        T.validate()
+        lf = T.levels[1]
+        factors = {"U": lf.U.copy(), "V": lf.V.copy(), "D": lf.D.copy()}
+        factors[name][0, 0, 0] = value
+        levels = T.levels[:1] + (LevelFactors(**factors),) + T.levels[2:]
+        with pytest.raises(ValueError, match=rf"^level 2 {name} blocks hold a non-finite entry"):
+            TelescopingFactorization(levels, T.root).validate()
+
+
 class TestValidateRanks:
     def test_reconstructed_factorization_passes(self):
         for seed in range(3):
