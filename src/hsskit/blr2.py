@@ -12,8 +12,9 @@ from an independent pair of sketches with the bases held fixed.
 
 The step works on stacks, not on one block at a time: the block rows of the
 pattern are grouped by how many pattern blocks they hold, and each group goes
-through the stacked kernels of :mod:`hsskit.kernels` in one call.  The
-diagonal pattern of the hierarchical drivers is one group per side.
+through the stacked kernels of :mod:`hsskit.kernels` in one call, the basis
+kernel included.  The diagonal pattern of the hierarchical drivers is one
+group per side.
 Transposition is data: the column side of every rule is the row side run on
 ``pattern.T``, the pattern of A^T.
 """
@@ -25,9 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import RngStream, gaussian, nullspace_basis, pivoted_qr_basis, right_pinv_apply
+from .kernels import RngStream, gaussian, nullspace_basis, right_pinv_apply
 from .oracle import MatvecOracle
-from .sketching import pcps_basis
+from .sketching import BASIS_METHODS
 from .structures import _as_operand, block_apply, block_apply_t, block_to_dense
 
 __all__ = [
@@ -41,10 +42,6 @@ __all__ = [
     "blr2_reconstruct",
     "blr2_remainder",
 ]
-
-# Each basis method, with the columns beyond k its nullified sketches need (its excess).
-BASIS_METHODS = {"svd-pcps": 2, "pivoted-qr": 0}
-
 
 def _group_rows(rows: tuple) -> tuple:
     """Group the block rows of a pattern by their number h of pattern blocks,
@@ -137,7 +134,7 @@ class BLR2Pattern:
         """Smallest sketch width whose fullest line keeps k plus the method's excess columns."""
         if basis_method not in BASIS_METHODS:
             raise ValueError(f"basis_method must be one of {tuple(BASIS_METHODS)}")
-        return self.max_blocks_per_line * self.block_size + k + BASIS_METHODS[basis_method]
+        return self.max_blocks_per_line * self.block_size + k + BASIS_METHODS[basis_method].excess
 
     def check_step(self, k: int, s: int, basis_method: str = "svd-pcps") -> None:
         """Raise ValueError, naming the cause, unless a one-level step of rank
@@ -312,11 +309,11 @@ def blr2_factors_from_sketches(
     columns of a column-pivoted QR).  D is stacked in
     ``pattern.sorted_pairs`` order, see :func:`blr2_remainder`.  Block rows
     with the same number of pattern blocks form one stack: the nullspaces,
-    the sketched SVDs and the remainder's pseudo-inverses take one kernel
-    call per group and side (one group for the diagonal pattern, two for
-    the tridiagonal one); pivoted QR stays one call per block.  The V side
-    is the U side's code run on ``pattern.T``, psi and Z.  A rank or sketch
-    width that :meth:`BLR2Pattern.check_step` rejects fails at entry.
+    the bases and the remainder's pseudo-inverses take one kernel call per
+    group and side (one group for the diagonal pattern, two for the
+    tridiagonal one).  The V side is the U side's code run on
+    ``pattern.T``, psi and Z.  A rank or sketch width that
+    :meth:`BLR2Pattern.check_step` rejects fails at entry.
     """
     names = ("omega", "psi", "omega_diag", "psi_diag", "Y", "Z", "Y_diag", "Z_diag")
     omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag = _as_sketches(
@@ -324,16 +321,13 @@ def blr2_factors_from_sketches(
     )
     pattern.check_step(k, omega.shape[1], basis_method)
     b, m = pattern.block_count, pattern.block_size
+    kernel = BASIS_METHODS[basis_method].kernel
     U = np.empty((b, m, k))
     V = np.empty((b, m, k))
     for basis, side, tests, images in ((U, pattern, omega, Y), (V, pattern.T, psi, Z)):
         for members, hits, _ in side._row_groups:
             _, sketches = _nullify(_blocks(pattern, tests), _blocks(pattern, images), members, hits)
-            if basis_method == "svd-pcps":
-                basis[members] = pcps_basis(sketches, k)
-            else:
-                # scipy has no stacked column-pivoted QR.
-                basis[members] = [pivoted_qr_basis(sketch, k) for sketch in sketches]
+            basis[members] = kernel(sketches, k)
     return U, V, blr2_remainder(pattern, U, V, omega_diag, psi_diag, Y_diag, Z_diag)
 
 

@@ -16,10 +16,19 @@ built on:
   - ``right_pinv_apply``: Y @ pinv(Omega) for wide Omega via a thin QR of
     Omega^T and one triangular solve.
 
-``truncated_svd_left``, ``nullspace_basis`` and ``right_pinv_apply`` take one
-matrix or a stack (b, r, c) of equal-shape matrices and return the matching
-leading shape; one LAPACK-backed call serves a whole level of blocks, and the
-input checks run once per stack.  A 2-D argument is a stack of one.
+All four factorization kernels take one matrix or a stack (b, r, c) of
+equal-shape matrices and return the matching leading shape; one call serves
+a whole level of blocks, and the input checks run once per stack.  A 2-D
+argument is a stack of one.  The pivoted QR has no stacked LAPACK driver:
+it queries the workspace once per stack and calls ``geqp3`` and ``orgqr``
+per member.
+
+``nullspace_basis`` and ``right_pinv_apply`` decide rank from the square
+factor R of omega^T.  Most members are settled by the proven bound
+sigma_min / sigma_max >= 1 / (||R||_F ||R^{-1}||_F), one batched inverse and
+two norms; only members whose bound does not clear ``RANK_CUTOFF`` with a
+factor ``RANK_BOUND_MARGIN`` to spare (or a stack whose inverse fails) go
+to the singular values.
 
 All functions are pure; streams are value types.
 """
@@ -43,6 +52,9 @@ __all__ = [
 
 # Relative singular-value cutoff used for rank decisions throughout.
 RANK_CUTOFF = 1e-12
+# How far a member's proven bound on sigma_min / sigma_max must clear
+# RANK_CUTOFF for the rank check to skip its singular values.
+RANK_BOUND_MARGIN = 2.0
 # Relative gap below which singular values are treated as tied.
 TIE_CUTOFF = 1e-14
 
@@ -126,13 +138,31 @@ def _check_full_rank(R: np.ndarray, single: bool):
     """Raise ``LinAlgError`` naming the first stack member whose square
     factor R of omega^T has its smallest singular value at or below
     ``RANK_CUTOFF`` relative to its largest (a zero R counts as
-    rank-deficient; an empty R has full rank)."""
+    rank-deficient; an empty R has full rank).
+
+    The singular values are computed only for members that the bound
+    sigma_min / sigma_max >= 1 / (||R||_F ||R^{-1}||_F) does not already
+    prove full rank with ``RANK_BOUND_MARGIN`` to spare; an inverse that
+    fails for the stack leaves every member to them.
+    """
     if R.shape[-1] == 0:
         return
-    svals = np.linalg.svd(R, compute_uv=False)
-    deficient = svals[:, -1] <= RANK_CUTOFF * svals[:, 0]
-    if deficient.any():
-        where = "" if single else f" (stack index {int(np.flatnonzero(deficient)[0])})"
+    try:
+        inverse = np.linalg.inv(R)
+    except np.linalg.LinAlgError:
+        uncertain = np.arange(R.shape[0])
+    else:
+        # An overflowing norm reads inf and a NaN fails the test: both leave
+        # the member to the singular values.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cond = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
+            uncertain = np.flatnonzero(~(cond * (RANK_BOUND_MARGIN * RANK_CUTOFF) < 1.0))
+    if uncertain.size == 0:
+        return
+    svals = np.linalg.svd(R[uncertain], compute_uv=False)
+    deficient = uncertain[svals[:, -1] <= RANK_CUTOFF * svals[:, 0]]
+    if deficient.size:
+        where = "" if single else f" (stack index {int(deficient[0])})"
         raise np.linalg.LinAlgError(f"omega is numerically rank-deficient{where}")
 
 
@@ -191,12 +221,43 @@ def nullspace_basis(omega) -> np.ndarray:
 
 
 def pivoted_qr_basis(B, k: int) -> np.ndarray:
-    """First k orthonormal columns of a column-pivoted QR of B."""
-    B = as_matrix(B, "B")
-    if not 1 <= k <= min(B.shape):
-        raise ValueError(f"k={k} out of range for shape {B.shape}")
-    Q, _, _ = scipy.linalg.qr(B, mode="economic", pivoting=True)
-    return np.ascontiguousarray(_fix_signs(Q[:, :k]))
+    """First k orthonormal columns of a column-pivoted QR of B.
+
+    B is one matrix or a stack (b, rows, cols); a stack gives a (b, rows, k)
+    stack, member by member.  Each member's columns are those of
+    ``scipy.linalg.qr(member, mode="economic", pivoting=True)``, bit for bit:
+    the same LAPACK routines (``geqp3``, then ``orgqr`` on the leading
+    min(rows, cols) columns) with the same workspace sizes, queried once per
+    stack.  Columns are sign-normalized like ``truncated_svd_left``'s.
+    """
+    B, single = _as_stack(B, "B")
+    b, rows, cols = B.shape
+    if not 1 <= k <= min(rows, cols):
+        raise ValueError(f"k={k} out of range for shape {B.shape[1:]}")
+    width = min(rows, cols)
+    Q = np.empty((b, rows, width))
+    if b:
+        geqp3, orgqr = scipy.linalg.get_lapack_funcs(("geqp3", "orgqr"), (B,))
+        qr_work = _workspace(geqp3, B[0])
+        q_work = _workspace(orgqr, B[0, :, :width], np.zeros(width))
+    for t in range(b):
+        qr, _, tau = _lapack(geqp3, B[t], lwork=qr_work)
+        Q[t] = _lapack(orgqr, qr[:, :width], tau, lwork=q_work, overwrite_a=1)[0]
+    Q = np.ascontiguousarray(_fix_signs(Q[:, :, :k]))
+    return Q[0] if single else Q
+
+
+def _workspace(routine, *args) -> int:
+    """Optimal ``lwork`` of a LAPACK routine for arguments of this shape."""
+    return int(routine(*args, lwork=-1)[-2][0])
+
+
+def _lapack(routine, *args, **kwargs):
+    """Call a LAPACK routine; return its outputs before ``work`` and ``info``."""
+    *out, _, info = routine(*args, **kwargs)
+    if info < 0:
+        raise ValueError(f"LAPACK rejected argument {-info}")
+    return out
 
 
 def right_pinv_apply(Y, omega) -> np.ndarray:

@@ -395,9 +395,16 @@ def make_problem(family: str, given: dict, dense: bool = False) -> tuple:
 
 
 def frobenius_error(A, approx) -> float:
-    """Relative Frobenius error of a factorization (or dense matrix) against A."""
+    """Relative Frobenius error of a factorization (or dense matrix) against A.
+
+    A and A - B are scaled by the power of two that brings max|A| into
+    [0.5, 1) before their norms are taken, so the squares in the norms
+    neither underflow nor overflow at any scale of A; the scaling is exact,
+    and for A of moderate scale the result is the unscaled ratio bit for bit.
+    """
     A = as_matrix(A, "A")
-    denom = float(np.linalg.norm(A))
+    exponent = int(np.frexp(np.abs(A).max())[1])
+    denom = float(np.linalg.norm(np.ldexp(A, -exponent)))
     if denom == 0.0:
         raise ValueError("reference matrix has zero norm")
     if isinstance(approx, TelescopingFactorization):
@@ -408,4 +415,4 @@ def frobenius_error(A, approx) -> float:
         B = as_matrix(approx, "approx")
     if B.shape != A.shape:
         raise ValueError(f"approx of shape {B.shape} does not match A of shape {A.shape}")
-    return float(np.linalg.norm(A - B)) / denom
+    return float(np.linalg.norm(np.ldexp(A - B, -exponent))) / denom

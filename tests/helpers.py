@@ -6,6 +6,7 @@ check.
 """
 
 import numpy as np
+import scipy.linalg
 
 from hsskit import BLR2Factorization, BLR2Pattern, RngStream, gaussian
 
@@ -106,3 +107,21 @@ def reference_width_floor(pattern, k):
     rows = [sum(1 for i, _ in pattern.pairs if i == r) for r in range(pattern.block_count)]
     cols = [sum(1 for _, j in pattern.pairs if j == c) for c in range(pattern.block_count)]
     return max(rows + cols) * pattern.block_size + k + 2
+
+
+def direct_pivoted_qr_basis(B, k):
+    """First k columns of scipy's economic column-pivoted QR of the 2-D
+    matrix B, with the documented sign rule (largest-magnitude entry of
+    each column positive)."""
+    Q = scipy.linalg.qr(B, mode="economic", pivoting=True)[0][:, :k]
+    lead = Q[np.argmax(np.abs(Q), axis=0), np.arange(k)]
+    return np.where(lead < 0, -Q, Q)
+
+
+def svd_rank_deficient_index(R):
+    """First member of a stack of square R factors whose smallest singular
+    value is at or below 1e-12 times its largest, from the singular values
+    of the whole stack; None when every member has full rank."""
+    svals = np.linalg.svd(R, compute_uv=False)
+    deficient = np.flatnonzero(svals[:, -1] <= 1e-12 * svals[:, 0])
+    return int(deficient[0]) if deficient.size else None

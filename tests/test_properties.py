@@ -22,15 +22,22 @@ from hsskit import (
     compress_oracle,
     hss_apply,
     nullspace_basis,
+    pivoted_qr_basis,
     random_blr2_matrix,
     random_telescoping,
     reconstruct_dense,
     right_pinv_apply,
     truncated_svd_left,
 )
+from hsskit.kernels import _check_full_rank
 from hsskit.structures import block_apply, block_apply_t, block_to_dense
 
-from helpers import brute_blr2_parts, direct_svd_left
+from helpers import (
+    brute_blr2_parts,
+    direct_pivoted_qr_basis,
+    direct_svd_left,
+    svd_rank_deficient_index,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -97,6 +104,74 @@ class TestStackedKernelsMatchTwoD:
         assert got.shape == (b, r, m)
         for i in range(b):
             assert np.array_equal(got[i], right_pinv_apply(Y[i], omega[i]))
+
+
+    @PROPERTY
+    @given(
+        seed=seeds,
+        b=stack_sizes,
+        r=dims,
+        c=dims,
+        full=st.sampled_from(["k < min(r, c)", "k = min(r, c)"]),
+        data=st.data(),
+    )
+    def test_pivoted_qr_basis_matches_scipy(self, seed, b, r, c, full, data):
+        # Tall, wide and square members; each must be scipy's pivoted QR,
+        # sign-normalized, bit for bit.
+        k = min(r, c) if full == "k = min(r, c)" else data.draw(st.integers(1, min(r, c)))
+        B = np.random.default_rng(seed).standard_normal((b, r, c))
+        got = pivoted_qr_basis(B, k)
+        assert got.shape == (b, r, k)
+        for i in range(b):
+            assert np.array_equal(got[i], direct_pivoted_qr_basis(B[i], k))
+        assert np.array_equal(pivoted_qr_basis(B[0], k), got[0])
+
+
+def _stack_with_ratio(seed, b, n, t, ratio):
+    """A (b, n, n) stack of upper-triangular R factors, well conditioned
+    except member t, whose singular values fall geometrically from 1 to
+    ``ratio`` (0 makes it exactly singular)."""
+    rng = np.random.default_rng(seed)
+    R = np.linalg.qr(rng.standard_normal((b, 2 * n, n)), mode="r")
+    left, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    right, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    R[t] = np.linalg.qr((left * np.geomspace(1.0, ratio or 1.0, n)) @ right.T, mode="r")
+    if ratio == 0:
+        R[t, -1, -1] = 0.0  # a zero last row: exactly singular
+    return R
+
+
+class TestRankCheckMatchesSvdRule:
+    @pytest.mark.parametrize("ratio", [1e-10, 2.1e-12, 1.9e-12, 1.01e-12, 0.99e-12, 1e-14, 0.0])
+    @pytest.mark.parametrize("b,t", [(1, 0), (5, 0), (5, 3)])
+    def test_same_decision_and_index(self, ratio, b, t):
+        R = _stack_with_ratio(17, b, 6, t, ratio)
+        expected = svd_rank_deficient_index(R)
+        if ratio <= 1e-14:
+            assert expected == t
+        if expected is None:
+            _check_full_rank(R, single=False)
+            return
+        with pytest.raises(np.linalg.LinAlgError, match=rf"\(stack index {expected}\)$"):
+            _check_full_rank(R, single=False)
+        with pytest.raises(np.linalg.LinAlgError, match=r"rank-deficient$"):
+            _check_full_rank(R[expected : expected + 1], single=True)
+
+    def test_all_zero_member(self):
+        R = _stack_with_ratio(18, 4, 5, 0, 1e-10)
+        R[2] = 0.0
+        assert svd_rank_deficient_index(R) == 2
+        with pytest.raises(np.linalg.LinAlgError, match=r"\(stack index 2\)$"):
+            _check_full_rank(R, single=False)
+
+    def test_gaussian_stacks_take_no_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        rng = np.random.default_rng(19)
+        nullspace_basis(rng.standard_normal((64, 16, 34)))
+        right_pinv_apply(rng.standard_normal((64, 16, 34)), rng.standard_normal((64, 16, 34)))
+        assert calls == []
 
 
 class TestRankDeficientMember:

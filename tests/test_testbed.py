@@ -161,6 +161,15 @@ class TestFrobeniusError:
                 frobenius_error(A, approx)
             assert str(approx.shape) in str(info.value)
 
+    def test_scale_invariant(self):
+        A = np.linalg.inv(random_banded_matrix(256, 17, 0))
+        B = reconstruct_dense(greedy_hss_explicit(A, 4, 8))
+        err = frobenius_error(A, B)
+        for scale in (2.0**700, 2.0**-700):
+            assert frobenius_error(scale * A, scale * B) == err
+        for scale in (1e200, 1e-200, 1e300, 1e-300):
+            assert abs(frobenius_error(scale * A, scale * B) - err) <= 1e-14
+
     def test_accepts_oracle_extracted_matrix(self):
         A = random_hss_matrix(2, 2, seed=8)
         o = MatvecOracle.from_dense(A)
