@@ -7,10 +7,11 @@ diagonal pattern and block size m = 2k); the drivers differ only in where
 each level's sketches come from:
 
   - ``hss_from_matvecs_fresh`` draws four independent Gaussian test matrices
-    at every level and queries the compressed operator, an oracle chained by
-    :func:`~hsskit.oracle.compress_oracle` after each level, for 4sL sketch
-    queries plus 2k probes for the root core.  Its expected error is
-    quasi-optimal with the constants in :func:`theorem_bounds`.
+    at every level and queries the compressed operator, which
+    :func:`~hsskit.oracle.compress_oracle` nests after each level into one
+    flat view over the user's oracle, for 4sL sketch queries plus 2k probes
+    for the root core.  Its expected error is quasi-optimal with the
+    constants in :func:`theorem_bounds`.
   - ``hss_from_matvecs_reused`` draws the four test matrices once, then
     compresses sketches and images through the recovered factors instead of
     re-querying, for 4s + 2k queries total.  The compressed test matrices are
@@ -126,9 +127,10 @@ def _build(oracle: MatvecOracle, config: MatvecConfig) -> TelescopingFactorizati
     """Compress level L down to level 1, then probe the root core (2k queries).
 
     ``op`` is the oracle of the operator still to compress: A at level L,
-    then each level's compressed operator.  Level L always queries fresh
-    sketches; later levels query ``op`` again under the fresh policy and
-    compress the previous level's sketches under the reused one.
+    then each level's compressed operator, one flat view over A.  Level L
+    always queries fresh sketches; later levels query ``op`` again under the
+    fresh policy and compress the previous level's sketches under the reused
+    one.
     """
     if oracle.dim != config.dim:
         raise ValueError(f"oracle dim {oracle.dim} does not match config dim {config.dim}")

@@ -7,8 +7,10 @@ and finite entries.  ``CountingOracle`` wraps any oracle and charges one
 query per vector (a width-s block costs s).
 
 ``compress_oracle`` is the oracle of the compressed operator U^T (A - D) V of
-one fixed level; chained once per level, it reaches every coarser operator
-at one query against A per operand column.
+one fixed level.  Applied to a compressed operator it nests rather than
+wraps: every coarser operator is one flat view over the user's oracle, and
+its query costs one query against A and one basis product per side per
+operand column, at any depth.
 """
 
 from __future__ import annotations
@@ -136,27 +138,72 @@ class CountingOracle(MatvecOracle):
         self._bind(inner.dim, fwd, tr)
 
 
-def _compressed_product(oracle: MatvecOracle, lf: LevelFactors):
-    def apply(x):
-        hat = block_apply(lf.V, x)
-        return block_apply_t(lf.U, oracle.apply(hat) - block_apply(lf.D, hat))
+class _CompressedOracle(MatvecOracle):
+    """The compressed operator of some level as one flat view over a base
+    oracle serving A: Wu^T A Wv - blockdiag(E).
 
-    return apply
+    Wu and Wv are the nested bases, (b, N/b, k) blocks that map the level's
+    k-dimensional block coordinates to A's N rows; E is the accumulated
+    block-diagonal correction, (b, k, k) blocks.  A query costs one base
+    query per operand column and one flat basis product per side, at any
+    depth.
+    """
+
+    def __init__(self, base: MatvecOracle, Wu: np.ndarray, Wv: np.ndarray, E: np.ndarray):
+        self.dim = E.shape[0] * E.shape[1]
+        self.base, self.Wu, self.Wv, self.E = base, Wu, Wv, E
+
+    def _apply(self, x):
+        Ax = self.base.apply(block_apply(self.Wv, x))
+        return (block_apply_t(self.Wu, Ax) - block_apply(self.E, x)).reshape(x.shape)
+
+    def _apply_transpose(self, x):
+        return self.T._apply(x)
+
+    @property
+    def T(self) -> "_CompressedOracle":
+        """The same view of A^T: the bases swap and the E blocks transpose."""
+        return _CompressedOracle(self.base.T, self.Wv, self.Wu, self.E.transpose(0, 2, 1))
+
+
+def _nest(W: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Blocks blockdiag(W[2i], W[2i+1]) @ B[i]: the nested bases of a finer
+    view, (2b, n, k), carried one level down by that level's (b, 2k, k)
+    bases."""
+    b, _, k = B.shape
+    n = W.shape[1]
+    return np.matmul(W.reshape(b, 2, n, k), B.reshape(b, 2, k, k)).reshape(b, 2 * n, k)
 
 
 def compress_oracle(oracle: MatvecOracle, lf: LevelFactors) -> MatvecOracle:
     """The oracle of U^T (A - D) V, where ``oracle`` serves A and ``lf`` holds
     one level's fixed factors.
 
-    Each operand column costs one query against ``oracle``: forward for
-    ``apply``, transpose for ``apply_transpose``, whose product is the same
-    body on ``(oracle.T, lf.T)``.
+    When ``oracle`` is itself a compressed operator, the result nests rather
+    than wraps: it is one flat view over the same base oracle, whose bases
+    are the finer view's bases times this level's and whose correction
+    U^T (D + blockdiag(E pairs)) V absorbs the finer correction E.  Nesting
+    costs O(N k^2) and the view holds O(N k) numbers.  Each operand column
+    costs one query against the base oracle: forward for ``apply``,
+    transpose for ``apply_transpose``, whose product is the same view on
+    ``(oracle.T, lf.T)``.
     """
-    return _internal_oracle(
-        lf.block_count * lf.rank_param,
-        _compressed_product(oracle, lf),
-        _compressed_product(oracle.T, lf.T),
-    )
+    b, w, k = lf.U.shape
+    if oracle.dim != b * w:
+        raise ValueError(
+            f"level of {b} blocks of size {w} has dim {b * w}, "
+            f"but the oracle it compresses has dim {oracle.dim}"
+        )
+    D = lf.D
+    if isinstance(oracle, _CompressedOracle):
+        D = D.copy()
+        D[:, :k, :k] += oracle.E[0::2]
+        D[:, k:, k:] += oracle.E[1::2]
+        base, Wu, Wv = oracle.base, _nest(oracle.Wu, lf.U), _nest(oracle.Wv, lf.V)
+    else:
+        base, Wu, Wv = oracle, lf.U, lf.V
+    E = np.matmul(lf.U.transpose(0, 2, 1), np.matmul(D, lf.V))
+    return _CompressedOracle(base, Wu, Wv, E)
 
 
 def dense_from_oracle(oracle: MatvecOracle) -> np.ndarray:

@@ -8,7 +8,8 @@ check.
 import numpy as np
 import scipy.linalg
 
-from hsskit import BLR2Factorization, BLR2Pattern, RngStream, gaussian
+from hsskit import BLR2Factorization, BLR2Pattern, MatvecOracle, RngStream, gaussian
+from hsskit.structures import block_apply, block_apply_t
 
 
 def rand_orthonormal(rows, cols, rng):
@@ -125,3 +126,19 @@ def svd_rank_deficient_index(R):
     svals = np.linalg.svd(R, compute_uv=False)
     deficient = np.flatnonzero(svals[:, -1] <= 1e-12 * svals[:, 0])
     return int(deficient[0]) if deficient.size else None
+
+
+def chained_compress(oracle, lf):
+    """The compressed operator U^T (A - D) V as one closure wrapped around
+    ``oracle``: a chain of them walks every finer level's V, D and U on each
+    query.  The transpose is the same body on ``(oracle.T, lf.T)``."""
+
+    def product(op, f):
+        def apply(x):
+            hat = block_apply(f.V, x)
+            return block_apply_t(f.U, op.apply(hat) - block_apply(f.D, hat))
+
+        return apply
+
+    dim = lf.block_count * lf.rank_param
+    return MatvecOracle(dim, product(oracle, lf), product(oracle.T, lf.T))

@@ -208,6 +208,33 @@ class TestLevelApply:
         compressed.apply_transpose(np.zeros((16, 5)))
         assert o.counter.transpose_count == 5
 
+    def test_vector_operand_gets_a_vector_reply_at_every_depth(self):
+        L, k = 3, 2
+        T = random_telescoping(L, k, RngStream(9).child("vec"))
+        o = MatvecOracle.from_dense(reconstruct_dense(T))
+        for lf in reversed(T.levels):
+            o = compress_oracle(o, lf)
+            x = np.arange(o.dim, dtype=float)
+            for product in (o.apply, o.apply_transpose):
+                y = product(x)
+                assert y.shape == (o.dim,)
+                assert np.array_equal(y, product(x[:, None])[:, 0])
+
+    def test_level_of_another_dim_is_rejected_at_construction(self):
+        A = random_hss_matrix(2, 4, seed=5)
+        factors, _ = sss_step_explicit(A, 2, 4)
+        o = CountingOracle(MatvecOracle.from_dense(np.eye(24)))
+        with pytest.raises(ValueError, match=r"dim 32, but the oracle it compresses has dim 24$"):
+            compress_oracle(o, factors)
+        assert o.counter.total == 0
+
+    def test_nested_level_of_another_dim_is_rejected_at_construction(self):
+        A = random_hss_matrix(3, 2, seed=5)
+        factors, _ = sss_step_explicit(A, 3, 2)
+        compressed = compress_oracle(MatvecOracle.from_dense(A), factors)
+        with pytest.raises(ValueError, match=r"dim 32, but the oracle it compresses has dim 16$"):
+            compress_oracle(compressed, factors)
+
     def test_dimension_mismatch(self):
         A = random_hss_matrix(2, 2, seed=5)
         factors, _ = sss_step_explicit(A, 2, 2)

@@ -1,5 +1,6 @@
 """Property tests for the stacked kernels, the block operations, the
-one-level step on irregular patterns and transposition as data (``.T``).
+one-level step on irregular patterns, transposition as data (``.T``) and the
+nested compressed operators.
 
 Shapes and seeds come from hypothesis; matrix entries come from seeded numpy
 draws, so every example is well conditioned almost surely.  Examples are
@@ -34,6 +35,7 @@ from hsskit.structures import block_apply, block_apply_t, block_to_dense
 
 from helpers import (
     brute_blr2_parts,
+    chained_compress,
     direct_pivoted_qr_basis,
     direct_svd_left,
     svd_rank_deficient_index,
@@ -312,3 +314,52 @@ class TestTransposeIsData:
         T = _telescoping(seed, L, k)
         x = np.random.default_rng(seed).standard_normal((T.dim, width))
         assert np.array_equal(hss_apply(T.T.T, x), hss_apply(T, x))
+
+
+def _depths(o, T, compress):
+    """The compressed operators of ``T``'s levels over ``o``, finest first."""
+    ops = []
+    for lf in reversed(T.levels):
+        o = compress(o, lf)
+        ops.append(o)
+    return ops
+
+
+class TestNestedCompression:
+    @PROPERTY
+    @given(seed=seeds, L=depths, k=ranks, width=st.integers(1, 4))
+    def test_nested_view_equals_the_chained_reference_at_every_depth(self, seed, L, k, width):
+        T = _telescoping(seed, L, k)
+        o = MatvecOracle.from_dense(reconstruct_dense(T))
+        rng = np.random.default_rng(seed)
+        for nested, chained in zip(_depths(o, T, compress_oracle), _depths(o, T, chained_compress)):
+            x = rng.standard_normal((nested.dim, width))
+            for got, want in ((nested, chained), (nested.T, chained.T)):
+                want_x = want.apply(x)
+                assert np.linalg.norm(got.apply(x) - want_x) <= 1e-13 * np.linalg.norm(want_x)
+
+    @PROPERTY
+    @given(seed=seeds, L=depths, k=ranks, width=st.integers(1, 4))
+    def test_each_column_costs_one_base_query_at_every_depth(self, seed, L, k, width):
+        T = _telescoping(seed, L, k)
+        o = CountingOracle(MatvecOracle.from_dense(reconstruct_dense(T)))
+        for nested in _depths(o, T, compress_oracle):
+            x = np.ones((nested.dim, width))
+            o.counter.reset()
+            nested.apply(x)
+            assert (o.counter.forward_count, o.counter.transpose_count) == (width, 0)
+            nested.T.apply(x)
+            assert (o.counter.forward_count, o.counter.transpose_count) == (width, width)
+            nested.apply_transpose(x)
+            assert o.counter.transpose_count == 2 * width
+
+    @PROPERTY
+    @given(seed=seeds, L=depths, k=ranks, width=st.integers(1, 4))
+    def test_double_transpose_applies_bit_identically(self, seed, L, k, width):
+        T = _telescoping(seed, L, k)
+        o = MatvecOracle.from_dense(reconstruct_dense(T))
+        rng = np.random.default_rng(seed)
+        for nested in _depths(o, T, compress_oracle):
+            x = rng.standard_normal((nested.dim, width))
+            assert np.array_equal(nested.T.T.apply(x), nested.apply(x))
+            assert np.array_equal(nested.T.apply(x), nested.apply_transpose(x))

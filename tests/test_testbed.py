@@ -118,6 +118,22 @@ class TestGridSchur:
         assert evals.min() >= -1e-10
 
 
+@pytest.mark.parametrize(
+    "oracle", [banded_inverse_oracle(32, 3, 0), grid_schur_oracle(32)], ids=["banded", "grid"]
+)
+@pytest.mark.parametrize("direction", ["forward", "transpose"])
+def test_band_solve_oracle_reports_a_nan_operand_in_its_reply(oracle, direction):
+    """The band solves skip scipy's finite check; a NaN operand still fails,
+    at the oracle's own reply check."""
+    x = np.ones((32, 3))
+    x[5, 1] = np.nan
+    product = oracle.apply if direction == "forward" else oracle.apply_transpose
+    with pytest.raises(
+        ValueError, match=rf"^oracle {direction} reply of shape \(32, 3\) has non-finite entries$"
+    ):
+        product(x)
+
+
 class TestBieStar:
     def test_circle_row_sums_vanish(self):
         A = bie_star_matrix(256, 0.0, 5)
