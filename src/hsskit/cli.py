@@ -83,15 +83,13 @@ def _cmd_approx(args) -> int:
     started = time.perf_counter()
     T, fwd, tr = run_cell(args.algo, base, args.k, args.s, args.seed)
     wall = time.perf_counter() - started
-    explicit = args.algo == "explicit"
-    sketch_q = 0 if explicit else 4 * args.s * (T.depth if args.algo == "fresh" else 1)
-    probe_q = base.dim if explicit else 2 * args.k
+    probe_q = base.dim if args.algo == "explicit" else 2 * args.k
     with open(args.out, "wb") as fh:
         fh.write(formats.serialize(T))
     print(f"wrote factorization (L={T.depth}, k={T.rank_param}) to {args.out}")
     print(
         f"queries: {fwd} forward + {tr} transpose = {fwd + tr} total "
-        f"({sketch_q} sketch + {probe_q} probe)"
+        f"({fwd + tr - probe_q} sketch + {probe_q} probe)"
     )
     print(f"wall time: {wall * 1e3:.1f} ms")
     return 0
@@ -113,7 +111,7 @@ def _cmd_blr2(args) -> int:
     )
     print(
         f"queries: {counter.forward_count} forward + {counter.transpose_count} transpose "
-        f"= {counter.total} total ({4 * args.s} sketch + {probe_q} core probe)"
+        f"= {counter.total} total ({counter.total - probe_q} sketch + {probe_q} core probe)"
     )
     print(f"relative frobenius error: {err:.6e}")
     return 0

@@ -187,18 +187,19 @@ class TelescopingFactorization:
         """The factorization of the transposed matrix (views, built once)."""
         return TelescopingFactorization(tuple(lf.T for lf in self.levels), self.root.T)
 
-    def validate(self, tol: float = ORTHO_TOL):
-        """Raise unless all entries are finite and all basis blocks are orthonormal within ``tol``."""
+    def validate(self):
+        """Raise unless all entries are finite and all basis blocks are
+        orthonormal within ``ORTHO_TOL``."""
         for j, lf in enumerate(self.levels):
             for name, blocks in (("U", lf.U), ("V", lf.V), ("D", lf.D)):
                 if not np.isfinite(blocks).all():
                     raise ValueError(f"level {j + 1} {name} blocks hold a non-finite entry")
             for name, blocks in (("U", lf.U), ("V", lf.V)):
                 defect = _orthonormal_defect(blocks)
-                if not defect <= tol:
+                if not defect <= ORTHO_TOL:
                     raise ValueError(
                         f"level {j + 1} {name} blocks deviate from orthonormality "
-                        f"by {defect:.3e} (tol {tol:.1e})"
+                        f"by {defect:.3e} (tol {ORTHO_TOL:.1e})"
                     )
 
 

@@ -8,7 +8,8 @@ Generator families:
     strictly diagonally dominant matrix, served through banded Cholesky
     solves.  With total bandwidth 2k + 1 the inverse has rank-2k structure.
   - ``grid_schur_oracle``: Schur complement of an N x 51 grid-graph Laplacian
-    onto its middle separator column.
+    onto its middle separator column.  The two 25-column sides are mirror
+    images, so one side is factored and its Schur term counted twice.
   - ``bie_star_matrix``: second-kind Nystrom discretization of a Laplace
     double-layer boundary integral operator on a star-shaped curve.
   - ``random_telescoping`` / ``random_hss_matrix`` / ``random_blr2_matrix``:
@@ -83,6 +84,12 @@ def hard_instance(L: int, delta: float) -> np.ndarray:
 # random structured matrices
 
 
+def _random_bases(stream: RngStream, count: int, rows: int, k: int, role: str) -> np.ndarray:
+    """(count, rows, k) stack of orthonormal blocks: block i is the Q factor
+    of a Gaussian draw from ``stream.child(i, role)``."""
+    return np.stack([np.linalg.qr(gaussian(rows, k, stream.child(i, role)))[0] for i in range(count)])
+
+
 def random_telescoping(L: int, k: int, stream: RngStream) -> TelescopingFactorization:
     """Random factorization: orthonormal bases from QR of Gaussian blocks,
     Gaussian remainders and root.  Each block is drawn from its own (level,
@@ -91,11 +98,7 @@ def random_telescoping(L: int, k: int, stream: RngStream) -> TelescopingFactoriz
     levels = []
     for level in range(1, L + 1):
         b, w = 1 << level, 2 * k
-        U = np.empty((b, w, k))
-        V = np.empty((b, w, k))
-        for i in range(b):
-            U[i] = np.linalg.qr(gaussian(w, k, stream.child(level, i, "U")))[0]
-            V[i] = np.linalg.qr(gaussian(w, k, stream.child(level, i, "V")))[0]
+        U, V = (_random_bases(stream.child(level), b, w, k, role) for role in "UV")
         D = np.stack([gaussian(w, w, stream.child(level, i, "D")) for i in range(b)])
         levels.append(LevelFactors(U, V, D))
     root = gaussian(2 * k, 2 * k, stream.child(0, 0, "root"))
@@ -112,11 +115,7 @@ def random_blr2_matrix(pattern: BLR2Pattern, k: int, seed: int) -> np.ndarray:
     drawn block by block like :func:`random_telescoping`."""
     stream = RngStream(seed).child("blr2")
     b, m = pattern.block_count, pattern.block_size
-    U = np.empty((b, m, k))
-    V = np.empty((b, m, k))
-    for i in range(b):
-        U[i] = np.linalg.qr(gaussian(m, k, stream.child(i, "U")))[0]
-        V[i] = np.linalg.qr(gaussian(m, k, stream.child(i, "V")))[0]
+    U, V = (_random_bases(stream, b, m, k, role) for role in "UV")
     X = gaussian(b * k, b * k, stream.child(0, "X"))
     D = np.empty((len(pattern.sorted_pairs), m, m))
     for p, (i, j) in enumerate(pattern.sorted_pairs):
@@ -160,6 +159,19 @@ def random_banded_matrix(n: int, bandwidth: int, seed: int) -> np.ndarray:
     return M
 
 
+def _band_solver(ab: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Solve with the symmetric positive definite band matrix held in upper
+    band form ``ab``, factored once with a banded Cholesky."""
+    factor = scipy.linalg.cholesky_banded(ab)
+
+    # The factor is finite by construction and MatvecOracle checks every
+    # reply, so the solve skips rescanning the factor on each product.
+    def solve(x):
+        return scipy.linalg.cho_solve_banded((factor, False), x, check_finite=False)
+
+    return solve
+
+
 def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     """Matvec oracle for the inverse of a random symmetric banded matrix.
 
@@ -173,13 +185,7 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     ab[half] = diag
     for d, off in enumerate(offs, start=1):
         ab[half - d, d:] = off
-    factor = scipy.linalg.cholesky_banded(ab)
-
-    # The factor is finite by construction and MatvecOracle checks every
-    # reply, so the solve skips rescanning the factor on each product.
-    def solve(x):
-        return scipy.linalg.cho_solve_banded((factor, False), x, check_finite=False)
-
+    solve = _band_solver(ab)
     return MatvecOracle(n, solve, solve)
 
 
@@ -190,52 +196,32 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
 _SIDE_WIDTH = 25
 
 
-class _SideBlock:
-    """One 25-column side of the grid, ordered row-major (half-bandwidth 25),
-    factored once with a banded Cholesky."""
-
-    def __init__(self, n_rows: int, outer_edge_col: int, separator_col: int):
-        self.n_rows = n_rows
-        self.separator_col = separator_col
-        w = _SIDE_WIDTH
-        size = n_rows * w
-        degree = np.full((n_rows, w), 4.0)
-        degree[0] -= 1.0
-        degree[-1] -= 1.0
-        degree[:, outer_edge_col] -= 1.0
-        diag = degree.reshape(size)
-        horiz = -np.ones(size - 1)
-        horiz[w - 1 :: w] = 0.0  # no edge across row boundaries
-        vert = -np.ones(size - w)
-        ab = np.zeros((w + 1, size))
-        ab[w] = diag
-        ab[w - 1, 1:] = horiz
-        ab[0, w:] = vert
-        self._factor = scipy.linalg.cholesky_banded(ab)
-
-    def coupling_rows(self) -> np.ndarray:
-        """Side indices adjacent to the separator, one per grid row."""
-        return np.arange(self.n_rows) * _SIDE_WIDTH + self.separator_col
-
-    def schur_term(self, x: np.ndarray) -> np.ndarray:
-        """L_side_sep^T L_side^{-1} L_side_sep x (edges to the separator all
-        have weight -1)."""
-        rhs = np.zeros((self.n_rows * _SIDE_WIDTH, x.shape[1]))
-        rows = self.coupling_rows()
-        rhs[rows] = -x
-        # As in banded_inverse_oracle: the factor is finite, the reply checked.
-        solved = scipy.linalg.cho_solve_banded((self._factor, False), rhs, check_finite=False)
-        return -solved[rows]
-
-
 def grid_schur_oracle(n_rows: int) -> MatvecOracle:
     """Matvec oracle for the Schur complement of the N x 51 grid Laplacian
     onto its middle column (a graph separator); the operator acts on the
-    ``n_rows`` separator vertices."""
+    ``n_rows`` separator vertices.
+
+    The two 25-column sides are mirror images: reflecting the columns maps
+    the right side's Laplacian, outer edge and separator coupling onto the
+    left side's.  So one side is factored (row-major, half-bandwidth 25,
+    outer edge in column 0, separator next to column 24) and its Schur term
+    counted twice.
+    """
     if n_rows < 2:
         raise ValueError(f"need at least two grid rows, got {n_rows}")
-    left = _SideBlock(n_rows, outer_edge_col=0, separator_col=_SIDE_WIDTH - 1)
-    right = _SideBlock(n_rows, outer_edge_col=_SIDE_WIDTH - 1, separator_col=0)
+    w = _SIDE_WIDTH
+    size = n_rows * w
+    degree = np.full((n_rows, w), 4.0)
+    degree[0] -= 1.0
+    degree[-1] -= 1.0
+    degree[:, 0] -= 1.0
+    ab = np.zeros((w + 1, size))
+    ab[w] = degree.reshape(size)
+    ab[w - 1, 1:] = -1.0
+    ab[w - 1, w::w] = 0.0  # no edge across row boundaries
+    ab[0, w:] = -1.0
+    solve_side = _band_solver(ab)
+    coupling = np.arange(n_rows) * w + (w - 1)  # side vertices next to the separator
     sep_degree = np.full(n_rows, 4.0)
     sep_degree[0] -= 1.0
     sep_degree[-1] -= 1.0
@@ -246,8 +232,11 @@ def grid_schur_oracle(n_rows: int) -> MatvecOracle:
         y = sep_degree[:, None] * xm
         y[:-1] -= xm[1:]
         y[1:] -= xm[:-1]
-        y -= left.schur_term(xm)
-        y -= right.schur_term(xm)
+        # Schur term E^T L_side^{-1} E x per side; the separator edges have
+        # weight -1, so the two signs of E cancel.
+        rhs = np.zeros((size, xm.shape[1]))
+        rhs[coupling] = xm
+        y -= 2.0 * solve_side(rhs)[coupling]
         return y[:, 0] if vec else y
 
     return MatvecOracle(n_rows, apply, apply)

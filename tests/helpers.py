@@ -142,3 +142,20 @@ def chained_compress(oracle, lf):
 
     dim = lf.block_count * lf.rank_param
     return MatvecOracle(dim, product(oracle, lf), product(oracle.T, lf.T))
+
+
+def grid_schur_dense(n_rows):
+    """Schur complement of the n_rows x 51 grid-graph Laplacian onto its
+    middle column 25, from the Laplacian assembled edge by edge."""
+    cols = 51
+    size = n_rows * cols
+    lap = np.zeros((size, size))
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(n_rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(n_rows - 1) for c in range(cols)]
+    for i, j in edges:
+        lap[[i, j], [i, j]] += 1.0
+        lap[[i, j], [j, i]] -= 1.0
+    sep = np.arange(n_rows) * cols + 25
+    rest = np.setdiff1d(np.arange(size), sep)
+    coupling = lap[np.ix_(rest, sep)]
+    return lap[np.ix_(sep, sep)] - coupling.T @ np.linalg.solve(lap[np.ix_(rest, rest)], coupling)

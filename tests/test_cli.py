@@ -58,6 +58,16 @@ def test_approx_fresh_from_oracle_spec(tmp_path, capsys):
     assert reconstruct_dense(T).shape == (128, 128)
 
 
+def test_approx_reused_qr_query_split(tmp_path, capsys):
+    # One sketch of width s in each of the four roles, then the 2k root probe.
+    code = main([
+        "approx", "reused-qr", "--k", "4", "--s", "14", "--seed", "0",
+        "--in", "banded:n=128,bandwidth=9,seed=0", "--out", str(tmp_path / "q.hssf"),
+    ])
+    assert code == 0
+    assert "= 64 total (56 sketch + 8 probe)" in capsys.readouterr().out
+
+
 def test_approx_requires_width_for_matvec_algos(tmp_path):
     with pytest.raises(SystemExit):
         main(["approx", "fresh", "--k", "2", "--in", "hss:n=32,k=2", "--out", "x.hssf"])

@@ -19,6 +19,8 @@ from hsskit import (
 )
 from hsskit.testbed import make_problem, resolve_params
 
+from helpers import grid_schur_dense
+
 
 class TestHardInstance:
     def test_matches_hand_built_8x8(self):
@@ -116,6 +118,16 @@ class TestGridSchur:
         A = dense_from_oracle(grid_schur_oracle(32))
         evals = np.linalg.eigvalsh(A)
         assert evals.min() >= -1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    @pytest.mark.parametrize("direction", ["forward", "transpose"])
+    def test_matches_dense_schur_complement(self, n, direction):
+        """One side factored and counted twice gives the Schur complement of
+        the whole grid."""
+        S = grid_schur_dense(n)
+        oracle = grid_schur_oracle(n)
+        product = oracle.apply if direction == "forward" else oracle.apply_transpose
+        assert np.linalg.norm(product(np.eye(n)) - S) <= 1e-13 * np.linalg.norm(S)
 
 
 @pytest.mark.parametrize(
