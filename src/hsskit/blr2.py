@@ -29,7 +29,7 @@ import numpy as np
 from .kernels import RngStream, gaussian, nullspace_basis, right_pinv_apply
 from .oracle import MatvecOracle
 from .sketching import BASIS_METHODS
-from .structures import _as_operand, block_apply, block_apply_t, block_to_dense
+from .structures import _as_operand, _in_panels, block_apply, block_apply_t
 
 __all__ = [
     "BASIS_METHODS",
@@ -362,6 +362,16 @@ def _remainder_matmul(pattern: BLR2Pattern, D: np.ndarray, x: np.ndarray) -> np.
     return out.reshape(pattern.dim, w)
 
 
+def _block_diag_columns(blocks: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Columns [start, stop) of the dense blockdiag(blocks), for a (b, r, c)
+    block array, built without forming the whole matrix."""
+    b, r, c = blocks.shape
+    cols = np.arange(start, stop)
+    out = np.zeros((b, r, stop - start))
+    out[cols // c, :, cols - start] = blocks[cols // c, :, cols % c]
+    return out.reshape(b * r, -1)
+
+
 def blr2_from_matvecs(
     oracle: MatvecOracle, pattern: BLR2Pattern, k: int, s: int, seed: int
 ) -> BLR2Factorization:
@@ -370,6 +380,8 @@ def blr2_from_matvecs(
     The core X = U^T (A - D) V needs access beyond the sketches; it is
     realized by probing A with the b*k columns of the block-diagonal V and
     subtracting U_i^T D_ij V_j from block (i, j) for every pattern pair.
+    Each probe call takes one panel of max(1, PANEL_BYTES // (8 N)) columns
+    of blockdiag(V), so the dense N x b*k probe is never formed.
     """
     if oracle.dim != pattern.dim:
         raise ValueError(f"oracle dim {oracle.dim} does not match pattern dim {pattern.dim}")
@@ -377,7 +389,11 @@ def blr2_from_matvecs(
     b = pattern.block_count
     sketches = _query_sketches(RngStream(seed), pattern, s, oracle)
     U, V, D = blr2_factors_from_sketches(pattern, k, *sketches)
-    X = block_apply_t(U, oracle.apply(block_to_dense(V))).reshape(b, k, b, k)  # b*k probe queries
+    del sketches  # before the core probe, so its panels do not add to them
+    X = _in_panels(
+        lambda a, z: block_apply_t(U, oracle.apply(_block_diag_columns(V, a, z))),
+        b * k, b * k, 8 * pattern.dim,
+    ).reshape(b, k, b, k)
     rows, cols = pattern._pair_index
     X[rows, :, cols] -= U[rows].transpose(0, 2, 1) @ D @ V[cols]
     return BLR2Factorization(pattern, k, U, V, X.reshape(b * k, b * k), D)
@@ -393,9 +409,17 @@ def blr2_reconstruct(F: BLR2Factorization) -> np.ndarray:
 
 
 def blr2_apply(F: BLR2Factorization, x) -> np.ndarray:
-    """Apply a BLR2 factorization to a vector or block of vectors."""
+    """Apply a BLR2 factorization to a vector or block of vectors.  A wide
+    operand is applied in panels of max(32, PANEL_BYTES // (8 N)) columns,
+    as in :func:`~hsskit.structures.hss_apply`."""
     x = _as_operand(x, F.dim)
-    vec = x.ndim == 1
-    xm = x[:, None] if vec else x
-    y = block_apply(F.U, F.X @ block_apply_t(F.V, xm)) + _remainder_matmul(F.pattern, F.D, xm)
-    return y[:, 0] if vec else y
+    xm = x[:, None] if x.ndim == 1 else x
+
+    def panel(a, z):
+        xp = xm[:, a:z]
+        y = block_apply(F.U, F.X @ block_apply_t(F.V, xp))
+        y += _remainder_matmul(F.pattern, F.D, xp)
+        return y
+
+    y = _in_panels(panel, F.dim, xm.shape[1], 8 * F.dim, floor=32)
+    return y[:, 0] if x.ndim == 1 else y

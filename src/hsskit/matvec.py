@@ -130,7 +130,8 @@ def _build(oracle: MatvecOracle, config: MatvecConfig) -> TelescopingFactorizati
     then each level's compressed operator, one flat view over A.  Level L
     always queries fresh sketches; later levels query ``op`` again under the
     fresh policy and compress the previous level's sketches under the reused
-    one.
+    one.  The fresh policy drops a level's sketches before the next level
+    queries, so only one level's sketches are held at a time.
     """
     if oracle.dim != config.dim:
         raise ValueError(f"oracle dim {oracle.dim} does not match config dim {config.dim}")
@@ -139,13 +140,15 @@ def _build(oracle: MatvecOracle, config: MatvecConfig) -> TelescopingFactorizati
     op, levels, sketches = oracle, [], None
     for level in range(config.L, 0, -1):
         pattern = BLR2Pattern.diagonal(1 << level, 2 * k)
-        if sketches is None or config.sketch_policy == "fresh":
+        if sketches is None:
             sketches = _query_sketches(stream.child(level), pattern, config.s, op)
         else:
             sketches = _compress_sketches(levels[-1], sketches)
         U, V, D = blr2_factors_from_sketches(pattern, k, *sketches, basis_method=config.basis_method)
         levels.append(LevelFactors(U, V, D))
         op = compress_oracle(op, levels[-1])
+        if config.sketch_policy == "fresh":
+            sketches = None
     root = op.apply(np.eye(2 * k))
     return TelescopingFactorization(tuple(reversed(levels)), root)
 

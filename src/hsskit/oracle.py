@@ -21,6 +21,7 @@ from .structures import (
     LevelFactors,
     TelescopingFactorization,
     _as_operand,
+    _in_panels,
     block_apply,
     block_apply_t,
     hss_apply,
@@ -208,10 +209,13 @@ def compress_oracle(oracle: MatvecOracle, lf: LevelFactors) -> MatvecOracle:
 
 def dense_from_oracle(oracle: MatvecOracle) -> np.ndarray:
     """Extract the dense matrix by probing with the identity (N forward
-    queries)."""
-    return oracle.apply(np.eye(oracle.dim))
+    queries).  Each call probes one panel of max(1, PANEL_BYTES // (8 N))
+    identity columns, so the N x N identity is never formed."""
+    n = oracle.dim
+    return _in_panels(lambda a, z: oracle.apply(np.eye(n, z - a, -a)), n, n, 8 * n)
 
 
 def oracle_from_factorization(T: TelescopingFactorization) -> MatvecOracle:
-    """Oracle backed by the fast apply of a telescoping factorization."""
+    """Oracle backed by the fast apply of a telescoping factorization, which
+    runs a wide operand in column panels (see :func:`hss_apply`)."""
     return MatvecOracle(T.dim, lambda x: hss_apply(T, x), lambda x: hss_apply(T.T, x))

@@ -17,6 +17,13 @@ with orthonormal (2k, k) blocks and D is block-diagonal with (2k, 2k) blocks.
 
 Transposition is data: ``LevelFactors.T`` and ``TelescopingFactorization.T``
 represent the transpose, so each operation has one body and runs on ``T.T``.
+
+Wide products run in column panels: each column of a product depends on
+its operand column alone, so :func:`_in_panels` applies a product to a few
+columns at a time, each panel's temporaries within about ``PANEL_BYTES``,
+and writes the panels into one output.  The arithmetic per column is
+unchanged; only a BLAS call on a narrow last panel may round differently
+than it would inside a wider one.
 """
 
 from __future__ import annotations
@@ -42,6 +49,9 @@ __all__ = [
 ]
 
 ORTHO_TOL = 1e-12
+# Bytes that the largest temporary of one panel of a wide product may take,
+# unless the product's floor on the panel width needs more; see _in_panels.
+PANEL_BYTES = 2 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +65,25 @@ def _as_operand(x, dim: int) -> np.ndarray:
     if x.ndim not in (1, 2) or x.shape[0] != dim:
         raise ValueError(f"operand shape {x.shape} does not match dim {dim}")
     return x
+
+
+def _in_panels(product, rows: int, width: int, column_bytes: int, floor: int = 1) -> np.ndarray:
+    """The (rows, width) result whose columns [a, z) are ``product(a, z)``,
+    computed one panel of columns at a time.
+
+    A panel is max(floor, PANEL_BYTES // column_bytes) columns wide, where
+    ``column_bytes`` is what the product's largest temporary takes per
+    column.  A result no wider than one panel is the product's own reply;
+    a wider one is written panel by panel into one preallocated output.
+    """
+    panel = max(floor, PANEL_BYTES // column_bytes)
+    if width <= panel:
+        return product(0, width)
+    out = np.empty((rows, width))
+    for a in range(0, width, panel):
+        z = min(a + panel, width)
+        out[:, a:z] = product(a, z)
+    return out
 
 
 def block_apply(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -216,30 +245,42 @@ def reconstruct_dense(T: TelescopingFactorization) -> np.ndarray:
     return np.ascontiguousarray(B)
 
 
-def hss_apply(T: TelescopingFactorization, x) -> np.ndarray:
-    """Multiply the represented matrix by x without materializing it.
-
-    Costs O(N k) arithmetic per vector.
-    """
-    x = _as_operand(x, T.dim)
-    vec = x.ndim == 1
-    xm = x[:, None] if vec else x
+def _hss_apply_panel(T: TelescopingFactorization, x: np.ndarray) -> np.ndarray:
+    """The product of the represented matrix with a 2-D panel x."""
     # Descend: project the operand through the (right) bases level by level.
     down = []
-    cur = xm
+    cur = x
     for lf in reversed(T.levels):
         down.append(cur)
         cur = block_apply_t(lf.V, cur)
     y = T.root @ cur
     # Ascend: expand through the (left) bases and add the remainders.
     for lf, xs in zip(T.levels, reversed(down)):
-        y = block_apply(lf.U, y) + block_apply(lf.D, xs)
-    return y[:, 0] if vec else y
+        y = block_apply(lf.U, y)
+        y += block_apply(lf.D, xs)
+    return y
+
+
+def hss_apply(T: TelescopingFactorization, x) -> np.ndarray:
+    """Multiply the represented matrix by x without materializing it.
+
+    Costs O(N k) arithmetic per vector.  A wide x is applied in panels of
+    max(32, PANEL_BYTES // (8 N)) columns, so the temporaries take a few
+    ``PANEL_BYTES`` at any width, beside the N x width result; narrower
+    panels would slow the small batched matmuls.
+    """
+    x = _as_operand(x, T.dim)
+    xm = x[:, None] if x.ndim == 1 else x
+    y = _in_panels(
+        lambda a, z: _hss_apply_panel(T, xm[:, a:z]), T.dim, xm.shape[1], 8 * T.dim, floor=32
+    )
+    return y[:, 0] if x.ndim == 1 else y
 
 
 def hss_apply_transpose(T: TelescopingFactorization, x) -> np.ndarray:
     """Multiply the transpose of the represented matrix by x: ``hss_apply(T.T,
-    x)``.  Kept only because the benchmark in ``perfbench/`` calls it."""
+    x)``, in the same column panels.  Kept only because the benchmark in
+    ``perfbench/`` calls it."""
     return hss_apply(T.T, x)
 
 

@@ -33,6 +33,7 @@ from .oracle import MatvecOracle, dense_from_oracle
 from .structures import (
     LevelFactors,
     TelescopingFactorization,
+    _in_panels,
     reconstruct_dense,
 )
 
@@ -205,7 +206,10 @@ def grid_schur_oracle(n_rows: int) -> MatvecOracle:
     the right side's Laplacian, outer edge and separator coupling onto the
     left side's.  So one side is factored (row-major, half-bandwidth 25,
     outer edge in column 0, separator next to column 24) and its Schur term
-    counted twice.
+    counted twice.  A wide operand is scattered, band-solved and gathered in
+    panels of max(1, PANEL_BYTES // (8 * 25 n_rows)) columns: the band solve
+    works column by column, so narrow panels cost no speed and bound the
+    25 n_rows-row right-hand side.
     """
     if n_rows < 2:
         raise ValueError(f"need at least two grid rows, got {n_rows}")
@@ -226,9 +230,7 @@ def grid_schur_oracle(n_rows: int) -> MatvecOracle:
     sep_degree[0] -= 1.0
     sep_degree[-1] -= 1.0
 
-    def apply(x):
-        vec = x.ndim == 1
-        xm = x[:, None] if vec else x
+    def apply_panel(xm):
         y = sep_degree[:, None] * xm
         y[:-1] -= xm[1:]
         y[1:] -= xm[:-1]
@@ -237,7 +239,12 @@ def grid_schur_oracle(n_rows: int) -> MatvecOracle:
         rhs = np.zeros((size, xm.shape[1]))
         rhs[coupling] = xm
         y -= 2.0 * solve_side(rhs)[coupling]
-        return y[:, 0] if vec else y
+        return y
+
+    def apply(x):
+        xm = x[:, None] if x.ndim == 1 else x
+        y = _in_panels(lambda a, z: apply_panel(xm[:, a:z]), n_rows, xm.shape[1], 8 * size)
+        return y[:, 0] if x.ndim == 1 else y
 
     return MatvecOracle(n_rows, apply, apply)
 
