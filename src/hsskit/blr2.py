@@ -130,11 +130,19 @@ class BLR2Pattern:
         """Largest number of pattern blocks in any row or column."""
         return max(map(len, self._rows + self.T._rows))
 
+    @property
+    def line_columns(self) -> int:
+        """Test-matrix rows under the pattern blocks of the fullest row or
+        column: nullifying that line leaves s - line_columns columns of a
+        width-s sketch, and un-sketching its remainder needs s >
+        line_columns.  Both sketch-width floors are read from it."""
+        return self.max_blocks_per_line * self.block_size
+
     def width_floor(self, k: int, basis_method: str = "svd-pcps") -> int:
         """Smallest sketch width whose fullest line keeps k plus the method's excess columns."""
         if basis_method not in BASIS_METHODS:
             raise ValueError(f"basis_method must be one of {tuple(BASIS_METHODS)}")
-        return self.max_blocks_per_line * self.block_size + k + BASIS_METHODS[basis_method].excess
+        return self.line_columns + k + BASIS_METHODS[basis_method].excess
 
     def check_step(self, k: int, s: int, basis_method: str = "svd-pcps") -> None:
         """Raise ValueError, naming the cause, unless a one-level step of rank
@@ -195,6 +203,16 @@ def _as_sketches(pattern: BLR2Pattern, names, arrays) -> list:
     return arrays
 
 
+def _take(blocks: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``blocks[index]`` for an array of block indices, as a view rather than
+    a copy when ``index`` lists every block in order, as the one row group
+    of the diagonal pattern does."""
+    count = len(blocks)
+    if index.size == count and np.array_equal(index.ravel(), np.arange(count)):
+        return blocks.reshape(index.shape + blocks.shape[1:])
+    return blocks[index]
+
+
 def _nullify(tests: np.ndarray, images: np.ndarray, members, hits):
     """Nullify the pattern blocks of a group of block rows with h blocks each.
 
@@ -206,10 +224,10 @@ def _nullify(tests: np.ndarray, images: np.ndarray, members, hits):
     """
     g, h = hits.shape
     if h == 0:
-        return None, images[members]
+        return None, _take(images, members)
     _, m, s = tests.shape
-    P = nullspace_basis(tests[hits].reshape(g, h * m, s))
-    return P, images[members] @ P
+    P = nullspace_basis(_take(tests, hits).reshape(g, h * m, s))
+    return P, _take(images, members) @ P
 
 
 def _blocks(pattern: BLR2Pattern, arr: np.ndarray) -> np.ndarray:
@@ -237,7 +255,7 @@ def blr2_block_nullify(omega, images, pattern: BLR2Pattern, i: int):
     if images.shape != omega.shape:
         raise ValueError(f"images shape {images.shape} does not match test matrix {omega.shape}")
     hits = np.array(hit, dtype=np.intp).reshape(1, len(hit))
-    P, sketch = _nullify(_blocks(pattern, omega), _blocks(pattern, images), [i], hits)
+    P, sketch = _nullify(_blocks(pattern, omega), _blocks(pattern, images), np.array([i]), hits)
     return (np.eye(omega.shape[1]) if P is None else P[0]), sketch[0]
 
 
@@ -253,9 +271,9 @@ def _unsketch(pattern: BLR2Pattern, Q: np.ndarray, images: np.ndarray, tests: np
         g, h = hits.shape
         if h == 0:
             continue
-        block, basis = images[members], Q[members]
+        block, basis = _take(images, members), _take(Q, members)
         residual = block - basis @ (basis.transpose(0, 2, 1) @ block)
-        slabs = right_pinv_apply(residual, tests[hits].reshape(g, h * m, s))
+        slabs = right_pinv_apply(residual, _take(tests, hits).reshape(g, h * m, s))
         out[positions] = slabs.reshape(g, m, h, m).transpose(0, 2, 1, 3)
     return out
 
@@ -273,18 +291,17 @@ def blr2_remainder(pattern: BLR2Pattern, U, V, omega_diag, psi_diag, Y_diag, Z_d
     where Omega_i (Psi_j) stacks the omega_diag (psi_diag) blocks of pattern
     row i (column j) and the slices pick the columns of block j (i).  Blocks
     are stacked in ``pattern.sorted_pairs`` order.  The sketches must be
-    independent of U and V and have at least (blocks per line) * m + 1
+    independent of U and V and have at least ``pattern.line_columns`` + 1
     columns; for a one-pair pattern {(i, i)} this is the classic diagonal
     recovery with at least 2k + 1 columns (2k + 2 for the error bound).
     Rows with the same number of pattern blocks are un-sketched as one
     stack; C is the same code run on ``pattern.T``.
     """
-    m = pattern.block_size
     names = ("omega_diag", "psi_diag", "Y_diag", "Z_diag")
     omega_diag, psi_diag, Y_diag, Z_diag = _as_sketches(
         pattern, names, (omega_diag, psi_diag, Y_diag, Z_diag)
     )
-    floor = pattern.max_blocks_per_line * m + 1
+    floor = pattern.line_columns + 1
     if omega_diag.shape[1] < floor:
         raise ValueError(
             f"diagonal-recovery sketches need at least {floor} columns, got {omega_diag.shape[1]}"

@@ -8,8 +8,9 @@ Generator families:
     strictly diagonally dominant matrix, served through banded Cholesky
     solves.  With total bandwidth 2k + 1 the inverse has rank-2k structure.
   - ``grid_schur_oracle``: Schur complement of an N x 51 grid-graph Laplacian
-    onto its middle separator column.  The two 25-column sides are mirror
-    images, so one side is factored and its Schur term counted twice.
+    onto its middle separator column.  The grid is separable, so the
+    operator is diagonal in the cosine basis: a product is two length-N
+    DCTs (real FFTs) around a diagonal scale.
   - ``bie_star_matrix``: second-kind Nystrom discretization of a Laplace
     double-layer boundary integral operator on a star-shaped curve.
   - ``random_telescoping`` / ``random_hss_matrix`` / ``random_blr2_matrix``:
@@ -160,19 +161,6 @@ def random_banded_matrix(n: int, bandwidth: int, seed: int) -> np.ndarray:
     return M
 
 
-def _band_solver(ab: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Solve with the symmetric positive definite band matrix held in upper
-    band form ``ab``, factored once with a banded Cholesky."""
-    factor = scipy.linalg.cholesky_banded(ab)
-
-    # The factor is finite by construction and MatvecOracle checks every
-    # reply, so the solve skips rescanning the factor on each product.
-    def solve(x):
-        return scipy.linalg.cho_solve_banded((factor, False), x, check_finite=False)
-
-    return solve
-
-
 def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     """Matvec oracle for the inverse of a random symmetric banded matrix.
 
@@ -186,7 +174,13 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     ab[half] = diag
     for d, off in enumerate(offs, start=1):
         ab[half - d, d:] = off
-    solve = _band_solver(ab)
+    factor = scipy.linalg.cholesky_banded(ab)
+
+    # The factor is finite by construction and MatvecOracle checks every
+    # reply, so the solve skips rescanning the factor on each product.
+    def solve(x):
+        return scipy.linalg.cho_solve_banded((factor, False), x, check_finite=False)
+
     return MatvecOracle(n, solve, solve)
 
 
@@ -202,48 +196,55 @@ def grid_schur_oracle(n_rows: int) -> MatvecOracle:
     onto its middle column (a graph separator); the operator acts on the
     ``n_rows`` separator vertices.
 
-    The two 25-column sides are mirror images: reflecting the columns maps
-    the right side's Laplacian, outer edge and separator coupling onto the
-    left side's.  So one side is factored (row-major, half-bandwidth 25,
-    outer edge in column 0, separator next to column 24) and its Schur term
-    counted twice.  A wide operand is scattered, band-solved and gathered in
-    panels of max(1, PANEL_BYTES // (8 * 25 n_rows)) columns: the band solve
-    works column by column, so narrow panels cost no speed and bound the
-    25 n_rows-row right-hand side.
+    The grid is separable, so the cosine basis diagonalizes the operator,
+    as in the fast Poisson solver of Buzbee, Golub and Nielson (1970).  Each
+    25-column side has the Laplacian T_N (x) I + I (x) H: T_N is the path
+    Laplacian along the separator with free ends, and H the 25-vertex path
+    Laplacian plus the separator edge at vertex 24.  The separator block is
+    T_N + 2I.  With T_N = C diag(mu) C^T, C the orthonormal DCT-II,
+    mu_i = 2 - 2 cos(pi i / N) and (lam, Q) = eigh(H), the two sides, which
+    are mirror images, give
+
+        S = C diag(sigma) C^T,
+        sigma_i = mu_i + 2 - 2 sum_j Q[24, j]**2 / (mu_i + lam_j).
+
+    A product is a DCT-II, a diagonal scale and the inverse DCT.  Each DCT
+    is one length-N real FFT of the operand reordered to its even entries
+    followed by its odd entries reversed (Makhoul 1980): with V the rfft of
+    that and w_f = exp(-1j pi f / 2N), the DCT-II is 2 Re(w_f V_f) at f and
+    -2 Im(w_f V_f) at N - f.  Scaling it by sigma replaces w_f V_f by
+    sigma_f Re(w_f V_f) + 1j sigma_{N-f} Im(w_f V_f), and conj(w_f) times
+    that is the rfft of the reordered product.  A wide operand runs in
+    panels of max(1, PANEL_BYTES // (16 (N // 2 + 1))) columns, the bytes
+    of a panel's complex spectrum.
     """
     if n_rows < 2:
         raise ValueError(f"need at least two grid rows, got {n_rows}")
-    w = _SIDE_WIDTH
-    size = n_rows * w
-    degree = np.full((n_rows, w), 4.0)
-    degree[0] -= 1.0
-    degree[-1] -= 1.0
-    degree[:, 0] -= 1.0
-    ab = np.zeros((w + 1, size))
-    ab[w] = degree.reshape(size)
-    ab[w - 1, 1:] = -1.0
-    ab[w - 1, w::w] = 0.0  # no edge across row boundaries
-    ab[0, w:] = -1.0
-    solve_side = _band_solver(ab)
-    coupling = np.arange(n_rows) * w + (w - 1)  # side vertices next to the separator
-    sep_degree = np.full(n_rows, 4.0)
-    sep_degree[0] -= 1.0
-    sep_degree[-1] -= 1.0
+    H = 2.0 * np.eye(_SIDE_WIDTH) - np.eye(_SIDE_WIDTH, k=1) - np.eye(_SIDE_WIDTH, k=-1)
+    H[0, 0] = 1.0  # the outer edge of the grid
+    lam, Q = np.linalg.eigh(H)
+    mu = 2.0 - 2.0 * np.cos(np.pi * np.arange(n_rows) / n_rows)
+    sigma = mu + 2.0 - 2.0 * (Q[-1] ** 2 / (mu[:, None] + lam)).sum(axis=1)
+    freq = np.arange(n_rows // 2 + 1)
+    twiddle = np.exp(-0.5j * np.pi * freq / n_rows)[:, None]
+    # sigma[-0] is sigma_0, which scales Im(w_0 V_0) = 0.
+    scale_re, scale_im = sigma[freq, None], sigma[-freq, None]
+    order = np.concatenate([np.arange(0, n_rows, 2), np.arange(1, n_rows, 2)[::-1]])
+    unorder = np.argsort(order)
 
     def apply_panel(xm):
-        y = sep_degree[:, None] * xm
-        y[:-1] -= xm[1:]
-        y[1:] -= xm[:-1]
-        # Schur term E^T L_side^{-1} E x per side; the separator edges have
-        # weight -1, so the two signs of E cancel.
-        rhs = np.zeros((size, xm.shape[1]))
-        rhs[coupling] = xm
-        y -= 2.0 * solve_side(rhs)[coupling]
-        return y
+        spectrum = np.fft.rfft(xm[order], axis=0)
+        spectrum *= twiddle
+        spectrum.real *= scale_re
+        spectrum.imag *= scale_im
+        spectrum *= twiddle.conj()
+        y = np.fft.irfft(spectrum, n_rows, axis=0)
+        del spectrum  # before the gather: a panel holds at most two arrays of its size
+        return y[unorder]
 
     def apply(x):
         xm = x[:, None] if x.ndim == 1 else x
-        y = _in_panels(lambda a, z: apply_panel(xm[:, a:z]), n_rows, xm.shape[1], 8 * size)
+        y = _in_panels(lambda a, z: apply_panel(xm[:, a:z]), n_rows, xm.shape[1], 16 * len(freq))
         return y[:, 0] if x.ndim == 1 else y
 
     return MatvecOracle(n_rows, apply, apply)

@@ -5,6 +5,8 @@ are deliberately written here, independently of the library code paths they
 check.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import scipy.linalg
 
@@ -144,9 +146,11 @@ def chained_compress(oracle, lf):
     return MatvecOracle(dim, product(oracle, lf), product(oracle.T, lf.T))
 
 
+@lru_cache(maxsize=None)
 def grid_schur_dense(n_rows):
     """Schur complement of the n_rows x 51 grid-graph Laplacian onto its
-    middle column 25, from the Laplacian assembled edge by edge."""
+    middle column 25, from the Laplacian assembled edge by edge.  Cached:
+    treat the result as read-only."""
     cols = 51
     size = n_rows * cols
     lap = np.zeros((size, size))
@@ -158,4 +162,44 @@ def grid_schur_dense(n_rows):
     sep = np.arange(n_rows) * cols + 25
     rest = np.setdiff1d(np.arange(size), sep)
     coupling = lap[np.ix_(rest, sep)]
-    return lap[np.ix_(sep, sep)] - coupling.T @ np.linalg.solve(lap[np.ix_(rest, rest)], coupling)
+    S = lap[np.ix_(sep, sep)] - coupling.T @ np.linalg.solve(lap[np.ix_(rest, rest)], coupling)
+    S.flags.writeable = False
+    return S
+
+
+def grid_schur_band(n_rows):
+    """Product x -> S x with the Schur complement of the n_rows x 51 grid
+    Laplacian onto its middle column, for a 2-D x, by band solves.
+
+    One 25-column side is factored with a banded Cholesky (row-major,
+    half-bandwidth 25, outer edge in column 0, separator next to column 24)
+    and its Schur term E^T L_side^{-1} E counted twice: the two sides are
+    mirror images.  The separator edges have weight -1, so the two signs of
+    E cancel.
+    """
+    w = 25
+    size = n_rows * w
+    degree = np.full((n_rows, w), 4.0)
+    degree[0] -= 1.0
+    degree[-1] -= 1.0
+    degree[:, 0] -= 1.0
+    ab = np.zeros((w + 1, size))
+    ab[w] = degree.reshape(size)
+    ab[w - 1, 1:] = -1.0
+    ab[w - 1, w::w] = 0.0  # no edge across row boundaries
+    ab[0, w:] = -1.0
+    factor = scipy.linalg.cholesky_banded(ab)
+    coupling = np.arange(n_rows) * w + (w - 1)  # side vertices next to the separator
+    sep_degree = np.full(n_rows, 4.0)
+    sep_degree[0] -= 1.0
+    sep_degree[-1] -= 1.0
+
+    def apply(x):
+        y = sep_degree[:, None] * x
+        y[:-1] -= x[1:]
+        y[1:] -= x[:-1]
+        rhs = np.zeros((size, x.shape[1]))
+        rhs[coupling] = x
+        return y - 2.0 * scipy.linalg.cho_solve_banded((factor, False), rhs)[coupling]
+
+    return apply

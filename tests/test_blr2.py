@@ -21,6 +21,8 @@ from hsskit import (
     random_blr2_matrix,
 )
 
+from hsskit import blr2
+
 from helpers import reference_width_floor
 
 
@@ -49,6 +51,7 @@ class TestPattern:
     def test_diagonal(self):
         pat = BLR2Pattern.diagonal(4, 3)
         assert pat.max_blocks_per_line == 1
+        assert pat.line_columns == 3
         assert pat.row_inadmissible(2) == (2,)
         assert pat.T.row_inadmissible(2) == (2,)
         assert _outside(pat, pat.row_inadmissible(2)) == (0, 1, 3)
@@ -57,6 +60,7 @@ class TestPattern:
     def test_tridiagonal(self):
         pat = BLR2Pattern.tridiagonal(8, 4)
         assert pat.max_blocks_per_line == 3
+        assert pat.line_columns == 3 * 4
         assert pat.row_inadmissible(0) == (0, 1)
         assert pat.row_inadmissible(3) == (2, 3, 4)
         assert pat.T.row_inadmissible(7) == (6, 7)
@@ -119,6 +123,22 @@ class TestBlr2BlockNullify:
             H = _implicit_gaussian(psi, pat, Q, rows)
             gamma = np.vstack([A[i * m : (i + 1) * m, j * m : (j + 1) * m] for i in rows])
             assert np.abs(got - gamma.T @ H).max() <= 1e-11
+
+    def test_a_group_of_every_row_reads_block_views(self):
+        """The diagonal pattern's one row group lists every block row in
+        order, so the step reads its blocks as views of the (b, m, s) stack;
+        the tridiagonal pattern's groups and the anti-diagonal pattern's
+        hits, every block out of order, gather copies.  All read the same
+        values as fancy indexing."""
+        stack = np.arange(5 * 3 * 4, dtype=float).reshape(5, 3, 4)
+        anti = BLR2Pattern(5, 3, frozenset((i, 4 - i) for i in range(5)))
+        for pat, shared in ((BLR2Pattern.diagonal(5, 3), (True, True)),
+                            (BLR2Pattern.tridiagonal(5, 3), (False, False)), (anti, (True, False))):
+            for members, hits, _ in pat._row_groups:
+                for index, view in zip((members, hits), shared):
+                    got = blr2._take(stack, index)
+                    assert np.shares_memory(got, stack) == view
+                    assert np.array_equal(got, stack[index])
 
 
 class TestBlr2Build:

@@ -92,9 +92,10 @@ class TestPanelBoundaries:
         x = _operand(F.dim, width, 5)
         _assert_close(blr2_apply(F, x), blr2_reconstruct(F) @ x)
 
-    @pytest.mark.parametrize("width", [None, 1, 16])
+    @pytest.mark.parametrize("width", [None, 1, 16, 300])
     def test_grid_oracle(self, small_panels, width):
-        # 16 grid rows: 3-column panels of the 400-row side solve.
+        # 16 grid rows: 85-column panels of the 9-row complex spectrum, so
+        # width 300 runs in four.
         S = grid_schur_dense(16)
         x = _operand(16, width, 6)
         _assert_close(grid_schur_oracle(16).apply(x), S @ x)

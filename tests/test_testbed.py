@@ -19,7 +19,7 @@ from hsskit import (
 )
 from hsskit.testbed import make_problem, resolve_params
 
-from helpers import grid_schur_dense
+from helpers import grid_schur_band, grid_schur_dense
 
 
 class TestHardInstance:
@@ -119,15 +119,29 @@ class TestGridSchur:
         evals = np.linalg.eigvalsh(A)
         assert evals.min() >= -1e-10
 
-    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    @pytest.mark.parametrize("n", range(2, 41))
     @pytest.mark.parametrize("direction", ["forward", "transpose"])
     def test_matches_dense_schur_complement(self, n, direction):
-        """One side factored and counted twice gives the Schur complement of
-        the whole grid."""
+        """The cosine-basis spectrum gives the Schur complement of the whole
+        grid, for odd and even n, on the identity and on 1-D, width-1 and
+        width-300 operands."""
         S = grid_schur_dense(n)
         oracle = grid_schur_oracle(n)
         product = oracle.apply if direction == "forward" else oracle.apply_transpose
-        assert np.linalg.norm(product(np.eye(n)) - S) <= 1e-13 * np.linalg.norm(S)
+        rng = np.random.default_rng(n)
+        for x in (np.eye(n), rng.standard_normal(n), rng.standard_normal((n, 1)),
+                  rng.standard_normal((n, 300))):
+            y, want = product(x), S @ x
+            assert y.shape == x.shape
+            assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [1024, 1025, 4097])
+    def test_matches_band_cholesky_reference(self, n):
+        """Agreement with the Schur term from band solves on one side, at
+        sizes too large for the dense reference."""
+        x = np.random.default_rng(n).standard_normal((n, 8))
+        want = grid_schur_band(n)(x)
+        assert np.linalg.norm(grid_schur_oracle(n).apply(x) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize(
@@ -135,8 +149,8 @@ class TestGridSchur:
 )
 @pytest.mark.parametrize("direction", ["forward", "transpose"])
 def test_band_solve_oracle_reports_a_nan_operand_in_its_reply(oracle, direction):
-    """The band solves skip scipy's finite check; a NaN operand still fails,
-    at the oracle's own reply check."""
+    """The band solves skip scipy's finite check and the grid oracle's FFTs
+    make none; a NaN operand still fails, at the oracle's own reply check."""
     x = np.ones((32, 3))
     x[5, 1] = np.nan
     product = oracle.apply if direction == "forward" else oracle.apply_transpose
