@@ -22,7 +22,7 @@ Transposition is data: the column side of every rule is the row side run on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -102,11 +102,17 @@ class BLR2Pattern:
 
     @cached_property
     def T(self) -> "BLR2Pattern":
-        """The pattern of the transposed matrix: pairs (j, i)."""
-        return BLR2Pattern(self.block_count, self.block_size, frozenset((j, i) for i, j in self.pairs))
+        """The pattern of the transposed matrix: pairs (j, i).  A pattern
+        whose pairs are symmetric is its own transpose."""
+        pairs = frozenset((j, i) for i, j in self.pairs)
+        return self if pairs == self.pairs else BLR2Pattern(self.block_count, self.block_size, pairs)
 
     @classmethod
+    @lru_cache(maxsize=64)
     def diagonal(cls, block_count: int, block_size: int) -> "BLR2Pattern":
+        """The b x b diagonal pattern, built once per (b, m) while it is among
+        the 64 last asked for: the hierarchical drivers ask for one per level
+        on every build."""
         return cls(block_count, block_size, frozenset((i, i) for i in range(block_count)))
 
     @classmethod

@@ -14,21 +14,24 @@ built on:
     a complete QR of its transpose.
   - ``pivoted_qr_basis``: leading columns of a column-pivoted QR.
   - ``right_pinv_apply``: Y @ pinv(Omega) for wide Omega via a thin QR of
-    Omega^T and one triangular solve.
+    Omega^T and the inverse of its triangular factor.
 
 All four factorization kernels take one matrix or a stack (b, r, c) of
 equal-shape matrices and return the matching leading shape; one call serves
 a whole level of blocks, and the input checks run once per stack.  A 2-D
-argument is a stack of one.  The pivoted QR has no stacked LAPACK driver:
-it queries the workspace once per stack and calls ``geqp3`` and ``orgqr``
-per member.
+argument is a stack of one.  The pivoted QR and the triangular inverse have
+no stacked LAPACK driver: they query the routines once per stack and call
+them per member (``geqp3`` and ``orgqr``; ``trtri``).
 
 ``nullspace_basis`` and ``right_pinv_apply`` decide rank from the square
-factor R of omega^T.  Most members are settled by the proven bound
-sigma_min / sigma_max >= 1 / (||R||_F ||R^{-1}||_F), one batched inverse and
-two norms; only members whose bound does not clear ``RANK_CUTOFF`` with a
-factor ``RANK_BOUND_MARGIN`` to spare (or a stack whose inverse fails) go
-to the singular values.
+upper-triangular factor R of omega^T.  Each member is scaled by the power of
+two that brings max|R| into [0.5, 1) and inverted once, in place, by
+``trtri``.  Most members are settled by the proven bound
+sigma_min / sigma_max >= 1 / (||R||_F ||R^{-1}||_F), two norms; only members
+whose bound does not clear ``RANK_CUTOFF`` with a factor
+``RANK_BOUND_MARGIN`` to spare (or whose R has an exact zero pivot) go to
+the singular values.  ``right_pinv_apply`` reuses the same inverse, so no LU
+factorization or general solve is left: (Y Q) R^{-T} is one batched product.
 
 All functions are pure; streams are value types.
 """
@@ -136,34 +139,43 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
 
 def _check_full_rank(R: np.ndarray, single: bool):
     """Raise ``LinAlgError`` naming the first stack member whose square
-    factor R of omega^T has its smallest singular value at or below
-    ``RANK_CUTOFF`` relative to its largest (a zero R counts as
-    rank-deficient; an empty R has full rank).
+    upper-triangular factor R of omega^T has its smallest singular value at
+    or below ``RANK_CUTOFF`` relative to its largest (a zero R counts as
+    rank-deficient; an empty R has full rank).  Otherwise return
+    ``(inverse, exponent)``: R[t] = 2**exponent[t] * R'[t] with max|R'[t]|
+    in [0.5, 1), and inverse[t] = R'[t]^{-1}.
 
-    The singular values are computed only for members that the bound
-    sigma_min / sigma_max >= 1 / (||R||_F ||R^{-1}||_F) does not already
-    prove full rank with ``RANK_BOUND_MARGIN`` to spare; an inverse that
-    fails for the stack leaves every member to them.
+    Each member is scaled by that power of two, which is exact and keeps the
+    inverse of every member the rule accepts finite at any scale of R, and
+    inverted once by LAPACK ``trtri``.  The singular values are computed
+    only for members that the bound sigma_min / sigma_max >= 1 / (||R||_F
+    ||R^{-1}||_F) does not already prove full rank with
+    ``RANK_BOUND_MARGIN`` to spare; a member with an exact zero pivot
+    (``trtri`` info > 0) is left to them alone.
     """
+    exponent = np.frexp(np.abs(R).max(axis=(1, 2), initial=0.0))[1]
+    inverse = np.ldexp(R, -exponent[:, None, None])
     if R.shape[-1] == 0:
-        return
-    try:
-        inverse = np.linalg.inv(R)
-    except np.linalg.LinAlgError:
-        uncertain = np.arange(R.shape[0])
-    else:
-        # An overflowing norm reads inf and a NaN fails the test: both leave
-        # the member to the singular values.
-        with np.errstate(over="ignore", invalid="ignore"):
-            cond = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
-            uncertain = np.flatnonzero(~(cond * (RANK_BOUND_MARGIN * RANK_CUTOFF) < 1.0))
-    if uncertain.size == 0:
-        return
-    svals = np.linalg.svd(R[uncertain], compute_uv=False)
-    deficient = uncertain[svals[:, -1] <= RANK_CUTOFF * svals[:, 0]]
-    if deficient.size:
-        where = "" if single else f" (stack index {int(deficient[0])})"
-        raise np.linalg.LinAlgError(f"omega is numerically rank-deficient{where}")
+        return inverse, exponent
+    norms = np.linalg.norm(inverse, axis=(1, 2))
+    (trtri,) = scipy.linalg.get_lapack_funcs(("trtri",), (inverse,))
+    singular = np.zeros(R.shape[0], dtype=bool)
+    for t in range(R.shape[0]):
+        # The transpose of a C-ordered member is a Fortran-ordered lower
+        # triangle, which trtri inverts in place: inverse[t] becomes R'^{-1}.
+        singular[t] = trtri(inverse[t].T, lower=1, overwrite_c=1)[1] > 0
+    # An overflowing norm reads inf and a NaN fails the test: both leave the
+    # member to the singular values.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = norms * np.linalg.norm(inverse, axis=(1, 2))
+        uncertain = np.flatnonzero(singular | ~(cond * (RANK_BOUND_MARGIN * RANK_CUTOFF) < 1.0))
+    if uncertain.size:
+        svals = np.linalg.svd(R[uncertain], compute_uv=False)
+        deficient = uncertain[svals[:, -1] <= RANK_CUTOFF * svals[:, 0]]
+        if deficient.size:
+            where = "" if single else f" (stack index {int(deficient[0])})"
+            raise np.linalg.LinAlgError(f"omega is numerically rank-deficient{where}")
+    return inverse, exponent
 
 
 def truncated_svd_left(B, k: int) -> np.ndarray:
@@ -264,9 +276,10 @@ def right_pinv_apply(Y, omega) -> np.ndarray:
     """Compute Y @ pinv(omega) for a wide, full-row-rank omega.
 
     Y (r, n) and omega (m, n), or stacks (b, r, n) and (b, m, n) of equal
-    length.  With the thin QR omega^T = Q R this is (Y Q) R^{-T}, one solve
-    with the small R.  Raises ``LinAlgError``, naming the stack index, when
-    omega is numerically rank-deficient.
+    length.  With the thin QR omega^T = Q R this is (Y Q) R^{-T}: one
+    batched product with the inverse that the rank check computes anyway,
+    scaled back by its power of two.  Raises ``LinAlgError``, naming the
+    stack index, when omega is numerically rank-deficient.
     """
     Y, single = _as_stack(Y, "Y")
     omega, single_omega = _as_stack(omega, "omega")
@@ -278,6 +291,6 @@ def right_pinv_apply(Y, omega) -> np.ndarray:
     if m > n:
         raise ValueError(f"omega must be wide (rows <= cols), got {m}x{n}")
     Q, R = np.linalg.qr(omega.transpose(0, 2, 1))
-    _check_full_rank(R, single)
-    X = np.ascontiguousarray(np.linalg.solve(R, (Y @ Q).transpose(0, 2, 1)).transpose(0, 2, 1))
+    inverse, exponent = _check_full_rank(R, single)
+    X = np.ldexp((Y @ Q) @ inverse.transpose(0, 2, 1), -exponent[:, None, None])
     return X[0] if single else X

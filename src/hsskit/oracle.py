@@ -209,10 +209,11 @@ def compress_oracle(oracle: MatvecOracle, lf: LevelFactors) -> MatvecOracle:
 
 def dense_from_oracle(oracle: MatvecOracle) -> np.ndarray:
     """Extract the dense matrix by probing with the identity (N forward
-    queries).  Each call probes one panel of max(1, PANEL_BYTES // (8 N))
-    identity columns, so the N x N identity is never formed."""
+    queries).  Each call probes one panel of max(1, PANEL_BYTES // (16 N))
+    identity columns, the probe and its reply taking 16 N bytes a column,
+    so the N x N identity is never formed."""
     n = oracle.dim
-    return _in_panels(lambda a, z: oracle.apply(np.eye(n, z - a, -a)), n, n, 8 * n)
+    return _in_panels(lambda a, z: oracle.apply(np.eye(n, z - a, -a)), n, n, 16 * n)
 
 
 def oracle_from_factorization(T: TelescopingFactorization) -> MatvecOracle:

@@ -215,8 +215,10 @@ def grid_schur_oracle(n_rows: int) -> MatvecOracle:
     -2 Im(w_f V_f) at N - f.  Scaling it by sigma replaces w_f V_f by
     sigma_f Re(w_f V_f) + 1j sigma_{N-f} Im(w_f V_f), and conj(w_f) times
     that is the rfft of the reordered product.  A wide operand runs in
-    panels of max(1, PANEL_BYTES // (16 (N // 2 + 1))) columns, the bytes
-    of a panel's complex spectrum.
+    panels of max(1, PANEL_BYTES // (16 N)) columns: a panel holds at most
+    two arrays of its size at once, about 16 N bytes a column.  That is the
+    width :func:`~hsskit.oracle.dense_from_oracle` probes, so each of its
+    probes is one panel.
     """
     if n_rows < 2:
         raise ValueError(f"need at least two grid rows, got {n_rows}")
@@ -244,7 +246,7 @@ def grid_schur_oracle(n_rows: int) -> MatvecOracle:
 
     def apply(x):
         xm = x[:, None] if x.ndim == 1 else x
-        y = _in_panels(lambda a, z: apply_panel(xm[:, a:z]), n_rows, xm.shape[1], 16 * len(freq))
+        y = _in_panels(lambda a, z: apply_panel(xm[:, a:z]), n_rows, xm.shape[1], 16 * n_rows)
         return y[:, 0] if x.ndim == 1 else y
 
     return MatvecOracle(n_rows, apply, apply)

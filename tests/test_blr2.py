@@ -75,6 +75,24 @@ class TestPattern:
         with pytest.raises(ValueError):
             BLR2Pattern(3, 2, frozenset({(0, 3)}))
 
+    def test_diagonal_is_built_once_per_shape(self):
+        pat = BLR2Pattern.diagonal(8, 4)
+        assert BLR2Pattern.diagonal(8, 4) is pat
+        assert BLR2Pattern.diagonal(8, 2) is not pat
+
+    def test_symmetric_pattern_is_its_own_transpose(self):
+        pat = BLR2Pattern.diagonal(8, 4)
+        assert pat.T is pat
+        tri = BLR2Pattern.tridiagonal(6, 2)
+        assert tri.T is tri
+        assert tri.T.pairs == BLR2Pattern.tridiagonal(6, 2).pairs
+
+    def test_asymmetric_pattern_transposes_its_pairs(self):
+        pat = BLR2Pattern(3, 2, frozenset({(0, 0), (0, 2), (1, 1)}))
+        assert pat.T is not pat
+        assert pat.T.pairs == {(0, 0), (2, 0), (1, 1)}
+        assert pat.T.T.pairs == pat.pairs
+
 
 class TestBlr2BlockNullify:
     def test_diagonal_pattern_reduces_to_plain_nullification(self):

@@ -94,8 +94,8 @@ class TestPanelBoundaries:
 
     @pytest.mark.parametrize("width", [None, 1, 16, 300])
     def test_grid_oracle(self, small_panels, width):
-        # 16 grid rows: 85-column panels of the 9-row complex spectrum, so
-        # width 300 runs in four.
+        # 16 grid rows: 48-column panels (16 N bytes a column), so width
+        # 300 runs in seven.
         S = grid_schur_dense(16)
         x = _operand(16, width, 6)
         _assert_close(grid_schur_oracle(16).apply(x), S @ x)
@@ -105,7 +105,7 @@ class TestPanelBoundaries:
         widths = []
         B = dense_from_oracle(_recording(MatvecOracle.from_dense(A), widths))
         assert np.array_equal(B, A)
-        assert widths == [15] * 6 + [10]
+        assert widths == [7] * 14 + [2]  # 16 N bytes a column: probe and reply
 
     def test_blr2_core_probe_keeps_the_query_split(self, small_panels, monkeypatch):
         pat = BLR2Pattern.tridiagonal(16, 8)
@@ -139,6 +139,20 @@ class TestPanelMemory:
         oracle = grid_schur_oracle(512)
         A, peak = _peak_bytes(lambda: dense_from_oracle(oracle))
         assert peak <= A.nbytes + 4 * structures.PANEL_BYTES
+
+    @pytest.mark.parametrize("n,probes", [(512, [256] * 2), (1024, [128] * 8)])
+    def test_dense_grid_extraction_probes_one_fft_panel_per_call(self, n, probes, monkeypatch):
+        # The probes and the grid oracle's panels follow one rule (16 N
+        # bytes a column), so each probe call is one forward FFT and holds
+        # at most two panels' bytes beside the result.
+        rfft, ffts = np.fft.rfft, []
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: ffts.append(1) or rfft(*a, **kw))
+        oracle = grid_schur_oracle(n)
+        widths = []
+        A, peak = _peak_bytes(lambda: dense_from_oracle(_recording(oracle, widths)))
+        assert widths == probes
+        assert len(ffts) == len(probes)
+        assert peak <= A.nbytes + 2 * structures.PANEL_BYTES
 
     def test_blr2_build_stays_below_the_dense_core_probe(self):
         n, m, k = 2048, 16, 8

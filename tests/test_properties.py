@@ -189,6 +189,83 @@ class TestRankDeficientMember:
             right_pinv_apply(np.ones((b, 2, m + 3)), omega)
 
 
+def _conditioned_stack(rng, b, m, n, cond):
+    """A (b, m, n) stack of wide members whose singular values fall
+    geometrically from 1 to 1 / cond."""
+    omega = np.empty((b, m, n))
+    for t in range(b):
+        left, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        right, _ = np.linalg.qr(rng.standard_normal((n, m)))
+        omega[t] = (left * np.geomspace(1.0, 1.0 / cond, m)) @ right.T
+    return omega
+
+
+class TestSharedInverse:
+    """The rank check inverts each member's triangular factor once, and the
+    pseudo-inverse reuses that inverse."""
+
+    @PROPERTY
+    @given(
+        seed=seeds,
+        b=st.integers(1, 4),
+        m=dims,
+        extra=st.integers(0, 8),
+        r=st.integers(1, 5),
+        log_cond=st.integers(0, 10),
+        scale=st.sampled_from([1e-300, 1.0, 1e300]),
+    )
+    def test_right_pinv_apply_matches_pinv(self, seed, b, m, extra, r, log_cond, scale):
+        # Y lies in the row space of omega, so Y pinv(omega) is a backward
+        # stable answer to within c eps cond, with c = 4 (m + n) here.  Y
+        # and omega share the scale, so the answer is the same at every
+        # scale and the reference is taken at scale 1.
+        n, cond = m + extra, 10.0**log_cond
+        rng = np.random.default_rng(seed)
+        omega = _conditioned_stack(rng, b, m, n, cond)
+        Y = rng.standard_normal((b, r, m)) @ omega
+        expected = Y @ np.linalg.pinv(omega)
+        got = right_pinv_apply(scale * Y, scale * omega)
+        assert np.isfinite(got).all()
+        err = np.linalg.norm(got - expected, axis=(1, 2)) / np.linalg.norm(expected, axis=(1, 2))
+        assert err.max() <= 4 * (m + n) * np.finfo(float).eps * cond
+
+    def test_gaussian_stacks_call_no_inverse_or_solve(self, monkeypatch):
+        calls = []
+        for name in ("inv", "solve"):
+            routine = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, _r=routine, _n=name, **kw: calls.append(_n) or _r(*a, **kw)
+            )
+        rng = np.random.default_rng(20)
+        nullspace_basis(rng.standard_normal((64, 16, 34)))
+        right_pinv_apply(rng.standard_normal((64, 16, 34)), rng.standard_normal((64, 16, 34)))
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [0, 3, 6])
+    def test_exactly_singular_member_is_named_and_checked_alone(self, bad, monkeypatch):
+        # A zero row of omega gives R an exact zero pivot (trtri info > 0):
+        # that member, and only it, goes to the singular values.
+        svd, sizes = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **kw: sizes.append(len(a)) or svd(a, *r, **kw))
+        omega = np.random.default_rng(21).standard_normal((7, 5, 9))
+        omega[bad, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match=rf"\(stack index {bad}\)$"):
+            right_pinv_apply(np.ones((7, 2, 9)), omega)
+        with pytest.raises(np.linalg.LinAlgError, match=rf"\(stack index {bad}\)$"):
+            nullspace_basis(omega)
+        assert sizes == [1, 1]
+
+    def test_inverse_is_of_the_scaled_factor(self):
+        R = np.linalg.qr(np.random.default_rng(22).standard_normal((4, 9, 6)), mode="r")
+        R[1] *= 1e-300
+        R[2] *= 1e300
+        inverse, exponent = _check_full_rank(R, single=False)
+        for t in range(4):
+            scaled = np.ldexp(R[t], -int(exponent[t]))
+            assert 0.5 <= np.abs(scaled).max() < 1.0
+            assert np.abs(inverse[t] @ scaled - np.eye(6)).max() <= 1e-13
+
+
 class TestBlockOps:
     @PROPERTY
     @given(seed=seeds, b=stack_sizes, r=dims, c=dims, width=st.integers(1, 5))
