@@ -12,7 +12,6 @@ from .blr2 import (
     BLR2Factorization,
     BLR2Pattern,
     blr2_apply,
-    blr2_block_nullify,
     blr2_factors_from_sketches,
     blr2_from_matvecs,
     blr2_reconstruct,
@@ -61,7 +60,6 @@ from .oracle import (
     dense_from_oracle,
     oracle_from_factorization,
 )
-from .sketching import pcps_basis
 from .structures import (
     LevelFactors,
     TelescopingFactorization,
@@ -76,7 +74,6 @@ from .testbed import (
     frobenius_error,
     grid_schur_oracle,
     hard_instance,
-    random_banded_matrix,
     random_blr2_matrix,
     random_hss_matrix,
     random_telescoping,

@@ -32,11 +32,9 @@ from .sketching import BASIS_METHODS
 from .structures import _as_operand, _in_panels, block_apply, block_apply_t
 
 __all__ = [
-    "BASIS_METHODS",
     "BLR2Factorization",
     "BLR2Pattern",
     "blr2_apply",
-    "blr2_block_nullify",
     "blr2_factors_from_sketches",
     "blr2_from_matvecs",
     "blr2_reconstruct",
@@ -227,6 +225,8 @@ def _nullify(tests: np.ndarray, images: np.ndarray, members, hits):
     stacked pattern blocks of ``tests``, one per row of ``members``, and
     sketches (g, m, s - h m) the image blocks of those rows times P.  With
     h = 0, P is None and the sketches are the image blocks themselves.
+    For images = A tests, sketch i = rho_i(A) G_i P: rho_i(A) is block row i's
+    admissible part, G_i the blocks of ``tests`` outside row i's pattern blocks.
     """
     g, h = hits.shape
     if h == 0:
@@ -239,30 +239,6 @@ def _nullify(tests: np.ndarray, images: np.ndarray, members, hits):
 def _blocks(pattern: BLR2Pattern, arr: np.ndarray) -> np.ndarray:
     """View a (dim, s) array as its (b, m, s) stack of block rows."""
     return arr.reshape(pattern.block_count, pattern.block_size, -1)
-
-
-def blr2_block_nullify(omega, images, pattern: BLR2Pattern, i: int):
-    """Nullify the pattern blocks of one block row of a test matrix.
-
-    Returns ``(P, sketch)``: P is an orthonormal basis of the nullspace of
-    the blocks of omega that pattern row i hits, and sketch = images_i @ P.
-    For images = A omega the sketch equals the admissible part of block row
-    i of A times the implicit Gaussian test matrix formed by the remaining
-    blocks of omega times P.  A row with no pattern blocks gets P = I.
-    Raises ``LinAlgError`` when those blocks are rank-deficient.  Block
-    column j is block row j of ``pattern.T``: pass psi and Z = A^T psi.  The
-    build step nullifies whole groups of rows at once through the same code.
-    """
-    hit = pattern.row_inadmissible(i)
-    omega = np.asarray(omega, dtype=np.float64)
-    images = np.asarray(images, dtype=np.float64)
-    if omega.shape[0] != pattern.dim:
-        raise ValueError(f"test matrix has {omega.shape[0]} rows, expected {pattern.dim}")
-    if images.shape != omega.shape:
-        raise ValueError(f"images shape {images.shape} does not match test matrix {omega.shape}")
-    hits = np.array(hit, dtype=np.intp).reshape(1, len(hit))
-    P, sketch = _nullify(_blocks(pattern, omega), _blocks(pattern, images), np.array([i]), hits)
-    return (np.eye(omega.shape[1]) if P is None else P[0]), sketch[0]
 
 
 def _unsketch(pattern: BLR2Pattern, Q: np.ndarray, images: np.ndarray, tests: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ Config keys::
     matrix      a problem family of hsskit.testbed.FAMILIES
     n           operator dimension (must equal 2**(L+1) * k)
     k           approximation rank
-    algorithms  comma list of fresh | reused-svd | reused-qr | explicit | bstar
-    s           comma list of sketch widths, none below a listed matvec algorithm's floor
+    algorithms  comma list of distinct fresh | reused-svd | reused-qr | explicit | bstar
+    s           comma list of distinct sketch widths, none below a listed matvec algorithm's floor
     trials      number of trials per cell            (default 1)
     seed        base seed; trial t uses seed + t      (default 0)
     timing      on | off                              (default off)
@@ -85,7 +85,7 @@ _KEY_PARSERS = {
     "matrix": str,
     "n": int,
     "k": int,
-    "algorithms": lambda v: tuple(p.strip() for p in v.split(",") if p.strip()),
+    "algorithms": lambda v: tuple(p.strip() for p in v.split(",")),
     "s": lambda v: tuple(int(p) for p in v.split(",")),
     "trials": int,
     "seed": int,
@@ -115,6 +115,8 @@ def parse_config(text: str) -> dict:
             values[key] = _KEY_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        if key in ("algorithms", "s") and ("" in values[key] or len(set(values[key])) < len(values[key])):
+            raise ConfigError(f"line {lineno}: {key!r} lists an empty or repeated entry: {value!r}")
         lines[key] = lineno
     for key in _REQUIRED_KEYS:
         if key not in values:

@@ -31,22 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blr2 import BASIS_METHODS, BLR2Pattern, _query_sketches, blr2_factors_from_sketches
+from .blr2 import BLR2Pattern, _query_sketches, blr2_factors_from_sketches
 from .kernels import RngStream
 from .oracle import MatvecOracle, compress_oracle
 from .structures import LevelFactors, TelescopingFactorization, block_apply, block_apply_t
 
 __all__ = [
-    "BASIS_METHODS",
     "MatvecConfig",
-    "SKETCH_POLICIES",
     "TheoremBounds",
     "hss_from_matvecs_fresh",
     "hss_from_matvecs_reused",
     "theorem_bounds",
 ]
-
-SKETCH_POLICIES = ("fresh", "reused")
 
 
 @dataclass(frozen=True)
@@ -69,8 +65,8 @@ class MatvecConfig:
     def __post_init__(self):
         if self.L < 1 or self.k < 1:
             raise ValueError(f"need L >= 1 and k >= 1, got L={self.L}, k={self.k}")
-        if self.sketch_policy not in SKETCH_POLICIES:
-            raise ValueError(f"sketch_policy must be one of {SKETCH_POLICIES}")
+        if self.sketch_policy not in ("fresh", "reused"):
+            raise ValueError(f"sketch_policy must be 'fresh' or 'reused', got {self.sketch_policy!r}")
         BLR2Pattern.diagonal(1, 2 * self.k).check_step(self.k, self.s, self.basis_method)
         if self.sketch_policy == "fresh" and self.basis_method != "svd-pcps":
             raise ValueError("the fresh policy always extracts bases via the SVD")

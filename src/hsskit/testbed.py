@@ -49,7 +49,6 @@ __all__ = [
     "grid_schur_oracle",
     "hard_instance",
     "make_problem",
-    "random_banded_matrix",
     "random_blr2_matrix",
     "random_hss_matrix",
     "random_telescoping",
@@ -149,16 +148,6 @@ def _banded_arrays(n: int, bandwidth: int, seed: int):
         diag[: n - d] += np.abs(off)
         diag[d:] += np.abs(off)
     return diag, offs
-
-
-def random_banded_matrix(n: int, bandwidth: int, seed: int) -> np.ndarray:
-    """Dense form of the random symmetric banded matrix used by
-    :func:`banded_inverse_oracle` (same seed gives the same matrix)."""
-    diag, offs = _banded_arrays(n, bandwidth, seed)
-    M = np.diag(diag)
-    for d, off in enumerate(offs, start=1):
-        M += np.diag(off, d) + np.diag(off, -d)
-    return M
 
 
 def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:

@@ -10,8 +10,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from hsskit import BLR2Factorization, BLR2Pattern, MatvecOracle, RngStream, gaussian
+from hsskit import BLR2Factorization, BLR2Pattern, MatvecOracle, RngStream, blr2, gaussian
 from hsskit.structures import block_apply, block_apply_t
+from hsskit.testbed import _banded_arrays
 
 
 def rand_orthonormal(rows, cols, rng):
@@ -78,6 +79,31 @@ def rank_deficient_free_gaussian(rows, cols, seed):
     return gaussian(rows, cols, RngStream(seed).child("test"))
 
 
+def nullify_rows(pattern, tests, images):
+    """Nullify every block row of ``pattern`` as the one-level step does: one
+    ``blr2._nullify`` call per group of ``pattern._row_groups``.  Returns
+    {i: (P_i, sketch_i)}; a row with no pattern blocks has P_i = None.  For
+    block column j, pass ``pattern.T``, psi and Z = A^T psi."""
+    rows = {}
+    for members, hits, _ in pattern._row_groups:
+        P, sketches = blr2._nullify(blr2._blocks(pattern, tests), blr2._blocks(pattern, images),
+                                    members, hits)
+        for g, i in enumerate(members):
+            rows[int(i)] = (None if P is None else P[g], sketches[g])
+    return rows
+
+
+def random_banded_matrix(n, bandwidth, seed):
+    """Dense form of the random symmetric banded matrix whose inverse
+    :func:`~hsskit.testbed.banded_inverse_oracle` applies (same seed gives
+    the same matrix)."""
+    diag, offs = _banded_arrays(n, bandwidth, seed)
+    M = np.diag(diag)
+    for d, off in enumerate(offs, start=1):
+        M += np.diag(off, d) + np.diag(off, -d)
+    return M
+
+
 def direct_svd_left(B, k):
     """Top-k left singular vectors from the SVD of the 2-D matrix B itself,
     with the documented sign rule (largest-magnitude entry of each column
@@ -102,6 +128,13 @@ def reference_config_accepts(L, k, s, basis_method, sketch_policy):
     if sketch_policy == "fresh":
         return basis_method == "svd-pcps" and s >= 3 * k + 2
     return s >= (3 * k + 2 if basis_method == "svd-pcps" else 3 * k)
+
+
+# The matvec algorithms of the experiment harness, each with its sketch-width
+# floor at rank k as the paper states it: 3k + 2 with the SVD basis, 3k with
+# pivoted QR.
+MATVEC_FLOORS = {"fresh": lambda k: 3 * k + 2, "reused-svd": lambda k: 3 * k + 2,
+                 "reused-qr": lambda k: 3 * k}
 
 
 def reference_width_floor(pattern, k):

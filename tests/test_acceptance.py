@@ -19,7 +19,6 @@ from hsskit import (
     TruncatedPayloadError,
     VersionMismatchError,
     banded_inverse_oracle,
-    blr2_block_nullify,
     blr2_factors_from_sketches,
     blr2_from_matvecs,
     blr2_remainder,
@@ -32,7 +31,6 @@ from hsskit import (
     hard_instance,
     hss_from_matvecs_fresh,
     hss_from_matvecs_reused,
-    pcps_basis,
     random_blr2_matrix,
     random_hss_matrix,
     random_telescoping,
@@ -41,11 +39,12 @@ from hsskit import (
     theorem_bounds,
     validate_hss_ranks,
 )
+from hsskit.sketching import BASIS_METHODS
 from hsskit.structures import LevelFactors, block_apply_t, block_to_dense
 
 import pytest
 
-from helpers import brute_block_col, brute_block_row, rand_orthonormal
+from helpers import brute_block_col, brute_block_row, nullify_rows, rand_orthonormal
 
 
 def _report(num, started, text):
@@ -83,12 +82,13 @@ def test_criterion_02_block_nullification_identity():
         Y = op.apply(omega)
         Z = op.apply_transpose(psi)
         pattern = BLR2Pattern.diagonal(blocks, w)
+        rows, cols = nullify_rows(pattern, omega, Y), nullify_rows(pattern.T, psi, Z)
         for i in range(blocks):
-            P, sketch = blr2_block_nullify(omega, Y, pattern, i)
+            P, sketch = rows[i]
             G = np.vstack([omega[j * w : (j + 1) * w] for j in range(blocks) if j != i]) @ P
             gap = np.abs(sketch - brute_block_row(dense, w, i) @ G).max()
             worst = max(worst, gap)
-            Q, csketch = blr2_block_nullify(psi, Z, pattern.T, i)
+            Q, csketch = cols[i]
             H = np.vstack([psi[j * w : (j + 1) * w] for j in range(blocks) if j != i]) @ Q
             cgap = np.abs(csketch - brute_block_col(dense, w, i).T @ H).max()
             worst = max(worst, cgap)
@@ -151,7 +151,7 @@ def test_criterion_06_monte_carlo_envelopes():
         ratios = []
         for trial in range(200):
             omega = gaussian(80, q, stream.child(trial))
-            U = pcps_basis(B @ omega, k)
+            U = BASIS_METHODS["svd-pcps"].kernel(B @ omega, k)
             ratios.append(np.linalg.norm(B - U @ (U.T @ B)) ** 2 / opt2)
         constant = (1.0 + 2.0 * math.e * q / math.sqrt((q - k) ** 2 - 1)) ** 2
         assert np.mean(ratios) <= constant, f"(k={k}, q={q})"

@@ -9,7 +9,6 @@ from hsskit import (
     MatvecOracle,
     RngStream,
     blr2_apply,
-    blr2_block_nullify,
     blr2_factors_from_sketches,
     blr2_from_matvecs,
     blr2_reconstruct,
@@ -23,7 +22,7 @@ from hsskit import (
 
 from hsskit import blr2
 
-from helpers import reference_width_floor
+from helpers import nullify_rows, reference_width_floor
 
 
 ROLES = ("omega", "psi", "omega-diag", "psi-diag")
@@ -99,8 +98,9 @@ class TestBlr2BlockNullify:
         pat = BLR2Pattern.diagonal(4, 4)
         omega = gaussian(16, 10, RngStream(0).child("b2"))
         Y = gaussian(16, 10, RngStream(0).child("b2y"))
+        rows = nullify_rows(pat, omega, Y)
         for i in range(4):
-            P_pat, sketch = blr2_block_nullify(omega, Y, pat, i)
+            P_pat, sketch = rows[i]
             P_plain = nullspace_basis(omega[4 * i : 4 * i + 4])
             assert np.array_equal(P_pat, P_plain)
             assert np.array_equal(sketch, Y[4 * i : 4 * i + 4] @ P_plain)
@@ -109,8 +109,9 @@ class TestBlr2BlockNullify:
         pat = BLR2Pattern.tridiagonal(8, 4)
         s = 16  # 3 * 4 + 2 + 2 with k = 2
         omega = gaussian(pat.dim, s, RngStream(1).child("b2"))
+        rows = nullify_rows(pat, omega, np.zeros_like(omega))
         for i in range(8):
-            P, sketch = blr2_block_nullify(omega, np.zeros_like(omega), pat, i)
+            P, sketch = rows[i]
             hit = len(pat.row_inadmissible(i)) * 4
             assert P.shape == (s, s - hit)
             assert P.shape[1] >= s - pat.max_blocks_per_line * 4
@@ -123,8 +124,9 @@ class TestBlr2BlockNullify:
         omega = gaussian(32, 16, RngStream(3).child("b2"))
         Y = A @ omega
         m = pat.block_size
+        rows = nullify_rows(pat, omega, Y)
         for i in range(8):
-            P, got = blr2_block_nullify(omega, Y, pat, i)
+            P, got = rows[i]
             G = _implicit_gaussian(omega, pat, P, _outside(pat, pat.row_inadmissible(i)))
             assert np.abs(got - _rho(A, pat, i) @ G).max() <= 1e-11
 
@@ -135,8 +137,9 @@ class TestBlr2BlockNullify:
         psi = gaussian(8, 8, RngStream(5).child("b2"))
         Z = A.T @ psi
         m = 2
+        cols = nullify_rows(pat.T, psi, Z)
         for j in range(4):
-            Q, got = blr2_block_nullify(psi, Z, pat.T, j)
+            Q, got = cols[j]
             rows = _outside(pat, pat.T.row_inadmissible(j))
             H = _implicit_gaussian(psi, pat, Q, rows)
             gamma = np.vstack([A[i * m : (i + 1) * m, j * m : (j + 1) * m] for i in rows])

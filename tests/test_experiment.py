@@ -69,6 +69,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("matrix = hss\nmatrix = hard\n")
 
+    @pytest.mark.parametrize(
+        "lists, message",
+        [
+            ("algorithms = ,\ns = 8", r"^line 4: 'algorithms' lists an empty or repeated entry: ','$"),
+            ("algorithms = fresh, , reused-qr\ns = 8", r"^line 4: 'algorithms' lists an empty or repeated"),
+            ("algorithms = fresh, fresh\ns = 8", r"^line 4: 'algorithms' lists an empty or repeated"),
+            ("algorithms = fresh\ns = 8, 8", r"^line 5: 's' lists an empty or repeated entry: '8, 8'$"),
+            ("algorithms = fresh\ns = 8, 08", r"^line 5: 's' lists an empty or repeated"),
+        ],
+        ids=["no-algorithm", "empty-algorithm", "repeated-algorithm", "repeated-width",
+             "repeated-width-value"],
+    )
+    def test_empty_or_repeated_list_entry_names_the_line(self, lists, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"matrix = hss\nn = 32\nk = 2\n{lists}\n")
+
+    def test_rejected_list_writes_no_csv(self, tmp_path):
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / "out.csv"
+        cfg.write_text("matrix = hss\nn = 32\nk = 2\nalgorithms = ,\ns = 8\n")
+        with pytest.raises(ConfigError, match="^line 4: "):
+            run_sweep(cfg, out)
+        assert not out.exists()
+
     def test_hard_family_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError, match="n=24"):
             parse_config("matrix = hard\nn = 24\nk = 3\nalgorithms = explicit\ns = 11\n")

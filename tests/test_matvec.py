@@ -12,11 +12,13 @@ from hsskit import (
     hss_from_matvecs_fresh,
     hss_from_matvecs_reused,
     random_hss_matrix,
+    reconstruct_dense,
     serialize,
     theorem_bounds,
 )
+from hsskit.experiment import run_cell
 
-from helpers import reference_config_accepts
+from helpers import MATVEC_FLOORS, reference_config_accepts
 
 
 class TestTheoremBounds:
@@ -164,3 +166,29 @@ class TestReusedDriver:
             for _ in range(2)
         ]
         assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("algorithm", sorted(MATVEC_FLOORS))
+class TestDegenerateAndExtremeScaleOperators:
+    """Operators at the edges of the input space, through each matvec
+    algorithm at its floor width, with L = 3 and k = 2 (n = 32)."""
+
+    n, k = 32, 2
+
+    def _build(self, algorithm, A):
+        s = MATVEC_FLOORS[algorithm](self.k)
+        return run_cell(algorithm, MatvecOracle.from_dense(A), self.k, s, seed=5)[0]
+
+    def test_zero_operator_reconstructs_to_exact_zero(self, algorithm):
+        assert not reconstruct_dense(self._build(algorithm, np.zeros((self.n, self.n)))).any()
+
+    def test_rank_one_operator_recovered(self, algorithm):
+        # Rank 1 < k: every sketch has k - 1 zero singular values.
+        rng = np.random.default_rng(6)
+        A = np.outer(rng.standard_normal(self.n), rng.standard_normal(self.n))
+        assert frobenius_error(A, self._build(algorithm, A)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_scale_keeps_relative_error(self, algorithm, scale):
+        A = scale * random_hss_matrix(3, self.k, seed=7)
+        assert frobenius_error(A, self._build(algorithm, A)) <= 1e-12

@@ -21,19 +21,23 @@ from hsskit import (
     blr2_from_matvecs,
     blr2_reconstruct,
     compress_oracle,
+    frobenius_error,
     hss_apply,
     nullspace_basis,
     pivoted_qr_basis,
     random_blr2_matrix,
+    random_hss_matrix,
     random_telescoping,
     reconstruct_dense,
     right_pinv_apply,
     truncated_svd_left,
 )
+from hsskit.experiment import run_cell
 from hsskit.kernels import _check_full_rank
 from hsskit.structures import block_apply, block_apply_t, block_to_dense
 
 from helpers import (
+    MATVEC_FLOORS,
     brute_blr2_parts,
     chained_compress,
     direct_pivoted_qr_basis,
@@ -298,6 +302,21 @@ class TestIrregularPatternStep:
         A = random_blr2_matrix(pattern, k, seed)
         F = blr2_from_matvecs(MatvecOracle.from_dense(A), pattern, k, s, seed + 1)
         assert np.linalg.norm(blr2_reconstruct(F) - A) <= 1e-9 * np.linalg.norm(A)
+
+
+class TestExactRecoveryOfHssMatrices:
+    """Criterion 01 as a property: every matvec algorithm recovers an exactly
+    (L, k)-structured matrix at any sketch width from its floor upward."""
+
+    @PROPERTY
+    @given(seed=seeds, L=st.integers(1, 4), k=st.integers(1, 4), extra=st.integers(0, 3),
+           scale=st.sampled_from([1.0, 1e-300, 1e300]))
+    def test_relative_error_within_criterion_01(self, seed, L, k, extra, scale):
+        A = scale * random_hss_matrix(L, k, seed)
+        oracle = MatvecOracle.from_dense(A)
+        for algorithm, floor in MATVEC_FLOORS.items():
+            T, _, _ = run_cell(algorithm, oracle, k, floor(k) + extra, seed + 1)
+            assert frobenius_error(A, T) <= 1e-9, algorithm
 
 
 def _irregular_pattern(data, m):

@@ -6,15 +6,17 @@ import pytest
 from hsskit import (
     BLR2Pattern,
     RngStream,
-    blr2_block_nullify,
     blr2_factors_from_sketches,
     blr2_reconstruct,
     blr2_remainder,
     gaussian,
-    pcps_basis,
 )
+from hsskit.sketching import BASIS_METHODS
 
-from helpers import brute_block_row, rand_orthonormal, random_sss, svd_tail_energy
+from helpers import brute_block_row, nullify_rows, rand_orthonormal, random_sss, svd_tail_energy
+
+# The basis kernel that the one-level step runs for the sketched SVD.
+svd_basis = BASIS_METHODS["svd-pcps"].kernel
 
 
 def _stacked_off_blocks(omega, i, w):
@@ -33,9 +35,9 @@ class TestBlockNullify:
         A = rng.standard_normal((n, n))
         omega = gaussian(n, 3 * k + 2, RngStream(0).child("bn"))
         Y = A @ omega
-        pat = BLR2Pattern.diagonal(b, w)
+        rows = nullify_rows(BLR2Pattern.diagonal(b, w), omega, Y)
         for i in range(b):
-            P, sketch = blr2_block_nullify(omega, Y, pat, i)
+            P, sketch = rows[i]
             G = _stacked_off_blocks(omega, i, w) @ P
             want = brute_block_row(A, w, i) @ G
             assert np.abs(sketch - want).max() <= 1e-11
@@ -45,7 +47,7 @@ class TestBlockNullify:
         n = (1 << (level + 1)) * k
         omega = gaussian(n, s, RngStream(1).child("bn"))
         Y = np.zeros((n, s))
-        P, sketch = blr2_block_nullify(omega, Y, BLR2Pattern.diagonal(n // (2 * k), 2 * k), 0)
+        P, sketch = nullify_rows(BLR2Pattern.diagonal(n // (2 * k), 2 * k), omega, Y)[0]
         assert P.shape == (26, 10)
         assert sketch.shape == (16, 10)
 
@@ -59,7 +61,7 @@ class TestBlockNullify:
         samples = []
         for trial in range(200):
             omega = gaussian(n, s, stream.child(trial))
-            P, _ = blr2_block_nullify(omega, np.zeros((n, s)), pat, 1)
+            P, _ = nullify_rows(pat, omega, np.zeros((n, s)))[1]
             samples.append((_stacked_off_blocks(omega, 1, w) @ P).ravel())
         flat = np.concatenate(samples)
         assert abs(flat.mean()) < 0.05
@@ -69,15 +71,15 @@ class TestBlockNullify:
         omega = gaussian(8, 6, RngStream(3).child("bn"))
         omega[1] = omega[0]  # first block (2 rows) now rank one
         with pytest.raises(np.linalg.LinAlgError):
-            blr2_block_nullify(omega, np.zeros((8, 6)), BLR2Pattern.diagonal(4, 2), 0)
+            nullify_rows(BLR2Pattern.diagonal(4, 2), omega, np.zeros((8, 6)))
 
     def test_index_validation(self):
-        omega = gaussian(8, 6, RngStream(4).child("bn"))
+        # A block row is named by index only through row_inadmissible.
         pattern = BLR2Pattern.diagonal(4, 2)
         for i in (4, 99, -1):
             for side in (pattern, pattern.T):
                 with pytest.raises(IndexError):
-                    blr2_block_nullify(omega, np.zeros((8, 6)), side, i)
+                    side.row_inadmissible(i)
 
 
 class TestPcpsBasis:
@@ -86,17 +88,22 @@ class TestPcpsBasis:
         k = 3
         B = rng.standard_normal((20, k)) @ rng.standard_normal((k, 40))
         omega = gaussian(40, k + 2, RngStream(5).child("pcps"))
-        U = pcps_basis(B @ omega, k)
+        U = svd_basis(B @ omega, k)
         assert np.linalg.norm(B - U @ (U.T @ B)) <= 1e-11 * np.linalg.norm(B)
 
     def test_orthonormal_columns(self):
         sketch = gaussian(12, 7, RngStream(6).child("pcps"))
-        U = pcps_basis(sketch, 4)
+        U = svd_basis(sketch, 4)
         assert np.abs(U.T @ U - np.eye(4)).max() <= 1e-12
 
     def test_width_floor(self):
-        with pytest.raises(ValueError):
-            pcps_basis(np.zeros((8, 5)), 4)  # q = k + 1 is too narrow
+        # The step's width rule: with no pattern blocks to nullify, the
+        # sketched SVD needs q >= k + 2 columns.
+        no_pairs = BLR2Pattern(1, 8)
+        assert BASIS_METHODS["svd-pcps"].excess == 2
+        with pytest.raises(ValueError, match=r"s=5 is below the floor 6\b"):
+            no_pairs.check_step(4, 5)  # q = k + 1 is too narrow
+        no_pairs.check_step(4, 6)
 
     @pytest.mark.parametrize("k,q", [(2, 4), (5, 8), (8, 26)])
     def test_expected_error_envelope(self, k, q):
@@ -112,7 +119,7 @@ class TestPcpsBasis:
         ratios = []
         for trial in range(200):
             omega = gaussian(80, q, stream.child(trial))
-            U = pcps_basis(B @ omega, k)
+            U = svd_basis(B @ omega, k)
             ratios.append(np.linalg.norm(B - U @ (U.T @ B)) ** 2 / opt2)
         constant = (1.0 + 2.0 * math.e * q / math.sqrt((q - k) ** 2 - 1)) ** 2
         assert np.mean(ratios) <= constant

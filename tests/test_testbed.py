@@ -11,7 +11,6 @@ from hsskit import (
     greedy_hss_explicit,
     grid_schur_oracle,
     hard_instance,
-    random_banded_matrix,
     random_hss_matrix,
     random_telescoping,
     reconstruct_dense,
@@ -19,7 +18,7 @@ from hsskit import (
 )
 from hsskit.testbed import make_problem, resolve_params
 
-from helpers import grid_schur_band, grid_schur_dense
+from helpers import grid_schur_band, grid_schur_dense, random_banded_matrix
 
 
 class TestHardInstance:
