@@ -122,13 +122,6 @@ class BLR2Pattern:
     def dim(self) -> int:
         return self.block_count * self.block_size
 
-    def row_inadmissible(self, i: int) -> tuple:
-        """Columns j with (i, j) in the pattern (dense-remainder blocks);
-        ``pattern.T.row_inadmissible(j)`` gives the rows of column j."""
-        if not 0 <= i < self.block_count:
-            raise IndexError(f"block index {i} out of range [0, {self.block_count})")
-        return self._rows[i]
-
     @property
     def max_blocks_per_line(self) -> int:
         """Largest number of pattern blocks in any row or column."""
@@ -172,7 +165,6 @@ class BLR2Factorization:
     """
 
     pattern: BLR2Pattern
-    rank_param: int
     U: np.ndarray
     V: np.ndarray
     X: np.ndarray
@@ -182,7 +174,7 @@ class BLR2Factorization:
         object.__setattr__(self, "D", np.asarray(self.D, dtype=np.float64))
         b, m, k = self.pattern.block_count, self.pattern.block_size, self.rank_param
         if self.U.shape != (b, m, k) or self.V.shape != (b, m, k):
-            raise ValueError(f"bases must have shape {(b, m, k)}")
+            raise ValueError(f"bases U {self.U.shape}, V {self.V.shape} must both be ({b}, {m}, k), one k")
         if self.X.shape != (b * k, b * k):
             raise ValueError(f"X must have shape {(b*k, b*k)}, got {self.X.shape}")
         nnz = len(self.pattern.sorted_pairs)
@@ -191,6 +183,10 @@ class BLR2Factorization:
                 f"D must stack one ({m}, {m}) block per pattern pair, "
                 f"shape {(nnz, m, m)}, got {self.D.shape}"
             )
+
+    @property
+    def rank_param(self) -> int:
+        return self.U.shape[-1]
 
     @property
     def dim(self) -> int:
@@ -361,16 +357,6 @@ def _remainder_matmul(pattern: BLR2Pattern, D: np.ndarray, x: np.ndarray) -> np.
     return out.reshape(pattern.dim, w)
 
 
-def _block_diag_columns(blocks: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Columns [start, stop) of the dense blockdiag(blocks), for a (b, r, c)
-    block array, built without forming the whole matrix."""
-    b, r, c = blocks.shape
-    cols = np.arange(start, stop)
-    out = np.zeros((b, r, stop - start))
-    out[cols // c, :, cols - start] = blocks[cols // c, :, cols % c]
-    return out.reshape(b * r, -1)
-
-
 def blr2_from_matvecs(
     oracle: MatvecOracle, pattern: BLR2Pattern, k: int, s: int, seed: int
 ) -> BLR2Factorization:
@@ -390,12 +376,12 @@ def blr2_from_matvecs(
     U, V, D = blr2_factors_from_sketches(pattern, k, *sketches)
     del sketches  # before the core probe, so its panels do not add to them
     X = _in_panels(
-        lambda a, z: block_apply_t(U, oracle.apply(_block_diag_columns(V, a, z))),
+        lambda a, z: block_apply_t(U, oracle.apply(block_apply(V, np.eye(b * k, z - a, -a)))),
         b * k, b * k, 8 * pattern.dim,
     ).reshape(b, k, b, k)
     rows, cols = pattern._pair_index
     X[rows, :, cols] -= U[rows].transpose(0, 2, 1) @ D @ V[cols]
-    return BLR2Factorization(pattern, k, U, V, X.reshape(b * k, b * k), D)
+    return BLR2Factorization(pattern, U, V, X.reshape(b * k, b * k), D)
 
 
 def blr2_reconstruct(F: BLR2Factorization) -> np.ndarray:

@@ -64,10 +64,12 @@ def _parse_spec(text: str) -> tuple:
     return family.strip(), params
 
 
-def _oracle_from_source(src: str) -> MatvecOracle:
+def _source(src: str) -> tuple:
+    """(oracle, dense matrix or None) of a DMAT file or spec, as in ``make_problem``."""
     if src.endswith(".dmat"):
-        return MatvecOracle.from_dense(formats.read_dense(src))
-    return make_problem(*_parse_spec(src))[0]
+        A = formats.read_dense(src)
+        return MatvecOracle.from_dense(A), A
+    return make_problem(*_parse_spec(src))
 
 
 def _cmd_gen(args) -> int:
@@ -79,7 +81,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    base = _oracle_from_source(args.src)
+    base, _ = _source(args.src)
     started = time.perf_counter()
     T, fwd, tr = run_cell(args.algo, base, args.k, args.s, args.seed)
     wall = time.perf_counter() - started
@@ -96,13 +98,13 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_blr2(args) -> int:
-    base = _oracle_from_source(args.src)
+    base, A = _source(args.src)
     if args.m < 1 or base.dim % args.m:
         raise ValueError(f"--m {args.m} is not a positive divisor of the operator dim {base.dim}")
     pattern = load_pattern(args.pattern, base.dim // args.m, args.m)
     oracle = CountingOracle(base)
     F = blr2_from_matvecs(oracle, pattern, args.k, args.s, args.seed)
-    err = frobenius_error(dense_from_oracle(base), F)
+    err = frobenius_error(dense_from_oracle(base) if A is None else A, F)
     counter = oracle.counter
     probe_q = pattern.block_count * args.k
     print(

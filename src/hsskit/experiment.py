@@ -33,8 +33,8 @@ import numpy as np
 from .greedy import greedy_hss_explicit
 from .matvec import MatvecConfig, hss_from_matvecs_fresh, hss_from_matvecs_reused
 from .oracle import CountingOracle, MatvecOracle, dense_from_oracle
-from .testbed import FAMILIES, PARAM_TYPES, check_param, frobenius_error, make_problem
-from .testbed import resolve_params, tree_levels
+from .structures import tree_levels
+from .testbed import FAMILIES, PARAM_TYPES, check_param, frobenius_error, make_problem, resolve_params
 
 __all__ = [
     "ALGORITHMS",

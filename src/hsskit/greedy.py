@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import as_matrix, truncated_svd_left
+from .kernels import truncated_svd_left
 from .structures import (
     LevelFactors,
     TelescopingFactorization,
+    _conforming,
     _diagonal_blocks,
     _off_diagonal_slabs,
     block_apply_t,
@@ -24,21 +25,16 @@ from .structures import (
 __all__ = ["greedy_hss_explicit", "sss_step_explicit"]
 
 
-def sss_step_explicit(A, level: int, k: int):
-    """One explicit compression step at the given level.
+def sss_step_explicit(A, k: int):
+    """One explicit compression step at the finest level L of A, n = 2**(L+1) * k.
 
     Returns ``(factors, A_next)`` where factors holds, per block i, the top-k
     left singular vectors of block row i, the top-k right singular vectors of
     block column i, and the diagonal block of A; A_next = U^T (A - D) V is the
     half-size matrix handed to the next level.
     """
-    A = as_matrix(A, "A")
-    if level < 0 or k < 1:
-        raise ValueError(f"need level >= 0 and k >= 1, got level={level}, k={k}")
+    A, _ = _conforming(A, k)
     w = 2 * k
-    n = (1 << level) * w
-    if A.shape != (n, n):
-        raise ValueError(f"matrix of shape {A.shape} does not conform to level {level}, k={k}")
     remainder = np.array(A, order="C")
     diagonal = _diagonal_blocks(remainder, w)
     D = diagonal.copy()
@@ -53,14 +49,12 @@ def sss_step_explicit(A, level: int, k: int):
 
 
 def greedy_hss_explicit(A, L: int, k: int) -> TelescopingFactorization:
-    """Greedy rank-k factorization of a dense conforming matrix over L levels."""
-    A = as_matrix(A, "A")
-    n = (1 << (L + 1)) * k
-    if A.shape != (n, n):
-        raise ValueError(f"matrix of shape {A.shape} does not conform to (L={L}, k={k})")
-    levels = []
-    current = A
-    for level in range(L, 0, -1):
-        factors, current = sss_step_explicit(current, level, k)
+    """Greedy rank-k factorization of a dense matrix of side n = 2**(L+1) * k."""
+    A, depth = _conforming(A, k)
+    if L != depth:
+        raise ValueError(f"matrix of shape {A.shape} has L={depth} levels for k={k}, not L={L}")
+    levels, current = [], A
+    for _ in range(L):
+        factors, current = sss_step_explicit(current, k)
         levels.append(factors)
     return TelescopingFactorization(tuple(reversed(levels)), current)

@@ -35,6 +35,7 @@ from .blr2 import BLR2Pattern, _query_sketches, blr2_factors_from_sketches
 from .kernels import RngStream
 from .oracle import MatvecOracle, compress_oracle
 from .structures import LevelFactors, TelescopingFactorization, block_apply, block_apply_t
+from .structures import tree_levels
 
 __all__ = [
     "MatvecConfig",
@@ -129,7 +130,7 @@ def _build(oracle: MatvecOracle, config: MatvecConfig) -> TelescopingFactorizati
     one.  The fresh policy drops a level's sketches before the next level
     queries, so only one level's sketches are held at a time.
     """
-    if oracle.dim != config.dim:
+    if tree_levels(oracle.dim, config.k) != config.L:
         raise ValueError(f"oracle dim {oracle.dim} does not match config dim {config.dim}")
     k = config.k
     stream = RngStream(config.seed)

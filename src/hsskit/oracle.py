@@ -97,7 +97,7 @@ def _internal_oracle(dim: int, apply, apply_transpose) -> MatvecOracle:
 
 
 class QueryCounter:
-    """Monotone counters of single-vector queries; reset only on request."""
+    """Monotone counters of single-vector queries."""
 
     def __init__(self):
         self.forward_count = 0
@@ -108,10 +108,6 @@ class QueryCounter:
 
     def add_transpose(self, n: int):
         self.transpose_count += n
-
-    def reset(self):
-        self.forward_count = 0
-        self.transpose_count = 0
 
     @property
     def total(self) -> int:

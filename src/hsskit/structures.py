@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import as_matrix
 
@@ -41,10 +40,10 @@ __all__ = [
     "TelescopingFactorization",
     "block_apply",
     "block_apply_t",
-    "block_to_dense",
     "hss_apply",
     "hss_apply_transpose",
     "reconstruct_dense",
+    "tree_levels",
     "validate_hss_ranks",
 ]
 
@@ -98,11 +97,6 @@ def block_apply_t(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(blocks.transpose(0, 2, 1), x.reshape(b, r, -1)).reshape(b * c, -1)
 
 
-def block_to_dense(blocks: np.ndarray) -> np.ndarray:
-    """Assemble the dense block-diagonal matrix from a (b, r, c) block array."""
-    return scipy.linalg.block_diag(*blocks)
-
-
 def _diagonal_blocks(M: np.ndarray, w: int) -> np.ndarray:
     """Writable (b, w, w) view of the diagonal w x w blocks of a square M:
     adding D to the view adds blockdiag(D) to M in place, with no N x N
@@ -131,6 +125,24 @@ def _orthonormal_defect(blocks: np.ndarray) -> float:
     k = blocks.shape[2]
     grams = np.matmul(blocks.transpose(0, 2, 1), blocks)
     return float(np.max(np.abs(grams - np.eye(k))))
+
+
+def tree_levels(n: int, k: int) -> int | None:
+    """The L >= 1 with n = 2**(L+1) * k, or None when there is none: the one
+    rule for whether a size conforms to a rank-k hierarchy."""
+    ratio, rest = divmod(n, k) if k >= 1 else (0, 1)
+    if rest or ratio < 4 or ratio & (ratio - 1):
+        return None
+    return ratio.bit_length() - 2
+
+
+def _conforming(A, k: int):
+    """(A checked, L) for a square A of side 2**(L+1) * k; else a ValueError naming the shape."""
+    A = as_matrix(A, "A")
+    L = tree_levels(A.shape[0], k)
+    if A.shape[0] != A.shape[1] or L is None:
+        raise ValueError(f"matrix of shape {A.shape} is not square of side 2**(L+1) * k, L >= 1, for k={k}")
+    return A, L
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +296,16 @@ def hss_apply_transpose(T: TelescopingFactorization, x) -> np.ndarray:
     return hss_apply(T.T, x)
 
 
-def validate_hss_ranks(A, L: int, k: int, tol: float) -> bool:
-    """Check the rank structure of A against an (L, k) hierarchy.
+def validate_hss_ranks(A, k: int, tol: float) -> bool:
+    """Check the rank structure of A against the rank-k hierarchy of its size.
 
     True iff at every level l = 1..L every off-diagonal block row and block
     column of the level-l repartitioning of A has (k+1)-th singular value at
     most ``tol`` times the largest singular value of A.
     """
-    A = as_matrix(A, "A")
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1] or n != (1 << (L + 1)) * k:
-        raise ValueError(f"matrix of shape {A.shape} does not conform to (L={L}, k={k})")
+    A, L = _conforming(A, k)
     smax = float(np.linalg.norm(A, 2))
     if smax == 0.0:
         return True
@@ -304,7 +313,7 @@ def validate_hss_ranks(A, L: int, k: int, tol: float) -> bool:
     # levels', so one copy with the diagonal zeroed serves every level.
     R = np.array(A, order="C")
     for level in range(L, 0, -1):
-        w = n >> level
+        w = A.shape[0] >> level
         _diagonal_blocks(R, w)[...] = 0.0
         for slabs in _off_diagonal_slabs(R, w):
             if np.any(np.linalg.svd(slabs, compute_uv=False)[:, k] > tol * smax):

@@ -23,7 +23,7 @@ and rule for n.  CLI ``gen``, ``--in`` specs and sweeps build through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +36,7 @@ from .structures import (
     TelescopingFactorization,
     _in_panels,
     reconstruct_dense,
+    tree_levels,
 )
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "random_hss_matrix",
     "random_telescoping",
     "resolve_params",
-    "tree_levels",
 ]
 
 
@@ -121,7 +121,7 @@ def random_blr2_matrix(pattern: BLR2Pattern, k: int, seed: int) -> np.ndarray:
     D = np.empty((len(pattern.sorted_pairs), m, m))
     for p, (i, j) in enumerate(pattern.sorted_pairs):
         D[p] = gaussian(m, m, stream.child(i, j, "D"))
-    return blr2_reconstruct(BLR2Factorization(pattern, k, U, V, X, D))
+    return blr2_reconstruct(BLR2Factorization(pattern, U, V, X, D))
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +298,6 @@ class Family:
     n_ok: Callable[..., bool]
     build: Callable[..., tuple]
     rules: dict = field(default_factory=dict)
-
-
-def tree_levels(n: int, k: int) -> Optional[int]:
-    """The L >= 1 with n = 2**(L+1) * k, or None when there is none."""
-    ratio, rest = divmod(n, k) if k >= 1 else (0, 1)
-    if rest or ratio < 4 or ratio & (ratio - 1):
-        return None
-    return ratio.bit_length() - 2
 
 
 def _dense(A: np.ndarray) -> tuple:

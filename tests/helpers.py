@@ -30,7 +30,12 @@ def random_sss(level, k, seed):
     V = np.stack([rand_orthonormal(w, k, rng) for _ in range(b)])
     X = rng.standard_normal((b * k, b * k))
     D = np.stack([rng.standard_normal((w, w)) for _ in range(b)])
-    return BLR2Factorization(BLR2Pattern.diagonal(b, w), k, U, V, X, D)
+    return BLR2Factorization(BLR2Pattern.diagonal(b, w), U, V, X, D)
+
+
+def pattern_row(pattern, i):
+    """Columns j with (i, j) in the pattern, read from its sorted pairs."""
+    return tuple(j for r, j in pattern.sorted_pairs if r == i)
 
 
 def svd_tail_energy(B, k):

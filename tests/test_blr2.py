@@ -22,7 +22,7 @@ from hsskit import (
 
 from hsskit import blr2
 
-from helpers import nullify_rows, reference_width_floor
+from helpers import nullify_rows, pattern_row, reference_width_floor
 
 
 ROLES = ("omega", "psi", "omega-diag", "psi-diag")
@@ -36,7 +36,7 @@ def _outside(pattern, hit):
 def _rho(A, pattern, i):
     """Admissible part of block row i (brute-force slicer)."""
     m = pattern.block_size
-    cols = _outside(pattern, pattern.row_inadmissible(i))
+    cols = _outside(pattern, pattern_row(pattern, i))
     return np.hstack([A[i * m : (i + 1) * m, j * m : (j + 1) * m] for j in cols])
 
 
@@ -51,18 +51,18 @@ class TestPattern:
         pat = BLR2Pattern.diagonal(4, 3)
         assert pat.max_blocks_per_line == 1
         assert pat.line_columns == 3
-        assert pat.row_inadmissible(2) == (2,)
-        assert pat.T.row_inadmissible(2) == (2,)
-        assert _outside(pat, pat.row_inadmissible(2)) == (0, 1, 3)
+        assert pattern_row(pat, 2) == (2,)
+        assert pattern_row(pat.T, 2) == (2,)
+        assert _outside(pat, pattern_row(pat, 2)) == (0, 1, 3)
         assert pat.width_floor(2) == 3 + 2 + 2
 
     def test_tridiagonal(self):
         pat = BLR2Pattern.tridiagonal(8, 4)
         assert pat.max_blocks_per_line == 3
         assert pat.line_columns == 3 * 4
-        assert pat.row_inadmissible(0) == (0, 1)
-        assert pat.row_inadmissible(3) == (2, 3, 4)
-        assert pat.T.row_inadmissible(7) == (6, 7)
+        assert pattern_row(pat, 0) == (0, 1)
+        assert pattern_row(pat, 3) == (2, 3, 4)
+        assert pattern_row(pat.T, 7) == (6, 7)
         assert pat.width_floor(2) == 3 * 4 + 2 + 2
 
     @pytest.mark.parametrize("b", [1, 2, 5])
@@ -112,7 +112,7 @@ class TestBlr2BlockNullify:
         rows = nullify_rows(pat, omega, np.zeros_like(omega))
         for i in range(8):
             P, sketch = rows[i]
-            hit = len(pat.row_inadmissible(i)) * 4
+            hit = len(pattern_row(pat, i)) * 4
             assert P.shape == (s, s - hit)
             assert P.shape[1] >= s - pat.max_blocks_per_line * 4
             assert sketch.shape == (4, s - hit)
@@ -127,7 +127,7 @@ class TestBlr2BlockNullify:
         rows = nullify_rows(pat, omega, Y)
         for i in range(8):
             P, got = rows[i]
-            G = _implicit_gaussian(omega, pat, P, _outside(pat, pat.row_inadmissible(i)))
+            G = _implicit_gaussian(omega, pat, P, _outside(pat, pattern_row(pat, i)))
             assert np.abs(got - _rho(A, pat, i) @ G).max() <= 1e-11
 
     def test_column_side(self):
@@ -140,7 +140,7 @@ class TestBlr2BlockNullify:
         cols = nullify_rows(pat.T, psi, Z)
         for j in range(4):
             Q, got = cols[j]
-            rows = _outside(pat, pat.T.row_inadmissible(j))
+            rows = _outside(pat, pattern_row(pat.T, j))
             H = _implicit_gaussian(psi, pat, Q, rows)
             gamma = np.vstack([A[i * m : (i + 1) * m, j * m : (j + 1) * m] for i in rows])
             assert np.abs(got - gamma.T @ H).max() <= 1e-11
@@ -317,7 +317,7 @@ class TestBlr2Containers:
         U = np.stack([np.eye(4)[:, :2]] * 2)
         X = np.zeros((4, 4))
         with pytest.raises(ValueError):
-            BLR2Factorization(pat, k, U, U, X, np.zeros((3, 4, 4)))
+            BLR2Factorization(pat, U, U, X, np.zeros((3, 4, 4)))
 
 
 class TestSpecialization:

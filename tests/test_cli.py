@@ -18,8 +18,8 @@ from hsskit import (
     serialize,
     write_dense,
 )
-from hsskit import experiment
-from hsskit.cli import _oracle_from_source, load_pattern, main
+from hsskit import cli, experiment
+from hsskit.cli import _source, load_pattern, main
 from hsskit.testbed import FAMILIES
 
 
@@ -141,7 +141,7 @@ def test_gen_spec_and_sweep_build_the_same_matrix(tmp_path, monkeypatch, family)
     gen_flags = [item for key, value in params.items() for item in (f"--{key}", str(value))]
     assert main(["gen", family, *gen_flags, "--out", str(out)]) == 0
     spec = f"{family}:" + ",".join(f"{key}={value}" for key, value in params.items())
-    from_spec = dense_from_oracle(_oracle_from_source(spec))
+    from_spec = dense_from_oracle(_source(spec)[0])
     config = {"matrix_seed" if key == "seed" else key: value for key, value in params.items()}
     config.setdefault("k", 2)
     text = "".join(f"{key} = {value}\n" for key, value in config.items())
@@ -265,6 +265,20 @@ def test_blr2_subcommand(tmp_path, capsys):
         "blr2", "--pattern", str(listing), "--m", "4", "--k", "2", "--s", "8",
         "--seed", "1", "--in", str(mat),
     ]) == 0
+
+
+@pytest.mark.parametrize("source", ["dmat", "hss:n=32,k=2,seed=4", "bie:n=32", "banded:n=32,k=2"])
+def test_blr2_extracts_only_a_matrix_the_source_lacks(tmp_path, capsys, monkeypatch, source):
+    # The error line reads the matrix a DMAT file or a dense family holds;
+    # only the banded and grid specs are probed for theirs.
+    mat = tmp_path / "m.dmat"
+    main(["gen", "hss", "--n", "32", "--k", "2", "--seed", "4", "--out", str(mat)])
+    extracted = []
+    monkeypatch.setattr(cli, "dense_from_oracle", lambda o: extracted.append(o) or dense_from_oracle(o))
+    args = ["blr2", "--pattern", "diag", "--m", "4", "--k", "2", "--s", "8"]
+    assert main([*args, "--in", str(mat) if source == "dmat" else source]) == 0
+    assert "relative frobenius error" in capsys.readouterr().out
+    assert len(extracted) == source.startswith("banded")
 
 
 def test_validate_reports_format_errors(tmp_path, capsys):

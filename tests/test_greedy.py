@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from hsskit import (
     BLR2Factorization,
@@ -11,7 +12,7 @@ from hsskit import (
     reconstruct_dense,
     sss_step_explicit,
 )
-from hsskit.structures import block_apply, block_apply_t, block_to_dense
+from hsskit.structures import block_apply, block_apply_t
 
 from helpers import brute_block_col, brute_block_row, random_sss, svd_tail_energy
 
@@ -20,15 +21,15 @@ class TestSssStepExplicit:
     def test_exactly_sss_input_recovered(self):
         f = random_sss(3, 2, seed=0)
         A = blr2_reconstruct(f)
-        factors, A_next = sss_step_explicit(A, 3, 2)
+        factors, A_next = sss_step_explicit(A, 2)
         approx = blr2_reconstruct(
-            BLR2Factorization(f.pattern, 2, factors.U, factors.V, A_next, factors.D)
+            BLR2Factorization(f.pattern, factors.U, factors.V, A_next, factors.D)
         )
         assert np.linalg.norm(A - approx) <= 1e-10 * np.linalg.norm(A)
 
     def test_hard_instance_top_level_bases(self):
         A = hard_instance(3, 0.1)
-        factors, _ = sss_step_explicit(A, 3, 1)
+        factors, _ = sss_step_explicit(A, 1)
         e1 = np.array([[1.0], [0.0]])
         e2 = np.array([[0.0], [1.0]])
         for i in range(8):
@@ -38,7 +39,7 @@ class TestSssStepExplicit:
     def test_output_shapes(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((32, 32))
-        factors, A_next = sss_step_explicit(A, 2, 4)
+        factors, A_next = sss_step_explicit(A, 4)
         assert factors.U.shape == (4, 8, 4)
         assert factors.V.shape == (4, 8, 4)
         assert factors.D.shape == (4, 8, 8)
@@ -47,13 +48,13 @@ class TestSssStepExplicit:
     def test_diagonal_blocks_copied_exactly(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((16, 16))
-        factors, _ = sss_step_explicit(A, 1, 4)
+        factors, _ = sss_step_explicit(A, 4)
         for i in range(2):
             assert np.array_equal(factors.D[i], A[8 * i : 8 * i + 8, 8 * i : 8 * i + 8])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            sss_step_explicit(np.zeros((12, 12)), 2, 2)
+            sss_step_explicit(np.zeros((12, 12)), 2)
 
 
 class TestGreedyExplicit:
@@ -87,7 +88,7 @@ class TestOneLevelOptimality:
         rng = np.random.default_rng(2)
         A = rng.standard_normal((32, 32))
         k, level = 2, 3
-        factors, _ = sss_step_explicit(A, level, k)
+        factors, _ = sss_step_explicit(A, k)
         for i in range(1 << level):
             row = brute_block_row(A, 2 * k, i)
             Ui = factors.U[i]
@@ -105,12 +106,12 @@ class TestOneLevelOptimality:
         # X = U^T (A - D) V and B = U C V^T + D, for any core C.
         rng = np.random.default_rng(3)
         A = rng.standard_normal((32, 32))
-        factors, X = sss_step_explicit(A, 2, 4)
+        factors, X = sss_step_explicit(A, 4)
         C = rng.standard_normal(X.shape)
         B = block_apply(factors.U, C)
-        B = block_apply(factors.V, B.T).T + block_to_dense(factors.D)
+        B = block_apply(factors.V, B.T).T + block_diag(*factors.D)
         lhs = np.linalg.norm(A - B) ** 2
-        mid = A - block_to_dense(factors.D)
+        mid = A - block_diag(*factors.D)
         level_term = np.linalg.norm(mid - block_apply(factors.U, block_apply(factors.V, X.T).T)) ** 2
         rhs = level_term + np.linalg.norm(X - C) ** 2
         assert abs(lhs - rhs) <= 1e-8 * lhs
@@ -118,8 +119,8 @@ class TestOneLevelOptimality:
     def test_compression_matches_blockwise_formula(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((16, 16))
-        factors, X = sss_step_explicit(A, 1, 4)
-        expected = block_apply_t(factors.U, A - block_to_dense(factors.D))
+        factors, X = sss_step_explicit(A, 4)
+        expected = block_apply_t(factors.U, A - block_diag(*factors.D))
         expected = block_apply_t(factors.V, expected.T).T
         assert np.abs(X - expected).max() <= 1e-12
 
@@ -129,6 +130,6 @@ class TestOneLevelOptimality:
         # (Fortran-ordered) input.
         A = np.random.default_rng(5).standard_normal((32, 32))
         for M in (A, A.T):
-            factors, X = sss_step_explicit(M, 2, 4)
-            expected = block_apply_t(factors.U, M - block_to_dense(factors.D))
+            factors, X = sss_step_explicit(M, 4)
+            expected = block_apply_t(factors.U, M - block_diag(*factors.D))
             assert np.array_equal(X, block_apply_t(factors.V, expected.T).T)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from hsskit import (
     CountingOracle,
@@ -17,7 +18,7 @@ from hsskit import (
     reconstruct_dense,
     sss_step_explicit,
 )
-from hsskit.structures import block_apply_t, block_to_dense
+from hsskit.structures import block_apply_t
 
 
 class TestMatvecOracle:
@@ -117,13 +118,14 @@ class TestQueryCounting:
         assert o.counter.transpose_count == 3
         assert o.counter.total == 9
 
-    def test_reset_is_explicit(self):
+    def test_counts_accumulate_from_zero(self):
         counter = QueryCounter()
+        assert counter.total == 0
         counter.add_forward(4)
         counter.add_transpose(2)
-        assert (counter.forward_count, counter.transpose_count) == (4, 2)
-        counter.reset()
-        assert counter.total == 0
+        counter.add_forward(1)
+        assert (counter.forward_count, counter.transpose_count) == (5, 2)
+        assert counter.total == 7
 
     def test_shared_counter_across_wrappers(self):
         counter = QueryCounter()
@@ -165,11 +167,11 @@ class TestLevelApply:
 
     def test_one_level_matches_dense_formula(self):
         A = random_hss_matrix(3, 2, seed=1)
-        factors, _ = sss_step_explicit(A, 3, 2)
+        factors, _ = sss_step_explicit(A, 2)
         o = MatvecOracle.from_dense(A)
         omega = gaussian(16, 4, RngStream(1).child("la"))
         got = compress_oracle(o, factors).apply(omega)
-        compressed = block_apply_t(factors.U, A - block_to_dense(factors.D))
+        compressed = block_apply_t(factors.U, A - block_diag(*factors.D))
         compressed = block_apply_t(factors.V, compressed.T).T
         want = compressed @ omega
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -180,15 +182,15 @@ class TestLevelApply:
         o = MatvecOracle.from_dense(A)
         levels = []
         current = A
-        for level in range(L, 0, -1):
-            factors, current = sss_step_explicit(current, level, k)
+        for _ in range(L):
+            factors, current = sss_step_explicit(current, k)
             levels.append(factors)
             probe = _chain(o, levels).apply(np.eye(current.shape[0]))
             assert np.linalg.norm(probe - current) <= 1e-10 * np.linalg.norm(current)
 
     def test_adjoint_identity(self):
         A = random_hss_matrix(3, 2, seed=3)
-        factors, _ = sss_step_explicit(A, 3, 2)
+        factors, _ = sss_step_explicit(A, 2)
         o = MatvecOracle.from_dense(A)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((16, 1))
@@ -200,7 +202,7 @@ class TestLevelApply:
 
     def test_each_column_costs_one_query(self):
         A = random_hss_matrix(3, 2, seed=4)
-        factors, _ = sss_step_explicit(A, 3, 2)
+        factors, _ = sss_step_explicit(A, 2)
         o = CountingOracle(MatvecOracle.from_dense(A))
         compressed = compress_oracle(o, factors)
         compressed.apply(np.zeros((16, 7)))
@@ -222,7 +224,7 @@ class TestLevelApply:
 
     def test_level_of_another_dim_is_rejected_at_construction(self):
         A = random_hss_matrix(2, 4, seed=5)
-        factors, _ = sss_step_explicit(A, 2, 4)
+        factors, _ = sss_step_explicit(A, 4)
         o = CountingOracle(MatvecOracle.from_dense(np.eye(24)))
         with pytest.raises(ValueError, match=r"dim 32, but the oracle it compresses has dim 24$"):
             compress_oracle(o, factors)
@@ -230,14 +232,14 @@ class TestLevelApply:
 
     def test_nested_level_of_another_dim_is_rejected_at_construction(self):
         A = random_hss_matrix(3, 2, seed=5)
-        factors, _ = sss_step_explicit(A, 3, 2)
+        factors, _ = sss_step_explicit(A, 2)
         compressed = compress_oracle(MatvecOracle.from_dense(A), factors)
         with pytest.raises(ValueError, match=r"dim 32, but the oracle it compresses has dim 16$"):
             compress_oracle(compressed, factors)
 
     def test_dimension_mismatch(self):
         A = random_hss_matrix(2, 2, seed=5)
-        factors, _ = sss_step_explicit(A, 2, 2)
+        factors, _ = sss_step_explicit(A, 2)
         o = MatvecOracle.from_dense(A)
         with pytest.raises(ValueError):
             compress_oracle(o, factors).apply(np.zeros((7, 2)))

@@ -1,6 +1,6 @@
 """Property tests for the stacked kernels, the block operations, the
-one-level step on irregular patterns, transposition as data (``.T``) and the
-nested compressed operators.
+one-level step on irregular patterns, transposition as data (``.T``), the
+nested compressed operators and the one size rule of the hierarchy.
 
 Shapes and seeds come from hypothesis; matrix entries come from seeded numpy
 draws, so every example is well conditioned almost surely.  Examples are
@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from hsskit import (
+    BLR2Factorization,
     BLR2Pattern,
     CountingOracle,
     MatvecOracle,
@@ -22,6 +24,7 @@ from hsskit import (
     blr2_reconstruct,
     compress_oracle,
     frobenius_error,
+    greedy_hss_explicit,
     hss_apply,
     nullspace_basis,
     pivoted_qr_basis,
@@ -30,11 +33,13 @@ from hsskit import (
     random_telescoping,
     reconstruct_dense,
     right_pinv_apply,
+    sss_step_explicit,
     truncated_svd_left,
+    validate_hss_ranks,
 )
 from hsskit.experiment import run_cell
 from hsskit.kernels import _check_full_rank
-from hsskit.structures import block_apply, block_apply_t, block_to_dense
+from hsskit.structures import block_apply, block_apply_t, tree_levels
 
 from helpers import (
     MATVEC_FLOORS,
@@ -42,6 +47,7 @@ from helpers import (
     chained_compress,
     direct_pivoted_qr_basis,
     direct_svd_left,
+    pattern_row,
     svd_rank_deficient_index,
 )
 
@@ -276,7 +282,7 @@ class TestBlockOps:
     def test_match_dense_block_diagonal(self, seed, b, r, c, width):
         rng = np.random.default_rng(seed)
         blocks = rng.standard_normal((b, r, c))
-        dense = block_to_dense(blocks)
+        dense = block_diag(*blocks)
         x = rng.standard_normal((b * c, width))
         xt = rng.standard_normal((b * r, width))
         tol = 1e-13 * max(r, c)
@@ -358,7 +364,7 @@ class TestIrregularPatternOperations:
         assert pattern.T.sorted_pairs == tuple(sorted((j, i) for i, j in pattern.pairs))
         for j in range(pattern.block_count):
             hits = tuple(i for i in range(pattern.block_count) if (i, j) in pattern.pairs)
-            assert pattern.T.row_inadmissible(j) == hits
+            assert pattern_row(pattern.T, j) == hits
 
 
 depths = st.integers(1, 4)
@@ -438,10 +444,12 @@ class TestNestedCompression:
     @given(seed=seeds, L=depths, k=ranks, width=st.integers(1, 4))
     def test_each_column_costs_one_base_query_at_every_depth(self, seed, L, k, width):
         T = _telescoping(seed, L, k)
-        o = CountingOracle(MatvecOracle.from_dense(reconstruct_dense(T)))
-        for nested in _depths(o, T, compress_oracle):
+        base = MatvecOracle.from_dense(reconstruct_dense(T))
+        for depth in range(T.depth):
+            # A fresh counter per depth, and nothing queried before.
+            o = CountingOracle(base)
+            nested = _depths(o, T, compress_oracle)[depth]
             x = np.ones((nested.dim, width))
-            o.counter.reset()
             nested.apply(x)
             assert (o.counter.forward_count, o.counter.transpose_count) == (width, 0)
             nested.T.apply(x)
@@ -459,3 +467,48 @@ class TestNestedCompression:
             x = rng.standard_normal((nested.dim, width))
             assert np.array_equal(nested.T.T.apply(x), nested.apply(x))
             assert np.array_equal(nested.T.apply(x), nested.apply_transpose(x))
+
+
+class TestSizesComeFromTheInput:
+    def test_tree_levels_matches_the_definition(self):
+        for k in range(-1, 9):
+            depths = {(1 << (L + 1)) * k: L for L in range(1, 9)} if k >= 1 else {}
+            for n in range(0, 257):
+                assert tree_levels(n, k) == depths.get(n), (n, k)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_tree_levels_decides_every_size_check(self, data):
+        # A mix of conforming sizes, drawn from the definition n = 2**(L+1) k,
+        # and arbitrary ones; greedy is also given depths next to the true one.
+        k = data.draw(st.integers(1, 8), "k")
+        conforming = [(1 << (L + 1)) * k for L in range(1, 8) if (1 << (L + 1)) * k <= 256]
+        n = data.draw(st.one_of(st.sampled_from(conforming), st.integers(1, 256)), "n")
+        depth = tree_levels(n, k)
+        L = (depth or 1) + data.draw(st.integers(-1, 1), "L offset")
+        A = np.zeros((n, n))
+        calls = (
+            (lambda: validate_hss_ranks(A, k, 0), depth is not None),
+            (lambda: sss_step_explicit(A, k), depth is not None),
+            (lambda: greedy_hss_explicit(A, L, k), depth is not None and L == depth),
+        )
+        for call, conforms in calls:
+            if conforms:
+                call()
+            else:
+                with pytest.raises(ValueError, match=rf"shape \({n}, {n}\).* k={k}\b"):
+                    call()
+
+    @PROPERTY
+    @given(b=st.integers(1, 4), m=st.integers(1, 6), data=st.data())
+    def test_blr2_bases_must_share_one_rank(self, b, m, data):
+        ku, kv = data.draw(st.integers(1, m), "ku"), data.draw(st.integers(1, m), "kv")
+        pattern = BLR2Pattern.diagonal(b, m)
+        U, V = np.zeros((b, m, ku)), np.zeros((b, m, kv))
+        D = np.zeros((b, m, m))
+        if ku == kv:
+            assert BLR2Factorization(pattern, U, V, np.zeros((b * ku, b * ku)), D).rank_param == ku
+        else:
+            for X in (np.zeros((b * ku, b * ku)), np.zeros((b * kv, b * kv))):
+                with pytest.raises(ValueError, match="one k"):
+                    BLR2Factorization(pattern, U, V, X, D)

@@ -73,14 +73,6 @@ class TestBlockNullify:
         with pytest.raises(np.linalg.LinAlgError):
             nullify_rows(BLR2Pattern.diagonal(4, 2), omega, np.zeros((8, 6)))
 
-    def test_index_validation(self):
-        # A block row is named by index only through row_inadmissible.
-        pattern = BLR2Pattern.diagonal(4, 2)
-        for i in (4, 99, -1):
-            for side in (pattern, pattern.T):
-                with pytest.raises(IndexError):
-                    side.row_inadmissible(i)
-
 
 class TestPcpsBasis:
     def test_exact_rank_with_minimal_sketch(self):

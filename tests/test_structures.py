@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from hsskit import (
     BLR2Factorization,
@@ -20,7 +21,6 @@ from hsskit.structures import (
     _diagonal_blocks,
     _off_diagonal_slabs,
     block_apply,
-    block_to_dense,
 )
 
 from helpers import brute_block_col, brute_block_row, random_sss
@@ -116,7 +116,7 @@ class TestReconstruct:
         T = random_telescoping(4, 3, RngStream(2).child("in-place"))
         B = T.root
         for lf in T.levels:
-            B = block_apply(lf.V, block_apply(lf.U, B).T).T + block_to_dense(lf.D)
+            B = block_apply(lf.V, block_apply(lf.U, B).T).T + block_diag(*lf.D)
         got = reconstruct_dense(T)
         assert np.array_equal(got, B)
         assert got.flags["C_CONTIGUOUS"]
@@ -177,7 +177,7 @@ class TestSSSContainer:
     def test_shape_validation(self):
         f = random_sss(2, 2, seed=1)
         with pytest.raises(ValueError):
-            BLR2Factorization(f.pattern, f.rank_param, f.U, f.V, f.X[:-1], f.D)
+            BLR2Factorization(f.pattern, f.U, f.V, f.X[:-1], f.D)
 
 
 class TestValidate:
@@ -198,18 +198,18 @@ class TestValidateRanks:
     def test_reconstructed_factorization_passes(self):
         for seed in range(3):
             T = random_telescoping(3, 2, RngStream(seed).child("vr"))
-            assert validate_hss_ranks(reconstruct_dense(T), 3, 2, 1e-10)
+            assert validate_hss_ranks(reconstruct_dense(T), 2, 1e-10)
 
     def test_hard_instance_fails_at_rank_one(self):
         A = hard_instance(4, 0.1)
-        assert not validate_hss_ranks(A, 4, 1, 1e-10)
+        assert not validate_hss_ranks(A, 1, 1e-10)
 
     def test_zero_matrix_passes(self):
-        assert validate_hss_ranks(np.zeros((16, 16)), 2, 2, 1e-10)
+        assert validate_hss_ranks(np.zeros((16, 16)), 2, 1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            validate_hss_ranks(np.zeros((10, 10)), 2, 2, 1e-10)
+            validate_hss_ranks(np.zeros((10, 10)), 2, 1e-10)
 
     def test_single_block_column_violation(self):
         # L = 2, k = 2: four level-2 blocks of side 4.  Below the diagonal,
@@ -220,12 +220,12 @@ class TestValidateRanks:
         # level-2 block column, and only the column view can see it.
         rng = np.random.default_rng(3)
         for b3_independent in (True, False):
-            A = block_to_dense(rng.standard_normal((4, 4, 4)))
+            A = block_diag(*rng.standard_normal((4, 4, 4)))
             a = rng.standard_normal((4, 4))
             b = rng.standard_normal((4, 4))
             if not b3_independent:
                 b[3] = b[1] - 2.0 * b[2]
             for i in range(1, 4):
                 A[4 * i : 4 * i + 4, :4] = np.outer(a[i], b[i])
-            assert validate_hss_ranks(A, 2, 2, 1e-10) is not b3_independent
-            assert validate_hss_ranks(A.T, 2, 2, 1e-10) is not b3_independent
+            assert validate_hss_ranks(A, 2, 1e-10) is not b3_independent
+            assert validate_hss_ranks(A.T, 2, 1e-10) is not b3_independent

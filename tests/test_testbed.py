@@ -55,7 +55,7 @@ class TestHardInstance:
 class TestRandomStructured:
     def test_random_telescoping_reconstruction_validates(self):
         T = random_telescoping(4, 2, RngStream(0).child("ts"))
-        assert validate_hss_ranks(reconstruct_dense(T), 4, 2, 1e-10)
+        assert validate_hss_ranks(reconstruct_dense(T), 2, 1e-10)
         T.validate()  # orthonormality of every basis block
 
     def test_random_hss_matrix_is_seed_deterministic(self):
@@ -91,7 +91,7 @@ class TestBandedInverse:
         n, k = 256, 4
         oracle = banded_inverse_oracle(n, 2 * k + 1, seed=5)
         A = dense_from_oracle(oracle)
-        assert validate_hss_ranks(A, L=4, k=2 * k, tol=1e-8)
+        assert validate_hss_ranks(A, k=2 * k, tol=1e-8)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
