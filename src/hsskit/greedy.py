@@ -49,8 +49,10 @@ def sss_step_explicit(A, k: int):
 
 
 def greedy_hss_explicit(A, L: int, k: int) -> TelescopingFactorization:
-    """Greedy rank-k factorization of a dense matrix of side n = 2**(L+1) * k."""
-    A, depth = _conforming(A, k)
+    """Greedy rank-k factorization of a dense matrix of side n = 2**(L+1) * k.
+
+    A is scanned for non-finite entries once, by the first step."""
+    A, depth = _conforming(A, k, finite=False)
     if L != depth:
         raise ValueError(f"matrix of shape {A.shape} has L={depth} levels for k={k}, not L={L}")
     levels, current = [], A

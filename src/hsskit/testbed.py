@@ -5,8 +5,11 @@ Generator families:
   - ``hard_instance``: the adversarial matrix of perturbed exchange blocks
     whose best rank-structured approximation is known in closed form.
   - ``banded_inverse_oracle``: the inverse of a random symmetric banded,
-    strictly diagonally dominant matrix, served through banded Cholesky
-    solves.  With total bandwidth 2k + 1 the inverse has rank-2k structure.
+    strictly diagonally dominant matrix, applied through its banded
+    Cholesky factor U cut into blocks: a product is two block sweeps, each
+    one batched product with the inverted diagonal blocks of U plus a
+    rank-h correction per block for the h rows that couple neighbouring
+    blocks.  With total bandwidth 2k + 1 the inverse has rank-2k structure.
   - ``grid_schur_oracle``: Schur complement of an N x 51 grid-graph Laplacian
     onto its middle separator column.  The grid is separable, so the
     operator is diagonal in the cosine basis: a product is two length-N
@@ -27,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from .blr2 import BLR2Factorization, BLR2Pattern, blr2_reconstruct
 from .kernels import RngStream, as_matrix, gaussian
@@ -150,27 +154,170 @@ def _banded_arrays(n: int, bandwidth: int, seed: int):
     return diag, offs
 
 
+# Rows of a diagonal block in the banded-inverse sweeps (or h, if more), and
+# the narrowest panel of a wide banded-inverse product; see
+# banded_inverse_oracle.
+_BAND_BLOCK = 32
+_BAND_PANEL_FLOOR = 34
+
+
+def _band_blocks(band: np.ndarray, nb: int):
+    """(blocks, corners) of L = U^T, for the upper triangular U in LAPACK
+    upper band storage ``band`` of shape (h + 1, N), N a multiple of nb >= h.
+
+    ``blocks`` is the (N/nb, nb, nb) stack of L's diagonal blocks.  Corner
+    i is the h x h upper triangle in the first h rows and last h columns of
+    L's block (i + 1, i), the only entries that couple block i + 1 to block
+    i.  Row r of L is band[:, r] in columns r - h .. r, so each block's rows
+    lie one diagonal step apart: one strided copy places its last nb - h
+    rows.  Its first h rows reach h columns back into the block before;
+    they go to a (h, 2h) array whose columns are shifted right by h, whose
+    last h columns then belong to the block and its first h to the corner.
+    """
+    h = band.shape[0] - 1
+    count = band.shape[1] // nb
+    rows = band.T.reshape(count, nb, h + 1)
+    blocks, head = np.zeros((count, nb, nb)), np.zeros((count, h, 2 * h))
+    for dest, src in ((blocks[:, h:], rows[:, h:]), (head, rows[:, :h])):
+        s0, s1, s2 = dest.strides
+        as_strided(dest, src.shape, (s0, s1 + s2, s2), writeable=True)[...] = src
+    blocks[:, :h, :h] = head[:, :, h:]
+    return blocks, head[1:, :, :h].copy()
+
+
+def _seam_levels(maps: np.ndarray) -> list:
+    """The levels of cyclic reduction for a seam recurrence in which
+    ``maps[i - 1]`` maps seam i - 1 into seam i (see :func:`_fold_seams`).
+    Each level eliminates the even seams: it keeps the maps into the odd
+    seams and into the even ones, and hands the next level the products that
+    map odd seam 2m - 1 to odd seam 2m + 1."""
+    levels = []
+    while len(maps):
+        odd, even = maps[0::2], maps[1::2]
+        levels.append((odd, even))
+        maps = np.matmul(maps[2::2], even[: len(maps[2::2])])
+    return levels
+
+
+def _fold_seams(X: np.ndarray, rows: np.ndarray, corners: np.ndarray, levels: list, lead: slice,
+                work: np.ndarray):
+    """Fold into the (B, nb, w) operand blocks X, in place, what a block
+    bidiagonal triangular solve carries from block i - 1 into block i.
+
+    Block i of the solution is inv_i (X_i - corners[i - 1] seam_{i-1} in
+    the rows ``lead``), where seam_i, the part of solution block i that
+    block i + 1 depends on, is ``rows[i]`` times that same operand.  So the
+    seams obey seam_i = rows[i] X_i + maps[i - 1] seam_{i-1}, maps[i - 1] =
+    -rows[i][:, lead] corners[i - 1], which ``levels`` solve by cyclic
+    reduction: 2 log2(B) batched products over B + B/2 + ... seams.  After
+    the call, block i of the solution is inv_i X_i.  The seams and the
+    products take the flat scratch ``work``, of 2 B h w floats.
+    """
+    B, h, w = len(rows), rows.shape[1], X.shape[2]
+    seams = np.matmul(rows, X, out=work[: B * h * w].reshape(B, h, w))
+
+    def product(a, b):
+        return np.matmul(a, b, out=work[B * h * w : (B + len(a)) * h * w].reshape(len(a), h, w))
+
+    views = [seams]
+    for odd, _ in levels:
+        view = views[-1]
+        view[1::2] += product(odd, view[0::2][: len(odd)])
+        views.append(view[1::2])
+    for (_, even), view in zip(reversed(levels), reversed(views[:-1])):
+        view[2::2] += product(even, view[1::2][: len(even)])
+    X[1:, lead] -= product(corners, seams[:-1])
+
+
+def _sweep(rows: np.ndarray, corners: np.ndarray, lead: slice) -> tuple:
+    """(rows, corners, levels, lead) of :func:`_fold_seams`: ``levels`` are
+    those of maps[i - 1] = -rows[i][:, lead] corners[i - 1]."""
+    return rows, corners, _seam_levels(-np.matmul(rows[1:, :, lead], corners)), lead
+
+
 def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     """Matvec oracle for the inverse of a random symmetric banded matrix.
 
-    The banded matrix is factored once with a banded Cholesky; each product
-    is a pair of triangular band solves.  The operator is symmetric, so
-    forward and transpose products agree.
+    The banded matrix M, of half-bandwidth h = (bandwidth - 1) / 2, is
+    factored once as M = U^T U with a banded Cholesky.  U is cut into blocks
+    of nb = max(32, h) rows, n padded to N, a multiple of nb, with identity
+    rows that the reply drops.  U^T is then block lower bidiagonal, and its
+    subdiagonal blocks are zero outside an h x h corner.  The oracle keeps
+    the inverse of each diagonal block (one LAPACK ``trtri`` each), 8 N nb
+    bytes (2 MiB at n = 8192), and the corners and the maps of the seam
+    reductions below, under a third of that.
+
+    A product is a forward sweep U^T y = x and a backward sweep U z = y.
+    Each sweep solves for the h seam rows through which each block of the
+    solution reaches the next, by cyclic reduction over the blocks, folds
+    them into the operand as a rank-h correction per block, and applies all
+    block inverses in batched (nb, nb) products.  Those run in place, in
+    eight chunks of blocks through a scratch of S = max(2 h N / nb, N / 8)
+    rows that also holds the seams, so a product holds its reply and that
+    scratch.
+
+    A wide operand runs in panels of max(34, PANEL_BYTES // (8 (N + S)))
+    columns.  A panel's fixed cost, mostly the cyclic reduction, is that of
+    about ten columns, so the floor keeps a query of s = 34 columns, the
+    sketch width of a k = 8 build, in one product.  Times at n = 8192,
+    h = 8, on one CPU of a 2-vCPU VM with one BLAS thread: one vector
+    takes 0.6-0.9 ms, under 1 ms but more than the 0.2 ms of LAPACK's band
+    solve ``pbtrs``; 16 columns take 1.4-1.9 ms, 34 take 2.7-3.2 ms and
+    128 take 12-16 ms, where ``pbtrs`` takes 2.9-3.4, 6.3-7.0 and 29-33 ms.
+    The operator is symmetric, so forward and transpose products agree.
     """
     diag, offs = _banded_arrays(n, bandwidth, seed)
-    half = len(offs)
-    ab = np.zeros((half + 1, n))
-    ab[half] = diag
+    h = len(offs)
+    nb = max(_BAND_BLOCK, h)
+    count = -(-n // nb)
+    N = count * nb
+    ab = np.zeros((h + 1, N), order="F")  # LAPACK's order, so the factor overwrites it
+    ab[h, :n] = diag
+    ab[h, n:] = 1.0
     for d, off in enumerate(offs, start=1):
-        ab[half - d, d:] = off
-    factor = scipy.linalg.cholesky_banded(ab)
+        ab[h - d, d:n] = off
+    factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+    inv_t, corners = _band_blocks(factor, nb)
+    for block in inv_t:
+        # block.T, Fortran-ordered, is a diagonal block of U: trtri inverts
+        # it in place, which leaves block the transposed inverse.
+        scipy.linalg.lapack.dtrtri(block.T, overwrite_c=1)
+    inv = inv_t.transpose(0, 2, 1)
+    head, tail = slice(0, h), slice(nb - h, nb)
+    # U^T y = x runs forward: block i's head rows take corner i - 1 times
+    # the tail of y's block i - 1.  U z = y runs backward: block i's tail
+    # rows take corner i transposed times the head of z's block i + 1.
+    forward = _sweep(inv_t[:, tail, :], corners, head)
+    backward = _sweep(inv[::-1, head, :], corners.transpose(0, 2, 1)[::-1], tail)
+    chunk = -(-count // 8)
+    scratch_rows = max(2 * count * h, chunk * nb)
 
-    # The factor is finite by construction and MatvecOracle checks every
-    # reply, so the solve skips rescanning the factor on each product.
-    def solve(x):
-        return scipy.linalg.cho_solve_banded((factor, False), x, check_finite=False)
+    def apply_blocks(stack, blocks, work):
+        spare = work[: chunk * blocks[0].size].reshape(chunk, *blocks.shape[1:])
+        for a in range(0, count, chunk):
+            z = min(a + chunk, count)
+            np.matmul(stack[a:z], blocks[a:z], out=spare[: z - a])
+            blocks[a:z] = spare[: z - a]
 
-    return MatvecOracle(n, solve, solve)
+    def apply_panel(xm):
+        width = xm.shape[1]
+        x = np.empty((N, width))
+        x[:n] = xm
+        x[n:] = 0.0
+        blocks, work = x.reshape(count, nb, width), np.empty(scratch_rows * width)
+        _fold_seams(blocks, *forward, work)
+        apply_blocks(inv_t, blocks, work)
+        _fold_seams(blocks[::-1], *backward, work)
+        apply_blocks(inv, blocks, work)
+        return x[:n]
+
+    def apply(x):
+        xm = x[:, None] if x.ndim == 1 else x
+        y = _in_panels(lambda a, z: apply_panel(xm[:, a:z]), n, xm.shape[1], 8 * (N + scratch_rows),
+                       floor=_BAND_PANEL_FLOOR)
+        return y[:, 0] if x.ndim == 1 else y
+
+    return MatvecOracle(n, apply, apply)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hsskit import (
     reconstruct_dense,
     sss_step_explicit,
 )
+from hsskit import structures
 from hsskit.structures import block_apply, block_apply_t
 
 from helpers import brute_block_col, brute_block_row, random_sss, svd_tail_energy
@@ -62,6 +63,23 @@ class TestGreedyExplicit:
         A = random_hss_matrix(4, 4, seed=0)
         T = greedy_hss_explicit(A, 4, 4)
         assert frobenius_error(A, T) <= 1e-10
+
+    def test_scans_a_for_non_finite_entries_once(self, monkeypatch):
+        A = random_hss_matrix(3, 2, seed=1)
+        scans = []
+        as_matrix = structures.as_matrix
+
+        def recording(a, name="matrix", finite=True):
+            if finite:
+                scans.append(np.shape(a))
+            return as_matrix(a, name, finite)
+
+        monkeypatch.setattr(structures, "as_matrix", recording)
+        greedy_hss_explicit(A, 3, 2)
+        assert scans.count(A.shape) == 1
+        A[5, 7] = np.nan
+        with pytest.raises(ValueError, match="^A contains non-finite entries$"):
+            greedy_hss_explicit(A, 3, 2)
 
     def test_hard_instance_error_floor_L4(self):
         A = hard_instance(4, 0.1)

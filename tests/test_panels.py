@@ -30,7 +30,7 @@ from hsskit import (
 )
 from hsskit import structures
 
-from helpers import grid_schur_dense
+from helpers import grid_schur_dense, random_banded_matrix
 
 SMALL_PANEL_BYTES = 12 << 10
 WIDTHS = [None, 1, 31, 32, 33, 300]  # None: a vector operand
@@ -100,6 +100,15 @@ class TestPanelBoundaries:
         x = _operand(16, width, 6)
         _assert_close(grid_schur_oracle(16).apply(x), S @ x)
 
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_banded_oracle(self, small_panels, width):
+        # 34-column panels (its floor): widths up to 33 are one product and
+        # width 300 runs in nine.  n = 100 pads to four 32-row blocks.
+        n, bw = 100, 17
+        x = _operand(n, width, 12)
+        want = np.linalg.solve(random_banded_matrix(n, bw, 13), x)
+        _assert_close(banded_inverse_oracle(n, bw, 13).apply(x), want)
+
     def test_dense_from_oracle_probes_identity_panels(self, small_panels):
         A = np.random.default_rng(7).standard_normal((100, 100))
         widths = []
@@ -134,6 +143,14 @@ class TestPanelMemory:
         for op in (T, T.T):
             y, peak = _peak_bytes(lambda: hss_apply(op, x))
             assert peak <= y.nbytes + 4 * structures.PANEL_BYTES
+
+    def test_banded_oracle_at_width_128(self):
+        # At n = 8192 a 34-column panel's buffer and seams take under two
+        # PANEL_BYTES; one product over all 128 columns would take more.
+        oracle = banded_inverse_oracle(8192, 17, 14)
+        x = _operand(8192, 128, 15)
+        y, peak = _peak_bytes(lambda: oracle.apply(x))
+        assert peak <= y.nbytes + 2 * structures.PANEL_BYTES
 
     def test_dense_grid_extraction(self):
         oracle = grid_schur_oracle(512)

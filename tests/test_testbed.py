@@ -93,6 +93,32 @@ class TestBandedInverse:
         A = dense_from_oracle(oracle)
         assert validate_hss_ranks(A, k=2 * k, tol=1e-8)
 
+    # (n, bandwidth): n a multiple of the 32-row block (nine blocks, so an
+    # odd count for the seam reduction and a short last chunk), n = 1000 and
+    # n = 37 padded to one, n below one block, h = 0, and a band wider than
+    # a block (h = 40, so the block grows to 40 rows and n = 100 pads to 120).
+    SOLVE_CASES = [(288, 17), (1000, 17), (37, 17), (20, 9), (64, 1), (37, 1), (100, 81)]
+
+    @pytest.mark.parametrize("n,bw", SOLVE_CASES)
+    @pytest.mark.parametrize("width", [None, 1, 16, 34, 128])  # None: a vector operand
+    def test_matches_dense_solve(self, n, bw, width):
+        """The blocked sweeps solve M y = x: agreement with a dense solve."""
+        oracle = banded_inverse_oracle(n, bw, seed=6)
+        rng = np.random.default_rng(n + bw)
+        x = rng.standard_normal(n if width is None else (n, width))
+        y = oracle.apply(x)
+        want = np.linalg.solve(random_banded_matrix(n, bw, 6), x)
+        assert y.shape == x.shape
+        assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n,bw", SOLVE_CASES)
+    def test_transpose_and_rebuilt_oracle_reply_bit_equal(self, n, bw):
+        x = np.random.default_rng(7).standard_normal((n, 5))
+        oracle = banded_inverse_oracle(n, bw, seed=8)
+        y = oracle.apply(x)
+        assert np.array_equal(oracle.apply_transpose(x), y)
+        assert y.tobytes() == banded_inverse_oracle(n, bw, seed=8).apply(x).tobytes()
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             banded_inverse_oracle(64, 4, seed=0)  # even bandwidth
@@ -148,8 +174,9 @@ class TestGridSchur:
 )
 @pytest.mark.parametrize("direction", ["forward", "transpose"])
 def test_band_solve_oracle_reports_a_nan_operand_in_its_reply(oracle, direction):
-    """The band solves skip scipy's finite check and the grid oracle's FFTs
-    make none; a NaN operand still fails, at the oracle's own reply check."""
+    """Neither oracle scans its operand: the banded oracle's batched sweeps
+    and the grid oracle's FFTs make no finite check.  A NaN operand still
+    fails, at the oracle's own reply check."""
     x = np.ones((32, 3))
     x[5, 1] = np.nan
     product = oracle.apply if direction == "forward" else oracle.apply_transpose
