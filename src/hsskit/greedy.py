@@ -20,6 +20,7 @@ from .structures import (
     _diagonal_blocks,
     _off_diagonal_slabs,
     block_apply_t,
+    tree_levels,
 )
 
 __all__ = ["greedy_hss_explicit", "sss_step_explicit"]
@@ -51,10 +52,13 @@ def sss_step_explicit(A, k: int):
 def greedy_hss_explicit(A, L: int, k: int) -> TelescopingFactorization:
     """Greedy rank-k factorization of a dense matrix of side n = 2**(L+1) * k.
 
-    A is scanned for non-finite entries once, by the first step."""
-    A, depth = _conforming(A, k, finite=False)
+    The first step checks A, shape and entries, so A is scanned once."""
+    shape = np.shape(A)
+    depth = tree_levels(shape[0], k) if len(shape) == 2 and shape[0] == shape[1] else None
+    if depth is None:
+        _conforming(A, k)  # raises the error that names A's shape
     if L != depth:
-        raise ValueError(f"matrix of shape {A.shape} has L={depth} levels for k={k}, not L={L}")
+        raise ValueError(f"matrix of shape {shape} has L={depth} levels for k={k}, not L={L}")
     levels, current = [], A
     for _ in range(L):
         factors, current = sss_step_explicit(current, k)

@@ -62,13 +62,12 @@ RANK_BOUND_MARGIN = 2.0
 TIE_CUTOFF = 1e-14
 
 
-def as_matrix(a, name: str = "matrix", finite: bool = True) -> np.ndarray:
-    """Coerce to a 2-D float64 array and, unless ``finite`` is False,
-    reject non-finite entries."""
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a 2-D float64 array and reject non-finite entries."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if finite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

@@ -136,11 +136,9 @@ def tree_levels(n: int, k: int) -> int | None:
     return ratio.bit_length() - 2
 
 
-def _conforming(A, k: int, finite: bool = True):
-    """(A checked, L) for a square A of side 2**(L+1) * k; else a ValueError
-    naming the shape.  ``finite=False`` leaves the scan for non-finite
-    entries to the caller."""
-    A = as_matrix(A, "A", finite)
+def _conforming(A, k: int):
+    """(A checked, L) for a square A of side 2**(L+1) * k; else a ValueError naming the shape."""
+    A = as_matrix(A, "A")
     L = tree_levels(A.shape[0], k)
     if A.shape[0] != A.shape[1] or L is None:
         raise ValueError(f"matrix of shape {A.shape} is not square of side 2**(L+1) * k, L >= 1, for k={k}")

@@ -35,6 +35,7 @@ from numpy.lib.stride_tricks import as_strided
 from .blr2 import BLR2Factorization, BLR2Pattern, blr2_reconstruct
 from .kernels import RngStream, as_matrix, gaussian
 from .oracle import MatvecOracle, dense_from_oracle
+from . import structures
 from .structures import (
     LevelFactors,
     TelescopingFactorization,
@@ -229,12 +230,6 @@ def _fold_seams(X: np.ndarray, rows: np.ndarray, corners: np.ndarray, levels: li
     X[1:, lead] -= product(corners, seams[:-1])
 
 
-def _sweep(rows: np.ndarray, corners: np.ndarray, lead: slice) -> tuple:
-    """(rows, corners, levels, lead) of :func:`_fold_seams`: ``levels`` are
-    those of maps[i - 1] = -rows[i][:, lead] corners[i - 1]."""
-    return rows, corners, _seam_levels(-np.matmul(rows[1:, :, lead], corners)), lead
-
-
 def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     """Matvec oracle for the inverse of a random symmetric banded matrix.
 
@@ -247,26 +242,32 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     bytes (2 MiB at n = 8192), and the corners and the maps of the seam
     reductions below, under a third of that.
 
-    A product is a forward sweep U^T y = x and a backward sweep U z = y.
-    Each sweep solves for the h seam rows through which each block of the
-    solution reaches the next, by cyclic reduction over the blocks, folds
-    them into the operand as a rank-h correction per block, and applies all
-    block inverses in batched (nb, nb) products.  Those run in place, in
-    eight chunks of blocks through a scratch of S = max(2 h N / nb, N / 8)
-    rows that also holds the seams, so a product holds its reply and that
-    scratch.
+    A product is a forward sweep U^T y = x and a backward sweep U z = y,
+    both in place in the reply.  Each sweep solves for the h seam rows
+    through which each block of the solution reaches the next, by cyclic
+    reduction over the blocks, folds them into the operand as a rank-h
+    correction per block, and applies all block inverses in batched
+    (nb, nb) products, in eight chunks of blocks through a scratch of
+    S = max(2 h N / nb, N / 8) rows that also holds the seams.
 
-    A wide operand runs in panels of max(34, PANEL_BYTES // (8 (N + S)))
-    columns.  A panel's fixed cost, mostly the cyclic reduction, is that of
-    about ten columns, so the floor keeps a query of s = 34 columns, the
-    sketch width of a k = 8 build, in one product.  Times at n = 8192,
-    h = 8, on one CPU of a 2-vCPU VM with one BLAS thread: one vector
-    takes 0.6-0.9 ms, under 1 ms but more than the 0.2 ms of LAPACK's band
-    solve ``pbtrs``; 16 columns take 1.4-1.9 ms, 34 take 2.7-3.2 ms and
-    128 take 12-16 ms, where ``pbtrs`` takes 2.9-3.4, 6.3-7.0 and 29-33 ms.
-    At n = 256 the fixed cost rules: 0.15-0.21 ms from 1 to 34 columns,
-    where ``pbtrs`` takes 0.015-0.2 ms.  The operator is symmetric, so
-    forward and transpose products agree.
+    A wide operand runs in panels of max(34, PANEL_BYTES // (8 S)) columns
+    of the reply itself, one scratch for all, so a product holds its reply
+    and one panel's scratch and frees no array of a panel's size.  (Panels
+    written into a separate output, as ``structures._in_panels`` does, free
+    one such array per panel.  At n = 8192 that raised the peak RSS of a
+    benchmark run by about 5 MB: glibc's malloc then keeps later arrays of
+    that size in its heap instead of mapping and unmapping them.)  A
+    panel's fixed cost, mostly the cyclic reduction, is that of about ten
+    columns, so the floor keeps a query of s = 34 columns, the sketch width
+    of a k = 8 build, in one product.
+
+    Times at n = 8192, h = 8, on one CPU of a 2-vCPU VM with one BLAS
+    thread: one vector takes 0.6-0.9 ms, under 1 ms but more than the
+    0.2 ms of LAPACK's band solve ``pbtrs``; 16 columns take 1.6-1.9 ms,
+    34 take 2.8-3.6 ms and 128 take 12-13 ms, where ``pbtrs`` takes
+    2.7-3.5, 5.8-7.9 and 25-33 ms.  At n = 256 the fixed cost rules:
+    0.12-0.26 ms from 1 to 34 columns, where ``pbtrs`` takes 0.01-0.22 ms.
+    The operator is symmetric, so forward and transpose products agree.
     """
     diag, offs = _banded_arrays(n, bandwidth, seed)
     h = len(offs)
@@ -281,16 +282,22 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
     inv_t, corners = _band_blocks(factor, nb)
     for block in inv_t:
-        # block.T, Fortran-ordered, is a diagonal block of U: trtri inverts
-        # it in place, which leaves block the transposed inverse.
-        scipy.linalg.lapack.dtrtri(block.T, overwrite_c=1)
+        # block.T, Fortran-ordered, is a diagonal block of U, which trtri
+        # inverts in place: block then holds the transposed inverse.
+        inverse, info = scipy.linalg.lapack.dtrtri(block.T, overwrite_c=1)
+        if info:
+            raise np.linalg.LinAlgError(f"trtri failed on a diagonal block of U (info={info})")
+        if not np.may_share_memory(inverse, block):
+            block.T[...] = inverse
     inv = inv_t.transpose(0, 2, 1)
     head, tail = slice(0, h), slice(nb - h, nb)
     # U^T y = x runs forward: block i's head rows take corner i - 1 times
     # the tail of y's block i - 1.  U z = y runs backward: block i's tail
     # rows take corner i transposed times the head of z's block i + 1.
-    forward = _sweep(inv_t[:, tail, :], corners, head)
-    backward = _sweep(inv[::-1, head, :], corners.transpose(0, 2, 1)[::-1], tail)
+    rows_fwd, corners_fwd = inv_t[:, tail, :], corners
+    rows_bwd, corners_bwd = inv[::-1, head, :], corners.transpose(0, 2, 1)[::-1]
+    levels_fwd = _seam_levels(-np.matmul(rows_fwd[1:, :, head], corners_fwd))
+    levels_bwd = _seam_levels(-np.matmul(rows_bwd[1:, :, tail], corners_bwd))
     chunk = -(-count // 8)
     scratch_rows = max(2 * count * h, chunk * nb)
 
@@ -301,23 +308,22 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
             np.matmul(stack[a:z], blocks[a:z], out=spare[: z - a])
             blocks[a:z] = spare[: z - a]
 
-    def apply_panel(xm):
-        width = xm.shape[1]
-        x = np.empty((N, width))
-        x[:n] = xm
-        x[n:] = 0.0
-        blocks, work = x.reshape(count, nb, width), np.empty(scratch_rows * width)
-        _fold_seams(blocks, *forward, work)
-        apply_blocks(inv_t, blocks, work)
-        _fold_seams(blocks[::-1], *backward, work)
-        apply_blocks(inv, blocks, work)
-        return x[:n]
-
     def apply(x):
         xm = x[:, None] if x.ndim == 1 else x
-        y = _in_panels(lambda a, z: apply_panel(xm[:, a:z]), n, xm.shape[1], 8 * (N + scratch_rows),
-                       floor=_BAND_PANEL_FLOOR)
-        return y[:, 0] if x.ndim == 1 else y
+        width = xm.shape[1]
+        y = np.empty((N, width))
+        y[:n] = xm
+        y[n:] = 0.0
+        blocks = y.reshape(count, nb, width)
+        panel = max(_BAND_PANEL_FLOOR, structures.PANEL_BYTES // (8 * scratch_rows))
+        work = np.empty(scratch_rows * min(panel, width))
+        for a in range(0, width, panel):
+            part = blocks[:, :, a : a + panel]
+            _fold_seams(part, rows_fwd, corners_fwd, levels_fwd, head, work)
+            apply_blocks(inv_t, part, work)
+            _fold_seams(part[::-1], rows_bwd, corners_bwd, levels_bwd, tail, work)
+            apply_blocks(inv, part, work)
+        return y[:n, 0] if x.ndim == 1 else y[:n]
 
     return MatvecOracle(n, apply, apply)
 

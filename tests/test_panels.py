@@ -145,8 +145,9 @@ class TestPanelMemory:
             assert peak <= y.nbytes + 4 * structures.PANEL_BYTES
 
     def test_banded_oracle_at_width_128(self):
-        # At n = 8192 a 34-column panel's buffer and seams take under two
-        # PANEL_BYTES; one product over all 128 columns would take more.
+        # At n = 8192 the panels run in place in the reply through one
+        # scratch of PANEL_BYTES; a single panel of all 128 columns would
+        # need a 4 MiB scratch.
         oracle = banded_inverse_oracle(8192, 17, 14)
         x = _operand(8192, 128, 15)
         y, peak = _peak_bytes(lambda: oracle.apply(x))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hsskit import (
     MatvecOracle,
@@ -118,6 +119,19 @@ class TestBandedInverse:
         y = oracle.apply(x)
         assert np.array_equal(oracle.apply_transpose(x), y)
         assert y.tobytes() == banded_inverse_oracle(n, bw, seed=8).apply(x).tobytes()
+
+    def test_block_inverses_do_not_rely_on_trtri_working_in_place(self, monkeypatch):
+        # A trtri that returns a fresh array, as f2py does when it must copy
+        # its input, still yields the inverse; a failing one raises.
+        trtri = scipy.linalg.lapack.dtrtri
+        n, bw = 100, 17
+        x = np.random.default_rng(9).standard_normal((n, 3))
+        want = banded_inverse_oracle(n, bw, seed=10).apply(x)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", lambda c, **kw: trtri(c.copy(order="F")))
+        assert np.array_equal(banded_inverse_oracle(n, bw, seed=10).apply(x), want)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", lambda c, **kw: (c, 3))
+        with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+            banded_inverse_oracle(n, bw, seed=10)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
