@@ -29,7 +29,7 @@ import numpy as np
 from .kernels import RngStream, gaussian, nullspace_basis, right_pinv_apply
 from .oracle import MatvecOracle
 from .sketching import BASIS_METHODS
-from .structures import _as_operand, _in_panels, block_apply, block_apply_t
+from .structures import _in_panels, _on_columns, block_apply, block_apply_t
 
 __all__ = [
     "BLR2Factorization",
@@ -397,14 +397,12 @@ def blr2_apply(F: BLR2Factorization, x) -> np.ndarray:
     """Apply a BLR2 factorization to a vector or block of vectors.  A wide
     operand is applied in panels of max(32, PANEL_BYTES // (8 N)) columns,
     as in :func:`~hsskit.structures.hss_apply`."""
-    x = _as_operand(x, F.dim)
-    xm = x[:, None] if x.ndim == 1 else x
 
-    def panel(a, z):
-        xp = xm[:, a:z]
+    def panel(xp):
         y = block_apply(F.U, F.X @ block_apply_t(F.V, xp))
         y += _remainder_matmul(F.pattern, F.D, xp)
         return y
 
-    y = _in_panels(panel, F.dim, xm.shape[1], 8 * F.dim, floor=32)
-    return y[:, 0] if x.ndim == 1 else y
+    return _on_columns(x, F.dim, lambda xm: _in_panels(
+        lambda a, z: panel(xm[:, a:z]), F.dim, xm.shape[1], 8 * F.dim, floor=32
+    ))

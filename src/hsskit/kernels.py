@@ -62,9 +62,17 @@ RANK_BOUND_MARGIN = 2.0
 TIE_CUTOFF = 1e-14
 
 
+def _as_real(a, name: str) -> np.ndarray:
+    """Coerce to float64; a complex array raises a ValueError naming ``name``."""
+    arr = np.asarray(a)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} has complex dtype {arr.dtype}; hsskit works in real float64")
+    return arr.astype(np.float64, copy=False)
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array and reject non-finite entries."""
-    arr = np.asarray(a, dtype=np.float64)
+    """Coerce to a 2-D float64 array and reject complex or non-finite entries."""
+    arr = _as_real(a, name)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -121,9 +129,9 @@ def gaussian(rows: int, cols: int, stream: RngStream) -> np.ndarray:
 
 def _as_stack(a, name: str):
     """Coerce a 2-D matrix or a (b, r, c) stack to a 3-D float64 stack and
-    reject non-finite entries.  Returns ``(stack, single)``; ``single`` says
-    the input was 2-D, i.e. a stack of one."""
-    arr = np.asarray(a, dtype=np.float64)
+    reject complex or non-finite entries.  Returns ``(stack, single)``;
+    ``single`` says the input was 2-D, i.e. a stack of one."""
+    arr = _as_real(a, name)
     if arr.ndim not in (2, 3):
         raise ValueError(f"{name} must be a 2-D matrix or a 3-D stack, got shape {arr.shape}")
     if not np.isfinite(arr).all():

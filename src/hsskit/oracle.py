@@ -1,7 +1,9 @@
 """Black-box matvec access: oracles, query accounting, compressed operators.
 
 An oracle exposes products with an N x N operator A and its transpose on
-vectors or dense blocks of vectors; ``oracle.T`` is the oracle of A^T.  Each
+vectors or dense blocks of vectors; ``oracle.T`` is the oracle of A^T.  The
+products behind it, a user's included, receive (N, w) float64 blocks only:
+a vector goes in as one column and its reply comes back as a vector.  Each
 reply of a user's product is checked once, where it is made, for its shape
 and finite entries.  ``CountingOracle`` wraps any oracle and charges one
 query per vector (a width-s block costs s).
@@ -17,11 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import _as_real
 from .structures import (
     LevelFactors,
     TelescopingFactorization,
-    _as_operand,
     _in_panels,
+    _on_columns,
     block_apply,
     block_apply_t,
     hss_apply,
@@ -39,7 +42,8 @@ __all__ = [
 
 def _checked(product, direction: str):
     """Wrap a user's product so that each reply is checked where it is made.
-    A method of another oracle checks its own replies and stays unwrapped."""
+    A method of another oracle checks its own replies and stays unwrapped.
+    A non-finite reply names the operand if that is non-finite too."""
     if isinstance(getattr(product, "__self__", None), MatvecOracle):
         return product
 
@@ -48,15 +52,17 @@ def _checked(product, direction: str):
         if y.shape != x.shape:
             raise ValueError(f"oracle {direction} reply has shape {y.shape}, expected {x.shape}")
         if not np.isfinite(y).all():
-            raise ValueError(f"oracle {direction} reply of shape {y.shape} has non-finite entries")
+            culprit = "reply" if np.isfinite(x).all() else "operand"
+            raise ValueError(f"oracle {direction} {culprit} of shape {y.shape} has non-finite entries")
         return y
 
     return call
 
 
 class MatvecOracle:
-    """Linear operator accessed only through apply / apply_transpose, whose
-    replies must have the operand's shape and finite entries."""
+    """Linear operator accessed only through apply / apply_transpose.  Its
+    two products receive (dim, w) float64 blocks and must reply with blocks
+    of the same shape and finite entries."""
 
     def __init__(self, dim: int, apply, apply_transpose):
         self._bind(dim, _checked(apply, "forward"), _checked(apply_transpose, "transpose"))
@@ -72,11 +78,11 @@ class MatvecOracle:
 
     def apply(self, x) -> np.ndarray:
         """A @ x for a vector or a dense block of vectors."""
-        return self._apply(_as_operand(x, self.dim))
+        return _on_columns(x, self.dim, self._apply)
 
     def apply_transpose(self, x) -> np.ndarray:
         """A.T @ x for a vector or a dense block of vectors."""
-        return self._apply_transpose(_as_operand(x, self.dim))
+        return _on_columns(x, self.dim, self._apply_transpose)
 
     @property
     def T(self) -> "MatvecOracle":
@@ -85,7 +91,7 @@ class MatvecOracle:
 
     @classmethod
     def from_dense(cls, A) -> "MatvecOracle":
-        A = np.ascontiguousarray(A, dtype=np.float64)
+        A = np.ascontiguousarray(_as_real(A, "A"))
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {A.shape}")
         return cls(A.shape[0], A.__matmul__, A.T.__matmul__)
@@ -114,22 +120,18 @@ class QueryCounter:
         return self.forward_count + self.transpose_count
 
 
-def _width(x: np.ndarray) -> int:
-    return 1 if x.ndim == 1 else x.shape[1]
-
-
 class CountingOracle(MatvecOracle):
     """Wrap an oracle and count the single-vector queries each call costs."""
 
-    def __init__(self, inner: MatvecOracle, counter: QueryCounter | None = None):
-        self.counter = counter if counter is not None else QueryCounter()
+    def __init__(self, inner: MatvecOracle):
+        self.counter = QueryCounter()
 
         def fwd(x):
-            self.counter.add_forward(_width(x))
+            self.counter.add_forward(x.shape[1])
             return inner.apply(x)
 
         def tr(x):
-            self.counter.add_transpose(_width(x))
+            self.counter.add_transpose(x.shape[1])
             return inner.apply_transpose(x)
 
         self._bind(inner.dim, fwd, tr)
@@ -152,7 +154,7 @@ class _CompressedOracle(MatvecOracle):
 
     def _apply(self, x):
         Ax = self.base.apply(block_apply(self.Wv, x))
-        return (block_apply_t(self.Wu, Ax) - block_apply(self.E, x)).reshape(x.shape)
+        return block_apply_t(self.Wu, Ax) - block_apply(self.E, x)
 
     def _apply_transpose(self, x):
         return self.T._apply(x)

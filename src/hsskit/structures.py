@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import as_matrix
+from .kernels import _as_real, as_matrix
 
 __all__ = [
     "LevelFactors",
@@ -57,13 +57,14 @@ PANEL_BYTES = 2 << 20
 # block-diagonal helpers
 
 
-def _as_operand(x, dim: int) -> np.ndarray:
-    """Coerce a vector or a block of vectors with ``dim`` rows to float64;
-    reject any other shape."""
-    x = np.asarray(x, dtype=np.float64)
+def _on_columns(x, dim: int, product) -> np.ndarray:
+    """``product`` of x, a vector or a (dim, w) block, in x's shape: the one
+    operand rule.  ``product`` receives (dim, w) float64 blocks only, a vector
+    as one column; any other shape, and a complex x, raise a ValueError."""
+    x = _as_real(x, "operand")
     if x.ndim not in (1, 2) or x.shape[0] != dim:
         raise ValueError(f"operand shape {x.shape} does not match dim {dim}")
-    return x
+    return product(x[:, None])[:, 0] if x.ndim == 1 else product(x)
 
 
 def _in_panels(product, rows: int, width: int, column_bytes: int, floor: int = 1) -> np.ndarray:
@@ -281,12 +282,9 @@ def hss_apply(T: TelescopingFactorization, x) -> np.ndarray:
     ``PANEL_BYTES`` at any width, beside the N x width result; narrower
     panels would slow the small batched matmuls.
     """
-    x = _as_operand(x, T.dim)
-    xm = x[:, None] if x.ndim == 1 else x
-    y = _in_panels(
+    return _on_columns(x, T.dim, lambda xm: _in_panels(
         lambda a, z: _hss_apply_panel(T, xm[:, a:z]), T.dim, xm.shape[1], 8 * T.dim, floor=32
-    )
-    return y[:, 0] if x.ndim == 1 else y
+    ))
 
 
 def hss_apply_transpose(T: TelescopingFactorization, x) -> np.ndarray:

@@ -251,23 +251,14 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     S = max(2 h N / nb, N / 8) rows that also holds the seams.
 
     A wide operand runs in panels of max(34, PANEL_BYTES // (8 S)) columns
-    of the reply itself, one scratch for all, so a product holds its reply
-    and one panel's scratch and frees no array of a panel's size.  (Panels
-    written into a separate output, as ``structures._in_panels`` does, free
-    one such array per panel.  At n = 8192 that raised the peak RSS of a
-    benchmark run by about 5 MB: glibc's malloc then keeps later arrays of
-    that size in its heap instead of mapping and unmapping them.)  A
-    panel's fixed cost, mostly the cyclic reduction, is that of about ten
-    columns, so the floor keeps a query of s = 34 columns, the sketch width
-    of a k = 8 build, in one product.
-
-    Times at n = 8192, h = 8, on one CPU of a 2-vCPU VM with one BLAS
-    thread: one vector takes 0.6-0.9 ms, under 1 ms but more than the
-    0.2 ms of LAPACK's band solve ``pbtrs``; 16 columns take 1.6-1.9 ms,
-    34 take 2.8-3.6 ms and 128 take 12-13 ms, where ``pbtrs`` takes
-    2.7-3.5, 5.8-7.9 and 25-33 ms.  At n = 256 the fixed cost rules:
-    0.12-0.26 ms from 1 to 34 columns, where ``pbtrs`` takes 0.01-0.22 ms.
-    The operator is symmetric, so forward and transpose products agree.
+    computed in place in the reply, one scratch for all, so a product holds
+    its reply and one panel's scratch and frees no array of a panel's size;
+    panels written into a separate output, as ``structures._in_panels``
+    does, would free one per panel and raise the peak RSS.  A panel's fixed
+    cost, mostly the cyclic reduction, is that of about ten columns, so the
+    floor keeps a query of s = 34 columns, the sketch width of a k = 8
+    build, in one product.  The operator is symmetric, so forward and
+    transpose products agree.
     """
     diag, offs = _banded_arrays(n, bandwidth, seed)
     h = len(offs)
@@ -309,10 +300,9 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
             blocks[a:z] = spare[: z - a]
 
     def apply(x):
-        xm = x[:, None] if x.ndim == 1 else x
-        width = xm.shape[1]
+        width = x.shape[1]
         y = np.empty((N, width))
-        y[:n] = xm
+        y[:n] = x
         y[n:] = 0.0
         blocks = y.reshape(count, nb, width)
         panel = max(_BAND_PANEL_FLOOR, structures.PANEL_BYTES // (8 * scratch_rows))
@@ -323,7 +313,7 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
             apply_blocks(inv_t, part, work)
             _fold_seams(part[::-1], rows_bwd, corners_bwd, levels_bwd, tail, work)
             apply_blocks(inv, part, work)
-        return y[:n, 0] if x.ndim == 1 else y[:n]
+        return y[:n]
 
     return MatvecOracle(n, apply, apply)
 
@@ -389,9 +379,7 @@ def grid_schur_oracle(n_rows: int) -> MatvecOracle:
         return y[unorder]
 
     def apply(x):
-        xm = x[:, None] if x.ndim == 1 else x
-        y = _in_panels(lambda a, z: apply_panel(xm[:, a:z]), n_rows, xm.shape[1], 16 * n_rows)
-        return y[:, 0] if x.ndim == 1 else y
+        return _in_panels(lambda a, z: apply_panel(x[:, a:z]), n_rows, x.shape[1], 16 * n_rows)
 
     return MatvecOracle(n_rows, apply, apply)
 

@@ -1,0 +1,257 @@
+"""The one operand rule of every product: a vector or a (dim, w) block, real.
+
+Products behind an oracle, ``hss_apply`` and ``blr2_apply`` receive
+(dim, w) float64 blocks only; a vector goes in as one column and comes back
+as a vector.  Complex input is rejected, not truncated, and a non-finite
+reply to a non-finite operand names the operand.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from hsskit import (
+    BLR2Pattern,
+    CountingOracle,
+    MatvecConfig,
+    MatvecOracle,
+    RngStream,
+    banded_inverse_oracle,
+    blr2_apply,
+    blr2_from_matvecs,
+    compress_oracle,
+    dense_from_oracle,
+    frobenius_error,
+    greedy_hss_explicit,
+    grid_schur_oracle,
+    hss_apply,
+    hss_from_matvecs_fresh,
+    hss_from_matvecs_reused,
+    nullspace_basis,
+    oracle_from_factorization,
+    random_blr2_matrix,
+    random_hss_matrix,
+    random_telescoping,
+    right_pinv_apply,
+    write_dense,
+)
+from hsskit import oracle as oracle_module
+from hsskit.kernels import _as_stack, as_matrix
+
+L, K = 3, 2
+DIM = (1 << (L + 1)) * K
+PATTERN = BLR2Pattern.tridiagonal(4, 8)
+
+
+def _blocks_only(M, widths):
+    """A product with M that asserts it receives a (dim, w) float64 block
+    and records w."""
+
+    def product(x):
+        assert isinstance(x, np.ndarray) and x.dtype == np.float64
+        assert x.ndim == 2 and x.shape[0] == M.shape[1], x.shape
+        widths.append(x.shape[1])
+        return M @ x
+
+    return product
+
+
+def _strict_oracle(A, widths):
+    return MatvecOracle(A.shape[0], _blocks_only(A, widths), _blocks_only(A.T, widths))
+
+
+@pytest.fixture
+def A():
+    return random_hss_matrix(L, K, seed=3)
+
+
+@pytest.fixture
+def T():
+    return random_telescoping(L, K, RngStream(4).child("operands"))
+
+
+@pytest.fixture
+def F():
+    A = random_blr2_matrix(PATTERN, K, seed=5)
+    return blr2_from_matvecs(MatvecOracle.from_dense(A), PATTERN, K, 28, seed=6)
+
+
+class TestProductsReceiveBlocks:
+    @pytest.mark.parametrize("build", [
+        lambda o: hss_from_matvecs_fresh(o, MatvecConfig(L, K, 8, seed=0)),
+        lambda o: hss_from_matvecs_reused(
+            o, MatvecConfig(L, K, 6, seed=0, basis_method="pivoted-qr", sketch_policy="reused")),
+        lambda o: dense_from_oracle(o),
+    ], ids=["fresh", "reused-qr", "dense_from_oracle"])
+    def test_builds(self, A, build):
+        widths = []
+        build(_strict_oracle(A, widths))
+        assert widths
+
+    def test_blr2_build(self):
+        A = random_blr2_matrix(PATTERN, K, seed=7)
+        widths = []
+        blr2_from_matvecs(_strict_oracle(A, widths), PATTERN, K, 28, seed=8)
+        assert widths
+
+    @pytest.mark.parametrize("wrap", [
+        lambda o: o,
+        lambda o: o.T,
+        CountingOracle,
+        lambda o: compress_oracle(o, random_telescoping(L, K, RngStream(9).child("c")).levels[-1]),
+    ], ids=["plain", "T", "counting", "compressed"])
+    @pytest.mark.parametrize("width", [None, 1, 5])
+    def test_vector_and_block_calls(self, A, wrap, width):
+        widths = []
+        o = wrap(_strict_oracle(A, widths))
+        shape = (o.dim,) if width is None else (o.dim, width)
+        x = np.random.default_rng(10).standard_normal(shape)
+        for product in (o.apply, o.apply_transpose):
+            assert product(x).shape == shape
+        assert widths == [width or 1] * 2
+
+    @pytest.mark.parametrize("width", [None, 1, 5])
+    def test_factorization_oracle(self, T, monkeypatch, width):
+        widths = []
+
+        def recorded(T, x):
+            assert isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 2
+            widths.append(x.shape[1])
+            return hss_apply(T, x)
+
+        monkeypatch.setattr(oracle_module, "hss_apply", recorded)
+        o = oracle_from_factorization(T)
+        shape = (T.dim,) if width is None else (T.dim, width)
+        x = np.random.default_rng(11).standard_normal(shape)
+        for product in (o.apply, o.apply_transpose):
+            assert product(x).shape == shape
+        assert widths == [width or 1] * 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: banded_inverse_oracle(100, 5, 0),
+    lambda: grid_schur_oracle(100),
+    lambda: oracle_from_factorization(random_telescoping(L, K, RngStream(14).child("f"))),
+], ids=["banded", "grid", "factorization"])
+def test_vector_reply_is_the_one_column_reply_bit_for_bit(make):
+    """The compressed oracle's vector reply is checked at every depth in
+    test_oracle.py."""
+    o = make()
+    x = np.random.default_rng(15).standard_normal(o.dim)
+    for product in (o.apply, o.apply_transpose):
+        y = product(x)
+        assert y.shape == (o.dim,)
+        assert np.array_equal(y, product(x[:, None])[:, 0])
+
+
+def _applies(A, T, F):
+    o = MatvecOracle.from_dense(A)
+    return {
+        "apply": (o.apply, DIM),
+        "apply_transpose": (o.apply_transpose, DIM),
+        "hss_apply": (lambda x: hss_apply(T, x), T.dim),
+        "blr2_apply": (lambda x: blr2_apply(F, x), F.dim),
+    }
+
+
+PRODUCTS = ["apply", "apply_transpose", "hss_apply", "blr2_apply"]
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+@pytest.mark.parametrize("shape", [lambda d: (d + 1,), lambda d: (d, 2, 1), lambda d: ()],
+                         ids=["dim + 1", "(dim, 2, 1)", "0-d"])
+def test_operand_of_another_shape_is_rejected(A, T, F, name, shape):
+    product, dim = _applies(A, T, F)[name]
+    x = np.ones(shape(dim))
+    message = rf"^operand shape {re.escape(str(x.shape))} does not match dim {dim}$"
+    with pytest.raises(ValueError, match=message):
+        product(x)
+
+
+class TestComplexIsRejected:
+    """Each entry point names the argument and its dtype; none truncates."""
+
+    Z = np.full((DIM, 2), 1 + 1j)
+
+    @pytest.mark.parametrize("name", PRODUCTS)
+    def test_products(self, A, T, F, name):
+        product, dim = _applies(A, T, F)[name]
+        for x in (np.full(dim, 1 + 1j), np.full((dim, 2), 1 + 1j, dtype=np.complex64)):
+            with pytest.raises(ValueError, match=rf"^operand has complex dtype {x.dtype}"):
+                product(x)
+
+    def test_example_from_dense_identity(self):
+        with pytest.raises(ValueError, match=r"^operand has complex dtype complex128"):
+            MatvecOracle.from_dense(np.eye(8)).apply(np.full(8, 1 + 1j))
+
+    def test_from_dense(self):
+        with pytest.raises(ValueError, match=r"^A has complex dtype complex128"):
+            MatvecOracle.from_dense(np.eye(8) * 1j)
+
+    def test_as_matrix(self):
+        with pytest.raises(ValueError, match=r"^M has complex dtype complex128"):
+            as_matrix(self.Z, "M")
+
+    def test_write_dense(self, tmp_path):
+        path = tmp_path / "z.dmat"
+        with pytest.raises(ValueError, match=r"^A has complex dtype complex128"):
+            write_dense(self.Z, path)
+        assert not path.exists()
+
+    def test_greedy_hss_explicit(self, A):
+        with pytest.raises(ValueError, match=r"^A has complex dtype complex128"):
+            greedy_hss_explicit(A + 0j, L, K)
+
+    def test_frobenius_error(self, A):
+        with pytest.raises(ValueError, match=r"^A has complex dtype complex128"):
+            frobenius_error(A + 0j, A)
+        with pytest.raises(ValueError, match=r"^approx has complex dtype complex128"):
+            frobenius_error(A, A + 0j)
+
+    def test_as_stack(self):
+        with pytest.raises(ValueError, match=r"^B has complex dtype complex128"):
+            _as_stack(np.ones((2, 4, 3)) + 0j, "B")
+
+    def test_stacked_kernels(self):
+        with pytest.raises(ValueError, match=r"^omega has complex dtype complex128"):
+            nullspace_basis(np.ones((4, 6)) + 0j)
+        with pytest.raises(ValueError, match=r"^Y has complex dtype complex128"):
+            right_pinv_apply(np.ones((3, 6)) + 0j, np.ones((4, 6)))
+
+
+class TestNonFiniteOperandIsNamed:
+    @staticmethod
+    def _oracle():
+        return MatvecOracle(8, lambda x: x, lambda x: x)
+
+    @pytest.mark.parametrize("direction", ["forward", "transpose"])
+    def test_vector(self, direction):
+        o = self._oracle()
+        product = o.apply if direction == "forward" else o.apply_transpose
+        with pytest.raises(
+            ValueError, match=rf"^oracle {direction} operand of shape \(8, 1\) has non-finite entries$"
+        ):
+            product(np.full(8, np.nan))
+
+    @pytest.mark.parametrize("direction", ["forward", "transpose"])
+    def test_block_with_one_nan_column(self, direction):
+        o = self._oracle()
+        product = o.apply if direction == "forward" else o.apply_transpose
+        x = np.ones((8, 3))
+        x[:, 1] = np.nan
+        with pytest.raises(
+            ValueError, match=rf"^oracle {direction} operand of shape \(8, 3\) has non-finite entries$"
+        ):
+            product(x)
+
+    def test_finite_operand_still_blames_the_reply(self):
+        o = MatvecOracle(8, lambda x: np.full_like(x, np.inf), lambda x: x)
+        with pytest.raises(
+            ValueError, match=r"^oracle forward reply of shape \(8, 1\) has non-finite entries$"
+        ):
+            o.apply(np.ones(8))
+
+    def test_a_finite_reply_is_not_checked_against_the_operand(self):
+        o = MatvecOracle(8, np.zeros_like, np.zeros_like)
+        assert np.array_equal(o.apply(np.full(8, np.nan)), np.zeros(8))

@@ -127,14 +127,6 @@ class TestQueryCounting:
         assert (counter.forward_count, counter.transpose_count) == (5, 2)
         assert counter.total == 7
 
-    def test_shared_counter_across_wrappers(self):
-        counter = QueryCounter()
-        a = CountingOracle(MatvecOracle.from_dense(np.eye(4)), counter)
-        b = CountingOracle(MatvecOracle.from_dense(np.eye(4)), counter)
-        a.apply(np.zeros(4))
-        b.apply(np.zeros(4))
-        assert counter.forward_count == 2
-
 
 class TestDenseFromOracle:
     def test_identity(self):

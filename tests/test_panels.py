@@ -54,7 +54,7 @@ def _assert_close(y, expected):
 def _recording(oracle, widths):
     """The oracle, recording the width of each forward call."""
     def apply(x):
-        widths.append(1 if x.ndim == 1 else x.shape[1])
+        widths.append(x.shape[1])
         return oracle.apply(x)
 
     return MatvecOracle(oracle.dim, apply, oracle.apply_transpose)

@@ -190,12 +190,12 @@ class TestGridSchur:
 def test_band_solve_oracle_reports_a_nan_operand_in_its_reply(oracle, direction):
     """Neither oracle scans its operand: the banded oracle's batched sweeps
     and the grid oracle's FFTs make no finite check.  A NaN operand still
-    fails, at the oracle's own reply check."""
+    fails, at the oracle's own reply check, which then names the operand."""
     x = np.ones((32, 3))
     x[5, 1] = np.nan
     product = oracle.apply if direction == "forward" else oracle.apply_transpose
     with pytest.raises(
-        ValueError, match=rf"^oracle {direction} reply of shape \(32, 3\) has non-finite entries$"
+        ValueError, match=rf"^oracle {direction} operand of shape \(32, 3\) has non-finite entries$"
     ):
         product(x)
 
