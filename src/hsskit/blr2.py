@@ -10,11 +10,14 @@ blocks of each test-matrix line, extracts rank-k bases from the nullified
 sketches (sketched SVD or pivoted QR), and un-sketches the pattern blocks
 from an independent pair of sketches with the bases held fixed.
 
-The step works on stacks, not on one block at a time: the block rows of the
-pattern are grouped by how many pattern blocks they hold, and each group goes
-through the stacked kernels of :mod:`hsskit.kernels` in one call, the basis
-kernel included.  The diagonal pattern of the hierarchical drivers is one
-group per side.
+The step works on stacks, not on one block at a time, and runs both sides
+at once: the block rows of the pattern and those of ``pattern.T`` (the
+block columns) are grouped together by how many pattern blocks they hold,
+and each group goes through the stacked kernels of :mod:`hsskit.kernels`,
+the basis kernel included, in chunks of at most max(1, PANEL_BYTES //
+(8 s^2)) members: one call per group at small b, bounded temporaries at
+large b.  The diagonal pattern of the hierarchical drivers is one group of
+2b members.
 Transposition is data: the column side of every rule is the row side run on
 ``pattern.T``, the pattern of A^T.
 """
@@ -23,10 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import RngStream, gaussian, nullspace_basis, right_pinv_apply
+from . import structures
+from .kernels import RngStream, _as_real, gaussian, nullspace_basis, right_pinv_apply
 from .oracle import MatvecOracle
 from .sketching import BASIS_METHODS
 from .structures import _in_panels, _on_columns, block_apply, block_apply_t
@@ -105,6 +110,16 @@ class BLR2Pattern:
         pairs = frozenset((j, i) for i, j in self.pairs)
         return self if pairs == self.pairs else BLR2Pattern(self.block_count, self.block_size, pairs)
 
+    @cached_property
+    def _step_groups(self) -> tuple:
+        """The row groups of both sides of the one-level step, built once:
+        the block rows of the pattern, numbered 0..b-1, and those of
+        ``pattern.T``, numbered b..2b-1 with their pattern blocks numbered
+        the same way.  Positions index the pattern's sorted pairs followed
+        by those of ``pattern.T``."""
+        b = self.block_count
+        return _group_rows(self._rows + tuple(tuple(j + b for j in row) for row in self.T._rows))
+
     @classmethod
     @lru_cache(maxsize=64)
     def diagonal(cls, block_count: int, block_size: int) -> "BLR2Pattern":
@@ -171,7 +186,8 @@ class BLR2Factorization:
     D: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "D", np.asarray(self.D, dtype=np.float64))
+        for name in ("U", "V", "X", "D"):
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
         b, m, k = self.pattern.block_count, self.pattern.block_size, self.rank_param
         if self.U.shape != (b, m, k) or self.V.shape != (b, m, k):
             raise ValueError(f"bases U {self.U.shape}, V {self.V.shape} must both be ({b}, {m}, k), one k")
@@ -203,33 +219,15 @@ def _as_sketches(pattern: BLR2Pattern, names, arrays) -> list:
     return arrays
 
 
-def _take(blocks: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``blocks[index]`` for an array of block indices, as a view rather than
-    a copy when ``index`` lists every block in order, as the one row group
-    of the diagonal pattern does."""
-    count = len(blocks)
-    if index.size == count and np.array_equal(index.ravel(), np.arange(count)):
-        return blocks.reshape(index.shape + blocks.shape[1:])
-    return blocks[index]
-
-
-def _nullify(tests: np.ndarray, images: np.ndarray, members, hits):
-    """Nullify the pattern blocks of a group of block rows with h blocks each.
-
-    ``tests`` and ``images`` are (b, m, s) block stacks.  Returns ``(P,
-    sketches)``: P (g, s, s - h m) holds orthonormal nullspace bases of the
-    stacked pattern blocks of ``tests``, one per row of ``members``, and
-    sketches (g, m, s - h m) the image blocks of those rows times P.  With
-    h = 0, P is None and the sketches are the image blocks themselves.
-    For images = A tests, sketch i = rho_i(A) G_i P: rho_i(A) is block row i's
-    admissible part, G_i the blocks of ``tests`` outside row i's pattern blocks.
-    """
-    g, h = hits.shape
-    if h == 0:
-        return None, _take(images, members)
-    _, m, s = tests.shape
-    P = nullspace_basis(_take(tests, hits).reshape(g, h * m, s))
-    return P, _take(images, members) @ P
+def _selector(index: np.ndarray):
+    """The index of the blocks that an array of block indices lists: a
+    slice, which reads them as a view, when they are consecutive and in
+    order, as the diagonal pattern's are; else the array itself, which
+    gathers a copy."""
+    flat = index.ravel()
+    if flat.size and np.array_equal(flat, np.arange(flat[0], flat[0] + flat.size)):
+        return slice(int(flat[0]), int(flat[0]) + flat.size)
+    return index
 
 
 def _blocks(pattern: BLR2Pattern, arr: np.ndarray) -> np.ndarray:
@@ -237,23 +235,82 @@ def _blocks(pattern: BLR2Pattern, arr: np.ndarray) -> np.ndarray:
     return arr.reshape(pattern.block_count, pattern.block_size, -1)
 
 
-def _unsketch(pattern: BLR2Pattern, Q: np.ndarray, images: np.ndarray, tests: np.ndarray) -> np.ndarray:
-    """For every pair (i, j) of the pattern, the (m, m) block j of
-    (I - Q_i Q_i^T) images_i pinv(tests stacked over the pattern blocks of
-    row i), stacked in ``pattern.sorted_pairs`` order.  ``Q`` is a (b, m, .)
-    block stack; ``images`` and ``tests`` are (dim, s)."""
-    images, tests = _blocks(pattern, images), _blocks(pattern, tests)
-    _, m, s = tests.shape
-    out = np.empty((len(pattern.sorted_pairs), m, m))
-    for members, hits, positions in pattern._row_groups:
-        g, h = hits.shape
-        if h == 0:
-            continue
-        block, basis = _take(images, members), _take(Q, members)
-        residual = block - basis @ (basis.transpose(0, 2, 1) @ block)
-        slabs = right_pinv_apply(residual, _take(tests, hits).reshape(g, h * m, s))
-        out[positions] = slabs.reshape(g, m, h, m).transpose(0, 2, 1, 3)
-    return out
+class _Chunk(NamedTuple):
+    """One stack of the one-level step: g block rows with h pattern blocks
+    each, the first ``cut`` of them block rows of the pattern and the rest
+    block rows of ``pattern.T``.  ``rows`` and ``hits`` hold, per side, the
+    :func:`_selector` of those rows and of their pattern blocks, numbered
+    0..b-1 on each side; ``positions`` (g, h) are the places of the pattern
+    blocks in the pattern's sorted pairs followed by those of ``pattern.T``."""
+
+    cut: int
+    rows: tuple
+    hits: tuple
+    positions: np.ndarray
+
+
+def _chunks(pattern: BLR2Pattern, s: int) -> tuple:
+    """The stacks of the one-level step on width-s sketches: each group of
+    ``pattern._step_groups`` cut into chunks (:class:`_Chunk`) of at most
+    max(1, PANEL_BYTES // (8 s^2)) rows, so that the complete s x s
+    nullspace Qs of a chunk take about PANEL_BYTES at most."""
+    return _chunk_plan(pattern, max(1, structures.PANEL_BYTES // (8 * s * s)))
+
+
+@lru_cache(maxsize=64)
+def _chunk_plan(pattern: BLR2Pattern, size: int) -> tuple:
+    """:func:`_chunks` of ``size`` rows at most, built once per (pattern,
+    size) while it is among the 64 last asked for."""
+    b = pattern.block_count
+    plan = []
+    for members, hits, positions in pattern._step_groups:
+        for a in range(0, len(members), size):
+            cut = int(np.searchsorted(members[a : a + size], b))
+            sides = [(_selector(index[a : a + cut]), _selector(index[a + cut : a + size] - b))
+                     for index in (members, hits)]
+            plan.append(_Chunk(cut, *sides, positions[a : a + size]))
+    return tuple(plan)
+
+
+def _sides(pair, selectors) -> tuple:
+    """A chunk's blocks in a pair of (b, ...) block stacks, one per side."""
+    return tuple(stack[selector] for stack, selector in zip(pair, selectors))
+
+
+def _gather(pair, selectors, rows: int) -> np.ndarray:
+    """A chunk's blocks in a pair of (b, r, c) stacks, h per row, gathered
+    into one new (rows, h r, c) stack: one kernel input."""
+    shape = pair[0].shape[1:]
+    blocks = [side.reshape(-1, *shape) for side in _sides(pair, selectors)]
+    return np.concatenate(blocks).reshape(rows, -1, shape[-1])
+
+
+def _halves(cut: int) -> tuple:
+    """The slices of a chunk's stacks that hold its two sides."""
+    return slice(None, cut), slice(cut, None)
+
+
+def _nullify(tests, images, chunk: _Chunk):
+    """Nullify the pattern blocks of a chunk of g block rows with h blocks
+    each.
+
+    ``tests`` and ``images`` are pairs of (b, m, s) block stacks, one per
+    side.  Returns ``(P, sketches)``: P (g, s, s - h m) holds orthonormal
+    nullspace bases of the stacked pattern blocks of ``tests``, one per row,
+    and sketches (g, m, s - h m) the image blocks of those rows times P.
+    With h = 0, P is None and the sketches are the image blocks themselves.
+    For images = A tests, sketch i = rho_i(A) G_i P: rho_i(A) is block row
+    i's admissible part, G_i the blocks of ``tests`` outside row i's pattern
+    blocks.
+    """
+    g, h = chunk.positions.shape
+    if h == 0:
+        return None, _gather(images, chunk.rows, g)
+    P = nullspace_basis(_gather(tests, chunk.hits, g))
+    sketches = np.empty((g, images[0].shape[1], P.shape[2]))
+    for rows, block in zip(_halves(chunk.cut), _sides(images, chunk.rows)):
+        np.matmul(block, P[rows], out=sketches[rows])
+    return P, sketches
 
 
 def blr2_remainder(pattern: BLR2Pattern, U, V, omega_diag, psi_diag, Y_diag, Z_diag) -> np.ndarray:
@@ -272,8 +329,8 @@ def blr2_remainder(pattern: BLR2Pattern, U, V, omega_diag, psi_diag, Y_diag, Z_d
     independent of U and V and have at least ``pattern.line_columns`` + 1
     columns; for a one-pair pattern {(i, i)} this is the classic diagonal
     recovery with at least 2k + 1 columns (2k + 2 for the error bound).
-    Rows with the same number of pattern blocks are un-sketched as one
-    stack; C is the same code run on ``pattern.T``.
+    R and C are un-sketched together, the block columns j being the block
+    rows of ``pattern.T``: one stack per chunk of :func:`_chunks`.
     """
     names = ("omega_diag", "psi_diag", "Y_diag", "Z_diag")
     omega_diag, psi_diag, Y_diag, Z_diag = _as_sketches(
@@ -284,10 +341,25 @@ def blr2_remainder(pattern: BLR2Pattern, U, V, omega_diag, psi_diag, Y_diag, Z_d
         raise ValueError(
             f"diagonal-recovery sketches need at least {floor} columns, got {omega_diag.shape[1]}"
         )
-    R = _unsketch(pattern, U, Y_diag, omega_diag)
+    m, s = pattern.block_size, omega_diag.shape[1]
+    tests = (_blocks(pattern, omega_diag), _blocks(pattern, psi_diag))
+    images = (_blocks(pattern, Y_diag), _blocks(pattern, Z_diag))
+    nnz = len(pattern.sorted_pairs)
+    out = np.empty((2 * nnz, m, m))
+    for chunk in _chunks(pattern, s):
+        g, h = chunk.positions.shape
+        if h == 0:
+            continue
+        residual = np.empty((g, m, s))
+        bases, blocks = _sides((U, V), chunk.rows), _sides(images, chunk.rows)
+        for rows, basis, block in zip(_halves(chunk.cut), bases, blocks):
+            np.matmul(basis, basis.transpose(0, 2, 1) @ block, out=residual[rows])
+            np.subtract(block, residual[rows], out=residual[rows])
+        slabs = right_pinv_apply(residual, _gather(tests, chunk.hits, g))
+        out[chunk.positions] = slabs.reshape(g, m, h, m).transpose(0, 2, 1, 3)
     # C comes in the pair order of pattern.T; sorting the transpose's pairs
     # (j, i) by (i, j) puts it in the pair order of the pattern.
-    C = _unsketch(pattern.T, V, Z_diag, psi_diag)[np.lexsort(pattern.T._pair_index)]
+    R, C = out[:nnz], out[nnz:][np.lexsort(pattern.T._pair_index)]
     Ur = U[pattern._pair_index[0]]
     return R + Ur @ (Ur.transpose(0, 2, 1) @ C.transpose(0, 2, 1))
 
@@ -302,12 +374,12 @@ def blr2_factors_from_sketches(
     Bases come from the nullified sketches through ``basis_method``, one of
     :data:`BASIS_METHODS` ("svd-pcps": sketched SVD; "pivoted-qr": leading
     columns of a column-pivoted QR).  D is stacked in
-    ``pattern.sorted_pairs`` order, see :func:`blr2_remainder`.  Block rows
-    with the same number of pattern blocks form one stack: the nullspaces,
-    the bases and the remainder's pseudo-inverses take one kernel call per
-    group and side (one group for the diagonal pattern, two for the
-    tridiagonal one).  The V side is the U side's code run on
-    ``pattern.T``, psi and Z.  A rank or sketch width that
+    ``pattern.sorted_pairs`` order, see :func:`blr2_remainder`.  The block
+    rows of the pattern (U side, omega and Y) and of ``pattern.T`` (V side,
+    psi and Z) with the same number of pattern blocks form one stack, so the
+    nullspaces, the bases and the remainder's pseudo-inverses take one
+    kernel call per group and chunk of :func:`_chunks`: one each for the
+    diagonal pattern at small b.  A rank or sketch width that
     :meth:`BLR2Pattern.check_step` rejects fails at entry.
     """
     names = ("omega", "psi", "omega_diag", "psi_diag", "Y", "Z", "Y_diag", "Z_diag")
@@ -319,10 +391,12 @@ def blr2_factors_from_sketches(
     kernel = BASIS_METHODS[basis_method].kernel
     U = np.empty((b, m, k))
     V = np.empty((b, m, k))
-    for basis, side, tests, images in ((U, pattern, omega, Y), (V, pattern.T, psi, Z)):
-        for members, hits, _ in side._row_groups:
-            _, sketches = _nullify(_blocks(pattern, tests), _blocks(pattern, images), members, hits)
-            basis[members] = kernel(sketches, k)
+    tests = (_blocks(pattern, omega), _blocks(pattern, psi))
+    images = (_blocks(pattern, Y), _blocks(pattern, Z))
+    for chunk in _chunks(pattern, omega.shape[1]):
+        bases = kernel(_nullify(tests, images, chunk)[1], k)
+        for basis, selector, rows in zip((U, V), chunk.rows, _halves(chunk.cut)):
+            basis[selector] = bases[rows]
     return U, V, blr2_remainder(pattern, U, V, omega_diag, psi_diag, Y_diag, Z_diag)
 
 

@@ -60,12 +60,17 @@ RANK_CUTOFF = 1e-12
 RANK_BOUND_MARGIN = 2.0
 # Relative gap below which singular values are treated as tied.
 TIE_CUTOFF = 1e-14
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _as_real(a, name: str) -> np.ndarray:
-    """Coerce to float64; a complex array raises a ValueError naming ``name``."""
+    """Coerce to float64; a complex array raises a ValueError naming ``name``.
+    A float64 array is returned as it is, with no further check: factors
+    and replies pass here on every build and product."""
     arr = np.asarray(a)
-    if np.iscomplexobj(arr):
+    if arr.dtype is _FLOAT64:
+        return arr
+    if arr.dtype.kind == "c":
         raise ValueError(f"{name} has complex dtype {arr.dtype}; hsskit works in real float64")
     return arr.astype(np.float64, copy=False)
 

@@ -48,7 +48,7 @@ def _checked(product, direction: str):
         return product
 
     def call(x: np.ndarray) -> np.ndarray:
-        y = np.asarray(product(x), dtype=np.float64)
+        y = _as_real(product(x), f"oracle {direction} reply")
         if y.shape != x.shape:
             raise ValueError(f"oracle {direction} reply has shape {y.shape}, expected {x.shape}")
         if not np.isfinite(y).all():

@@ -50,6 +50,9 @@ __all__ = [
 ORTHO_TOL = 1e-12
 # Bytes that the largest temporary of one panel of a wide product may take,
 # unless the product's floor on the panel width needs more; see _in_panels.
+# It bounds the member stacks of the one-level step too: a chunk holds at
+# most max(1, PANEL_BYTES // (8 s^2)) members, whose complete s x s
+# nullspace Qs are its largest temporary; see blr2._chunks.
 PANEL_BYTES = 2 << 20
 
 
@@ -162,7 +165,7 @@ class LevelFactors:
     D: np.ndarray
 
     def __post_init__(self):
-        U, V, D = (np.asarray(a, dtype=np.float64) for a in (self.U, self.V, self.D))
+        U, V, D = (_as_real(getattr(self, name), name) for name in ("U", "V", "D"))
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "D", D)

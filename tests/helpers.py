@@ -11,6 +11,8 @@ import numpy as np
 import scipy.linalg
 
 from hsskit import BLR2Factorization, BLR2Pattern, MatvecOracle, RngStream, blr2, gaussian
+from hsskit.kernels import nullspace_basis, right_pinv_apply
+from hsskit.sketching import BASIS_METHODS
 from hsskit.structures import block_apply, block_apply_t
 from hsskit.testbed import _banded_arrays
 
@@ -86,16 +88,59 @@ def rank_deficient_free_gaussian(rows, cols, seed):
 
 def nullify_rows(pattern, tests, images):
     """Nullify every block row of ``pattern`` as the one-level step does: one
-    ``blr2._nullify`` call per group of ``pattern._row_groups``.  Returns
-    {i: (P_i, sketch_i)}; a row with no pattern blocks has P_i = None.  For
-    block column j, pass ``pattern.T``, psi and Z = A^T psi."""
+    ``blr2._nullify`` call per chunk of ``blr2._chunks``, with ``tests`` and
+    ``images`` on both sides; the rows of the second side, ``pattern.T``'s,
+    are dropped.  Returns {i: (P_i, sketch_i)}; a row with no pattern blocks
+    has P_i = None.  For block column j, pass ``pattern.T``, psi and
+    Z = A^T psi."""
     rows = {}
-    for members, hits, _ in pattern._row_groups:
-        P, sketches = blr2._nullify(blr2._blocks(pattern, tests), blr2._blocks(pattern, images),
-                                    members, hits)
-        for g, i in enumerate(members):
+    tests, images = blr2._blocks(pattern, tests), blr2._blocks(pattern, images)
+    for chunk in blr2._chunks(pattern, tests.shape[-1]):
+        P, sketches = blr2._nullify((tests, tests), (images, images), chunk)
+        for g, i in enumerate(np.arange(pattern.block_count)[chunk.rows[0]]):
             rows[int(i)] = (None if P is None else P[g], sketches[g])
     return rows
+
+
+def per_side_step(pattern, k, omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag,
+                  basis_method="svd-pcps"):
+    """The one-level step run one side at a time: the U side on ``pattern``,
+    omega and Y, then the V side on ``pattern.T``, psi and Z, each kernel
+    called once per row group of the side's ``_row_groups``, whole.  The
+    reference that the two-sided step in chunks must match byte for byte."""
+    b, m = pattern.block_count, pattern.block_size
+    kernel = BASIS_METHODS[basis_method].kernel
+
+    def blocks(arr):
+        return arr.reshape(b, m, -1)
+
+    def bases(side, tests, images):
+        out = np.empty((b, m, k))
+        for members, hits, _ in side._row_groups:
+            g, h = hits.shape
+            sketches = blocks(images)[members]
+            if h:
+                sketches = sketches @ nullspace_basis(blocks(tests)[hits].reshape(g, h * m, -1))
+            out[members] = kernel(sketches, k)
+        return out
+
+    def unsketch(side, Q, images, tests):
+        out = np.empty((len(side.sorted_pairs), m, m))
+        for members, hits, positions in side._row_groups:
+            g, h = hits.shape
+            if h == 0:
+                continue
+            block, basis = blocks(images)[members], Q[members]
+            residual = block - basis @ (basis.transpose(0, 2, 1) @ block)
+            slabs = right_pinv_apply(residual, blocks(tests)[hits].reshape(g, h * m, -1))
+            out[positions] = slabs.reshape(g, m, h, m).transpose(0, 2, 1, 3)
+        return out
+
+    U, V = bases(pattern, omega, Y), bases(pattern.T, psi, Z)
+    R = unsketch(pattern, U, Y_diag, omega_diag)
+    C = unsketch(pattern.T, V, Z_diag, psi_diag)[np.lexsort(pattern.T._pair_index)]
+    Ur = U[pattern._pair_index[0]]
+    return U, V, R + Ur @ (Ur.transpose(0, 2, 1) @ C.transpose(0, 2, 1))
 
 
 def random_banded_matrix(n, bandwidth, seed):

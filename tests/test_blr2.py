@@ -20,9 +20,9 @@ from hsskit import (
     random_blr2_matrix,
 )
 
-from hsskit import blr2
+from hsskit import blr2, sketching, structures
 
-from helpers import nullify_rows, pattern_row, reference_width_floor
+from helpers import nullify_rows, pattern_row, per_side_step, reference_width_floor
 
 
 ROLES = ("omega", "psi", "omega-diag", "psi-diag")
@@ -146,20 +146,87 @@ class TestBlr2BlockNullify:
             assert np.abs(got - gamma.T @ H).max() <= 1e-11
 
     def test_a_group_of_every_row_reads_block_views(self):
-        """The diagonal pattern's one row group lists every block row in
-        order, so the step reads its blocks as views of the (b, m, s) stack;
-        the tridiagonal pattern's groups and the anti-diagonal pattern's
-        hits, every block out of order, gather copies.  All read the same
-        values as fancy indexing."""
+        """An index of consecutive blocks in order, as the diagonal
+        pattern's group and each of its chunks are, reads its blocks as a
+        view of the (b, m, s) stack; the tridiagonal pattern's two-block
+        rows and the anti-diagonal pattern's hits, blocks out of order,
+        gather copies.  All read the same values as fancy indexing."""
         stack = np.arange(5 * 3 * 4, dtype=float).reshape(5, 3, 4)
         anti = BLR2Pattern(5, 3, frozenset((i, 4 - i) for i in range(5)))
-        for pat, shared in ((BLR2Pattern.diagonal(5, 3), (True, True)),
-                            (BLR2Pattern.tridiagonal(5, 3), (False, False)), (anti, (True, False))):
-            for members, hits, _ in pat._row_groups:
-                for index, view in zip((members, hits), shared):
-                    got = blr2._take(stack, index)
-                    assert np.shares_memory(got, stack) == view
-                    assert np.array_equal(got, stack[index])
+        tri = BLR2Pattern.tridiagonal(5, 3)
+        (diag_members, diag_hits, _), = BLR2Pattern.diagonal(5, 3)._row_groups
+        (ends, ends_hits, _), (middle, middle_hits, _) = tri._row_groups
+        (anti_members, anti_hits, _), = anti._row_groups
+        cases = [(diag_members, True), (diag_hits, True), (diag_members[1:4], True),
+                 (diag_hits[3:], True), (ends, False), (ends_hits, False), (middle, True),
+                 (middle_hits, False), (anti_members, True), (anti_hits, False)]
+        for index, view in cases:
+            selector = blr2._selector(index)
+            assert isinstance(selector, slice) == view
+            got = stack[selector].reshape(index.shape + stack.shape[1:])
+            assert np.shares_memory(got, stack) == view
+            assert np.array_equal(got, stack[index])
+
+
+def _superdiagonal(b, m):
+    """Diagonal plus superdiagonal: not symmetric, and its first row and
+    its last column hold one block where the others hold two."""
+    return BLR2Pattern(b, m, frozenset([(i, i) for i in range(b)] + [(i, i + 1) for i in range(b - 1)]))
+
+
+STEP_PATTERNS = {
+    "diagonal": BLR2Pattern.diagonal(8, 4),
+    "tridiagonal": BLR2Pattern.tridiagonal(8, 4),
+    "superdiagonal": _superdiagonal(8, 4),
+    "empty": BLR2Pattern(8, 4),
+}
+
+
+class TestTwoSidedStep:
+    """The step runs the block rows of the pattern and of its transpose as
+    one stack per group and chunk."""
+
+    @pytest.mark.parametrize("method", ["svd-pcps", "pivoted-qr"])
+    @pytest.mark.parametrize("name", list(STEP_PATTERNS))
+    def test_matches_the_per_side_step_byte_for_byte(self, name, method, monkeypatch):
+        pat, k = STEP_PATTERNS[name], 2
+        s = pat.width_floor(k, method) + 1
+        A = np.random.default_rng(40).standard_normal((pat.dim, pat.dim))
+        omega, psi, od, pd = (gaussian(pat.dim, s, RngStream(41).child(role)) for role in ROLES)
+        sketches = (omega, psi, od, pd, A @ omega, A.T @ psi, A @ od, A.T @ pd)
+        want = per_side_step(pat, k, *sketches, basis_method=method)
+        whole = blr2_factors_from_sketches(pat, k, *sketches, basis_method=method)
+        # Chunks of 5 rows: every pattern here has a group that splits
+        # inside each side, so more chunks than groups hold rows of a side.
+        monkeypatch.setattr(structures, "PANEL_BYTES", 5 * 8 * s * s)
+        b = pat.block_count
+        for side in (0, 1):
+            groups = sum(bool(((members < b) != side).any()) for members, _, _ in pat._step_groups)
+            chunks = sum((c.cut > 0, c.cut < len(c.positions))[side] for c in blr2._chunks(pat, s))
+            assert chunks > groups
+        split = blr2_factors_from_sketches(pat, k, *sketches, basis_method=method)
+        for got in (whole, split):
+            for array, expected in zip(got, want):
+                assert array.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("policy, method", [("fresh", "svd-pcps"), ("reused", "pivoted-qr")])
+    def test_one_kernel_call_per_level(self, policy, method, monkeypatch):
+        calls = []
+
+        def record(module, name):
+            kernel = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda x, *rest: calls.append((name, len(x))) or kernel(x, *rest))
+
+        basis = {"svd-pcps": "truncated_svd_left", "pivoted-qr": "pivoted_qr_basis"}[method]
+        for module, name in ((blr2, "nullspace_basis"), (sketching, basis), (blr2, "right_pinv_apply")):
+            record(module, name)
+        level, k = 3, 2
+        A = np.random.default_rng(42).standard_normal((16 * k, 16 * k))
+        build = hss_from_matvecs_fresh if policy == "fresh" else hss_from_matvecs_reused
+        build(MatvecOracle.from_dense(A), MatvecConfig(level, k, 3 * k + 2, 43, method, policy))
+        # Level l has 2**l block rows and as many block columns.
+        assert calls == [(name, 2 << l) for l in (3, 2, 1)
+                         for name in ("nullspace_basis", basis, "right_pinv_apply")]
 
 
 class TestBlr2Build:

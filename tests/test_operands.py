@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from hsskit import (
+    BLR2Factorization,
     BLR2Pattern,
     CountingOracle,
+    LevelFactors,
     MatvecConfig,
     MatvecOracle,
     RngStream,
@@ -218,6 +220,27 @@ class TestComplexIsRejected:
             nullspace_basis(np.ones((4, 6)) + 0j)
         with pytest.raises(ValueError, match=r"^Y has complex dtype complex128"):
             right_pinv_apply(np.ones((3, 6)) + 0j, np.ones((4, 6)))
+
+    def test_complex_reply(self):
+        op = MatvecOracle(4, lambda x: x + 1j, lambda x: x - 1j)
+        for direction, apply in (("forward", op.apply), ("transpose", op.apply_transpose)):
+            with pytest.raises(ValueError, match=rf"^oracle {direction} reply has complex dtype complex128"):
+                apply(np.ones(4))
+
+    @pytest.mark.parametrize("name", ["U", "V", "D"])
+    def test_level_factors(self, T, name):
+        lf = T.levels[0]
+        factors = {"U": lf.U, "V": lf.V, "D": lf.D}
+        factors[name] = factors[name] + 1j
+        with pytest.raises(ValueError, match=rf"^{name} has complex dtype complex128"):
+            LevelFactors(**factors)
+
+    @pytest.mark.parametrize("name", ["U", "V", "X", "D"])
+    def test_blr2_factorization(self, F, name):
+        factors = {"U": F.U, "V": F.V, "X": F.X, "D": F.D}
+        factors[name] = factors[name] + 0j
+        with pytest.raises(ValueError, match=rf"^{name} has complex dtype complex128"):
+            BLR2Factorization(F.pattern, **factors)
 
 
 class TestNonFiniteOperandIsNamed:

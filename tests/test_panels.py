@@ -179,6 +179,16 @@ class TestPanelMemory:
         _, peak = _peak_bytes(lambda: blr2_from_matvecs(oracle, pat, k, pat.width_floor(k), seed=0))
         assert peak < n * pat.block_count * k * 8
 
+    def test_tridiagonal_blr2_build_runs_the_step_in_chunks(self):
+        # s = 58: chunks of 77 rows, three per group.  The build peaks in
+        # the step, beside its eight sketches: 18.2 MB with the chunks,
+        # 24.8 MB when each side's group went through the kernels whole.
+        n, m, k, s = 2048, 16, 8, 58
+        pat = BLR2Pattern.tridiagonal(n // m, m)
+        oracle = banded_inverse_oracle(n, 2 * k + 1, 0)
+        _, peak = _peak_bytes(lambda: blr2_from_matvecs(oracle, pat, k, s, seed=0))
+        assert peak <= 8 * n * s * 8 + 6 * structures.PANEL_BYTES
+
     def test_fresh_driver_drops_a_levels_sketches_before_querying_the_next(self):
         n, k, s = 2048, 8, 34
         base = banded_inverse_oracle(n, 2 * k + 1, 0)
