@@ -210,8 +210,9 @@ class BLR2Factorization:
 
 
 def _as_sketches(pattern: BLR2Pattern, names, arrays) -> list:
-    """Coerce sketch arrays to float64 and check that all are (dim, s)."""
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    """Coerce sketch arrays to float64 and check that all are (dim, s); a
+    complex one raises a ValueError naming it."""
+    arrays = [_as_real(a, name) for name, a in zip(names, arrays)]
     expected = (pattern.dim, arrays[0].shape[-1])
     for name, arr in zip(names, arrays):
         if arr.shape != expected:

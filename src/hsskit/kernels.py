@@ -19,19 +19,23 @@ built on:
 All four factorization kernels take one matrix or a stack (b, r, c) of
 equal-shape matrices and return the matching leading shape; one call serves
 a whole level of blocks, and the input checks run once per stack.  A 2-D
-argument is a stack of one.  The pivoted QR and the triangular inverse have
-no stacked LAPACK driver: they query the routines once per stack and call
-them per member (``geqp3`` and ``orgqr``; ``trtri``).
+argument is a stack of one.  The pivoted QR has no stacked LAPACK routine: it
+queries ``geqp3`` and ``orgqr`` once per stack and calls them per member.
+It is the only kernel that needs scipy, and it imports ``scipy.linalg`` when
+it is first called, so a process that never builds a pivoted-QR basis never
+loads scipy.
 
 ``nullspace_basis`` and ``right_pinv_apply`` decide rank from the square
 upper-triangular factor R of omega^T.  Each member is scaled by the power of
-two that brings max|R| into [0.5, 1) and inverted once, in place, by
-``trtri``.  Most members are settled by the proven bound
-sigma_min / sigma_max >= 1 / (||R||_F ||R^{-1}||_F), two norms; only members
-whose bound does not clear ``RANK_CUTOFF`` with a factor
-``RANK_BOUND_MARGIN`` to spare (or whose R has an exact zero pivot) go to
-the singular values.  ``right_pinv_apply`` reuses the same inverse, so no LU
-factorization or general solve is left: (Y Q) R^{-T} is one batched product.
+two that brings max|R| into [0.5, 1), and the whole stack is inverted by one
+batched triangular inverse in numpy (``_invert_upper``: the inverses of
+diagonal blocks of doubling size, one level of batched products each).  Most
+members are settled by the proven bound sigma_min / sigma_max >= 1 / (||R||_F
+||R^{-1}||_F), two norms; only members whose bound does not clear
+``RANK_CUTOFF`` with a factor ``RANK_BOUND_MARGIN`` to spare (or whose R has
+an exact zero pivot) go to the singular values.  ``right_pinv_apply`` reuses
+the same inverse, so no LU factorization or general solve is left: (Y Q)
+R^{-T} is one batched product.
 
 All functions are pure; streams are value types.
 """
@@ -41,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "RngStream",
@@ -58,6 +61,8 @@ RANK_CUTOFF = 1e-12
 # How far a member's proven bound on sigma_min / sigma_max must clear
 # RANK_CUTOFF for the rank check to skip its singular values.
 RANK_BOUND_MARGIN = 2.0
+# The bound test on squared norms: ||R||_F^2 ||R^{-1}||_F^2 below this.
+_BOUND_LIMIT = (RANK_BOUND_MARGIN * RANK_CUTOFF) ** -2
 # Relative gap below which singular values are treated as tied.
 TIE_CUTOFF = 1e-14
 _FLOAT64 = np.dtype(np.float64)
@@ -150,6 +155,49 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return np.where(np.take_along_axis(U, lead, axis=-2) < 0, -U, U)
 
 
+def _inverse_work(b: int, n: int) -> np.ndarray:
+    """A zeroed (b, N, N) stack for :func:`_invert_upper`, N the least power
+    of two >= n, with ones on the diagonal past n.  An upper triangular R
+    written into ``[:, :n, :n]`` then makes each member block diagonal, and
+    ``[:, :n, :n]`` of the inverse is R^{-1}."""
+    N = 1 << max(n - 1, 0).bit_length()
+    work = np.zeros((b, N, N))
+    if N > n:
+        work[:, range(n, N), range(n, N)] = 1.0
+    return work
+
+
+def _invert_upper(work: np.ndarray) -> None:
+    """Invert in place each member of a C-ordered (b, N, N) stack of upper
+    triangular matrices, N a power of two; entries below the diagonal must
+    be zero.
+
+    The inverses of the 1 x 1 diagonal blocks are reciprocals.  Each level
+    then pairs neighbouring diagonal blocks into blocks of twice the size,
+    [[A, B], [0, C]]^{-1} = [[A^{-1}, -A^{-1} B C^{-1}], [0, C^{-1}]], with
+    the off-diagonal block of every pair of every member in one batched
+    product: log2(N) levels of two products each.  The stack is negated
+    first, so A^{-1} (-B) C^{-1} is a plain product.  A zero pivot gives its
+    member non-finite entries, and numpy's floating-point warnings, which a
+    caller that expects one silences; other members are unaffected.
+    """
+    b, N = work.shape[:2]
+    size = work.itemsize
+    np.negative(work, out=work)
+    diagonal = np.ndarray((b, N), work.dtype, work, 0, (work.strides[0], (N + 1) * size))
+    np.divide(-1.0, diagonal, out=diagonal)
+    M = 1
+    while M < N:
+        # The (b, N / 2M) stack of diagonal blocks of size 2M, as a view.
+        pairs = np.ndarray(
+            (b, N // (2 * M), 2 * M, 2 * M), work.dtype, work, 0,
+            (work.strides[0], 2 * M * (N + 1) * size, N * size, size),
+        )
+        upper = pairs[:, :, :M, M:]
+        np.matmul(pairs[:, :, :M, :M], np.matmul(upper, pairs[:, :, M:, M:]), out=upper)
+        M *= 2
+
+
 def _check_full_rank(R: np.ndarray, single: bool):
     """Raise ``LinAlgError`` naming the first stack member whose square
     upper-triangular factor R of omega^T has its smallest singular value at
@@ -160,29 +208,27 @@ def _check_full_rank(R: np.ndarray, single: bool):
 
     Each member is scaled by that power of two, which is exact and keeps the
     inverse of every member the rule accepts finite at any scale of R, and
-    inverted once by LAPACK ``trtri``.  The singular values are computed
-    only for members that the bound sigma_min / sigma_max >= 1 / (||R||_F
-    ||R^{-1}||_F) does not already prove full rank with
-    ``RANK_BOUND_MARGIN`` to spare; a member with an exact zero pivot
-    (``trtri`` info > 0) is left to them alone.
+    the stack is inverted once by :func:`_invert_upper`.  The singular
+    values are computed only for members that the bound sigma_min /
+    sigma_max >= 1 / (||R||_F ||R^{-1}||_F) does not already prove full
+    rank with ``RANK_BOUND_MARGIN`` to spare; a member with an exact zero
+    pivot has an infinite inverse, fails the bound and is left to them.
     """
+    b, n = R.shape[:2]
     exponent = np.frexp(np.abs(R).max(axis=(1, 2), initial=0.0))[1]
-    inverse = np.ldexp(R, -exponent[:, None, None])
-    if R.shape[-1] == 0:
+    work = _inverse_work(b, n)
+    inverse = work[:, :n, :n]
+    np.ldexp(R, -exponent[:, None, None], out=inverse)
+    if n == 0:
         return inverse, exponent
-    norms = np.linalg.norm(inverse, axis=(1, 2))
-    (trtri,) = scipy.linalg.get_lapack_funcs(("trtri",), (inverse,))
-    singular = np.zeros(R.shape[0], dtype=bool)
-    for t in range(R.shape[0]):
-        # The transpose of a C-ordered member is a Fortran-ordered lower
-        # triangle, which trtri inverts in place: inverse[t] becomes R'^{-1}.
-        singular[t] = trtri(inverse[t].T, lower=1, overwrite_c=1)[1] > 0
     # An overflowing norm reads inf and a NaN fails the test: both leave the
     # member to the singular values.
-    with np.errstate(over="ignore", invalid="ignore"):
-        cond = norms * np.linalg.norm(inverse, axis=(1, 2))
-        uncertain = np.flatnonzero(singular | ~(cond * (RANK_BOUND_MARGIN * RANK_CUTOFF) < 1.0))
-    if uncertain.size:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        squares = np.einsum("tij,tij->t", inverse, inverse)
+        _invert_upper(work)
+        certain = squares * np.einsum("tij,tij->t", inverse, inverse) < _BOUND_LIMIT
+    if not certain.all():
+        uncertain = np.flatnonzero(~certain)
         svals = np.linalg.svd(R[uncertain], compute_uv=False)
         deficient = uncertain[svals[:, -1] <= RANK_CUTOFF * svals[:, 0]]
         if deficient.size:
@@ -262,6 +308,8 @@ def pivoted_qr_basis(B, k: int) -> np.ndarray:
     width = min(rows, cols)
     Q = np.empty((b, rows, width))
     if b:
+        import scipy.linalg
+
         geqp3, orgqr = scipy.linalg.get_lapack_funcs(("geqp3", "orgqr"), (B,))
         qr_work = _workspace(geqp3, B[0])
         q_work = _workspace(orgqr, B[0, :, :width], np.zeros(width))

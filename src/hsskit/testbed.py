@@ -5,11 +5,12 @@ Generator families:
   - ``hard_instance``: the adversarial matrix of perturbed exchange blocks
     whose best rank-structured approximation is known in closed form.
   - ``banded_inverse_oracle``: the inverse of a random symmetric banded,
-    strictly diagonally dominant matrix, applied through its banded
-    Cholesky factor U cut into blocks: a product is two block sweeps, each
-    one batched product with the inverted diagonal blocks of U plus a
-    rank-h correction per block for the h rows that couple neighbouring
-    blocks.  With total bandwidth 2k + 1 the inverse has rank-2k structure.
+    strictly diagonally dominant matrix, applied through its Cholesky
+    factor U, computed block by block in numpy: a product is two block
+    sweeps, each one batched product with the inverted diagonal blocks of
+    U plus a rank-h correction per block for the h rows that couple
+    neighbouring blocks.  With total bandwidth 2k + 1 the inverse has
+    rank-2k structure.
   - ``grid_schur_oracle``: Schur complement of an N x 51 grid-graph Laplacian
     onto its middle separator column.  The grid is separable, so the
     operator is diagonal in the cosine basis: a product is two length-N
@@ -29,11 +30,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from numpy.lib.stride_tricks import as_strided
 
 from .blr2 import BLR2Factorization, BLR2Pattern, blr2_reconstruct
-from .kernels import RngStream, as_matrix, gaussian
+from .kernels import RngStream, _invert_upper, _inverse_work, as_matrix, gaussian
 from .oracle import MatvecOracle, dense_from_oracle
 from . import structures
 from .structures import (
@@ -155,35 +154,53 @@ def _banded_arrays(n: int, bandwidth: int, seed: int):
     return diag, offs
 
 
-# Rows of a diagonal block in the banded-inverse sweeps (or h, if more), and
-# the narrowest panel of a wide banded-inverse product; see
-# banded_inverse_oracle.
+# Rows of a diagonal block in the banded-inverse sweeps (or h, if more), the
+# narrowest panel of a wide banded-inverse product, and the bytes of one
+# chunk of block products; see banded_inverse_oracle.
 _BAND_BLOCK = 32
 _BAND_PANEL_FLOOR = 34
+_BAND_CHUNK_BYTES = 256 << 10
 
 
-def _band_blocks(band: np.ndarray, nb: int):
-    """(blocks, corners) of L = U^T, for the upper triangular U in LAPACK
-    upper band storage ``band`` of shape (h + 1, N), N a multiple of nb >= h.
+def _band_cholesky(diag: np.ndarray, offs: list, blocks: np.ndarray) -> np.ndarray:
+    """Factor the banded matrix M of ``diag`` and ``offs`` (see
+    :func:`_banded_arrays`), padded to N rows with identity rows, as M =
+    U^T U by block Cholesky over the (count, nb, nb) stack ``blocks``, N =
+    count nb, nb >= h = len(offs).  ``blocks``, zero on entry, receives U's
+    diagonal blocks; returns the corners of L = U^T.
 
-    ``blocks`` is the (N/nb, nb, nb) stack of L's diagonal blocks.  Corner
-    i is the h x h upper triangle in the first h rows and last h columns of
-    L's block (i + 1, i), the only entries that couple block i + 1 to block
-    i.  Row r of L is band[:, r] in columns r - h .. r, so each block's rows
-    lie one diagonal step apart: one strided copy places its last nb - h
-    rows.  Its first h rows reach h columns back into the block before;
-    they go to a (h, 2h) array whose columns are shifted right by h, whose
-    last h columns then belong to the block and its first h to the corner.
+    Corner i, C_i, is the h x h upper triangle in the first h rows and
+    last h columns of L's block (i + 1, i), the only entries that couple
+    block i + 1 to block i: with Mc_i the same corner of M and T the
+    trailing h x h block of L_ii, C_i = Mc_i T^{-T}.  So block i + 1's
+    Schur update touches only its h x h head, by -C_i C_i^T.  Raises
+    ``LinAlgError`` when M is not positive definite.
     """
-    h = band.shape[0] - 1
-    count = band.shape[1] // nb
-    rows = band.T.reshape(count, nb, h + 1)
-    blocks, head = np.zeros((count, nb, nb)), np.zeros((count, h, 2 * h))
-    for dest, src in ((blocks[:, h:], rows[:, h:]), (head, rows[:, :h])):
-        s0, s1, s2 = dest.strides
-        as_strided(dest, src.shape, (s0, s1 + s2, s2), writeable=True)[...] = src
-    blocks[:, :h, :h] = head[:, :, h:]
-    return blocks, head[1:, :, :h].copy()
+    count, nb = blocks.shape[:2]
+    h = len(offs)
+    # lanes[d][i, a] = M[i nb + a, i nb + a + d]; the padding is identity.
+    N = count * nb
+    lanes = [np.concatenate((diag, np.ones(N - len(diag))))]
+    lanes += [np.concatenate((off, np.zeros(N - len(off)))) for off in offs]
+    lanes = [lane.reshape(count, nb) for lane in lanes]
+    for d, lane in enumerate(lanes):
+        a = np.arange(nb - d)
+        blocks[:, a + d, a] = blocks[:, a, a + d] = lane[:, : nb - d]
+    # corners[i, a, c] = M[(i + 1) nb + a, (i + 1) nb - h + c] for a <= c,
+    # the entry on diagonal d = h + a - c; overwritten by L's corner below.
+    corners = np.zeros((count - 1, h, h))
+    for d in range(1, h + 1):
+        a = np.arange(d)
+        corners[:, a, a + h - d] = lanes[d][:-1, nb - d :]
+    tail = slice(nb - h, nb)
+    for i, block in enumerate(blocks):
+        if i and h:
+            block[:h, :h] -= corners[i - 1] @ corners[i - 1].T
+        factor = np.linalg.cholesky(block)
+        block[...] = factor.T
+        if i + 1 < count and h:
+            corners[i] = np.linalg.solve(factor[tail, tail], corners[i].T).T
+    return corners
 
 
 def _seam_levels(maps: np.ndarray) -> list:
@@ -233,22 +250,26 @@ def _fold_seams(X: np.ndarray, rows: np.ndarray, corners: np.ndarray, levels: li
 def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     """Matvec oracle for the inverse of a random symmetric banded matrix.
 
-    The banded matrix M, of half-bandwidth h = (bandwidth - 1) / 2, is
-    factored once as M = U^T U with a banded Cholesky.  U is cut into blocks
-    of nb = max(32, h) rows, n padded to N, a multiple of nb, with identity
-    rows that the reply drops.  U^T is then block lower bidiagonal, and its
-    subdiagonal blocks are zero outside an h x h corner.  The oracle keeps
-    the inverse of each diagonal block (one LAPACK ``trtri`` each), 8 N nb
-    bytes (2 MiB at n = 8192), and the corners and the maps of the seam
-    reductions below, under a third of that.
+    The banded matrix M, of half-bandwidth h = (bandwidth - 1) / 2, is cut
+    into blocks of nb = max(32, h) rows, n padded to N, a multiple of nb,
+    with identity rows that the reply drops, and factored once as M = U^T U
+    by block Cholesky (:func:`_band_cholesky`).  U^T is then block lower
+    bidiagonal, and its subdiagonal blocks are zero outside an h x h corner.
+    The oracle keeps the inverse of each diagonal block of U, all inverted
+    in one call of the batched triangular inverse of :mod:`hsskit.kernels`,
+    8 N nb bytes (2 MiB at n = 8192), and the corners and the maps of the
+    seam reductions below, under a third of that.
 
     A product is a forward sweep U^T y = x and a backward sweep U z = y,
     both in place in the reply.  Each sweep solves for the h seam rows
     through which each block of the solution reaches the next, by cyclic
     reduction over the blocks, folds them into the operand as a rank-h
     correction per block, and applies all block inverses in batched
-    (nb, nb) products, in eight chunks of blocks through a scratch of
-    S = max(2 h N / nb, N / 8) rows that also holds the seams.
+    (nb, nb) products, in chunks of blocks through a scratch of S = max(2 h
+    N / nb, N / 8) rows that also holds the seams.  A chunk is as many
+    blocks as that scratch holds, but no more than fill 256 KiB: at n = 256
+    a 34-column product then takes two chunks instead of eight, and at
+    n = 8192 the chunk's output stays in cache as it did at N / 8 rows.
 
     A wide operand runs in panels of max(34, PANEL_BYTES // (8 S)) columns
     computed in place in the reply, one scratch for all, so a product holds
@@ -265,22 +286,11 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     nb = max(_BAND_BLOCK, h)
     count = -(-n // nb)
     N = count * nb
-    ab = np.zeros((h + 1, N), order="F")  # LAPACK's order, so the factor overwrites it
-    ab[h, :n] = diag
-    ab[h, n:] = 1.0
-    for d, off in enumerate(offs, start=1):
-        ab[h - d, d:n] = off
-    factor = scipy.linalg.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-    inv_t, corners = _band_blocks(factor, nb)
-    for block in inv_t:
-        # block.T, Fortran-ordered, is a diagonal block of U, which trtri
-        # inverts in place: block then holds the transposed inverse.
-        inverse, info = scipy.linalg.lapack.dtrtri(block.T, overwrite_c=1)
-        if info:
-            raise np.linalg.LinAlgError(f"trtri failed on a diagonal block of U (info={info})")
-        if not np.may_share_memory(inverse, block):
-            block.T[...] = inverse
-    inv = inv_t.transpose(0, 2, 1)
+    work = _inverse_work(count, nb)
+    inv = work[:, :nb, :nb]  # U's diagonal blocks, then their inverses
+    corners = _band_cholesky(diag, offs, inv)
+    _invert_upper(work)
+    inv_t = inv.transpose(0, 2, 1)
     head, tail = slice(0, h), slice(nb - h, nb)
     # U^T y = x runs forward: block i's head rows take corner i - 1 times
     # the tail of y's block i - 1.  U z = y runs backward: block i's tail
@@ -289,10 +299,10 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     rows_bwd, corners_bwd = inv[::-1, head, :], corners.transpose(0, 2, 1)[::-1]
     levels_fwd = _seam_levels(-np.matmul(rows_fwd[1:, :, head], corners_fwd))
     levels_bwd = _seam_levels(-np.matmul(rows_bwd[1:, :, tail], corners_bwd))
-    chunk = -(-count // 8)
-    scratch_rows = max(2 * count * h, chunk * nb)
+    scratch_rows = max(2 * count * h, -(-count // 8) * nb)
 
     def apply_blocks(stack, blocks, work):
+        chunk = max(1, min(scratch_rows // nb, _BAND_CHUNK_BYTES // (8 * blocks[0].size)))
         spare = work[: chunk * blocks[0].size].reshape(chunk, *blocks.shape[1:])
         for a in range(0, count, chunk):
             z = min(a + chunk, count)

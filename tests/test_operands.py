@@ -21,7 +21,9 @@ from hsskit import (
     RngStream,
     banded_inverse_oracle,
     blr2_apply,
+    blr2_factors_from_sketches,
     blr2_from_matvecs,
+    blr2_remainder,
     compress_oracle,
     dense_from_oracle,
     frobenius_error,
@@ -241,6 +243,25 @@ class TestComplexIsRejected:
         factors[name] = factors[name] + 0j
         with pytest.raises(ValueError, match=rf"^{name} has complex dtype complex128"):
             BLR2Factorization(F.pattern, **factors)
+
+
+SKETCH_NAMES = ("omega", "psi", "omega_diag", "psi_diag", "Y", "Z", "Y_diag", "Z_diag")
+
+
+@pytest.mark.parametrize("name", SKETCH_NAMES)
+def test_complex_sketch_is_rejected_by_name(name):
+    # The one-level step takes its eight sketches through the same rule as
+    # factors and replies: a complex one is named, not cast with a warning.
+    rng = np.random.default_rng(9)
+    sketches = dict(zip(SKETCH_NAMES, rng.standard_normal((8, PATTERN.dim, 28))))
+    sketches[name] = sketches[name] + 0j
+    with pytest.raises(ValueError, match=rf"^{name} has complex dtype complex128"):
+        blr2_factors_from_sketches(PATTERN, K, *sketches.values())
+    if name.endswith("_diag"):
+        U, V = np.linalg.qr(rng.standard_normal((2, PATTERN.block_count, PATTERN.block_size, K)))[0]
+        diag = [sketches[n] for n in SKETCH_NAMES if n.endswith("_diag")]
+        with pytest.raises(ValueError, match=rf"^{name} has complex dtype complex128"):
+            blr2_remainder(PATTERN, U, V, *diag)
 
 
 class TestNonFiniteOperandIsNamed:

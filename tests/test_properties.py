@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, lapack
 
 from hsskit import (
     BLR2Factorization,
@@ -38,7 +38,7 @@ from hsskit import (
     validate_hss_ranks,
 )
 from hsskit.experiment import run_cell
-from hsskit.kernels import _check_full_rank
+from hsskit.kernels import _check_full_rank, _invert_upper, _inverse_work
 from hsskit.structures import block_apply, block_apply_t, tree_levels
 
 from helpers import (
@@ -253,8 +253,8 @@ class TestSharedInverse:
 
     @pytest.mark.parametrize("bad", [0, 3, 6])
     def test_exactly_singular_member_is_named_and_checked_alone(self, bad, monkeypatch):
-        # A zero row of omega gives R an exact zero pivot (trtri info > 0):
-        # that member, and only it, goes to the singular values.
+        # A zero row of omega gives R an exact zero pivot, so an infinite
+        # inverse: that member, and only it, goes to the singular values.
         svd, sizes = np.linalg.svd, []
         monkeypatch.setattr(np.linalg, "svd", lambda a, *r, **kw: sizes.append(len(a)) or svd(a, *r, **kw))
         omega = np.random.default_rng(21).standard_normal((7, 5, 9))
@@ -274,6 +274,36 @@ class TestSharedInverse:
             scaled = np.ldexp(R[t], -int(exponent[t]))
             assert 0.5 <= np.abs(scaled).max() < 1.0
             assert np.abs(inverse[t] @ scaled - np.eye(6)).max() <= 1e-13
+
+
+class TestTriangularInverse:
+    """The batched triangular inverse agrees with LAPACK's ``trtri``."""
+
+    @PROPERTY
+    @given(
+        seed=seeds,
+        b=st.integers(0, 300),
+        n=st.integers(1, 48),
+        log_cond=st.integers(0, 8),
+        exponent=st.sampled_from([-700, 0, 700]),
+    )
+    def test_matches_trtri(self, seed, b, n, log_cond, exponent):
+        # Columns graded from 1 to 10**-log_cond spread the conditioning;
+        # the power-of-two scale is exact, so one reference serves it.
+        rng = np.random.default_rng(seed)
+        R = np.linalg.qr(rng.standard_normal((b, n + 2, n)), mode="r")
+        R *= np.logspace(0, -log_cond, n)
+        work = _inverse_work(b, n)
+        got = work[:, :n, :n]
+        got[...] = np.ldexp(R, exponent)
+        _invert_upper(work)
+        if b == 0:
+            return
+        want = np.stack([lapack.dtrtri(member)[0] for member in R])
+        err = np.linalg.norm(np.ldexp(got, exponent) - want, axis=(1, 2))
+        bound = n * np.finfo(float).eps * np.linalg.cond(R) * np.linalg.norm(want, axis=(1, 2))
+        assert (err <= bound).all()
+        assert np.array_equal(np.tril(got, -1), np.zeros_like(got))
 
 
 class TestBlockOps:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from hsskit import (
     MatvecOracle,
@@ -17,6 +16,7 @@ from hsskit import (
     reconstruct_dense,
     validate_hss_ranks,
 )
+from hsskit import testbed
 from hsskit.testbed import make_problem, resolve_params
 
 from helpers import grid_schur_band, grid_schur_dense, random_banded_matrix
@@ -120,18 +120,19 @@ class TestBandedInverse:
         assert np.array_equal(oracle.apply_transpose(x), y)
         assert y.tobytes() == banded_inverse_oracle(n, bw, seed=8).apply(x).tobytes()
 
-    def test_block_inverses_do_not_rely_on_trtri_working_in_place(self, monkeypatch):
-        # A trtri that returns a fresh array, as f2py does when it must copy
-        # its input, still yields the inverse; a failing one raises.
-        trtri = scipy.linalg.lapack.dtrtri
-        n, bw = 100, 17
-        x = np.random.default_rng(9).standard_normal((n, 3))
-        want = banded_inverse_oracle(n, bw, seed=10).apply(x)
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", lambda c, **kw: trtri(c.copy(order="F")))
-        assert np.array_equal(banded_inverse_oracle(n, bw, seed=10).apply(x), want)
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", lambda c, **kw: (c, 3))
-        with pytest.raises(np.linalg.LinAlgError, match="info=3"):
-            banded_inverse_oracle(n, bw, seed=10)
+    def test_band_that_is_not_positive_definite_raises(self, monkeypatch):
+        # A negative diagonal entry at row 40 makes M indefinite: the block
+        # Cholesky meets a non-positive pivot in the second block.
+        arrays = testbed._banded_arrays
+
+        def indefinite(n, bandwidth, seed):
+            diag, offs = arrays(n, bandwidth, seed)
+            diag[40] = -1.0
+            return diag, offs
+
+        monkeypatch.setattr(testbed, "_banded_arrays", indefinite)
+        with pytest.raises(np.linalg.LinAlgError):
+            banded_inverse_oracle(100, 17, seed=10)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
