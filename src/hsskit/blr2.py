@@ -10,16 +10,18 @@ blocks of each test-matrix line, extracts rank-k bases from the nullified
 sketches (sketched SVD or pivoted QR), and un-sketches the pattern blocks
 from an independent pair of sketches with the bases held fixed.
 
-The step works on stacks, not on one block at a time, and runs both sides
-at once: the block rows of the pattern and those of ``pattern.T`` (the
-block columns) are grouped together by how many pattern blocks they hold,
-and each group goes through the stacked kernels of :mod:`hsskit.kernels`,
-the basis kernel included, in chunks of at most max(1, PANEL_BYTES //
-(8 s^2)) members: one call per group at small b, bounded temporaries at
-large b.  The diagonal pattern of the hierarchical drivers is one group of
-2b members.
 Transposition is data: the column side of every rule is the row side run on
-``pattern.T``, the pattern of A^T.
+``pattern.T``, the pattern of A^T.  Every array of the step therefore has a
+leading side axis: side 0 sketches A and holds U, side 1 sketches A^T and
+holds V.  Each (2, dim, s) sketch array is read as one (2b, m, s) stack of
+block rows, those of the pattern followed by those of ``pattern.T``, and
+the step works on stacks, not on one block at a time: the rows of both
+sides are grouped together by how many pattern blocks they hold, and each
+group goes through the stacked kernels of :mod:`hsskit.kernels`, the basis
+kernel included, in chunks of at most max(1, PANEL_BYTES // (8 s^2))
+members: one call per group at small b, bounded temporaries at large b.
+The diagonal pattern of the hierarchical drivers is one group of 2b
+members, whose kernel inputs are views of the sketch arrays.
 """
 
 from __future__ import annotations
@@ -115,8 +117,9 @@ class BLR2Pattern:
         """The row groups of both sides of the one-level step, built once:
         the block rows of the pattern, numbered 0..b-1, and those of
         ``pattern.T``, numbered b..2b-1 with their pattern blocks numbered
-        the same way.  Positions index the pattern's sorted pairs followed
-        by those of ``pattern.T``."""
+        the same way, so that they index a (2, b, ...) array with a side
+        axis read as a (2b, ...) stack.  Positions index the pattern's
+        sorted pairs followed by those of ``pattern.T``."""
         b = self.block_count
         return _group_rows(self._rows + tuple(tuple(j + b for j in row) for row in self.T._rows))
 
@@ -210,10 +213,11 @@ class BLR2Factorization:
 
 
 def _as_sketches(pattern: BLR2Pattern, names, arrays) -> list:
-    """Coerce sketch arrays to float64 and check that all are (dim, s); a
-    complex one raises a ValueError naming it."""
+    """Coerce sketch arrays to float64 and check that all share one (2,
+    dim, s) shape, side 0 sketching A and side 1 A^T; a complex one raises
+    a ValueError naming it."""
     arrays = [_as_real(a, name) for name, a in zip(names, arrays)]
-    expected = (pattern.dim, arrays[0].shape[-1])
+    expected = (2, pattern.dim, *arrays[0].shape[-1:])
     for name, arr in zip(names, arrays):
         if arr.shape != expected:
             raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
@@ -232,21 +236,21 @@ def _selector(index: np.ndarray):
 
 
 def _blocks(pattern: BLR2Pattern, arr: np.ndarray) -> np.ndarray:
-    """View a (dim, s) array as its (b, m, s) stack of block rows."""
-    return arr.reshape(pattern.block_count, pattern.block_size, -1)
+    """View an array with a side axis, (2, dim, c) or (2, b, m, c), as its
+    (2b, m, c) stack of block rows, numbered as ``pattern._step_groups``
+    numbers them."""
+    return arr.reshape(-1, pattern.block_size, arr.shape[-1])
 
 
 class _Chunk(NamedTuple):
     """One stack of the one-level step: g block rows with h pattern blocks
-    each, the first ``cut`` of them block rows of the pattern and the rest
-    block rows of ``pattern.T``.  ``rows`` and ``hits`` hold, per side, the
-    :func:`_selector` of those rows and of their pattern blocks, numbered
-    0..b-1 on each side; ``positions`` (g, h) are the places of the pattern
+    each, from both sides.  ``rows`` and ``hits`` are the :func:`_selector`
+    of those rows and of their pattern blocks in a (2b, ...) stack of
+    :func:`_blocks`; ``positions`` (g, h) are the places of the pattern
     blocks in the pattern's sorted pairs followed by those of ``pattern.T``."""
 
-    cut: int
-    rows: tuple
-    hits: tuple
+    rows: slice | np.ndarray
+    hits: slice | np.ndarray
     positions: np.ndarray
 
 
@@ -262,63 +266,39 @@ def _chunks(pattern: BLR2Pattern, s: int) -> tuple:
 def _chunk_plan(pattern: BLR2Pattern, size: int) -> tuple:
     """:func:`_chunks` of ``size`` rows at most, built once per (pattern,
     size) while it is among the 64 last asked for."""
-    b = pattern.block_count
-    plan = []
-    for members, hits, positions in pattern._step_groups:
-        for a in range(0, len(members), size):
-            cut = int(np.searchsorted(members[a : a + size], b))
-            sides = [(_selector(index[a : a + cut]), _selector(index[a + cut : a + size] - b))
-                     for index in (members, hits)]
-            plan.append(_Chunk(cut, *sides, positions[a : a + size]))
-    return tuple(plan)
+    return tuple(
+        _Chunk(_selector(members[a : a + size]), _selector(hits[a : a + size]), positions[a : a + size])
+        for members, hits, positions in pattern._step_groups
+        for a in range(0, len(members), size)
+    )
 
 
-def _sides(pair, selectors) -> tuple:
-    """A chunk's blocks in a pair of (b, ...) block stacks, one per side."""
-    return tuple(stack[selector] for stack, selector in zip(pair, selectors))
-
-
-def _gather(pair, selectors, rows: int) -> np.ndarray:
-    """A chunk's blocks in a pair of (b, r, c) stacks, h per row, gathered
-    into one new (rows, h r, c) stack: one kernel input."""
-    shape = pair[0].shape[1:]
-    blocks = [side.reshape(-1, *shape) for side in _sides(pair, selectors)]
-    return np.concatenate(blocks).reshape(rows, -1, shape[-1])
-
-
-def _halves(cut: int) -> tuple:
-    """The slices of a chunk's stacks that hold its two sides."""
-    return slice(None, cut), slice(cut, None)
-
-
-def _nullify(tests, images, chunk: _Chunk):
+def _nullify(tests: np.ndarray, images: np.ndarray, chunk: _Chunk) -> np.ndarray:
     """Nullify the pattern blocks of a chunk of g block rows with h blocks
     each.
 
-    ``tests`` and ``images`` are pairs of (b, m, s) block stacks, one per
-    side.  Returns ``(P, sketches)``: P (g, s, s - h m) holds orthonormal
-    nullspace bases of the stacked pattern blocks of ``tests``, one per row,
-    and sketches (g, m, s - h m) the image blocks of those rows times P.
-    With h = 0, P is None and the sketches are the image blocks themselves.
-    For images = A tests, sketch i = rho_i(A) G_i P: rho_i(A) is block row
-    i's admissible part, G_i the blocks of ``tests`` outside row i's pattern
-    blocks.
+    ``tests`` and ``images`` are (2b, m, s) stacks of :func:`_blocks`.
+    Returns the (g, m, s - h m) sketches: the image blocks of the rows
+    times P, whose (g, s, s - h m) members are orthonormal nullspace bases
+    of the rows' stacked pattern blocks of ``tests``.  With h = 0 the
+    sketches are the image blocks themselves.  For images = A tests, sketch
+    i = rho_i(A) G_i P: rho_i(A) is block row i's admissible part, G_i the
+    blocks of ``tests`` outside row i's pattern blocks.
     """
     g, h = chunk.positions.shape
     if h == 0:
-        return None, _gather(images, chunk.rows, g)
-    P = nullspace_basis(_gather(tests, chunk.hits, g))
-    sketches = np.empty((g, images[0].shape[1], P.shape[2]))
-    for rows, block in zip(_halves(chunk.cut), _sides(images, chunk.rows)):
-        np.matmul(block, P[rows], out=sketches[rows])
-    return P, sketches
+        return images[chunk.rows]
+    P = nullspace_basis(tests[chunk.hits].reshape(g, h * tests.shape[1], -1))
+    return images[chunk.rows] @ P
 
 
-def blr2_remainder(pattern: BLR2Pattern, U, V, omega_diag, psi_diag, Y_diag, Z_diag) -> np.ndarray:
-    """Recover the pattern blocks from the diagonal-recovery sketch pair.
+def blr2_remainder(pattern: BLR2Pattern, bases, tests, images) -> np.ndarray:
+    """Recover the pattern blocks from the diagonal-recovery sketches.
 
-    Given fixed orthonormal bases U, V (b, m, k) and Y_diag = A omega_diag,
-    Z_diag = A^T psi_diag, block (i, j) of the result is
+    ``bases`` (2, b, m, k) holds fixed orthonormal bases, U on side 0 and V
+    on side 1; ``tests`` and ``images`` are (2, dim, s), side 0 holding
+    omega_diag and Y_diag = A omega_diag, side 1 psi_diag and Z_diag = A^T
+    psi_diag.  Block (i, j) of the result is
 
         R_i[:, j] + U_i U_i^T C_j[:, i]^T,
         R_i = (I - U_i U_i^T) Y_i pinv(Omega_i),
@@ -327,95 +307,91 @@ def blr2_remainder(pattern: BLR2Pattern, U, V, omega_diag, psi_diag, Y_diag, Z_d
     where Omega_i (Psi_j) stacks the omega_diag (psi_diag) blocks of pattern
     row i (column j) and the slices pick the columns of block j (i).  Blocks
     are stacked in ``pattern.sorted_pairs`` order.  The sketches must be
-    independent of U and V and have at least ``pattern.line_columns`` + 1
+    independent of the bases and have at least ``pattern.line_columns`` + 1
     columns; for a one-pair pattern {(i, i)} this is the classic diagonal
     recovery with at least 2k + 1 columns (2k + 2 for the error bound).
     R and C are un-sketched together, the block columns j being the block
     rows of ``pattern.T``: one stack per chunk of :func:`_chunks`.
     """
-    names = ("omega_diag", "psi_diag", "Y_diag", "Z_diag")
-    omega_diag, psi_diag, Y_diag, Z_diag = _as_sketches(
-        pattern, names, (omega_diag, psi_diag, Y_diag, Z_diag)
-    )
-    floor = pattern.line_columns + 1
-    if omega_diag.shape[1] < floor:
-        raise ValueError(
-            f"diagonal-recovery sketches need at least {floor} columns, got {omega_diag.shape[1]}"
-        )
-    m, s = pattern.block_size, omega_diag.shape[1]
-    tests = (_blocks(pattern, omega_diag), _blocks(pattern, psi_diag))
-    images = (_blocks(pattern, Y_diag), _blocks(pattern, Z_diag))
+    bases = _as_real(bases, "bases")
+    b, m = pattern.block_count, pattern.block_size
+    if bases.ndim != 4 or bases.shape[:3] != (2, b, m):
+        raise ValueError(f"bases has shape {bases.shape}, expected (2, {b}, {m}, k)")
+    tests, images = _as_sketches(pattern, ("tests", "images"), (tests, images))
+    s, floor = tests.shape[-1], pattern.line_columns + 1
+    if s < floor:
+        raise ValueError(f"diagonal-recovery sketches need at least {floor} columns, got {s}")
+    tests, images, stack = _blocks(pattern, tests), _blocks(pattern, images), _blocks(pattern, bases)
     nnz = len(pattern.sorted_pairs)
     out = np.empty((2 * nnz, m, m))
     for chunk in _chunks(pattern, s):
         g, h = chunk.positions.shape
         if h == 0:
             continue
-        residual = np.empty((g, m, s))
-        bases, blocks = _sides((U, V), chunk.rows), _sides(images, chunk.rows)
-        for rows, basis, block in zip(_halves(chunk.cut), bases, blocks):
-            np.matmul(basis, basis.transpose(0, 2, 1) @ block, out=residual[rows])
-            np.subtract(block, residual[rows], out=residual[rows])
-        slabs = right_pinv_apply(residual, _gather(tests, chunk.hits, g))
+        block, basis = images[chunk.rows], stack[chunk.rows]
+        residual = np.matmul(basis, basis.transpose(0, 2, 1) @ block)
+        np.subtract(block, residual, out=residual)
+        del block, basis
+        slabs = right_pinv_apply(residual, tests[chunk.hits].reshape(g, h * m, s))
         out[chunk.positions] = slabs.reshape(g, m, h, m).transpose(0, 2, 1, 3)
     # C comes in the pair order of pattern.T; sorting the transpose's pairs
     # (j, i) by (i, j) puts it in the pair order of the pattern.
     R, C = out[:nnz], out[nnz:][np.lexsort(pattern.T._pair_index)]
-    Ur = U[pattern._pair_index[0]]
+    Ur = bases[0][pattern._pair_index[0]]
     return R + Ur @ (Ur.transpose(0, 2, 1) @ C.transpose(0, 2, 1))
 
 
 def blr2_factors_from_sketches(
-    pattern, k, omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag, basis_method="svd-pcps"
+    pattern, k, tests, images, tests_diag, images_diag, basis_method="svd-pcps"
 ):
     """Recover (U, V, D) from one set of sketches and their images.
 
-    All eight arrays are (pattern.dim, s): the test matrices and their images
-    Y = A omega, Z = A^T psi, Y_diag = A omega_diag, Z_diag = A^T psi_diag.
-    Bases come from the nullified sketches through ``basis_method``, one of
-    :data:`BASIS_METHODS` ("svd-pcps": sketched SVD; "pivoted-qr": leading
-    columns of a column-pivoted QR).  D is stacked in
-    ``pattern.sorted_pairs`` order, see :func:`blr2_remainder`.  The block
-    rows of the pattern (U side, omega and Y) and of ``pattern.T`` (V side,
-    psi and Z) with the same number of pattern blocks form one stack, so the
-    nullspaces, the bases and the remainder's pseudo-inverses take one
-    kernel call per group and chunk of :func:`_chunks`: one each for the
-    diagonal pattern at small b.  A rank or sketch width that
-    :meth:`BLR2Pattern.check_step` rejects fails at entry.
+    All four arrays are (2, pattern.dim, s) with a side axis: side 0 holds
+    the test matrices omega and omega_diag and their images Y = A omega and
+    Y_diag = A omega_diag, side 1 psi and psi_diag and Z = A^T psi and Z_diag
+    = A^T psi_diag.  Bases come from the nullified sketches through
+    ``basis_method``, one of :data:`BASIS_METHODS` ("svd-pcps": sketched SVD;
+    "pivoted-qr": leading columns of a column-pivoted QR), U from side 0 and
+    V from side 1.  D is stacked in ``pattern.sorted_pairs`` order, see
+    :func:`blr2_remainder`.  Each array is read as one (2b, m, s) stack of
+    block rows, those of the pattern followed by those of ``pattern.T``, and
+    the rows of both sides with the same number of pattern blocks form one
+    stack, so the nullspaces, the bases and the remainder's pseudo-inverses
+    take one kernel call per group and chunk of :func:`_chunks`: one each
+    for the diagonal pattern at small b, whose kernel inputs are views of
+    the arrays.  A rank or sketch width that :meth:`BLR2Pattern.check_step`
+    rejects fails at entry.
     """
-    names = ("omega", "psi", "omega_diag", "psi_diag", "Y", "Z", "Y_diag", "Z_diag")
-    omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag = _as_sketches(
-        pattern, names, (omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag)
+    names = ("tests", "images", "tests_diag", "images_diag")
+    tests, images, tests_diag, images_diag = _as_sketches(
+        pattern, names, (tests, images, tests_diag, images_diag)
     )
-    pattern.check_step(k, omega.shape[1], basis_method)
-    b, m = pattern.block_count, pattern.block_size
+    s = tests.shape[-1]
+    pattern.check_step(k, s, basis_method)
     kernel = BASIS_METHODS[basis_method].kernel
-    U = np.empty((b, m, k))
-    V = np.empty((b, m, k))
-    tests = (_blocks(pattern, omega), _blocks(pattern, psi))
-    images = (_blocks(pattern, Y), _blocks(pattern, Z))
-    for chunk in _chunks(pattern, omega.shape[1]):
-        bases = kernel(_nullify(tests, images, chunk)[1], k)
-        for basis, selector, rows in zip((U, V), chunk.rows, _halves(chunk.cut)):
-            basis[selector] = bases[rows]
-    return U, V, blr2_remainder(pattern, U, V, omega_diag, psi_diag, Y_diag, Z_diag)
+    bases = np.empty((2, pattern.block_count, pattern.block_size, k))
+    stack, tests, images = _blocks(pattern, bases), _blocks(pattern, tests), _blocks(pattern, images)
+    for chunk in _chunks(pattern, s):
+        stack[chunk.rows] = kernel(_nullify(tests, images, chunk), k)
+    return bases[0], bases[1], blr2_remainder(pattern, bases, tests_diag, images_diag)
 
 
-def _query_sketches(stream: RngStream, pattern: BLR2Pattern, s: int, op: MatvecOracle):
+def _query_sketches(stream: RngStream, pattern: BLR2Pattern, s: int, op: MatvecOracle) -> np.ndarray:
     """Draw the four Gaussian test matrices of a one-level step, each one
     (dim, s) draw from ``stream.child(role)`` whose block i is rows
-    [i m, (i + 1) m), and query their images through ``op`` (4s queries).
-    Returns the eight arrays in the argument order of
-    :func:`blr2_factors_from_sketches`."""
-    omega, psi, omega_diag, psi_diag = (
-        gaussian(pattern.dim, s, stream.child(role))
-        for role in ("omega", "psi", "omega-diag", "psi-diag")
-    )
-    Y = op.apply(omega)
-    Z = op.apply_transpose(psi)
-    Y_diag = op.apply(omega_diag)
-    Z_diag = op.apply_transpose(psi_diag)
-    return omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag
+    [i m, (i + 1) m), and query their images through ``op`` (4s queries:
+    Y = A omega, Z = A^T psi, Y_diag = A omega_diag, Z_diag = A^T psi_diag,
+    in that order).  Returns one (4, 2, dim, s) array whose entries are the
+    four arguments of :func:`blr2_factors_from_sketches`, each with its side
+    axis."""
+    sketches = np.empty((4, 2, pattern.dim, s))
+    for test, suffix in ((0, ""), (2, "-diag")):
+        for side, role in enumerate(("omega", "psi")):
+            sketches[test, side] = gaussian(pattern.dim, s, stream.child(role + suffix))
+    for test in (0, 2):
+        sketches[test + 1, 0] = op.apply(sketches[test, 0])
+        sketches[test + 1, 1] = op.apply_transpose(sketches[test, 1])
+    return sketches
 
 
 def _remainder_matmul(pattern: BLR2Pattern, D: np.ndarray, x: np.ndarray) -> np.ndarray:

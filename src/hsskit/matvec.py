@@ -21,7 +21,10 @@ each level's sketches come from:
 
 Randomness is keyed by (seed, level, role) paths: each of a level's four
 test matrices is one draw, and block i is rows [i m, (i + 1) m) of it.  Both
-drivers therefore draw identical level-L sketches for the same seed.
+drivers therefore draw identical level-L sketches for the same seed.  A
+level's sketches are one (4, 2, dim, s) array, the step's four arguments,
+each with its side axis (side 0 sketches the operator, side 1 its
+transpose), and the reused driver compresses both sides of it at once.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from .blr2 import BLR2Pattern, _query_sketches, blr2_factors_from_sketches
 from .kernels import RngStream
 from .oracle import MatvecOracle, compress_oracle
-from .structures import LevelFactors, TelescopingFactorization, block_apply, block_apply_t
+from .structures import LevelFactors, TelescopingFactorization
 from .structures import tree_levels
 
 __all__ = [
@@ -94,8 +97,10 @@ def theorem_bounds(s: int, k: int, L: int) -> TheoremBounds:
     gamma_row = gamma_col = (1 + 2e(s-2k) / sqrt((s-3k)^2 - 1))^2 and
     gamma_diag = 2k / (s - 2k - 1); the overall multiplicative factor against
     the best achievable squared error is (gamma_row + gamma_col) *
-    (1 + gamma_diag) * L.  Requires s >= 3k + 2.
+    (1 + gamma_diag) * L.  Requires s >= 3k + 2, L >= 1 and k >= 1.
     """
+    if L < 1 or k < 1:
+        raise ValueError(f"need L >= 1 and k >= 1, got L={L}, k={k}")
     BLR2Pattern.diagonal(1, 2 * k).check_step(k, s)
     gamma = (1.0 + 2.0 * math.e * (s - 2 * k) / math.sqrt((s - 3 * k) ** 2 - 1)) ** 2
     gamma_diag = 2.0 * k / (s - 2 * k - 1)
@@ -103,21 +108,26 @@ def theorem_bounds(s: int, k: int, L: int) -> TheoremBounds:
     return TheoremBounds(gamma, gamma, gamma_diag, factor)
 
 
-def _compress(lf: LevelFactors, sketch, image):
-    """Push a (test matrix, image) pair one level down: the compressed pair
-    sketches U^T (M - D) V when the image sketched M.  A transpose pair goes
-    down through ``lf.T``."""
-    return block_apply_t(lf.V, sketch), block_apply_t(lf.U, image - block_apply(lf.D, sketch))
-
-
-def _compress_sketches(lf: LevelFactors, sketches):
-    """Compress a level's sketches through its recovered factors (no queries)."""
-    omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag = sketches
-    omega, Y = _compress(lf, omega, Y)
-    omega_diag, Y_diag = _compress(lf, omega_diag, Y_diag)
-    psi, Z = _compress(lf.T, psi, Z)
-    psi_diag, Z_diag = _compress(lf.T, psi_diag, Z_diag)
-    return omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag
+def _compress_sketches(lf: LevelFactors, sketches: np.ndarray) -> np.ndarray:
+    """Compress a level's (4, 2, dim, s) sketches through its recovered
+    factors (no queries): each (test matrix, image) pair of a side becomes
+    the pair that sketches U^T (M - D) V when the image sketched M, side 0
+    through ``lf`` and side 1, whose images sketched M^T, through ``lf.T``.
+    Both sides are written straight into one (4, 2, dim / 2, s) array, with
+    one (dim, s) temporary for all four pairs: a new one per pair would
+    hold two at once."""
+    b, w, k = lf.U.shape
+    s = sketches.shape[-1]
+    out, residual = np.empty((4, 2, b * k, s)), np.empty((b, w, s))
+    blocks, compressed = sketches.reshape(4, 2, b, w, s), out.reshape(4, 2, b, k, s)
+    for side, f in enumerate((lf, lf.T)):
+        for test in (0, 2):
+            x = blocks[test, side]
+            np.matmul(f.V.transpose(0, 2, 1), x, out=compressed[test, side])
+            np.matmul(f.D, x, out=residual)
+            np.subtract(blocks[test + 1, side], residual, out=residual)
+            np.matmul(f.U.transpose(0, 2, 1), residual, out=compressed[test + 1, side])
+    return out
 
 
 def _build(oracle: MatvecOracle, config: MatvecConfig) -> TelescopingFactorization:

@@ -74,14 +74,9 @@ def hard_instance(L: int, delta: float) -> np.ndarray:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     blocks = 1 << L
-    n = 2 * blocks
-    A = np.zeros((n, n))
-    eye = np.eye(2)
-    exchange = np.array([[0.0, 1.0 + delta], [1.0, 0.0]])
-    for i in range(blocks):
-        for j in range(blocks):
-            block = exchange if i + j == blocks - 1 else eye
-            A[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = block
+    A = np.tile(np.eye(2), (blocks, blocks))
+    i = np.arange(blocks)
+    A.reshape(blocks, 2, blocks, 2)[i, :, blocks - 1 - i] = [[0.0, 1.0 + delta], [1.0, 0.0]]
     return A
 
 

@@ -6,6 +6,7 @@ check.
 """
 
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import scipy.linalg
@@ -86,19 +87,37 @@ def rank_deficient_free_gaussian(rows, cols, seed):
     return gaussian(rows, cols, RngStream(seed).child("test"))
 
 
+def side_stacks(omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag):
+    """The eight (dim, s) sketch arrays of a one-level step as its four
+    (2, dim, s) arguments tests, images, tests_diag and images_diag: side 0
+    the test matrices of A and their images, side 1 those of A^T."""
+    return (np.stack((omega, psi)), np.stack((Y, Z)),
+            np.stack((omega_diag, psi_diag)), np.stack((Y_diag, Z_diag)))
+
+
 def nullify_rows(pattern, tests, images):
     """Nullify every block row of ``pattern`` as the one-level step does: one
     ``blr2._nullify`` call per chunk of ``blr2._chunks``, with ``tests`` and
     ``images`` on both sides; the rows of the second side, ``pattern.T``'s,
-    are dropped.  Returns {i: (P_i, sketch_i)}; a row with no pattern blocks
-    has P_i = None.  For block column j, pass ``pattern.T``, psi and
+    are dropped.  Returns {i: (P_i, sketch_i)}, P_i the nullspace basis that
+    the call took from ``nullspace_basis``; a row with no pattern blocks has
+    P_i = None.  For block column j, pass ``pattern.T``, psi and
     Z = A^T psi."""
+    b = pattern.block_count
+    stacks = [blr2._blocks(pattern, np.stack((arr, arr))) for arr in (tests, images)]
     rows = {}
-    tests, images = blr2._blocks(pattern, tests), blr2._blocks(pattern, images)
     for chunk in blr2._chunks(pattern, tests.shape[-1]):
-        P, sketches = blr2._nullify((tests, tests), (images, images), chunk)
-        for g, i in enumerate(np.arange(pattern.block_count)[chunk.rows[0]]):
-            rows[int(i)] = (None if P is None else P[g], sketches[g])
+        taken = []
+
+        def recording(stack):
+            taken.append(nullspace_basis(stack))
+            return taken[-1]
+
+        with mock.patch.object(blr2, "nullspace_basis", recording):
+            sketches = blr2._nullify(*stacks, chunk)
+        for g, i in enumerate(np.arange(2 * b)[chunk.rows]):
+            if i < b:
+                rows[int(i)] = (taken[0][g] if taken else None, sketches[g])
     return rows
 
 

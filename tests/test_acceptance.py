@@ -45,7 +45,7 @@ from hsskit.structures import LevelFactors, block_apply_t
 
 import pytest
 
-from helpers import brute_block_col, brute_block_row, nullify_rows, rand_orthonormal
+from helpers import brute_block_col, brute_block_row, nullify_rows, rand_orthonormal, side_stacks
 
 
 def _report(num, started, text):
@@ -94,10 +94,10 @@ def test_criterion_02_block_nullification_identity():
             cgap = np.abs(csketch - brute_block_col(dense, w, i).T @ H).max()
             worst = max(worst, cgap)
             assert gap <= 1e-11 and cgap <= 1e-11, f"level {level} block {i}"
-        lf = LevelFactors(*blr2_factors_from_sketches(
-            pattern, k, omega, psi, od, pd, Y, Z,
+        lf = LevelFactors(*blr2_factors_from_sketches(pattern, k, *side_stacks(
+            omega, psi, od, pd, Y, Z,
             op.apply(od), op.apply_transpose(pd),
-        ))
+        )))
         op = compress_oracle(op, lf)
         dense = block_apply_t(lf.U, dense - block_diag(*lf.D))
         dense = block_apply_t(lf.V, dense.T).T
@@ -181,7 +181,9 @@ def test_criterion_06_monte_carlo_envelopes():
             omega = gaussian(n, s, stream.child(trial, "o"))
             psi = gaussian(n, s, stream.child(trial, "p"))
             Y, Z = A @ omega, A.T @ psi
-            (D,) = blr2_remainder(one_pair, bases(U), bases(V), omega, psi, Y, Z)
+            (D,) = blr2_remainder(
+                one_pair, np.stack((bases(U), bases(V))), np.stack((omega, psi)), np.stack((Y, Z))
+            )
             resids.append(np.linalg.norm(Aii - D - U @ (U.T @ (Aii - D)) @ V @ V.T) ** 2)
         assert np.mean(resids) <= bound, f"(k={k}, s={s})"
     _report(6, started, "sketched-basis and diagonal-recovery expectation envelopes hold")
@@ -289,7 +291,7 @@ def test_criterion_10_blr2_recovery_and_specialization():
         for role in ("omega", "psi", "omega-diag", "psi-diag")
     )
     Y, Yd, Z, Zd = A @ omega, A @ od, A.T @ psi, A.T @ pd
-    U2, V2, D2 = blr2_factors_from_sketches(pattern, k, omega, psi, od, pd, Y, Z, Yd, Zd)
+    U2, V2, D2 = blr2_factors_from_sketches(pattern, k, *side_stacks(omega, psi, od, pd, Y, Z, Yd, Zd))
     finest = T.levels[-1]
     assert np.array_equal(U2, finest.U)
     assert np.array_equal(V2, finest.V)

@@ -22,7 +22,7 @@ from hsskit import (
 
 from hsskit import blr2, sketching, structures
 
-from helpers import nullify_rows, pattern_row, per_side_step, reference_width_floor
+from helpers import nullify_rows, pattern_row, per_side_step, reference_width_floor, side_stacks
 
 
 ROLES = ("omega", "psi", "omega-diag", "psi-diag")
@@ -195,16 +195,16 @@ class TestTwoSidedStep:
         omega, psi, od, pd = (gaussian(pat.dim, s, RngStream(41).child(role)) for role in ROLES)
         sketches = (omega, psi, od, pd, A @ omega, A.T @ psi, A @ od, A.T @ pd)
         want = per_side_step(pat, k, *sketches, basis_method=method)
-        whole = blr2_factors_from_sketches(pat, k, *sketches, basis_method=method)
+        whole = blr2_factors_from_sketches(pat, k, *side_stacks(*sketches), basis_method=method)
         # Chunks of 5 rows: every pattern here has a group that splits
         # inside each side, so more chunks than groups hold rows of a side.
         monkeypatch.setattr(structures, "PANEL_BYTES", 5 * 8 * s * s)
         b = pat.block_count
         for side in (0, 1):
             groups = sum(bool(((members < b) != side).any()) for members, _, _ in pat._step_groups)
-            chunks = sum((c.cut > 0, c.cut < len(c.positions))[side] for c in blr2._chunks(pat, s))
+            chunks = sum(bool(((np.arange(2 * b)[c.rows] < b) != side).any()) for c in blr2._chunks(pat, s))
             assert chunks > groups
-        split = blr2_factors_from_sketches(pat, k, *sketches, basis_method=method)
+        split = blr2_factors_from_sketches(pat, k, *side_stacks(*sketches), basis_method=method)
         for got in (whole, split):
             for array, expected in zip(got, want):
                 assert array.tobytes() == expected.tobytes()
@@ -227,6 +227,67 @@ class TestTwoSidedStep:
         # Level l has 2**l block rows and as many block columns.
         assert calls == [(name, 2 << l) for l in (3, 2, 1)
                          for name in ("nullspace_basis", basis, "right_pinv_apply")]
+
+
+SIDED_PATTERNS = ("diagonal", "tridiagonal", "superdiagonal")
+
+
+def _side_args(pat, A, s, seed):
+    """The step's four (2, dim, s) arguments for A: side 0 sketches A, side 1 A^T."""
+    omega, psi, od, pd = (gaussian(pat.dim, s, RngStream(seed).child(role)) for role in ROLES)
+    return side_stacks(omega, psi, od, pd, A @ omega, A.T @ psi, A @ od, A.T @ pd)
+
+
+class TestSideAxis:
+    """Side 0 of every step array sketches A and holds U, side 1 sketches
+    A^T and holds V: swapping the sides is the step on A^T."""
+
+    @pytest.mark.parametrize("method", ["svd-pcps", "pivoted-qr"])
+    @pytest.mark.parametrize("name", SIDED_PATTERNS)
+    def test_swapped_sides_on_the_transposed_pattern_swap_the_bases(self, name, method):
+        pat, k = STEP_PATTERNS[name], 2
+        s = pat.width_floor(k, method) + 1
+        A = np.random.default_rng(44).standard_normal((pat.dim, pat.dim))
+        args = _side_args(pat, A, s, 45)
+        U, V, _ = blr2_factors_from_sketches(pat, k, *args, basis_method=method)
+        Ut, Vt, _ = blr2_factors_from_sketches(pat.T, k, *(a[::-1] for a in args), basis_method=method)
+        assert Ut.tobytes() == V.tobytes()
+        assert Vt.tobytes() == U.tobytes()
+
+    @pytest.mark.parametrize("method", ["svd-pcps", "pivoted-qr"])
+    @pytest.mark.parametrize("name", SIDED_PATTERNS)
+    def test_swapped_sides_recover_the_transposed_remainder(self, name, method):
+        pat, k = STEP_PATTERNS[name], 2
+        s = pat.width_floor(k, method) + 1
+        A = random_blr2_matrix(pat, k, seed=46)
+        args = _side_args(pat, A, s, 47)
+        D = blr2_factors_from_sketches(pat, k, *args, basis_method=method)[2]
+        Dt = blr2_factors_from_sketches(pat.T, k, *(a[::-1] for a in args), basis_method=method)[2]
+        # Block (j, i) of the transposed run is block (i, j) of the first, transposed.
+        order = [pat.T.sorted_pairs.index((j, i)) for i, j in pat.sorted_pairs]
+        assert np.linalg.norm(Dt[order].transpose(0, 2, 1) - D) <= 1e-12 * np.linalg.norm(D)
+
+    def test_diagonal_pattern_hands_the_kernels_views_of_the_sketches(self, monkeypatch):
+        pat, k = STEP_PATTERNS["diagonal"], 2
+        s = pat.width_floor(k) + 1
+        A = np.random.default_rng(48).standard_normal((pat.dim, pat.dim))
+        tests, images, tests_diag, images_diag = _side_args(pat, A, s, 49)
+        handed = {}
+
+        def recording(name):
+            kernel = getattr(blr2, name)
+
+            def record(*stacks):
+                handed[name] = stacks
+                return kernel(*stacks)
+
+            return record
+
+        for name in ("nullspace_basis", "right_pinv_apply"):
+            monkeypatch.setattr(blr2, name, recording(name))
+        blr2_factors_from_sketches(pat, k, tests, images, tests_diag, images_diag)
+        assert np.shares_memory(handed["nullspace_basis"][0], tests)
+        assert np.shares_memory(handed["right_pinv_apply"][1], tests_diag)
 
 
 class TestBlr2Build:
@@ -320,7 +381,7 @@ class TestBlr2Build:
         pat = BLR2Pattern.diagonal(4, 4)
         sketches = [gaussian(pat.dim, s, RngStream(31).child(i)) for i in range(8)]
         with pytest.raises(ValueError, match=message):
-            blr2_factors_from_sketches(pat, k, *sketches, basis_method=method)
+            blr2_factors_from_sketches(pat, k, *side_stacks(*sketches), basis_method=method)
 
     def test_error_decomposes_blockwise(self):
         # Total squared error splits exactly into pattern-block terms plus
@@ -405,7 +466,7 @@ class TestSpecialization:
             for role in ("omega", "psi", "omega-diag", "psi-diag")
         )
         U, V, D = blr2_factors_from_sketches(
-            pat, k, omega, psi, od, pd, A @ omega, A.T @ psi, A @ od, A.T @ pd
+            pat, k, *side_stacks(omega, psi, od, pd, A @ omega, A.T @ psi, A @ od, A.T @ pd)
         )
         finest = T.levels[-1]
         assert np.array_equal(U, finest.U)
@@ -422,7 +483,7 @@ class TestSpecialization:
         A = np.random.default_rng(18).standard_normal((n, n))
         omega, psi, od, pd = (gaussian(n, s, RngStream(seed).child(level, role)) for role in ROLES)
         want = blr2_factors_from_sketches(
-            pat, k, omega, psi, od, pd, A @ omega, A.T @ psi, A @ od, A.T @ pd
+            pat, k, *side_stacks(omega, psi, od, pd, A @ omega, A.T @ psi, A @ od, A.T @ pd)
         )
         oracle = MatvecOracle.from_dense(A)
         for T in (

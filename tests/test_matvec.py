@@ -51,6 +51,12 @@ class TestTheoremBounds:
         with pytest.raises(ValueError):
             theorem_bounds(s=3 * 4 + 1, k=4, L=2)
 
+    @pytest.mark.parametrize("k, L", [(8, 0), (8, -2), (0, 2)])
+    def test_depth_or_rank_below_one_rejected(self, k, L):
+        # A factor of 0 or below is a bound that no error can meet.
+        with pytest.raises(ValueError, match=rf"^need L >= 1 and k >= 1, got L={L}, k={k}$"):
+            theorem_bounds(s=34, k=k, L=L)
+
 
 class TestMatvecConfig:
     def test_fresh_floor(self):

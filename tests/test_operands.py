@@ -43,6 +43,8 @@ from hsskit import (
 from hsskit import oracle as oracle_module
 from hsskit.kernels import _as_stack, as_matrix
 
+from helpers import side_stacks
+
 L, K = 3, 2
 DIM = (1 << (L + 1)) * K
 PATTERN = BLR2Pattern.tridiagonal(4, 8)
@@ -246,22 +248,86 @@ class TestComplexIsRejected:
 
 
 SKETCH_NAMES = ("omega", "psi", "omega_diag", "psi_diag", "Y", "Z", "Y_diag", "Z_diag")
+# The argument of the one-level step that holds each sketch, on side 0 (A)
+# or side 1 (A^T), and the argument of blr2_remainder that takes it there.
+HOLDERS = {"omega": "tests", "psi": "tests", "Y": "images", "Z": "images",
+           "omega_diag": "tests_diag", "psi_diag": "tests_diag",
+           "Y_diag": "images_diag", "Z_diag": "images_diag"}
+
+
+def _sketch_args(rng):
+    return side_stacks(*rng.standard_normal((8, PATTERN.dim, 28)))
+
+
+def _bases(rng):
+    return np.linalg.qr(rng.standard_normal((2, PATTERN.block_count, PATTERN.block_size, K)))[0]
 
 
 @pytest.mark.parametrize("name", SKETCH_NAMES)
 def test_complex_sketch_is_rejected_by_name(name):
-    # The one-level step takes its eight sketches through the same rule as
-    # factors and replies: a complex one is named, not cast with a warning.
+    # The one-level step takes its sketches through the same rule as factors
+    # and replies: an array that holds a complex one is named, not cast with
+    # a warning.
     rng = np.random.default_rng(9)
     sketches = dict(zip(SKETCH_NAMES, rng.standard_normal((8, PATTERN.dim, 28))))
     sketches[name] = sketches[name] + 0j
-    with pytest.raises(ValueError, match=rf"^{name} has complex dtype complex128"):
-        blr2_factors_from_sketches(PATTERN, K, *sketches.values())
+    args = side_stacks(*sketches.values())
+    with pytest.raises(ValueError, match=rf"^{HOLDERS[name]} has complex dtype complex128"):
+        blr2_factors_from_sketches(PATTERN, K, *args)
     if name.endswith("_diag"):
-        U, V = np.linalg.qr(rng.standard_normal((2, PATTERN.block_count, PATTERN.block_size, K)))[0]
-        diag = [sketches[n] for n in SKETCH_NAMES if n.endswith("_diag")]
-        with pytest.raises(ValueError, match=rf"^{name} has complex dtype complex128"):
-            blr2_remainder(PATTERN, U, V, *diag)
+        holder = HOLDERS[name].removesuffix("_diag")
+        with pytest.raises(ValueError, match=rf"^{holder} has complex dtype complex128"):
+            blr2_remainder(PATTERN, _bases(rng), *args[2:])
+
+
+def test_complex_bases_are_rejected_by_name():
+    rng = np.random.default_rng(10)
+    with pytest.raises(ValueError, match=r"^bases has complex dtype complex128"):
+        blr2_remainder(PATTERN, _bases(rng) + 0j, *_sketch_args(rng)[2:])
+
+
+STEP_ARGS = ("tests", "images", "tests_diag", "images_diag")
+
+
+@pytest.mark.parametrize("name", STEP_ARGS)
+@pytest.mark.parametrize("shape", [(1, PATTERN.dim, 28), (3, PATTERN.dim, 28), (2, PATTERN.dim - 8, 28),
+                                   (PATTERN.dim, 28), (2, 1, PATTERN.dim, 28)],
+                         ids=["one-side", "three-sides", "short", "no-side-axis", "4-d"])
+def test_misshapen_sketch_array_is_named(name, shape):
+    # All four arrays share one (2, dim, s) shape; the first that does not
+    # is named, by the step and, for the diagonal-recovery pair, by the
+    # remainder that it hands them to.
+    rng = np.random.default_rng(11)
+    args = dict(zip(STEP_ARGS, _sketch_args(rng)))
+    args[name] = rng.standard_normal(shape)
+    message = rf"has shape {re.escape(str(shape))}, expected \(2, {PATTERN.dim}, 28\)$"
+    with pytest.raises(ValueError, match=rf"^{name} {message}"):
+        blr2_factors_from_sketches(PATTERN, K, *args.values())
+    if name.endswith("_diag"):
+        with pytest.raises(ValueError, match=rf"^{name.removesuffix('_diag')} {message}"):
+            blr2_remainder(PATTERN, _bases(rng), args["tests_diag"], args["images_diag"])
+
+
+@pytest.mark.parametrize("name", STEP_ARGS[1:])
+def test_sketch_widths_must_agree(name):
+    # s is read from tests: another width names the array that has it.
+    rng = np.random.default_rng(13)
+    args = dict(zip(STEP_ARGS, _sketch_args(rng)))
+    args[name] = rng.standard_normal((2, PATTERN.dim, 29))
+    message = rf"^{name} has shape \(2, {PATTERN.dim}, 29\), expected \(2, {PATTERN.dim}, 28\)$"
+    with pytest.raises(ValueError, match=message):
+        blr2_factors_from_sketches(PATTERN, K, *args.values())
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 8, K), (3, 4, 8, K), (2, 3, 8, K), (2, 4, 7, K), (4, 8, K),
+                                   (2, 2, 4, 8, K)],
+                         ids=["one-side", "three-sides", "wrong-b", "wrong-m", "no-side-axis", "5-d"])
+def test_misshapen_bases_are_named(shape):
+    # blr2_remainder takes U and V as the two sides of one (2, b, m, k)
+    # array; any other shape is named before a product can broadcast it.
+    rng = np.random.default_rng(12)
+    with pytest.raises(ValueError, match=rf"^bases has shape {re.escape(str(shape))}, expected \(2, 4, 8, k\)$"):
+        blr2_remainder(PATTERN, rng.standard_normal(shape), *_sketch_args(rng)[2:])
 
 
 class TestNonFiniteOperandIsNamed:

@@ -13,7 +13,14 @@ from hsskit import (
 )
 from hsskit.sketching import BASIS_METHODS
 
-from helpers import brute_block_row, nullify_rows, rand_orthonormal, random_sss, svd_tail_energy
+from helpers import (
+    brute_block_row,
+    nullify_rows,
+    rand_orthonormal,
+    random_sss,
+    side_stacks,
+    svd_tail_energy,
+)
 
 # The basis kernel that the one-level step runs for the sketched SVD.
 svd_basis = BASIS_METHODS["svd-pcps"].kernel
@@ -129,7 +136,7 @@ class TestRecoverDiagonal:
         Z = A.T @ psi
         pat = BLR2Pattern(n // w, w, frozenset({(i, i)}))
         stack = lambda basis: np.broadcast_to(basis, (pat.block_count,) + basis.shape)
-        (D,) = blr2_remainder(pat, stack(U), stack(V), omega, psi, Y, Z)
+        (D,) = blr2_remainder(pat, np.stack((stack(U), stack(V))), np.stack((omega, psi)), np.stack((Y, Z)))
         return D
 
     def test_block_diagonal_matrix_recovered_exactly(self):
@@ -187,17 +194,17 @@ class TestRecoverDiagonal:
         # Recovery needs at least rows + 1 sketch columns.
         pat = BLR2Pattern(1, 4, frozenset({(0, 0)}))
         U = np.eye(4)[None, :, :2]
-        zero = np.zeros((4, 4))
+        zero = np.zeros((2, 4, 4))
         with pytest.raises(ValueError):
-            blr2_remainder(pat, U, U, zero, zero, zero, zero)
+            blr2_remainder(pat, np.stack((U, U)), zero, zero)
 
 
 class TestSketchBundle:
-    """The one-level step's check of its eight sketch arrays."""
+    """The one-level step's check of its four sketch arrays."""
 
     def test_shape_validation(self):
         n, s = 8, 6
-        arrs = [gaussian(n, s, RngStream(11).child("sb", i)) for i in range(8)]
+        arrs = side_stacks(*(gaussian(n, s, RngStream(11).child("sb", i)) for i in range(8)))
         U, V, D = blr2_factors_from_sketches(
             BLR2Pattern.diagonal(2, 4), 2, *arrs, basis_method="pivoted-qr"
         )
@@ -205,9 +212,9 @@ class TestSketchBundle:
         assert D.shape == (2, 4, 4)
         with pytest.raises(ValueError):
             blr2_factors_from_sketches(BLR2Pattern.diagonal(2, 3), 2, *arrs)
-        names = ("omega", "psi", "omega_diag", "psi_diag", "Y", "Z", "Y_diag", "Z_diag")
+        names = ("tests", "images", "tests_diag", "images_diag")
         for pos, name in enumerate(names):
             bad = list(arrs)
-            bad[pos] = bad[pos][:4]
+            bad[pos] = bad[pos][:, :4]
             with pytest.raises(ValueError, match=f"^{name} has shape"):
                 blr2_factors_from_sketches(BLR2Pattern.diagonal(2, 4), 2, *bad)

@@ -34,6 +34,19 @@ class TestHardInstance:
         ]
         assert np.array_equal(hard_instance(2, 0.1), np.vstack(rows))
 
+    @pytest.mark.parametrize("L", [1, 3, 6])
+    @pytest.mark.parametrize("delta", [1e-9, 0.5, 0.999])
+    def test_every_block_matches_the_definition(self, L, delta):
+        # Block (i, j) is the exchange block [[0, 1 + delta], [1, 0]] where
+        # i + j = 2**L - 1 (the block anti-diagonal) and the identity elsewhere.
+        A = hard_instance(L, delta)
+        blocks = 1 << L
+        assert A.shape == (2 * blocks, 2 * blocks)
+        for i in range(blocks):
+            for j in range(blocks):
+                want = [[0.0, 1.0 + delta], [1.0, 0.0]] if i + j == blocks - 1 else np.eye(2)
+                assert np.array_equal(A[2 * i : 2 * i + 2, 2 * j : 2 * j + 2], want), (i, j)
+
     def test_squared_norm_closed_form(self):
         A = hard_instance(2, 0.1)
         # 12 identity blocks of energy 2 plus 4 anti-diagonal blocks of 1 + 1.21
