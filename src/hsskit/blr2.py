@@ -383,11 +383,11 @@ def _query_sketches(stream: RngStream, pattern: BLR2Pattern, s: int, op: MatvecO
     Y = A omega, Z = A^T psi, Y_diag = A omega_diag, Z_diag = A^T psi_diag,
     in that order).  Returns one (4, 2, dim, s) array whose entries are the
     four arguments of :func:`blr2_factors_from_sketches`, each with its side
-    axis."""
+    axis; the draws are made straight into it."""
     sketches = np.empty((4, 2, pattern.dim, s))
     for test, suffix in ((0, ""), (2, "-diag")):
         for side, role in enumerate(("omega", "psi")):
-            sketches[test, side] = gaussian(pattern.dim, s, stream.child(role + suffix))
+            gaussian(pattern.dim, s, stream.child(role + suffix), out=sketches[test, side])
     for test in (0, 2):
         sketches[test + 1, 0] = op.apply(sketches[test, 0])
         sketches[test + 1, 1] = op.apply_transpose(sketches[test, 1])

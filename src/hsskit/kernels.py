@@ -19,11 +19,13 @@ built on:
 All four factorization kernels take one matrix or a stack (b, r, c) of
 equal-shape matrices and return the matching leading shape; one call serves
 a whole level of blocks, and the input checks run once per stack.  A 2-D
-argument is a stack of one.  The pivoted QR has no stacked LAPACK routine: it
-queries ``geqp3`` and ``orgqr`` once per stack and calls them per member.
-It is the only kernel that needs scipy, and it imports ``scipy.linalg`` when
-it is first called, so a process that never builds a pivoted-QR basis never
-loads scipy.
+argument is a stack of one, and every member's result is the same bytes
+alone as in any stack.  The module needs numpy only.  numpy has no pivoted
+QR, so ``pivoted_qr_basis`` takes LAPACK ``geqp3``'s pivots from a pivoted
+Cholesky factorization of each member's Gram matrix, batched over the
+stack, falls back to explicit residual norms for the members whose pivots
+fall to rounding level, and takes the columns from one batched
+``np.linalg.qr`` of the pivot columns.
 
 ``nullspace_basis`` and ``right_pinv_apply`` decide rank from the square
 upper-triangular factor R of omega^T.  Each member is scaled by the power of
@@ -65,6 +67,11 @@ RANK_BOUND_MARGIN = 2.0
 _BOUND_LIMIT = (RANK_BOUND_MARGIN * RANK_CUTOFF) ** -2
 # Relative gap below which singular values are treated as tied.
 TIE_CUTOFF = 1e-14
+# A pivoted-QR pivot is read off the Gram matrix only while its squared
+# residual norm exceeds this fraction of the member's largest squared column
+# norm (LAPACK's tol3z), and only when that norm exceeds _GRAM_FLOOR.
+_GRAM_TRUST = float(np.sqrt(np.finfo(np.float64).eps))
+_GRAM_FLOOR = 2.0**-900
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -130,11 +137,19 @@ class RngStream:
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def gaussian(rows: int, cols: int, stream: RngStream) -> np.ndarray:
-    """Sample a rows-by-cols matrix of i.i.d. standard normals from ``stream``."""
+def gaussian(rows: int, cols: int, stream: RngStream, out: np.ndarray | None = None) -> np.ndarray:
+    """Sample a rows-by-cols matrix of i.i.d. standard normals from ``stream``.
+
+    With ``out``, a C-contiguous float64 (rows, cols) array, the sample is
+    drawn straight into it and ``out`` is returned; the values are the same.
+    """
     if rows <= 0 or cols <= 0:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    return stream.generator().standard_normal((rows, cols))
+    if out is None:
+        return stream.generator().standard_normal((rows, cols))
+    if out.shape != (rows, cols):
+        raise ValueError(f"out has shape {out.shape}, expected {(rows, cols)}")
+    return stream.generator().standard_normal(out=out)
 
 
 def _as_stack(a, name: str):
@@ -295,42 +310,106 @@ def pivoted_qr_basis(B, k: int) -> np.ndarray:
     """First k orthonormal columns of a column-pivoted QR of B.
 
     B is one matrix or a stack (b, rows, cols); a stack gives a (b, rows, k)
-    stack, member by member.  Each member's columns are those of
-    ``scipy.linalg.qr(member, mode="economic", pivoting=True)``, bit for bit:
-    the same LAPACK routines (``geqp3``, then ``orgqr`` on the leading
-    min(rows, cols) columns) with the same workspace sizes, queried once per
-    stack.  Columns are sign-normalized like ``truncated_svd_left``'s.
+    stack, member by member, and each member's result is the same bytes
+    alone as in any stack.  The pivots are LAPACK ``geqp3``'s greedy order,
+    each the remaining column of largest residual norm (exact ties go to
+    the lowest column index), taken by :func:`_pivots`; the columns are
+    then those of one batched Householder QR (``np.linalg.qr``) of the k
+    pivot columns, which are the first k columns of ``geqp3`` and
+    ``orgqr``'s Q to rounding.  Columns are sign-normalized like
+    ``truncated_svd_left``'s; a zero member gives e_1 ... e_k.
     """
     B, single = _as_stack(B, "B")
-    b, rows, cols = B.shape
-    if not 1 <= k <= min(rows, cols):
+    if not 1 <= k <= min(B.shape[1:]):
         raise ValueError(f"k={k} out of range for shape {B.shape[1:]}")
-    width = min(rows, cols)
-    Q = np.empty((b, rows, width))
-    if b:
-        import scipy.linalg
-
-        geqp3, orgqr = scipy.linalg.get_lapack_funcs(("geqp3", "orgqr"), (B,))
-        qr_work = _workspace(geqp3, B[0])
-        q_work = _workspace(orgqr, B[0, :, :width], np.zeros(width))
-    for t in range(b):
-        qr, _, tau = _lapack(geqp3, B[t], lwork=qr_work)
-        Q[t] = _lapack(orgqr, qr[:, :width], tau, lwork=q_work, overwrite_a=1)[0]
-    Q = np.ascontiguousarray(_fix_signs(Q[:, :, :k]))
+    Q = np.linalg.qr(_columns(B, _pivots(B, k)))[0]
+    Q = np.ascontiguousarray(_fix_signs(Q))
     return Q[0] if single else Q
 
 
-def _workspace(routine, *args) -> int:
-    """Optimal ``lwork`` of a LAPACK routine for arguments of this shape."""
-    return int(routine(*args, lwork=-1)[-2][0])
+def _columns(B: np.ndarray, piv: np.ndarray) -> np.ndarray:
+    """The (b, rows, j) stack of the columns ``piv`` (b, j) of each member."""
+    return B.transpose(0, 2, 1)[np.arange(len(B))[:, None], piv].transpose(0, 2, 1)
 
 
-def _lapack(routine, *args, **kwargs):
-    """Call a LAPACK routine; return its outputs before ``work`` and ``info``."""
-    *out, _, info = routine(*args, **kwargs)
-    if info < 0:
-        raise ValueError(f"LAPACK rejected argument {-info}")
-    return out
+def _pivots(B: np.ndarray, k: int) -> np.ndarray:
+    """The first k pivots (b, k) of a column-pivoted QR of each member.
+
+    They come from a pivoted Cholesky factorization of each Gram matrix
+    B^T B: the Schur complement's diagonal holds the squared residual column
+    norms, its largest entry is the next pivot, and each step is one rank-one
+    update of the whole (cols, cols, b) stack.  A pivot's own diagonal entry
+    becomes exactly zero and never rises above it, so no pivot is taken
+    twice while the pivots' entries stay positive.  A Gram entry carries
+    an error of about eps times the largest squared column norm M, so the
+    Schur diagonal orders the columns as their residual norms do only while
+    the pivot's entry stays above ``_GRAM_TRUST`` M, LAPACK's ``tol3z``
+    bound for its downdated norms.  Members where one of the k pivots falls
+    to that bound, or whose M is zero, subnormal or overflows, take their
+    pivots from that step on from :func:`_residual_pivots`.  The member
+    axis is put last, where the updates run along it, once the stack is
+    longer than a member is wide.
+    """
+    b, _, cols = B.shape
+    members = np.arange(b)
+    piv = np.empty((k, b), np.intp)
+    pivot_entries = np.empty((k, b))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gram = B.transpose(0, 2, 1) @ B
+        S = gram.transpose(1, 2, 0)
+        if b > cols:
+            gram = S = np.ascontiguousarray(S)
+        strides = S.strides
+        diagonal = np.ndarray((cols, b), S.dtype, gram, 0, (strides[0] + strides[1], strides[2]))
+        update = np.empty_like(S)
+        for j in range(k):
+            p = diagonal.argmax(axis=0, out=piv[j])
+            entry = pivot_entries[j] = diagonal[p, members]
+            if j + 1 == k:
+                break
+            row = S[p, :, members].T
+            np.multiply(row[:, None, :], row / entry, out=update)
+            S -= update
+    piv = piv.T
+    trusted = pivot_entries > np.maximum(_GRAM_TRUST * pivot_entries[0], _GRAM_FLOOR)
+    if not trusted.all():
+        redo = np.flatnonzero(~trusted.all(axis=0))
+        piv = piv.copy()
+        piv[redo] = _residual_pivots(B[redo], piv[redo], trusted[:, redo].argmin(axis=0))
+    return piv
+
+
+def _residual_pivots(B: np.ndarray, piv: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Pivots (b, k) of each member from its explicit residual, keeping the
+    first ``start[t]`` of the given pivots ``piv`` of member t.
+
+    Each member is scaled by the power of two that brings max|B| into
+    [0.5, 1), which is exact, and the kept pivot columns are projected out
+    through the leading columns of a Householder QR of the k given pivot
+    columns.  Each later step recomputes the residual column norms, takes
+    the largest among the columns not yet taken (the lowest index on a tie,
+    so a zero residual takes the untaken columns in order), and projects
+    the pivot column out of the residual (modified Gram-Schmidt); a member
+    whose steps have not begun projects a zero column, which leaves it as
+    it is.  The norms are as accurate as Householder QR's.
+    """
+    b, k = piv.shape
+    R = np.ldexp(B, -np.frexp(np.abs(B).max(axis=(1, 2)))[1][:, None, None])
+    members = np.arange(b)
+    Q = np.linalg.qr(_columns(R, piv))[0]
+    Q *= np.arange(k) < start[:, None, None]
+    R -= Q @ (Q.transpose(0, 2, 1) @ R)
+    piv = piv.T.copy()
+    for j in range(int(start.min()), k):
+        norms = np.einsum("tic,tic->tc", R, R)
+        norms[members, piv[:j]] = -1.0
+        live = j >= start
+        p = piv[j] = np.where(live, norms.argmax(axis=1), piv[j])
+        q = R[members, :, p][:, :, None] * live[:, None, None]
+        w = q.transpose(0, 2, 1) @ R
+        w /= np.maximum(norms[members, p], _GRAM_FLOOR)[:, None, None]
+        R -= q * w
+    return piv.T
 
 
 def right_pinv_apply(Y, omega) -> np.ndarray:

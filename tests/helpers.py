@@ -223,6 +223,27 @@ def direct_pivoted_qr_basis(B, k):
     return np.where(lead < 0, -Q, Q)
 
 
+def stacked_direct_pivoted_qr_basis(B, k):
+    """:func:`direct_pivoted_qr_basis` of each member of a (b, rows, cols)
+    stack, or of one 2-D matrix: a stand-in for ``pivoted_qr_basis`` that
+    calls LAPACK per member."""
+    B = np.asarray(B)
+    if B.ndim == 2:
+        return direct_pivoted_qr_basis(B, k)
+    return np.stack([direct_pivoted_qr_basis(member, k) for member in B]).reshape(len(B), B.shape[1], k)
+
+
+def lapack_pivots(B, k):
+    """The first k pivots of LAPACK ``geqp3`` on the 2-D matrix B and how
+    many of them lead while the pivot's residual norm |R_jj| exceeds
+    sqrt(eps) times the largest column norm of B."""
+    _, R, piv = scipy.linalg.qr(B, mode="economic", pivoting=True)
+    scale = np.abs(B).max() or 1.0  # keeps the column norms finite at any scale
+    largest = scale * np.linalg.norm(B / scale, axis=0).max()
+    above = np.abs(np.diag(R)[:k]) > np.sqrt(np.finfo(float).eps) * largest
+    return piv[:k], k if above.all() else int(np.argmin(above))
+
+
 def svd_rank_deficient_index(R):
     """First member of a stack of square R factors whose smallest singular
     value is at or below 1e-12 times its largest, from the singular values

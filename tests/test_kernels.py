@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 
 from hsskit import (
+    MatvecConfig,
     RngStream,
+    dense_from_oracle,
+    frobenius_error,
     gaussian,
+    grid_schur_oracle,
+    hss_from_matvecs_reused,
     nullspace_basis,
     pivoted_qr_basis,
     right_pinv_apply,
+    sketching,
     truncated_svd_left,
 )
 
-from helpers import svd_tail_energy
+from hsskit.kernels import _pivots
+
+from helpers import lapack_pivots, stacked_direct_pivoted_qr_basis, svd_tail_energy
 
 
 class TestRngStream:
@@ -56,6 +64,17 @@ class TestRngStream:
             RngStream(0).child(-1)
         with pytest.raises(TypeError):
             RngStream(0).child(1.5)
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (7, 3), (8192, 34)])
+    def test_draw_into_out_gives_the_same_values(self, rows, cols):
+        stream = RngStream(9).child(2, "omega")
+        slab = np.full((3, rows, cols), np.nan)
+        got = gaussian(rows, cols, stream, out=slab[1])
+        assert np.shares_memory(got, slab[1])
+        assert np.array_equal(slab[1], gaussian(rows, cols, stream))
+        assert np.isnan(slab[0]).all() and np.isnan(slab[2]).all()
+        with pytest.raises(ValueError, match="out has shape"):
+            gaussian(rows, cols + 1, stream, out=slab[1])
 
 
 class TestTruncatedSvdLeft:
@@ -175,6 +194,33 @@ class TestPivotedQrBasis:
         B = rng.standard_normal((16, 10))
         Q = pivoted_qr_basis(B, 10)
         assert np.abs(B - Q @ (Q.T @ B)).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pivots_match_geqp3_where_the_gram_matrix_cancels(self, seed):
+        # Rank 5 plus noise of size 1e-7: pivots 6 to 8 have residual norms
+        # about 4e-8 of the largest column norm, above sqrt(eps), which the
+        # Gram matrix alone gets only from cancellation.
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((24, 16, 5)) @ rng.standard_normal((24, 5, 18))
+        B += 1e-7 * rng.standard_normal(B.shape)
+        piv = _pivots(B, 8)
+        for member, got in zip(B, piv):
+            want, trusted = lapack_pivots(member, 8)
+            assert trusted == 8
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_grid_build_matches_the_lapack_basis(self, seed, monkeypatch):
+        # A reused-qr build on the grid operator, whose sketches decay fast
+        # enough that some pivots fall below the Gram matrix's accuracy,
+        # errs as a build through scipy's per-member LAPACK basis does.
+        op = grid_schur_oracle(256)
+        A = dense_from_oracle(op)
+        config = MatvecConfig(4, 8, 34, seed=seed, basis_method="pivoted-qr", sketch_policy="reused")
+        err = frobenius_error(A, hss_from_matvecs_reused(op, config))
+        monkeypatch.setattr(sketching, "pivoted_qr_basis", stacked_direct_pivoted_qr_basis)
+        want = frobenius_error(A, hss_from_matvecs_reused(op, config))
+        assert abs(err - want) <= 1e-9 * want
 
 
 class TestRightPinvApply:

@@ -38,7 +38,7 @@ from hsskit import (
     validate_hss_ranks,
 )
 from hsskit.experiment import run_cell
-from hsskit.kernels import _check_full_rank, _invert_upper, _inverse_work
+from hsskit.kernels import _check_full_rank, _invert_upper, _inverse_work, _pivots
 from hsskit.structures import block_apply, block_apply_t, tree_levels
 
 from helpers import (
@@ -47,6 +47,7 @@ from helpers import (
     chained_compress,
     direct_pivoted_qr_basis,
     direct_svd_left,
+    lapack_pivots,
     pattern_row,
     svd_rank_deficient_index,
 )
@@ -56,6 +57,36 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 seeds = st.integers(0, 2**32 - 1)
 stack_sizes = st.integers(1, 6)
 dims = st.integers(1, 8)
+
+
+PIVOTED_QR_MEMBERS = (
+    "gaussian", "graded", "low rank plus noise", "rank-deficient", "duplicate columns", "zero", "scaled"
+)
+
+
+def _pivoted_qr_members(rng, kind, b, r, c):
+    """A (b, r, c) stack for the pivoted-QR tests: Gaussian members, or
+    members with columns graded from norm 1 to 1e-14, of rank min(r, c) // 2
+    plus Gaussian noise of size 1e-7 (the later residuals come from
+    cancellation, as in the sketches of fast-decaying blocks), of exact rank
+    below min(r, c), with columns copied (some negated) onto others, all
+    zero, or scaled by powers of ten from 1e-300 to 1e300."""
+    B = rng.standard_normal((b, r, c))
+    if kind == "graded":
+        B *= np.logspace(0, -14, c)[rng.permutation(c)]
+    elif kind == "low rank plus noise":
+        rank = min(r, c) // 2
+        B = rng.standard_normal((b, r, rank)) @ rng.standard_normal((b, rank, c)) + 1e-7 * B
+    elif kind == "rank-deficient":
+        rank = int(rng.integers(0, min(r, c)))
+        B = rng.standard_normal((b, r, rank)) @ rng.standard_normal((b, rank, c))
+    elif kind == "duplicate columns":
+        B[:, :, rng.integers(0, c, c)] = B[:, :, rng.integers(0, c, c)] * rng.choice([-1.0, 1.0], c)
+    elif kind == "zero":
+        B[rng.integers(0, b)] = 0.0
+    elif kind == "scaled":
+        B *= 10.0 ** rng.integers(-300, 301, (b, 1, 1))
+    return B
 
 
 class TestStackedKernelsMatchTwoD:
@@ -125,18 +156,56 @@ class TestStackedKernelsMatchTwoD:
         r=dims,
         c=dims,
         full=st.sampled_from(["k < min(r, c)", "k = min(r, c)"]),
+        kind=st.sampled_from(PIVOTED_QR_MEMBERS),
         data=st.data(),
     )
-    def test_pivoted_qr_basis_matches_scipy(self, seed, b, r, c, full, data):
-        # Tall, wide and square members; each must be scipy's pivoted QR,
-        # sign-normalized, bit for bit.
+    def test_pivoted_qr_basis_matches_scipy(self, seed, b, r, c, full, kind, data):
+        # Tall, wide and square members.  Up to the first pivot whose
+        # residual norm falls to sqrt(eps) times the largest column norm,
+        # each member takes LAPACK geqp3's pivot columns; an exact duplicate
+        # (up to sign) of geqp3's column counts as the same, since geqp3
+        # breaks ties by its column order after swaps.  Where the pivot
+        # columns agree, Q is scipy's to within n eps cond.  Every member is
+        # the same bytes alone as in the stack.
         k = min(r, c) if full == "k = min(r, c)" else data.draw(st.integers(1, min(r, c)))
-        B = np.random.default_rng(seed).standard_normal((b, r, c))
+        B = _pivoted_qr_members(np.random.default_rng(seed), kind, b, r, c)
         got = pivoted_qr_basis(B, k)
         assert got.shape == (b, r, k)
+        piv = _pivots(B, k)
+        eps = np.finfo(float).eps
         for i in range(b):
-            assert np.array_equal(got[i], direct_pivoted_qr_basis(B[i], k))
-        assert np.array_equal(pivoted_qr_basis(B[0], k), got[0])
+            want, trusted = lapack_pivots(B[i], k)
+            mine, theirs = B[i][:, piv[i]], B[i][:, want]
+            same = [np.array_equal(x, y) or np.array_equal(x, -y) for x, y in zip(mine.T, theirs.T)]
+            assert all(same[:trusted])
+            agree = k if all(same) else same.index(False)
+            if agree:
+                err = np.linalg.norm(got[i][:, :agree] - direct_pivoted_qr_basis(B[i], k)[:, :agree])
+                assert err <= max(r, c) * eps * np.linalg.cond(theirs[:, :agree])
+            assert np.abs(got[i].T @ got[i] - np.eye(k)).max() <= 1e-12
+            assert np.array_equal(pivoted_qr_basis(B[i], k), got[i])
+
+    @pytest.mark.parametrize("kind", PIVOTED_QR_MEMBERS)
+    def test_pivoted_qr_basis_stack_composition(self, kind):
+        # A member's bytes do not depend on its neighbours: the stack
+        # reversed, and every member alone, give the same bytes.  The stack
+        # is longer than a member is wide, so it is updated with the member
+        # axis last and each member alone with it first.
+        rng = np.random.default_rng(11)
+        B = np.concatenate(
+            [_pivoted_qr_members(rng, kind, 3, 16, 18), rng.standard_normal((20, 16, 18))]
+        )
+        got = pivoted_qr_basis(B, 8)
+        assert np.array_equal(pivoted_qr_basis(B[::-1], 8)[::-1], got)
+        for i in range(len(B)):
+            assert np.array_equal(pivoted_qr_basis(B[i], 8), got[i])
+
+    def test_zero_member_gives_leading_unit_vectors(self):
+        B = np.random.default_rng(12).standard_normal((3, 7, 5))
+        B[1] = 0.0
+        got = pivoted_qr_basis(B, 4)
+        assert np.array_equal(got[1], np.eye(7, 4))
+        assert pivoted_qr_basis(np.zeros((0, 7, 5)), 4).shape == (0, 7, 4)
 
 
 def _stack_with_ratio(seed, b, n, t, ratio):
