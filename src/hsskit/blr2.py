@@ -8,7 +8,13 @@ the hierarchical drivers in :mod:`hsskit.matvec` call it once per level with
 ``BLR2Pattern.diagonal(2**level, 2k)``.  The step nullifies the pattern
 blocks of each test-matrix line, extracts rank-k bases from the nullified
 sketches (sketched SVD or pivoted QR), and un-sketches the pattern blocks
-from an independent pair of sketches with the bases held fixed.
+from an independent pair of sketches with the bases held fixed.  The SVD
+basis reads only a sketch's left singular vectors and values, so for it
+the nullified sketches of rows with h pattern blocks, where h m + m <= s,
+come from one R-only QR per stack (:func:`~hsskit.kernels.nullified_factor`);
+the pivoted QR, whose pivots depend on the sketch's own columns, and the
+other rows get the image blocks times an explicit nullspace basis.  The
+basis-method table entry chooses the route.
 
 Transposition is data: the column side of every rule is the row side run on
 ``pattern.T``, the pattern of A^T.  Every array of the step therefore has a
@@ -33,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import structures
-from .kernels import RngStream, _as_real, gaussian, nullspace_basis, right_pinv_apply
+from .kernels import RngStream, _as_real, gaussian, nullified_factor, nullspace_basis, right_pinv_apply
 from .oracle import MatvecOracle
 from .sketching import BASIS_METHODS
 from .structures import _in_panels, _on_columns, block_apply, block_apply_t
@@ -273,7 +279,7 @@ def _chunk_plan(pattern: BLR2Pattern, size: int) -> tuple:
     )
 
 
-def _nullify(tests: np.ndarray, images: np.ndarray, chunk: _Chunk) -> np.ndarray:
+def _nullify(tests: np.ndarray, images: np.ndarray, chunk: _Chunk, rotation_free: bool) -> np.ndarray:
     """Nullify the pattern blocks of a chunk of g block rows with h blocks
     each.
 
@@ -283,13 +289,21 @@ def _nullify(tests: np.ndarray, images: np.ndarray, chunk: _Chunk) -> np.ndarray
     of the rows' stacked pattern blocks of ``tests``.  With h = 0 the
     sketches are the image blocks themselves.  For images = A tests, sketch
     i = rho_i(A) G_i P: rho_i(A) is block row i's admissible part, G_i the
-    blocks of ``tests`` outside row i's pattern blocks.
+    blocks of ``tests`` outside row i's pattern blocks.  With
+    ``rotation_free``, for a basis kernel that reads a sketch B only
+    through B B^T, and where h m + m <= s, each sketch is instead the
+    (m, m) factor of :func:`~hsskit.kernels.nullified_factor`, which has
+    the left singular vectors and values of the image blocks times P, from
+    one R-only QR and no P.
     """
     g, h = chunk.positions.shape
     if h == 0:
         return images[chunk.rows]
-    P = nullspace_basis(tests[chunk.hits].reshape(g, h * tests.shape[1], -1))
-    return images[chunk.rows] @ P
+    m, s = tests.shape[1:]
+    hits = tests[chunk.hits].reshape(g, h * m, s)
+    if rotation_free and h * m + m <= s:
+        return nullified_factor(images[chunk.rows], hits)
+    return images[chunk.rows] @ nullspace_basis(hits)
 
 
 def blr2_remainder(pattern: BLR2Pattern, bases, tests, images) -> np.ndarray:
@@ -368,11 +382,11 @@ def blr2_factors_from_sketches(
     )
     s = tests.shape[-1]
     pattern.check_step(k, s, basis_method)
-    kernel = BASIS_METHODS[basis_method].kernel
+    method = BASIS_METHODS[basis_method]
     bases = np.empty((2, pattern.block_count, pattern.block_size, k))
     stack, tests, images = _blocks(pattern, bases), _blocks(pattern, tests), _blocks(pattern, images)
     for chunk in _chunks(pattern, s):
-        stack[chunk.rows] = kernel(_nullify(tests, images, chunk), k)
+        stack[chunk.rows] = method.kernel(_nullify(tests, images, chunk, method.rotation_free), k)
     return bases[0], bases[1], blr2_remainder(pattern, bases, tests_diag, images_diag)
 
 

@@ -12,11 +12,15 @@ built on:
     sign / tie handling.
   - ``nullspace_basis``: orthonormal nullspace basis of a wide matrix, from
     a complete QR of its transpose.
+  - ``nullified_factor``: a factor with the left singular vectors and
+    values of Y @ nullspace_basis(Omega), from one R-only QR of
+    [Omega^T | Y^T] and no Q.
   - ``pivoted_qr_basis``: leading columns of a column-pivoted QR.
-  - ``right_pinv_apply``: Y @ pinv(Omega) for wide Omega via a thin QR of
-    Omega^T and the inverse of its triangular factor.
+  - ``right_pinv_apply``: Y @ pinv(Omega) for wide Omega via a Cholesky
+    factorization of Omega Omega^T, member by member falling back to a thin
+    QR of Omega^T.
 
-All four factorization kernels take one matrix or a stack (b, r, c) of
+All five factorization kernels take one matrix or a stack (b, r, c) of
 equal-shape matrices and return the matching leading shape; one call serves
 a whole level of blocks, and the input checks run once per stack.  A 2-D
 argument is a stack of one, and every member's result is the same bytes
@@ -27,17 +31,21 @@ stack, falls back to explicit residual norms for the members whose pivots
 fall to rounding level, and takes the columns from one batched
 ``np.linalg.qr`` of the pivot columns.
 
-``nullspace_basis`` and ``right_pinv_apply`` decide rank from the square
-upper-triangular factor R of omega^T.  Each member is scaled by the power of
-two that brings max|R| into [0.5, 1), and the whole stack is inverted by one
-batched triangular inverse in numpy (``_invert_upper``: the inverses of
-diagonal blocks of doubling size, one level of batched products each).  Most
-members are settled by the proven bound sigma_min / sigma_max >= 1 / (||R||_F
-||R^{-1}||_F), two norms; only members whose bound does not clear
-``RANK_CUTOFF`` with a factor ``RANK_BOUND_MARGIN`` to spare (or whose R has
-an exact zero pivot) go to the singular values.  ``right_pinv_apply`` reuses
-the same inverse, so no LU factorization or general solve is left: (Y Q)
-R^{-T} is one batched product.
+``nullspace_basis``, ``nullified_factor`` and ``right_pinv_apply`` decide
+rank from the square upper-triangular factor R of omega^T.  Each member is
+scaled by the power of two that brings max|R| into [0.5, 1), and the whole
+stack is inverted by one batched triangular inverse in numpy
+(``_invert_upper``: the inverses of diagonal blocks of doubling size, one
+level of batched products each).  Most members are settled by the proven
+bound sigma_min / sigma_max >= 1 / (||R||_F ||R^{-1}||_F), two norms; only
+members whose bound does not clear ``RANK_CUTOFF`` with a factor
+``RANK_BOUND_MARGIN`` to spare (or whose R has an exact zero pivot) go to
+the singular values.  ``right_pinv_apply`` takes R from the Cholesky
+factorization of the Gram matrix, where the same bound, below 2 (m + n),
+proves the member well enough conditioned for (Y Omega^T) R^{-1} R^{-T};
+every other member goes alone through a thin Householder QR and the rank
+check.  The Gram route and ``nullified_factor`` form no Q factor, and no
+kernel is left with an LU factorization or a general solve.
 
 All functions are pure; streams are value types.
 """
@@ -52,6 +60,7 @@ __all__ = [
     "RngStream",
     "as_matrix",
     "gaussian",
+    "nullified_factor",
     "nullspace_basis",
     "pivoted_qr_basis",
     "right_pinv_apply",
@@ -72,6 +81,9 @@ TIE_CUTOFF = 1e-14
 # norm (LAPACK's tol3z), and only when that norm exceeds _GRAM_FLOOR.
 _GRAM_TRUST = float(np.sqrt(np.finfo(np.float64).eps))
 _GRAM_FLOOR = 2.0**-900
+# The Cholesky route of right_pinv_apply is taken only where the largest
+# diagonal entry of omega omega^T lies in this range.
+_GRAM_RANGE = (2.0**-900, 2.0**900)
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -213,41 +225,49 @@ def _invert_upper(work: np.ndarray) -> None:
         M *= 2
 
 
-def _check_full_rank(R: np.ndarray, single: bool):
-    """Raise ``LinAlgError`` naming the first stack member whose square
-    upper-triangular factor R of omega^T has its smallest singular value at
-    or below ``RANK_CUTOFF`` relative to its largest (a zero R counts as
-    rank-deficient; an empty R has full rank).  Otherwise return
-    ``(inverse, exponent)``: R[t] = 2**exponent[t] * R'[t] with max|R'[t]|
-    in [0.5, 1), and inverse[t] = R'[t]^{-1}.
-
-    Each member is scaled by that power of two, which is exact and keeps the
-    inverse of every member the rule accepts finite at any scale of R, and
-    the stack is inverted once by :func:`_invert_upper`.  The singular
-    values are computed only for members that the bound sigma_min /
-    sigma_max >= 1 / (||R||_F ||R^{-1}||_F) does not already prove full
-    rank with ``RANK_BOUND_MARGIN`` to spare; a member with an exact zero
-    pivot has an infinite inverse, fails the bound and is left to them.
-    """
+def _scaled_inverse(R: np.ndarray):
+    """``(inverse, exponent, bound)`` of a (b, n, n) stack of upper
+    triangular factors: R[t] = 2**exponent[t] * R'[t] with max|R'[t]| in
+    [0.5, 1), inverse[t] = R'[t]^{-1} (a view into one
+    :func:`_inverse_work` stack), and bound[t] = ||R'[t]||_F^2
+    ||R'[t]^{-1}||_F^2, which is inf or NaN where R[t] has an exact zero
+    pivot or its norms overflow.  Scaling by a power of two is exact and
+    keeps the inverse finite at any scale of R."""
     b, n = R.shape[:2]
     exponent = np.frexp(np.abs(R).max(axis=(1, 2), initial=0.0))[1]
     work = _inverse_work(b, n)
     inverse = work[:, :n, :n]
     np.ldexp(R, -exponent[:, None, None], out=inverse)
-    if n == 0:
-        return inverse, exponent
-    # An overflowing norm reads inf and a NaN fails the test: both leave the
-    # member to the singular values.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         squares = np.einsum("tij,tij->t", inverse, inverse)
         _invert_upper(work)
-        certain = squares * np.einsum("tij,tij->t", inverse, inverse) < _BOUND_LIMIT
+        bound = squares * np.einsum("tij,tij->t", inverse, inverse)
+    return inverse, exponent, bound
+
+
+def _check_full_rank(R: np.ndarray, single: bool, offset: int = 0):
+    """Raise ``LinAlgError`` naming the first stack member whose square
+    upper-triangular factor R of omega^T has its smallest singular value at
+    or below ``RANK_CUTOFF`` relative to its largest (a zero R counts as
+    rank-deficient; an empty R has full rank); member t is named as stack
+    index ``offset + t``.  Otherwise return ``(inverse, exponent)`` of
+    :func:`_scaled_inverse`.
+
+    The whole stack is inverted once.  The singular values are computed only
+    for members that the bound sigma_min / sigma_max >= 1 / (||R||_F
+    ||R^{-1}||_F) does not already prove full rank with
+    ``RANK_BOUND_MARGIN`` to spare; a member with an exact zero pivot has an
+    infinite inverse, fails the bound and is left to them, as does one whose
+    norms overflow.
+    """
+    inverse, exponent, bound = _scaled_inverse(R)
+    certain = bound < _BOUND_LIMIT
     if not certain.all():
         uncertain = np.flatnonzero(~certain)
         svals = np.linalg.svd(R[uncertain], compute_uv=False)
         deficient = uncertain[svals[:, -1] <= RANK_CUTOFF * svals[:, 0]]
         if deficient.size:
-            where = "" if single else f" (stack index {int(deficient[0])})"
+            where = "" if single else f" (stack index {offset + int(deficient[0])})"
             raise np.linalg.LinAlgError(f"omega is numerically rank-deficient{where}")
     return inverse, exponent
 
@@ -412,25 +432,96 @@ def _residual_pivots(B: np.ndarray, piv: np.ndarray, start: np.ndarray) -> np.nd
     return piv.T
 
 
-def right_pinv_apply(Y, omega) -> np.ndarray:
-    """Compute Y @ pinv(omega) for a wide, full-row-rank omega.
-
-    Y (r, n) and omega (m, n), or stacks (b, r, n) and (b, m, n) of equal
-    length.  With the thin QR omega^T = Q R this is (Y Q) R^{-T}: one
-    batched product with the inverse that the rank check computes anyway,
-    scaled back by its power of two.  Raises ``LinAlgError``, naming the
-    stack index, when omega is numerically rank-deficient.
-    """
+def _pinv_operands(Y, omega) -> tuple:
+    """Coerce and check the (Y, omega) pair of :func:`right_pinv_apply` and
+    :func:`nullified_factor`: two stacks of equal length, or two matrices,
+    with equal column counts.  Returns ``(Y, omega, single)``."""
     Y, single = _as_stack(Y, "Y")
     omega, single_omega = _as_stack(omega, "omega")
     if single != single_omega or Y.shape[0] != omega.shape[0]:
         raise ValueError(f"stack mismatch: Y is {Y.shape}, omega is {omega.shape}")
-    m, n = omega.shape[1:]
-    if Y.shape[2] != n:
+    if Y.shape[2] != omega.shape[2]:
         raise ValueError(f"column mismatch: Y is {Y.shape[1:]}, omega is {omega.shape[1:]}")
+    return Y, omega, single
+
+
+def nullified_factor(Y, omega) -> np.ndarray:
+    """A square factor F of the nullified sketch Y @ nullspace_basis(omega):
+    Y P = F W for a W with orthonormal rows, so F has the left singular
+    vectors and the singular values of Y P.
+
+    Y (r, n) and omega (m, n) with m + r <= n, or stacks (b, r, n) and (b,
+    m, n) of equal length; F is (r, r), or (b, r, r), lower triangular.
+    With the R-only QR [omega^T | Y^T] = Q [[R11, R12], [0, R22]], F =
+    R22^T: Y^T = Q1 R12 + Q2 R22, and P^T Q1 = 0, so Y P = R22^T (Q2^T P).
+    No Q is formed.  R11 is the R factor of omega^T, and the rank check is
+    :func:`nullspace_basis`'s, with the same ``LinAlgError``.
+    """
+    Y, omega, single = _pinv_operands(Y, omega)
+    m, n = omega.shape[1:]
+    r = Y.shape[1]
+    if m + r > n:
+        raise ValueError(f"omega and Y have {m} + {r} rows, more than their {n} columns")
+    # mode="raw" leaves R in the upper triangle of the QR's own copy of
+    # the input, transposed, and forms no triu copy of all of it.
+    h = np.linalg.qr(np.concatenate((omega, Y), axis=1).transpose(0, 2, 1), mode="raw")[0]
+    _check_full_rank(np.triu(h[:, :m, :m].transpose(0, 2, 1)), single)
+    F = np.tril(h[:, m:, m : m + r])
+    return F[0] if single else F
+
+
+def right_pinv_apply(Y, omega) -> np.ndarray:
+    """Compute Y @ pinv(omega) for a wide, full-row-rank omega.
+
+    Y (r, n) and omega (m, n), or stacks (b, r, n) and (b, m, n) of equal
+    length.  With the Cholesky factorization omega omega^T = R^T R this is
+    (Y omega^T) R^{-1} R^{-T}: one batched Gram product, one batched
+    ``np.linalg.cholesky`` and the batched triangular inverse of the rank
+    check, scaled back by its power of two.  The Gram route is taken only
+    by a member whose proven bound ||R||_F ||R^{-1}||_F on its condition
+    number is below 2 (m + n), so its error stays within a small multiple of
+    eps cond (m + n), and whose Gram matrix's largest diagonal entry lies in
+    [2**-900, 2**900], so it neither overflows nor loses digits to
+    subnormals.  Any other member, and any whose Cholesky factorization
+    fails, goes alone through the thin Householder QR omega^T = Q R: (Y Q)
+    R^{-T}, with the rank check of :func:`nullspace_basis`.  The route is a
+    member's own, so each member's result is the same bytes alone as in any
+    stack.  Raises ``LinAlgError``, naming the stack index, when omega is
+    numerically rank-deficient.
+    """
+    Y, omega, single = _pinv_operands(Y, omega)
+    m, n = omega.shape[1:]
     if m > n:
         raise ValueError(f"omega must be wide (rows <= cols), got {m}x{n}")
-    Q, R = np.linalg.qr(omega.transpose(0, 2, 1))
-    inverse, exponent = _check_full_rank(R, single)
-    X = np.ldexp((Y @ Q) @ inverse.transpose(0, 2, 1), -exponent[:, None, None])
+    with np.errstate(over="ignore"):
+        gram = omega @ omega.transpose(0, 2, 1)
+    # An overflowed Gram matrix reads inf and leaves the range.
+    top = np.einsum("tii->ti", gram).max(axis=1, initial=0.0)
+    gram_route = (top >= _GRAM_RANGE[0]) & (top <= _GRAM_RANGE[1])
+    gram[~gram_route] = np.eye(m)
+    try:
+        L = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        L = gram
+        for t in range(len(gram)):
+            try:
+                L[t] = np.linalg.cholesky(gram[t])
+            except np.linalg.LinAlgError:
+                gram_route[t], L[t] = False, np.eye(m)
+    del gram
+    inverse, exponent, bound = _scaled_inverse(L.transpose(0, 2, 1))
+    del L
+    gram_route &= bound < (2.0 * (m + n)) ** 2
+    if gram_route.all():
+        X = np.matmul(Y @ omega.transpose(0, 2, 1), inverse) @ inverse.transpose(0, 2, 1)
+        np.ldexp(X, -2 * exponent[:, None, None], out=X)
+        return X[0] if single else X
+    X = np.empty((len(Y), Y.shape[1], m))
+    for t in range(len(Y)):
+        if gram_route[t]:
+            X[t] = np.ldexp((Y[t] @ omega[t].T) @ inverse[t] @ inverse[t].T, -2 * exponent[t])
+        else:
+            Q, R = np.linalg.qr(omega[t].T)
+            alone, power = _check_full_rank(R[None], single, offset=t)
+            X[t] = np.ldexp((Y[t] @ Q) @ alone[0].T, -power[0])
     return X[0] if single else X

@@ -21,14 +21,19 @@ class BasisMethod(NamedTuple):
 
     excess: int  # sketch columns beyond k that it needs
     kernel: Callable  # (stack of sketches, k) -> stack of rank-k bases
+    # The kernel reads a sketch B only through B B^T, its left singular
+    # vectors and values, so any B W with orthonormal rows W gives the same
+    # bases: the step may then nullify through nullified_factor.
+    rotation_free: bool
 
 
 # "svd-pcps": sketched SVD; "pivoted-qr": leading columns of a column-pivoted
-# QR.  The step's width rule, BLR2Pattern.check_step, reads the excess.  Each
-# kernel is called through its module-level name, as every other call between
-# hsskit modules is, so a wrapper installed on that name (a tracer or
-# profiler) sees the step's calls.
+# QR, whose pivots depend on the sketch's own columns.  The step's width
+# rule, BLR2Pattern.check_step, reads the excess.  Each kernel is called
+# through its module-level name, as every other call between hsskit modules
+# is, so a wrapper installed on that name (a tracer or profiler) sees the
+# step's calls.
 BASIS_METHODS = {
-    "svd-pcps": BasisMethod(2, lambda sketches, k: truncated_svd_left(sketches, k)),
-    "pivoted-qr": BasisMethod(0, lambda sketches, k: pivoted_qr_basis(sketches, k)),
+    "svd-pcps": BasisMethod(2, lambda sketches, k: truncated_svd_left(sketches, k), True),
+    "pivoted-qr": BasisMethod(0, lambda sketches, k: pivoted_qr_basis(sketches, k), False),
 }

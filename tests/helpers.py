@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from hsskit import BLR2Factorization, BLR2Pattern, MatvecOracle, RngStream, blr2, gaussian
-from hsskit.kernels import nullspace_basis, right_pinv_apply
+from hsskit.kernels import nullified_factor, nullspace_basis, right_pinv_apply
 from hsskit.sketching import BASIS_METHODS
 from hsskit.structures import block_apply, block_apply_t
 from hsskit.testbed import _banded_arrays
@@ -96,8 +96,9 @@ def side_stacks(omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag):
 
 
 def nullify_rows(pattern, tests, images):
-    """Nullify every block row of ``pattern`` as the one-level step does: one
-    ``blr2._nullify`` call per chunk of ``blr2._chunks``, with ``tests`` and
+    """Nullify every block row of ``pattern`` as the one-level step does for
+    the pivoted-QR basis: one ``blr2._nullify`` call per chunk of
+    ``blr2._chunks``, through ``nullspace_basis``, with ``tests`` and
     ``images`` on both sides; the rows of the second side, ``pattern.T``'s,
     are dropped.  Returns {i: (P_i, sketch_i)}, P_i the nullspace basis that
     the call took from ``nullspace_basis``; a row with no pattern blocks has
@@ -114,7 +115,7 @@ def nullify_rows(pattern, tests, images):
             return taken[-1]
 
         with mock.patch.object(blr2, "nullspace_basis", recording):
-            sketches = blr2._nullify(*stacks, chunk)
+            sketches = blr2._nullify(*stacks, chunk, rotation_free=False)
         for g, i in enumerate(np.arange(2 * b)[chunk.rows]):
             if i < b:
                 rows[int(i)] = (taken[0][g] if taken else None, sketches[g])
@@ -125,10 +126,13 @@ def per_side_step(pattern, k, omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_
                   basis_method="svd-pcps"):
     """The one-level step run one side at a time: the U side on ``pattern``,
     omega and Y, then the V side on ``pattern.T``, psi and Z, each kernel
-    called once per row group of the side's ``_row_groups``, whole.  The
-    reference that the two-sided step in chunks must match byte for byte."""
+    called once per row group of the side's ``_row_groups``, whole, and the
+    nullification of the basis method's route (``nullified_factor`` for a
+    rotation-free kernel where h m + m <= s, the image blocks times
+    ``nullspace_basis`` otherwise).  The reference that the two-sided step in chunks must match
+    byte for byte."""
     b, m = pattern.block_count, pattern.block_size
-    kernel = BASIS_METHODS[basis_method].kernel
+    method = BASIS_METHODS[basis_method]
 
     def blocks(arr):
         return arr.reshape(b, m, -1)
@@ -139,8 +143,12 @@ def per_side_step(pattern, k, omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_
             g, h = hits.shape
             sketches = blocks(images)[members]
             if h:
-                sketches = sketches @ nullspace_basis(blocks(tests)[hits].reshape(g, h * m, -1))
-            out[members] = kernel(sketches, k)
+                stacked = blocks(tests)[hits].reshape(g, h * m, -1)
+                if method.rotation_free and (h + 1) * m <= stacked.shape[2]:
+                    sketches = nullified_factor(sketches, stacked)
+                else:
+                    sketches = sketches @ nullspace_basis(stacked)
+            out[members] = method.kernel(sketches, k)
         return out
 
     def unsketch(side, Q, images, tests):

@@ -182,6 +182,16 @@ STEP_PATTERNS = {
 }
 
 
+# Patterns with m = 6 and the sketch width over the floor for k = 2: the
+# diagonal one's rows take the R-only route, the others' rows with three
+# (tridiagonal) or two (superdiagonal) pattern blocks the explicit one.
+SIDED_ROUTES = {
+    "diagonal": (BLR2Pattern.diagonal(8, 6), 2),
+    "tridiagonal": (BLR2Pattern.tridiagonal(8, 6), 0),
+    "superdiagonal": (_superdiagonal(8, 6), 0),
+}
+
+
 class TestTwoSidedStep:
     """The step runs the block rows of the pattern and of its transpose as
     one stack per group and chunk."""
@@ -209,6 +219,26 @@ class TestTwoSidedStep:
             for array, expected in zip(got, want):
                 assert array.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("name", SIDED_ROUTES)
+    def test_svd_bases_match_the_explicit_nullspace_route(self, name, monkeypatch):
+        # The R-only route of the SVD basis gives the bases and remainder
+        # of the route through Y @ nullspace_basis, to rounding.
+        (pat, extra), k = SIDED_ROUTES[name], 2
+        s = pat.width_floor(k) + extra
+        routes = {h * pat.block_size + pat.block_size <= s for _, hits, _ in pat._step_groups
+                  for h in hits.shape[1:]}
+        assert routes == ({True} if name == "diagonal" else {True, False})
+        A = random_blr2_matrix(pat, k, seed=50)
+        args = _side_args(pat, A, s, 51)
+        got = blr2_factors_from_sketches(pat, k, *args)
+        explicit = sketching.BASIS_METHODS["svd-pcps"]._replace(rotation_free=False)
+        monkeypatch.setitem(sketching.BASIS_METHODS, "svd-pcps", explicit)
+        want = blr2_factors_from_sketches(pat, k, *args)
+        for basis, expected in zip(got[:2], want[:2]):
+            projectors = basis @ basis.transpose(0, 2, 1) - expected @ expected.transpose(0, 2, 1)
+            assert np.abs(projectors).max() <= 1e-10
+        assert np.linalg.norm(got[2] - want[2]) <= 1e-10 * np.linalg.norm(want[2])
+
     @pytest.mark.parametrize("policy, method", [("fresh", "svd-pcps"), ("reused", "pivoted-qr")])
     def test_one_kernel_call_per_level(self, policy, method, monkeypatch):
         calls = []
@@ -218,7 +248,9 @@ class TestTwoSidedStep:
             monkeypatch.setattr(module, name, lambda x, *rest: calls.append((name, len(x))) or kernel(x, *rest))
 
         basis = {"svd-pcps": "truncated_svd_left", "pivoted-qr": "pivoted_qr_basis"}[method]
-        for module, name in ((blr2, "nullspace_basis"), (sketching, basis), (blr2, "right_pinv_apply")):
+        # The SVD basis reads the nullified sketch off one R-only QR.
+        nullify = "nullified_factor" if sketching.BASIS_METHODS[method].rotation_free else "nullspace_basis"
+        for module, name in ((blr2, nullify), (sketching, basis), (blr2, "right_pinv_apply")):
             record(module, name)
         level, k = 3, 2
         A = np.random.default_rng(42).standard_normal((16 * k, 16 * k))
@@ -226,7 +258,7 @@ class TestTwoSidedStep:
         build(MatvecOracle.from_dense(A), MatvecConfig(level, k, 3 * k + 2, 43, method, policy))
         # Level l has 2**l block rows and as many block columns.
         assert calls == [(name, 2 << l) for l in (3, 2, 1)
-                         for name in ("nullspace_basis", basis, "right_pinv_apply")]
+                         for name in (nullify, basis, "right_pinv_apply")]
 
 
 SIDED_PATTERNS = ("diagonal", "tridiagonal", "superdiagonal")
@@ -283,10 +315,11 @@ class TestSideAxis:
 
             return record
 
-        for name in ("nullspace_basis", "right_pinv_apply"):
+        for name in ("nullified_factor", "right_pinv_apply"):
             monkeypatch.setattr(blr2, name, recording(name))
         blr2_factors_from_sketches(pat, k, tests, images, tests_diag, images_diag)
-        assert np.shares_memory(handed["nullspace_basis"][0], tests)
+        assert np.shares_memory(handed["nullified_factor"][0], images)
+        assert np.shares_memory(handed["nullified_factor"][1], tests)
         assert np.shares_memory(handed["right_pinv_apply"][1], tests_diag)
 
 

@@ -16,7 +16,7 @@ from hsskit import (
     truncated_svd_left,
 )
 
-from hsskit.kernels import _pivots
+from hsskit.kernels import _pivots, nullified_factor
 
 from helpers import lapack_pivots, stacked_direct_pivoted_qr_basis, svd_tail_energy
 
@@ -250,3 +250,20 @@ class TestRightPinvApply:
             right_pinv_apply(np.ones((2, 5)), np.ones((3, 6)))
         with pytest.raises(ValueError):
             right_pinv_apply(np.ones((2, 3)), np.ones((4, 3)))
+
+
+class TestNullifiedFactor:
+    def test_equals_the_nullified_sketch_up_to_a_rotation(self):
+        rng = np.random.default_rng(10)
+        omega, Y = rng.standard_normal((6, 14)), rng.standard_normal((5, 14))
+        F, sketch = nullified_factor(Y, omega), Y @ nullspace_basis(omega)
+        assert F.shape == (5, 5)
+        assert np.abs(F @ F.T - sketch @ sketch.T).max() <= 1e-12 * np.abs(sketch).max() ** 2
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError, match=r"4 \+ 3 rows, more than their 6 columns"):
+            nullified_factor(np.ones((3, 6)), np.ones((4, 6)))
+        with pytest.raises(ValueError, match="column mismatch"):
+            nullified_factor(np.ones((2, 5)), np.ones((3, 6)))
+        with pytest.raises(ValueError, match="stack mismatch"):
+            nullified_factor(np.ones((2, 2, 6)), np.ones((3, 1, 6)))

@@ -1,11 +1,15 @@
 """Property tests for the stacked kernels, the block operations, the
 one-level step on irregular patterns, transposition as data (``.T``), the
-nested compressed operators and the one size rule of the hierarchy.
+nested compressed operators, the one size rule of the hierarchy and the
+HSSF and DMAT file formats.
 
 Shapes and seeds come from hypothesis; matrix entries come from seeded numpy
 draws, so every example is well conditioned almost surely.  Examples are
 derandomized, so every run checks the same cases.
 """
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -17,12 +21,14 @@ from hsskit import (
     BLR2Factorization,
     BLR2Pattern,
     CountingOracle,
+    FormatError,
     MatvecOracle,
     RngStream,
     blr2_apply,
     blr2_from_matvecs,
     blr2_reconstruct,
     compress_oracle,
+    deserialize,
     frobenius_error,
     greedy_hss_explicit,
     hss_apply,
@@ -31,14 +37,17 @@ from hsskit import (
     random_blr2_matrix,
     random_hss_matrix,
     random_telescoping,
+    read_dense,
     reconstruct_dense,
     right_pinv_apply,
+    serialize,
     sss_step_explicit,
     truncated_svd_left,
     validate_hss_ranks,
+    write_dense,
 )
 from hsskit.experiment import run_cell
-from hsskit.kernels import _check_full_rank, _invert_upper, _inverse_work, _pivots
+from hsskit.kernels import _check_full_rank, _invert_upper, _inverse_work, _pivots, nullified_factor
 from hsskit.structures import block_apply, block_apply_t, tree_levels
 
 from helpers import (
@@ -148,6 +157,17 @@ class TestStackedKernelsMatchTwoD:
         for i in range(b):
             assert np.array_equal(got[i], right_pinv_apply(Y[i], omega[i]))
 
+
+    @PROPERTY
+    @given(seed=seeds, b=stack_sizes, r=dims, m=dims, extra=st.integers(0, 8))
+    def test_nullified_factor(self, seed, b, r, m, extra):
+        rng = np.random.default_rng(seed)
+        omega = rng.standard_normal((b, m, m + r + extra))
+        Y = rng.standard_normal((b, r, m + r + extra))
+        got = nullified_factor(Y, omega)
+        assert got.shape == (b, r, r)
+        for i in range(b):
+            assert got[i].tobytes() == nullified_factor(Y[i], omega[i]).tobytes()
 
     @PROPERTY
     @given(
@@ -343,6 +363,86 @@ class TestSharedInverse:
             scaled = np.ldexp(R[t], -int(exponent[t]))
             assert 0.5 <= np.abs(scaled).max() < 1.0
             assert np.abs(inverse[t] @ scaled - np.eye(6)).max() <= 1e-13
+
+
+def _householder_pinv(Y, omega):
+    """Y @ pinv(omega) for one member by the thin Householder route: (Y Q)
+    R^{-T} from omega^T = Q R and the rank check's scaled inverse."""
+    Q, R = np.linalg.qr(omega.T)
+    inverse, exponent = _check_full_rank(R[None], single=True)
+    return np.ldexp((Y @ Q) @ inverse[0].T, -exponent[0])
+
+
+class TestKernelRoutes:
+    """``right_pinv_apply`` takes the Cholesky route member by member, and
+    ``nullified_factor`` stands in for the nullified sketch of the SVD basis."""
+
+    @pytest.mark.parametrize("ill", [(), (0,), (1, 4, 6), tuple(range(8))])
+    def test_mixed_stack_routes_each_member_alone(self, ill, monkeypatch):
+        rng = np.random.default_rng(30)
+        omega = rng.standard_normal((8, 6, 14))
+        omega[list(ill)] = _conditioned_stack(rng, len(ill), 6, 14, 1e6)
+        Y = rng.standard_normal((8, 3, 14))
+        qr, sizes = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *r, **kw: sizes.append(a.shape) or qr(a, *r, **kw))
+        got = right_pinv_apply(Y, omega)
+        # Only the ill-conditioned members take a Householder QR, one each.
+        assert sizes == [(14, 6)] * len(ill)
+        monkeypatch.undo()
+        for t in range(8):
+            assert got[t].tobytes() == right_pinv_apply(Y[t], omega[t]).tobytes()
+            if t in ill:
+                assert got[t].tobytes() == _householder_pinv(Y[t], omega[t]).tobytes()
+        assert np.abs(got - Y @ np.linalg.pinv(omega)).max() <= 1e-8 * np.abs(got).max()
+
+    @PROPERTY
+    @given(
+        seed=seeds,
+        b=stack_sizes,
+        m=dims,
+        r=st.integers(2, 8),
+        extra=st.integers(0, 10),
+        data=st.data(),
+    )
+    def test_nullified_factor_has_the_subspace_of_the_nullified_sketch(self, seed, b, m, r, extra, data):
+        # Y P has k singular values well above the rest, so its top-k
+        # subspace is well determined.
+        n = m + r + extra
+        k = data.draw(st.integers(1, r))
+        rng = np.random.default_rng(seed)
+        omega = rng.standard_normal((b, m, n))
+        Y = rng.standard_normal((b, r, k)) @ rng.standard_normal((b, k, n))
+        Y += 1e-3 * rng.standard_normal((b, r, n))
+        sketch = Y @ nullspace_basis(omega)
+        F = nullified_factor(Y, omega)
+        assert F.shape == (b, r, r)
+        assert np.array_equal(F, np.tril(F))
+        want, got = truncated_svd_left(sketch, k), truncated_svd_left(F, k)
+        projectors = got @ got.transpose(0, 2, 1) - want @ want.transpose(0, 2, 1)
+        assert np.abs(projectors).max() <= 1e-12
+        svals = np.linalg.svd(sketch, compute_uv=False)
+        assert np.abs(np.linalg.svd(F, compute_uv=False)[:, : svals.shape[1]] - svals).max() <= (
+            1e-12 * svals[:, :1].max()
+        )
+
+    @PROPERTY
+    @given(seed=seeds, b=st.integers(1, 6), m=st.integers(2, 6), r=st.integers(1, 6), data=st.data())
+    def test_rank_deficient_member_raises_alike_on_every_route(self, seed, b, m, r, data):
+        bad = data.draw(st.integers(0, b - 1))
+        rng = np.random.default_rng(seed)
+        omega = rng.standard_normal((b, m, m + r + 2))
+        omega[bad, -1] = omega[bad, 0]
+        Y = rng.standard_normal((b, r, m + r + 2))
+        routes = (
+            lambda Y, omega: Y @ nullspace_basis(omega),
+            nullified_factor,
+            right_pinv_apply,
+        )
+        for args, where in (((Y, omega), f" (stack index {bad})"), ((Y[bad], omega[bad]), "")):
+            for route in routes:
+                with pytest.raises(np.linalg.LinAlgError) as caught:
+                    route(*args)
+                assert str(caught.value) == f"omega is numerically rank-deficient{where}"
 
 
 class TestTriangularInverse:
@@ -611,3 +711,55 @@ class TestSizesComeFromTheInput:
             for X in (np.zeros((b * ku, b * ku)), np.zeros((b * kv, b * kv))):
                 with pytest.raises(ValueError, match="one k"):
                     BLR2Factorization(pattern, U, V, X, D)
+
+
+class TestFileFormats:
+    """HSSF and DMAT round trips are bit-exact, and a corrupt HSSF header
+    fails with a ``FormatError``.  Validation of the payload on load stays
+    out of scope: it would add to every round trip."""
+
+    @PROPERTY
+    @given(seed=seeds, L=st.integers(1, 5), k=st.integers(1, 4), exponent=st.integers(-1000, 1000))
+    def test_hssf_round_trip_is_bit_exact(self, seed, L, k, exponent):
+        T = random_telescoping(L, k, RngStream(seed).child("hssf"))
+        # Scaled by 2**exponent, entries reach subnormals and huge values.
+        T = type(T)(
+            tuple(type(lf)(lf.U, lf.V, np.ldexp(lf.D, exponent)) for lf in T.levels),
+            np.ldexp(T.root, exponent),
+        )
+        data = serialize(T)
+        back = deserialize(data)
+        assert back.depth == L and back.rank_param == k
+        for a, b in zip(T.levels, back.levels):
+            for name in ("U", "V", "D"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert T.root.tobytes() == back.root.tobytes()
+        assert serialize(back) == data
+
+    @PROPERTY
+    @given(
+        seed=seeds,
+        rows=st.integers(1, 40),
+        cols=st.integers(1, 40),
+        special=st.sampled_from([0.0, -0.0, 5e-324, -2.0**-1022, 1.7976931348623157e308]),
+    )
+    def test_dmat_round_trip_is_bit_exact(self, seed, rows, cols, special):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+        A[rng.integers(0, rows), rng.integers(0, cols)] = special
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "a.dmat")
+            write_dense(A, path)
+            back = read_dense(path)
+        assert back.shape == A.shape
+        assert back.tobytes() == A.tobytes()
+
+    @PROPERTY
+    @given(seed=seeds, L=st.integers(1, 3), k=st.integers(1, 3))
+    def test_every_header_bit_flip_is_a_format_error(self, seed, L, k):
+        data = serialize(random_telescoping(L, k, RngStream(seed).child("flip")))
+        for bit in range(16 * 8):
+            corrupt = bytearray(data)
+            corrupt[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(FormatError):
+                deserialize(bytes(corrupt))
