@@ -10,11 +10,11 @@ blocks of each test-matrix line, extracts rank-k bases from the nullified
 sketches (sketched SVD or pivoted QR), and un-sketches the pattern blocks
 from an independent pair of sketches with the bases held fixed.  The SVD
 basis reads only a sketch's left singular vectors and values, so for it
-the nullified sketches of rows with h pattern blocks, where h m + m <= s,
-come from one R-only QR per stack (:func:`~hsskit.kernels.nullified_factor`);
-the pivoted QR, whose pivots depend on the sketch's own columns, and the
-other rows get the image blocks times an explicit nullspace basis.  The
-basis-method table entry chooses the route.
+every row's nullified sketch comes from one R-only QR per stack
+(:func:`~hsskit.kernels.nullified_factor`); the pivoted QR, whose pivots
+depend on the sketch's own columns, gets the image blocks times an explicit
+nullspace basis.  The basis-method table entry chooses the route, and a
+row with no pattern blocks takes it too, through an omega with no rows.
 
 Transposition is data: the column side of every rule is the row side run on
 ``pattern.T``, the pattern of A^T.  Every array of the step therefore has a
@@ -263,8 +263,11 @@ class _Chunk(NamedTuple):
 def _chunks(pattern: BLR2Pattern, s: int) -> tuple:
     """The stacks of the one-level step on width-s sketches: each group of
     ``pattern._step_groups`` cut into chunks (:class:`_Chunk`) of at most
-    max(1, PANEL_BYTES // (8 s^2)) rows, so that the complete s x s
-    nullspace Qs of a chunk take about PANEL_BYTES at most."""
+    max(1, PANEL_BYTES // (8 s^2)) rows, so that a chunk's largest
+    temporaries, of order 8 s^2 bytes a row each, take about PANEL_BYTES:
+    the pivoted-QR basis's complete s x s nullspace Q, the SVD basis's QR
+    copy of the s x (h m + m) input of ``nullified_factor``, and the
+    remainder's triangular inverse, h m x h m padded to a power of two."""
     return _chunk_plan(pattern, max(1, structures.PANEL_BYTES // (8 * s * s)))
 
 
@@ -277,33 +280,6 @@ def _chunk_plan(pattern: BLR2Pattern, size: int) -> tuple:
         for members, hits, positions in pattern._step_groups
         for a in range(0, len(members), size)
     )
-
-
-def _nullify(tests: np.ndarray, images: np.ndarray, chunk: _Chunk, rotation_free: bool) -> np.ndarray:
-    """Nullify the pattern blocks of a chunk of g block rows with h blocks
-    each.
-
-    ``tests`` and ``images`` are (2b, m, s) stacks of :func:`_blocks`.
-    Returns the (g, m, s - h m) sketches: the image blocks of the rows
-    times P, whose (g, s, s - h m) members are orthonormal nullspace bases
-    of the rows' stacked pattern blocks of ``tests``.  With h = 0 the
-    sketches are the image blocks themselves.  For images = A tests, sketch
-    i = rho_i(A) G_i P: rho_i(A) is block row i's admissible part, G_i the
-    blocks of ``tests`` outside row i's pattern blocks.  With
-    ``rotation_free``, for a basis kernel that reads a sketch B only
-    through B B^T, and where h m + m <= s, each sketch is instead the
-    (m, m) factor of :func:`~hsskit.kernels.nullified_factor`, which has
-    the left singular vectors and values of the image blocks times P, from
-    one R-only QR and no P.
-    """
-    g, h = chunk.positions.shape
-    if h == 0:
-        return images[chunk.rows]
-    m, s = tests.shape[1:]
-    hits = tests[chunk.hits].reshape(g, h * m, s)
-    if rotation_free and h * m + m <= s:
-        return nullified_factor(images[chunk.rows], hits)
-    return images[chunk.rows] @ nullspace_basis(hits)
 
 
 def blr2_remainder(pattern: BLR2Pattern, bases, tests, images) -> np.ndarray:
@@ -370,11 +346,11 @@ def blr2_factors_from_sketches(
     :func:`blr2_remainder`.  Each array is read as one (2b, m, s) stack of
     block rows, those of the pattern followed by those of ``pattern.T``, and
     the rows of both sides with the same number of pattern blocks form one
-    stack, so the nullspaces, the bases and the remainder's pseudo-inverses
-    take one kernel call per group and chunk of :func:`_chunks`: one each
-    for the diagonal pattern at small b, whose kernel inputs are views of
-    the arrays.  A rank or sketch width that :meth:`BLR2Pattern.check_step`
-    rejects fails at entry.
+    stack, so the nullifications, the bases and the remainder's
+    pseudo-inverses take one kernel call per group and chunk of
+    :func:`_chunks`: one each for the diagonal pattern at small b, whose
+    kernel inputs are views of the arrays.  A rank or sketch width that
+    :meth:`BLR2Pattern.check_step` rejects fails at entry.
     """
     names = ("tests", "images", "tests_diag", "images_diag")
     tests, images, tests_diag, images_diag = _as_sketches(
@@ -382,11 +358,18 @@ def blr2_factors_from_sketches(
     )
     s = tests.shape[-1]
     pattern.check_step(k, s, basis_method)
-    method = BASIS_METHODS[basis_method]
-    bases = np.empty((2, pattern.block_count, pattern.block_size, k))
+    method, m = BASIS_METHODS[basis_method], pattern.block_size
+    bases = np.empty((2, pattern.block_count, m, k))
     stack, tests, images = _blocks(pattern, bases), _blocks(pattern, tests), _blocks(pattern, images)
     for chunk in _chunks(pattern, s):
-        stack[chunk.rows] = method.kernel(_nullify(tests, images, chunk, method.rotation_free), k)
+        # Sketch i is rho_i(A) G_i P_i, times a rotation on the right for
+        # the SVD basis: rho_i(A) is block row i's admissible part, G_i the
+        # blocks of tests outside row i's pattern blocks and P_i a
+        # nullspace basis of those pattern blocks.
+        g, h = chunk.positions.shape
+        rows, hits = images[chunk.rows], tests[chunk.hits].reshape(g, h * m, s)
+        sketches = nullified_factor(rows, hits) if method.rotation_free else rows @ nullspace_basis(hits)
+        stack[chunk.rows] = method.kernel(sketches, k)
     return bases[0], bases[1], blr2_remainder(pattern, bases, tests_diag, images_diag)
 
 

@@ -17,8 +17,8 @@ built on:
     [Omega^T | Y^T] and no Q.
   - ``pivoted_qr_basis``: leading columns of a column-pivoted QR.
   - ``right_pinv_apply``: Y @ pinv(Omega) for wide Omega via a Cholesky
-    factorization of Omega Omega^T, member by member falling back to a thin
-    QR of Omega^T.
+    factorization of Omega Omega^T, batched over the stack, with the
+    members off that route taken from one batched thin QR of Omega^T.
 
 All five factorization kernels take one matrix or a stack (b, r, c) of
 equal-shape matrices and return the matching leading shape; one call serves
@@ -43,9 +43,10 @@ members whose bound does not clear ``RANK_CUTOFF`` with a factor
 the singular values.  ``right_pinv_apply`` takes R from the Cholesky
 factorization of the Gram matrix, where the same bound, below 2 (m + n),
 proves the member well enough conditioned for (Y Omega^T) R^{-1} R^{-T};
-every other member goes alone through a thin Householder QR and the rank
-check.  The Gram route and ``nullified_factor`` form no Q factor, and no
-kernel is left with an LU factorization or a general solve.
+every other member is overwritten from one thin Householder QR of those
+members and the rank check.  The Gram route and ``nullified_factor`` form
+no Q factor, and no kernel is left with an LU factorization or a general
+solve.
 
 All functions are pure; streams are value types.
 """
@@ -245,13 +246,13 @@ def _scaled_inverse(R: np.ndarray):
     return inverse, exponent, bound
 
 
-def _check_full_rank(R: np.ndarray, single: bool, offset: int = 0):
+def _check_full_rank(R: np.ndarray, single: bool, index: np.ndarray | None = None):
     """Raise ``LinAlgError`` naming the first stack member whose square
     upper-triangular factor R of omega^T has its smallest singular value at
     or below ``RANK_CUTOFF`` relative to its largest (a zero R counts as
     rank-deficient; an empty R has full rank); member t is named as stack
-    index ``offset + t``.  Otherwise return ``(inverse, exponent)`` of
-    :func:`_scaled_inverse`.
+    index ``index[t]``, or t without ``index``.  Otherwise return
+    ``(inverse, exponent)`` of :func:`_scaled_inverse`.
 
     The whole stack is inverted once.  The singular values are computed only
     for members that the bound sigma_min / sigma_max >= 1 / (||R||_F
@@ -267,7 +268,8 @@ def _check_full_rank(R: np.ndarray, single: bool, offset: int = 0):
         svals = np.linalg.svd(R[uncertain], compute_uv=False)
         deficient = uncertain[svals[:, -1] <= RANK_CUTOFF * svals[:, 0]]
         if deficient.size:
-            where = "" if single else f" (stack index {offset + int(deficient[0])})"
+            t = int(deficient[0] if index is None else index[deficient[0]])
+            where = "" if single else f" (stack index {t})"
             raise np.linalg.LinAlgError(f"omega is numerically rank-deficient{where}")
     return inverse, exponent
 
@@ -446,22 +448,24 @@ def _pinv_operands(Y, omega) -> tuple:
 
 
 def nullified_factor(Y, omega) -> np.ndarray:
-    """A square factor F of the nullified sketch Y @ nullspace_basis(omega):
-    Y P = F W for a W with orthonormal rows, so F has the left singular
-    vectors and the singular values of Y P.
+    """A factor F of the nullified sketch Y @ nullspace_basis(omega): Y P =
+    F W for a W with orthonormal rows, so F has the left singular vectors
+    and the singular values of Y P.
 
-    Y (r, n) and omega (m, n) with m + r <= n, or stacks (b, r, n) and (b,
-    m, n) of equal length; F is (r, r), or (b, r, r), lower triangular.
-    With the R-only QR [omega^T | Y^T] = Q [[R11, R12], [0, R22]], F =
-    R22^T: Y^T = Q1 R12 + Q2 R22, and P^T Q1 = 0, so Y P = R22^T (Q2^T P).
-    No Q is formed.  R11 is the R factor of omega^T, and the rank check is
-    :func:`nullspace_basis`'s, with the same ``LinAlgError``.
+    Y (r, n) and omega (m, n) with m < n, or stacks (b, r, n) and (b, m, n)
+    of equal length; F is (r, min(r, n - m)), or (b, r, min(r, n - m)),
+    lower trapezoidal.  With the R-only QR [omega^T | Y^T] = Q [[R11, R12],
+    [0, R22]], Q1 the first m columns of Q and Q2 the next min(r, n - m), F
+    = R22^T: Y^T = Q1 R12 + Q2 R22, and P^T Q1 = 0, so Y P = R22^T (Q2^T
+    P), where W = Q2^T P has orthonormal rows.  No Q is formed, and an
+    omega with no rows gives the R factor of Y^T, transposed.  R11 is the R
+    factor of omega^T, and the rank check is :func:`nullspace_basis`'s,
+    with the same ``LinAlgError``.
     """
     Y, omega, single = _pinv_operands(Y, omega)
-    m, n = omega.shape[1:]
-    r = Y.shape[1]
-    if m + r > n:
-        raise ValueError(f"omega and Y have {m} + {r} rows, more than their {n} columns")
+    (m, n), r = omega.shape[1:], Y.shape[1]
+    if m >= n:
+        raise ValueError(f"expected a wide matrix (rows < cols), got {m}x{n}")
     # mode="raw" leaves R in the upper triangle of the QR's own copy of
     # the input, transposed, and forms no triu copy of all of it.
     h = np.linalg.qr(np.concatenate((omega, Y), axis=1).transpose(0, 2, 1), mode="raw")[0]
@@ -477,17 +481,19 @@ def right_pinv_apply(Y, omega) -> np.ndarray:
     length.  With the Cholesky factorization omega omega^T = R^T R this is
     (Y omega^T) R^{-1} R^{-T}: one batched Gram product, one batched
     ``np.linalg.cholesky`` and the batched triangular inverse of the rank
-    check, scaled back by its power of two.  The Gram route is taken only
-    by a member whose proven bound ||R||_F ||R^{-1}||_F on its condition
-    number is below 2 (m + n), so its error stays within a small multiple of
-    eps cond (m + n), and whose Gram matrix's largest diagonal entry lies in
-    [2**-900, 2**900], so it neither overflows nor loses digits to
-    subnormals.  Any other member, and any whose Cholesky factorization
-    fails, goes alone through the thin Householder QR omega^T = Q R: (Y Q)
-    R^{-T}, with the rank check of :func:`nullspace_basis`.  The route is a
-    member's own, so each member's result is the same bytes alone as in any
-    stack.  Raises ``LinAlgError``, naming the stack index, when omega is
-    numerically rank-deficient.
+    check, scaled back by its power of two, for the whole stack.  The Gram
+    route holds only for a member whose proven bound ||R||_F ||R^{-1}||_F
+    on its condition number is below 2 (m + n), so its error stays within
+    a small multiple of eps cond (m + n), and whose Gram matrix's largest
+    diagonal entry lies in [2**-900, 2**900], so it neither overflows nor
+    loses digits to subnormals.  Every other member, and any whose
+    Cholesky factorization fails, is overwritten from one batched thin
+    Householder QR omega^T = Q R of those members: (Y Q) R^{-T}, with the
+    rank check of :func:`nullspace_basis`.  The route is a member's own,
+    and each batched routine works member by member, so each member's
+    result is the same bytes alone as in any stack.  Raises
+    ``LinAlgError``, naming the stack index, when omega is numerically
+    rank-deficient.
     """
     Y, omega, single = _pinv_operands(Y, omega)
     m, n = omega.shape[1:]
@@ -512,16 +518,13 @@ def right_pinv_apply(Y, omega) -> np.ndarray:
     inverse, exponent, bound = _scaled_inverse(L.transpose(0, 2, 1))
     del L
     gram_route &= bound < (2.0 * (m + n)) ** 2
-    if gram_route.all():
+    # A member off the route may overflow here; it is overwritten below.
+    with np.errstate(over="ignore", invalid="ignore"):
         X = np.matmul(Y @ omega.transpose(0, 2, 1), inverse) @ inverse.transpose(0, 2, 1)
-        np.ldexp(X, -2 * exponent[:, None, None], out=X)
-        return X[0] if single else X
-    X = np.empty((len(Y), Y.shape[1], m))
-    for t in range(len(Y)):
-        if gram_route[t]:
-            X[t] = np.ldexp((Y[t] @ omega[t].T) @ inverse[t] @ inverse[t].T, -2 * exponent[t])
-        else:
-            Q, R = np.linalg.qr(omega[t].T)
-            alone, power = _check_full_rank(R[None], single, offset=t)
-            X[t] = np.ldexp((Y[t] @ Q) @ alone[0].T, -power[0])
+    np.ldexp(X, -2 * exponent[:, None, None], out=X)
+    off = np.flatnonzero(~gram_route)
+    if off.size:
+        Q, R = np.linalg.qr(omega[off].transpose(0, 2, 1))
+        inverse, exponent = _check_full_rank(R, single, off)
+        X[off] = np.ldexp((Y[off] @ Q) @ inverse.transpose(0, 2, 1), -exponent[:, None, None])
     return X[0] if single else X

@@ -22,8 +22,9 @@ class BasisMethod(NamedTuple):
     excess: int  # sketch columns beyond k that it needs
     kernel: Callable  # (stack of sketches, k) -> stack of rank-k bases
     # The kernel reads a sketch B only through B B^T, its left singular
-    # vectors and values, so any B W with orthonormal rows W gives the same
-    # bases: the step may then nullify through nullified_factor.
+    # vectors and values, so any F with B = F W, W with orthonormal rows,
+    # gives the same bases: the step then nullifies every block row through
+    # nullified_factor, which forms no nullspace basis.
     rotation_free: bool
 
 

@@ -51,8 +51,10 @@ ORTHO_TOL = 1e-12
 # Bytes that the largest temporary of one panel of a wide product may take,
 # unless the product's floor on the panel width needs more; see _in_panels.
 # It bounds the member stacks of the one-level step too: a chunk holds at
-# most max(1, PANEL_BYTES // (8 s^2)) members, whose complete s x s
-# nullspace Qs are its largest temporary; see blr2._chunks.
+# most max(1, PANEL_BYTES // (8 s^2)) members, whose largest temporaries are
+# of order s^2 doubles each: the pivoted-QR basis's complete s x s
+# nullspace Q, the SVD basis's R-only QR of an s x (h m + m) input and the
+# pseudo-inverse's padded h m x h m triangular inverse; see blr2._chunks.
 PANEL_BYTES = 2 << 20
 
 

@@ -6,7 +6,6 @@ check.
 """
 
 from functools import lru_cache
-from unittest import mock
 
 import numpy as np
 import scipy.linalg
@@ -97,28 +96,23 @@ def side_stacks(omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_diag):
 
 def nullify_rows(pattern, tests, images):
     """Nullify every block row of ``pattern`` as the one-level step does for
-    the pivoted-QR basis: one ``blr2._nullify`` call per chunk of
-    ``blr2._chunks``, through ``nullspace_basis``, with ``tests`` and
+    the pivoted-QR basis: one ``nullspace_basis`` call per chunk of
+    ``blr2._chunks`` on the chunk's stacked pattern blocks of ``tests``,
+    and the chunk's image blocks times its bases, with ``tests`` and
     ``images`` on both sides; the rows of the second side, ``pattern.T``'s,
-    are dropped.  Returns {i: (P_i, sketch_i)}, P_i the nullspace basis that
-    the call took from ``nullspace_basis``; a row with no pattern blocks has
-    P_i = None.  For block column j, pass ``pattern.T``, psi and
-    Z = A^T psi."""
-    b = pattern.block_count
-    stacks = [blr2._blocks(pattern, np.stack((arr, arr))) for arr in (tests, images)]
+    are dropped.  Returns {i: (P_i, sketch_i)}, P_i the nullspace basis of
+    row i; a row with no pattern blocks has the identity.  For block column
+    j, pass ``pattern.T``, psi and Z = A^T psi."""
+    b, m, s = pattern.block_count, pattern.block_size, tests.shape[-1]
+    tests, images = (blr2._blocks(pattern, np.stack((arr, arr))) for arr in (tests, images))
     rows = {}
-    for chunk in blr2._chunks(pattern, tests.shape[-1]):
-        taken = []
-
-        def recording(stack):
-            taken.append(nullspace_basis(stack))
-            return taken[-1]
-
-        with mock.patch.object(blr2, "nullspace_basis", recording):
-            sketches = blr2._nullify(*stacks, chunk, rotation_free=False)
-        for g, i in enumerate(np.arange(2 * b)[chunk.rows]):
+    for chunk in blr2._chunks(pattern, s):
+        g, h = chunk.positions.shape
+        P = nullspace_basis(tests[chunk.hits].reshape(g, h * m, s))
+        sketches = images[chunk.rows] @ P
+        for t, i in enumerate(np.arange(2 * b)[chunk.rows]):
             if i < b:
-                rows[int(i)] = (taken[0][g] if taken else None, sketches[g])
+                rows[int(i)] = (P[t], sketches[t])
     return rows
 
 
@@ -128,9 +122,10 @@ def per_side_step(pattern, k, omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_
     omega and Y, then the V side on ``pattern.T``, psi and Z, each kernel
     called once per row group of the side's ``_row_groups``, whole, and the
     nullification of the basis method's route (``nullified_factor`` for a
-    rotation-free kernel where h m + m <= s, the image blocks times
-    ``nullspace_basis`` otherwise).  The reference that the two-sided step in chunks must match
-    byte for byte."""
+    rotation-free kernel, the image blocks times ``nullspace_basis``
+    otherwise) on rows with pattern blocks; a row with none hands the
+    kernel its image blocks.  The reference that the two-sided step in
+    chunks must match byte for byte."""
     b, m = pattern.block_count, pattern.block_size
     method = BASIS_METHODS[basis_method]
 
@@ -144,7 +139,7 @@ def per_side_step(pattern, k, omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_
             sketches = blocks(images)[members]
             if h:
                 stacked = blocks(tests)[hits].reshape(g, h * m, -1)
-                if method.rotation_free and (h + 1) * m <= stacked.shape[2]:
+                if method.rotation_free:
                     sketches = nullified_factor(sketches, stacked)
                 else:
                     sketches = sketches @ nullspace_basis(stacked)

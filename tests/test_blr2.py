@@ -183,8 +183,11 @@ STEP_PATTERNS = {
 
 
 # Patterns with m = 6 and the sketch width over the floor for k = 2: the
-# diagonal one's rows take the R-only route, the others' rows with three
-# (tridiagonal) or two (superdiagonal) pattern blocks the explicit one.
+# diagonal one's rows have h m + m <= s, the others' rows with three
+# (tridiagonal) or two (superdiagonal) pattern blocks h m + m > s.  Rows of
+# both shapes take the R-only route, whose factor has only s - h m < m
+# columns on the latter; the test compares them with the forced explicit
+# route.
 SIDED_ROUTES = {
     "diagonal": (BLR2Pattern.diagonal(8, 6), 2),
     "tridiagonal": (BLR2Pattern.tridiagonal(8, 6), 0),

@@ -254,8 +254,8 @@ class TestRightPinvApply:
 
 class TestNullifiedFactor:
     def test_shape_validation(self):
-        with pytest.raises(ValueError, match=r"4 \+ 3 rows, more than their 6 columns"):
-            nullified_factor(np.ones((3, 6)), np.ones((4, 6)))
+        with pytest.raises(ValueError, match="expected a wide matrix"):
+            nullified_factor(np.ones((3, 6)), np.ones((6, 6)))
         with pytest.raises(ValueError, match="column mismatch"):
             nullified_factor(np.ones((2, 5)), np.ones((3, 6)))
         with pytest.raises(ValueError, match="stack mismatch"):

@@ -386,8 +386,8 @@ class TestKernelRoutes:
         qr, sizes = np.linalg.qr, []
         monkeypatch.setattr(np.linalg, "qr", lambda a, *r, **kw: sizes.append(a.shape) or qr(a, *r, **kw))
         got = right_pinv_apply(Y, omega)
-        # Only the ill-conditioned members take a Householder QR, one each.
-        assert sizes == [(14, 6)] * len(ill)
+        # Only the ill-conditioned members take a Householder QR, all in one.
+        assert sizes == ([(len(ill), 14, 6)] if ill else [])
         monkeypatch.undo()
         for t in range(8):
             assert got[t].tobytes() == right_pinv_apply(Y[t], omega[t]).tobytes()
@@ -424,6 +424,34 @@ class TestKernelRoutes:
         assert np.abs(np.linalg.svd(F, compute_uv=False)[:, : svals.shape[1]] - svals).max() <= (
             1e-12 * svals[:, :1].max()
         )
+
+    @PROPERTY
+    @given(seed=seeds, b=stack_sizes, m=st.integers(0, 8), r=st.integers(1, 8), data=st.data())
+    def test_nullified_factor_on_every_wide_shape(self, seed, b, m, r, data):
+        # n on both sides of m + r: up to it F is r x r, past it F has the
+        # n - m columns of the nullified sketch itself.
+        n = data.draw(st.integers(m + 1, m + 2 * r))
+        rng = np.random.default_rng(seed)
+        omega, Y = rng.standard_normal((b, m, n)), rng.standard_normal((b, r, n))
+        F = nullified_factor(Y, omega)
+        assert F.shape == (b, r, min(r, n - m))
+        assert np.array_equal(F, np.tril(F))
+        sketch = Y @ nullspace_basis(omega)
+        gram = sketch @ sketch.transpose(0, 2, 1)
+        err = np.linalg.norm(F @ F.transpose(0, 2, 1) - gram, axis=(1, 2))
+        assert (err <= 1e-12 * np.linalg.norm(gram, axis=(1, 2))).all()
+        for t in range(b):
+            assert F[t].tobytes() == nullified_factor(Y[t], omega[t]).tobytes()
+        if m == 0:
+            return
+        # A copied row, or a zero one when there is one row.
+        bad = data.draw(st.integers(0, b - 1))
+        omega[bad, -1] = omega[bad, 0] if m > 1 else 0.0
+        for args, where in (((Y, omega), f" (stack index {bad})"), ((Y[bad], omega[bad]), "")):
+            for route in (lambda Y, omega: nullspace_basis(omega), nullified_factor):
+                with pytest.raises(np.linalg.LinAlgError) as caught:
+                    route(*args)
+                assert str(caught.value) == f"omega is numerically rank-deficient{where}"
 
     @PROPERTY
     @given(seed=seeds, b=st.integers(1, 6), m=st.integers(2, 6), r=st.integers(1, 6), data=st.data())
