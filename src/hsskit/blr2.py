@@ -267,7 +267,7 @@ def _chunks(pattern: BLR2Pattern, s: int) -> tuple:
     temporaries, of order 8 s^2 bytes a row each, take about PANEL_BYTES:
     the pivoted-QR basis's complete s x s nullspace Q, the SVD basis's QR
     copy of the s x (h m + m) input of ``nullified_factor``, and the
-    remainder's triangular inverse, h m x h m padded to a power of two."""
+    remainder's h m x h m triangular inverse."""
     return _chunk_plan(pattern, max(1, structures.PANEL_BYTES // (8 * s * s)))
 
 

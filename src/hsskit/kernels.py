@@ -9,7 +9,9 @@ built on:
     row slice of that draw, so no block's sample depends on a schedule.
   - ``gaussian``: reproducible i.i.d. standard-normal test matrices.
   - ``truncated_svd_left``: top-k left singular subspace with deterministic
-    sign / tie handling.
+    sign / tie handling, from one batched eigendecomposition of B B^T for
+    the members that a guard on their own eigenvalues proves accurate, and
+    from the SVD for the rest.
   - ``nullspace_basis``: orthonormal nullspace basis of a wide matrix, from
     a complete QR of its transpose.
   - ``nullified_factor``: a factor with the left singular vectors and
@@ -30,6 +32,14 @@ Cholesky factorization of each member's Gram matrix, batched over the
 stack, falls back to explicit residual norms for the members whose pivots
 fall to rounding level, and takes the columns from one batched
 ``np.linalg.qr`` of the pivot columns.
+
+``truncated_svd_left`` forms no right singular vectors.  A member of a
+stack with rows <= cols takes its top k eigenvectors of B B^T from one
+batched ``np.linalg.eigh`` wherever a guard on its own computed eigenvalues
+bounds the residual it adds at eps ||B||_2^2; the other members (1.4% of
+a banded-8192 fresh build's, 9.5% of a grid-1024 fresh build's) and tall
+stacks go to the SVD, with its tie rule.  Banded-8192 reused-svd builds
+run at 0.84x of the SVD alone (``BENCH_26.json``).
 
 ``nullspace_basis``, ``nullified_factor`` and ``right_pinv_apply`` decide
 rank from the square upper-triangular factor R of omega^T.  Each member is
@@ -77,14 +87,14 @@ RANK_BOUND_MARGIN = 2.0
 _BOUND_LIMIT = (RANK_BOUND_MARGIN * RANK_CUTOFF) ** -2
 # Relative gap below which singular values are treated as tied.
 TIE_CUTOFF = 1e-14
+_EPS = float(np.finfo(np.float64).eps)
 # A pivoted-QR pivot is read off the Gram matrix only while its squared
 # residual norm exceeds this fraction of the member's largest squared column
 # norm (LAPACK's tol3z), and only when that norm exceeds _GRAM_FLOOR.
-_GRAM_TRUST = float(np.sqrt(np.finfo(np.float64).eps))
-_GRAM_FLOOR = 2.0**-900
+_GRAM_TRUST = float(np.sqrt(_EPS))
 # The Cholesky route of right_pinv_apply is taken only where the largest
-# diagonal entry of omega omega^T lies in this range.
-_GRAM_RANGE = (2.0**-900, 2.0**900)
+# diagonal entry of omega omega^T lies in [_GRAM_FLOOR, 1 / _GRAM_FLOOR].
+_GRAM_FLOOR = 2.0**-900
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -178,17 +188,24 @@ def _as_stack(a, name: str):
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
-    """Flip column signs so the largest-magnitude entry of each is positive."""
-    lead = np.argmax(np.abs(U), axis=-2)[..., None, :]
-    return np.where(np.take_along_axis(U, lead, axis=-2) < 0, -U, U)
+    """Flip in place the column signs of a (b, r, c) stack so the
+    largest-magnitude entry of each column is positive (the first of equal
+    magnitudes decides); returns U."""
+    b, r, c = U.shape
+    lead = U.reshape(b, r * c)[np.arange(b)[:, None], np.abs(U).argmax(axis=1) * c + np.arange(c)]
+    U *= np.where(lead < 0, -1.0, 1.0)[:, None, :]
+    return U
 
 
 def _inverse_work(b: int, n: int) -> np.ndarray:
-    """A zeroed (b, N, N) stack for :func:`_invert_upper`, N the least power
-    of two >= n, with ones on the diagonal past n.  An upper triangular R
-    written into ``[:, :n, :n]`` then makes each member block diagonal, and
-    ``[:, :n, :n]`` of the inverse is R^{-1}."""
-    N = 1 << max(n - 1, 0).bit_length()
+    """A zeroed (b, N, N) stack for :func:`_invert_upper`, N the least
+    multiple of 16 >= n (the least power of two >= n below 16), with ones on
+    the diagonal past n.  An upper triangular R written into ``[:, :n, :n]``
+    then makes each member block diagonal, and ``[:, :n, :n]`` of the
+    inverse is R^{-1}.  Gain over padding to a power of two: the (28, 48,
+    48) stacks of a BLR2 tridiagonal step invert in 181 against 288 us (one
+    core), with the same bytes."""
+    N = 1 << max(n - 1, 0).bit_length() if n <= 16 else -(-n // 16) * 16
     work = np.zeros((b, N, N))
     if N > n:
         work[:, range(n, N), range(n, N)] = 1.0
@@ -196,34 +213,43 @@ def _inverse_work(b: int, n: int) -> np.ndarray:
 
 
 def _invert_upper(work: np.ndarray) -> None:
-    """Invert in place each member of a C-ordered (b, N, N) stack of upper
-    triangular matrices, N a power of two; entries below the diagonal must
-    be zero.
+    """Invert in place each member of a C-ordered (b, n, n) stack of upper
+    triangular matrices; entries below the diagonal must be zero.
 
     The inverses of the 1 x 1 diagonal blocks are reciprocals.  Each level
-    then pairs neighbouring diagonal blocks into blocks of twice the size,
-    [[A, B], [0, C]]^{-1} = [[A^{-1}, -A^{-1} B C^{-1}], [0, C^{-1}]], with
-    the off-diagonal block of every pair of every member in one batched
-    product: log2(N) levels of two products each.  The stack is negated
-    first, so A^{-1} (-B) C^{-1} is a plain product.  A zero pivot gives its
-    member non-finite entries, and numpy's floating-point warnings, which a
-    caller that expects one silences; other members are unaffected.
+    then pairs neighbouring diagonal blocks of size M, from the first row
+    on and while a pair fits, into blocks of size 2M, [[A, B], [0, C]]^{-1}
+    = [[A^{-1}, -A^{-1} B C^{-1}], [0, C^{-1}]], with the off-diagonal block
+    of every pair of every member in one batched product.  The blocks left
+    have the sizes of the binary digits of n, largest first (32 and 16 for
+    n = 48), and the same formula joins them from the last: two products
+    per level and per join.  The stack is negated first, so
+    A^{-1} (-B) C^{-1} is a plain product.  A zero pivot gives its member
+    non-finite entries, and numpy's floating-point warnings, which a caller
+    that expects one silences; other members are unaffected.
     """
-    b, N = work.shape[:2]
+    b, n = work.shape[:2]
     size = work.itemsize
     np.negative(work, out=work)
-    diagonal = np.ndarray((b, N), work.dtype, work, 0, (work.strides[0], (N + 1) * size))
+    diagonal = np.ndarray((b, n), work.dtype, work, 0, (work.strides[0], (n + 1) * size))
     np.divide(-1.0, diagonal, out=diagonal)
     M = 1
-    while M < N:
-        # The (b, N / 2M) stack of diagonal blocks of size 2M, as a view.
+    while 2 * M <= n:
+        # The (b, n // 2M) stack of diagonal blocks of size 2M, as a view.
         pairs = np.ndarray(
-            (b, N // (2 * M), 2 * M, 2 * M), work.dtype, work, 0,
-            (work.strides[0], 2 * M * (N + 1) * size, N * size, size),
+            (b, n // (2 * M), 2 * M, 2 * M), work.dtype, work, 0,
+            (work.strides[0], 2 * M * (n + 1) * size, n * size, size),
         )
         upper = pairs[:, :, :M, M:]
         np.matmul(pairs[:, :, :M, :M], np.matmul(upper, pairs[:, :, M:, M:]), out=upper)
         M *= 2
+    # Block [a, c) is joined with the inverted trailing block [c, n).
+    c = n - (n & -n)
+    while c:
+        a = c & (c - 1)
+        upper = work[:, a:c, c:]
+        np.matmul(work[:, a:c, a:c], np.matmul(upper, work[:, c:, c:]), out=upper)
+        c = a
 
 
 def _scaled_inverse(R: np.ndarray):
@@ -278,20 +304,73 @@ def truncated_svd_left(B, k: int) -> np.ndarray:
     """Top-k left singular vectors of B, as an orthonormal (rows, k) matrix.
 
     B is one matrix or a stack (b, rows, cols); a stack gives a (b, rows, k)
-    stack, member by member.  U U^T B is a best rank-k approximation of B in
-    the Frobenius norm.  Columns are sign-normalized; when retained and
-    discarded singular values tie to within ``TIE_CUTOFF`` relative, the
-    lexicographically earlier singular vectors are kept so results are
-    deterministic.  A wide stack (cols > rows) is first reduced to the
-    (b, rows, rows) stack R^T from the QR factorization B^T = Q R, which has
-    the same left singular vectors and singular values, so no (b, rows,
-    cols) right factor is ever formed.
+    stack, member by member, and each member's result is the same bytes
+    alone as in any stack.  U U^T B is a best rank-k approximation of B in
+    the Frobenius norm, to the rounding stated below.  Columns are
+    sign-normalized (the largest-magnitude entry of each is positive).
+
+    Gram route, for the members of a stack with rows <= cols whose guard
+    holds.  The member is scaled by the power of two that brings max|B|
+    into [0.5, 1), which is exact, and U is the top k eigenvectors of G =
+    B B^T from one batched ``np.linalg.eigh``; no QR, SVD or right factor
+    is formed.  Forming G (gamma_cols ||B||_F^2) and eigh (backward error
+    taken as rows eps ||G||_F) make the computed eigenpairs exact for G + E
+    with ||E||_F <= nu = (rows + cols) eps ||B||_F^2.  With the computed
+    eigenvalues l_1 >= l_2 >= ... and the gap g = l_k - l_k+1 (l_k+1 = 0
+    when k = rows), the guard is
+
+        g > nu  and  nu^2 (l_k + nu) <= eps (l_1 - nu) (g - nu)^2.
+
+    The first left of it (Weyl) keeps the exact top-k and computed tail
+    eigenvalues g - nu apart; the rotation between the two subspaces then
+    solves a Sylvester equation, which bounds the energy that U misses
+    beyond the optimum by nu^2 (l_k + nu) / (g - nu)^2.  So where the guard
+    holds, ||B - U U^T B||_F^2 exceeds its optimum by at most eps
+    ||B||_2^2.  A zero member fails the guard, and so does every tie within
+    ``TIE_CUTOFF`` (it forces sigma_k / sigma_1 below sqrt(eps), where
+    l_k is within nu of zero).  Gain: banded-8192 reused-svd builds at
+    0.84x of the SVD route alone (``BENCH_26.json``).
+
+    SVD route, for every other member and for a tall stack (rows > cols).
+    A wide member is first reduced to R^T from the QR factorization B^T = Q
+    R, which has the same left singular vectors and singular values.  When
+    retained and discarded singular values tie to within ``TIE_CUTOFF``
+    relative, the lexicographically earlier sign-normalized singular
+    vectors are kept, so results are deterministic.
     """
     B, single = _as_stack(B, "B")
     rows, cols = B.shape[1:]
     if not 1 <= k <= min(rows, cols):
         raise ValueError(f"k={k} out of range for shape {B.shape[1:]}")
-    if cols > rows:
+    if rows > cols:
+        U = _svd_left(B, k)
+    else:
+        U, off = _gram_left(B, k)
+        if off.size:
+            U[off] = _svd_left(B[off], k)
+    return U[0] if single else U
+
+
+def _gram_left(B: np.ndarray, k: int):
+    """``(U, off)``: the Gram route of :func:`truncated_svd_left` for every
+    member of a (b, rows, cols) stack with rows <= cols, and the indices of
+    the members whose guard fails, whose rows of U are to be overwritten."""
+    rows, cols = B.shape[1:]
+    scaled = np.ldexp(B, -np.frexp(np.abs(B).max(axis=(1, 2)))[1][:, None, None])
+    gram = scaled @ scaled.transpose(0, 2, 1)
+    values, vectors = np.linalg.eigh(gram)
+    nu = (rows + cols) * _EPS * np.einsum("tii->t", gram)
+    top, kth = values[:, -1], values[:, -k]
+    gap = kth - (values[:, -k - 1] if k < rows else 0.0) - nu
+    fine = (gap > 0) & (nu * nu * (kth + nu) <= _EPS * (top - nu) * gap * gap)
+    U = _fix_signs(np.ascontiguousarray(vectors[:, :, : -k - 1 : -1]))
+    return U, np.flatnonzero(~fine)
+
+
+def _svd_left(B: np.ndarray, k: int) -> np.ndarray:
+    """The SVD route of :func:`truncated_svd_left` for a (b, rows, cols)
+    stack, with the ``TIE_CUTOFF`` rule."""
+    if B.shape[2] > B.shape[1]:
         B = np.linalg.qr(B.transpose(0, 2, 1), mode="r").transpose(0, 2, 1)
     U, svals, _ = np.linalg.svd(B, full_matrices=False)
     U = _fix_signs(U)
@@ -304,8 +383,7 @@ def truncated_svd_left(B, k: int) -> np.ndarray:
             columns = np.arange(U.shape[2])
             columns[group] = order
             U[t] = U[t][:, columns]
-    U = np.ascontiguousarray(U[:, :, :k])
-    return U[0] if single else U
+    return np.ascontiguousarray(U[:, :, :k])
 
 
 def nullspace_basis(omega) -> np.ndarray:
@@ -313,8 +391,9 @@ def nullspace_basis(omega) -> np.ndarray:
 
     omega is one (m, n) matrix with m < n or a stack (b, m, n); the result is
     (n, n - m), or (b, n, n - m) for a stack.  P is the trailing n - m columns
-    of a complete QR of omega^T.  Raises ``LinAlgError``, naming the stack
-    index, when a member's singular values (those of its R factor) fall to
+    of a complete QR of omega^T; an omega with no rows gives the identity,
+    with no QR.  Raises ``LinAlgError``, naming the stack index, when a
+    member's singular values (those of its R factor) fall to
     ``RANK_CUTOFF`` relative to the largest; a Gaussian input is full rank
     almost surely.
     """
@@ -322,6 +401,9 @@ def nullspace_basis(omega) -> np.ndarray:
     m, n = omega.shape[1:]
     if m >= n:
         raise ValueError(f"expected a wide matrix (rows < cols), got {m}x{n}")
+    if m == 0:
+        P = np.repeat(np.eye(n)[None], len(omega), axis=0)
+        return P[0] if single else P
     Q, R = np.linalg.qr(omega.transpose(0, 2, 1), mode="complete")
     _check_full_rank(R[:, :m], single)
     P = np.ascontiguousarray(Q[:, :, m:])
@@ -344,8 +426,7 @@ def pivoted_qr_basis(B, k: int) -> np.ndarray:
     B, single = _as_stack(B, "B")
     if not 1 <= k <= min(B.shape[1:]):
         raise ValueError(f"k={k} out of range for shape {B.shape[1:]}")
-    Q = np.linalg.qr(_columns(B, _pivots(B, k)))[0]
-    Q = np.ascontiguousarray(_fix_signs(Q))
+    Q = _fix_signs(np.linalg.qr(_columns(B, _pivots(B, k)))[0])
     return Q[0] if single else Q
 
 
@@ -503,7 +584,7 @@ def right_pinv_apply(Y, omega) -> np.ndarray:
         gram = omega @ omega.transpose(0, 2, 1)
     # An overflowed Gram matrix reads inf and leaves the range.
     top = np.einsum("tii->ti", gram).max(axis=1, initial=0.0)
-    gram_route = (top >= _GRAM_RANGE[0]) & (top <= _GRAM_RANGE[1])
+    gram_route = (top >= _GRAM_FLOOR) & (top <= 1 / _GRAM_FLOOR)
     gram[~gram_route] = np.eye(m)
     try:
         L = np.linalg.cholesky(gram)

@@ -21,10 +21,12 @@ class BasisMethod(NamedTuple):
 
     excess: int  # sketch columns beyond k that it needs
     kernel: Callable  # (stack of sketches, k) -> stack of rank-k bases
-    # The kernel reads a sketch B only through B B^T, its left singular
-    # vectors and values, so any F with B = F W, W with orthonormal rows,
-    # gives the same bases: the step then nullifies every block row through
-    # nullified_factor, which forms no nullspace basis.
+    # The kernel reads a sketch B only through B B^T: the Gram route forms
+    # it, and the SVD route takes its eigenvectors and values as B's left
+    # singular vectors and values.  So any F with B = F W, W with
+    # orthonormal rows, gives the same bases to rounding: the step then
+    # nullifies every block row through nullified_factor, which forms no
+    # nullspace basis.
     rotation_free: bool
 
 

@@ -54,7 +54,7 @@ ORTHO_TOL = 1e-12
 # most max(1, PANEL_BYTES // (8 s^2)) members, whose largest temporaries are
 # of order s^2 doubles each: the pivoted-QR basis's complete s x s
 # nullspace Q, the SVD basis's R-only QR of an s x (h m + m) input and the
-# pseudo-inverse's padded h m x h m triangular inverse; see blr2._chunks.
+# pseudo-inverse's h m x h m triangular inverse; see blr2._chunks.
 PANEL_BYTES = 2 << 20
 
 

@@ -123,9 +123,10 @@ def per_side_step(pattern, k, omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_
     called once per row group of the side's ``_row_groups``, whole, and the
     nullification of the basis method's route (``nullified_factor`` for a
     rotation-free kernel, the image blocks times ``nullspace_basis``
-    otherwise) on rows with pattern blocks; a row with none hands the
-    kernel its image blocks.  The reference that the two-sided step in
-    chunks must match byte for byte."""
+    otherwise) on every row, as the step nullifies it: a row with no pattern
+    blocks hands the kernel the R factor of its image blocks' transpose, or
+    its image blocks times the identity.  The reference that the two-sided
+    step in chunks must match byte for byte."""
     b, m = pattern.block_count, pattern.block_size
     method = BASIS_METHODS[basis_method]
 
@@ -136,13 +137,11 @@ def per_side_step(pattern, k, omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_
         out = np.empty((b, m, k))
         for members, hits, _ in side._row_groups:
             g, h = hits.shape
-            sketches = blocks(images)[members]
-            if h:
-                stacked = blocks(tests)[hits].reshape(g, h * m, -1)
-                if method.rotation_free:
-                    sketches = nullified_factor(sketches, stacked)
-                else:
-                    sketches = sketches @ nullspace_basis(stacked)
+            sketches, stacked = blocks(images)[members], blocks(tests)[hits].reshape(g, h * m, tests.shape[1])
+            if method.rotation_free:
+                sketches = nullified_factor(sketches, stacked)
+            else:
+                sketches = sketches @ nullspace_basis(stacked)
             out[members] = method.kernel(sketches, k)
         return out
 

@@ -222,6 +222,30 @@ class TestTwoSidedStep:
             for array, expected in zip(got, want):
                 assert array.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("name", ["alternate", "empty"])
+    def test_rows_with_no_pattern_blocks_keep_the_complete_qr_bytes(self, name, monkeypatch):
+        # nullspace_basis gives a row with no pattern blocks the identity
+        # with no QR; the pivoted-QR step's output is the bytes it was when
+        # the identity came from a complete QR of an (s, 0) stack.  The
+        # alternate pattern holds every other diagonal block.
+        alternate = BLR2Pattern(8, 4, frozenset((i, i) for i in range(0, 8, 2)))
+        pat, k = alternate if name == "alternate" else STEP_PATTERNS[name], 2
+        s = pat.width_floor(k, "pivoted-qr") + 1
+        A = np.random.default_rng(48).standard_normal((pat.dim, pat.dim))
+        args = _side_args(pat, A, s, 49)
+        got = blr2_factors_from_sketches(pat, k, *args, basis_method="pivoted-qr")
+        plain = blr2.nullspace_basis
+
+        def complete_qr(omega):
+            if omega.shape[1]:
+                return plain(omega)
+            return np.linalg.qr(omega.transpose(0, 2, 1), mode="complete")[0]
+
+        monkeypatch.setattr(blr2, "nullspace_basis", complete_qr)
+        want = blr2_factors_from_sketches(pat, k, *args, basis_method="pivoted-qr")
+        for array, expected in zip(got, want):
+            assert array.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("name", SIDED_ROUTES)
     def test_svd_bases_match_the_explicit_nullspace_route(self, name, monkeypatch):
         # The R-only route of the SVD basis gives the bases and remainder

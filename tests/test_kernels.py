@@ -16,6 +16,7 @@ from hsskit import (
     truncated_svd_left,
 )
 
+from hsskit import kernels
 from hsskit.kernels import _pivots, nullified_factor
 
 from helpers import lapack_pivots, stacked_direct_pivoted_qr_basis, svd_tail_energy
@@ -125,6 +126,31 @@ class TestTruncatedSvdLeft:
         assert np.allclose(proj @ proj, proj, atol=1e-14)
         assert abs(np.trace(proj) - 2.0) <= 1e-14
 
+    def test_one_member_on_each_side_of_the_gram_guard(self):
+        # Three 12 x 20 members with sigma_1 = 1, sigma_4 = 1e-3, 2e-7 and
+        # 1e-9, sigma_5 = sigma_4 / 10, and nu = 32 eps ||B||_F^2, about
+        # 7e-15.  The first clears the guard by far and takes the Gram
+        # route.  The second's gap exceeds nu, but not by enough to bound
+        # its residual, and the third's sigma_4^2 is below nu: both take
+        # the SVD route, alone in their stack or not.
+        rng = np.random.default_rng(5)
+        B = np.empty((3, 12, 20))
+        for t, floor in enumerate((1e-3, 2e-7, 1e-9)):
+            svals = np.concatenate((np.geomspace(1.0, floor, 4), floor * np.geomspace(0.1, 1e-3, 8)))
+            left = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+            right = np.linalg.qr(rng.standard_normal((20, 12)))[0]
+            B[t] = (left * svals) @ right.T
+        gram, off = kernels._gram_left(B, 4)
+        assert off.tolist() == [1, 2]
+        got = truncated_svd_left(B, 4)
+        assert got[0].tobytes() == gram[0].tobytes()
+        for t in range(3):
+            if t:
+                assert got[t].tobytes() == kernels._svd_left(B[t : t + 1], 4)[0].tobytes()
+            assert got[t].tobytes() == truncated_svd_left(B[t], 4).tobytes()
+            resid = np.linalg.norm(B[t] - got[t] @ (got[t].T @ B[t])) ** 2
+            assert resid - svd_tail_energy(B[t], 4) <= np.finfo(float).eps
+
     def test_k_out_of_range(self):
         B = np.eye(4)
         with pytest.raises(ValueError):
@@ -161,8 +187,14 @@ class TestNullspaceBasis:
         with pytest.raises(ValueError):
             nullspace_basis(np.eye(3))
 
-    def test_no_rows_gives_identity(self):
+    def test_no_rows_gives_identity(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(a) or qr(*a, **kw))
         assert np.array_equal(nullspace_basis(np.zeros((0, 4))), np.eye(4))
+        P = nullspace_basis(np.zeros((3, 0, 5)))
+        assert P.shape == (3, 5, 5) and np.array_equal(P, np.broadcast_to(np.eye(5), P.shape))
+        assert calls == []  # no QR
 
     def test_defining_properties_random_shapes(self):
         stream = RngStream(2)

@@ -10,6 +10,7 @@ derandomized, so every run checks the same cases.
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from hsskit import (
     write_dense,
 )
 from hsskit.experiment import run_cell
+from hsskit import kernels
 from hsskit.kernels import _check_full_rank, _invert_upper, _inverse_work, _pivots, nullified_factor
 from hsskit.structures import block_apply, block_apply_t, tree_levels
 
@@ -118,8 +120,9 @@ class TestStackedKernelsMatchTwoD:
         data=st.data(),
     )
     def test_wide_truncated_svd_left_matches_direct_svd(self, seed, b, r, wide, data):
-        # A wide stack goes through the QR of B^T; each member must still get
-        # the U of its own SVD.  Member t has a scattered signed-permutation
+        # Each member of a wide stack must get the U of its own SVD: the
+        # Gaussian members from the Gram route, member t from the SVD route
+        # through the QR of B^T.  Member t has a scattered signed-permutation
         # structure whose singular values tie across position k, so only the
         # tie rule decides which of the tied vectors are kept.
         c = r + 1 if wide == "one more column" else 40 * r + 7
@@ -226,6 +229,73 @@ class TestStackedKernelsMatchTwoD:
         got = pivoted_qr_basis(B, 4)
         assert np.array_equal(got[1], np.eye(7, 4))
         assert pivoted_qr_basis(np.zeros((0, 7, 5)), 4).shape == (0, 7, 4)
+
+
+def _graded_member(rng, r, c, k, drop, fall, scale):
+    """An r x c member with known singular values, in random singular
+    bases: sigma_1 = 1 falls geometrically to sigma_k = 10**-drop (drop = 0
+    when k = 1), sigma_k+1
+    = sigma_k 10**-fall (an exact tie at fall = 0), and the rest fall by a
+    further tenth each; the whole member is times ``scale``."""
+    n = min(r, c)
+    svals = np.concatenate((np.geomspace(1.0, 10.0**-drop, k), 10.0 ** -(drop + fall + np.arange(n - k))))
+    svals[0] = 1.0
+    left = np.linalg.qr(rng.standard_normal((r, n)))[0]
+    right = np.linalg.qr(rng.standard_normal((c, n)))[0]
+    return scale * (left * svals) @ right.T
+
+
+class TestGramRoute:
+    """``truncated_svd_left`` on graded spectra whose gaps fall on both sides
+    of the Gram route's guard: its stated bound on the rank-k residual, one
+    member's route and bytes whatever its stack, and the SVD route for tied
+    values and tall stacks."""
+
+    @PROPERTY
+    @given(
+        seed=seeds,
+        b=stack_sizes,
+        r=st.integers(2, 10),
+        c=st.integers(1, 24),
+        data=st.data(),
+    )
+    def test_graded_spectra(self, seed, b, r, c, data):
+        k = data.draw(st.integers(1, min(r, c)))
+        rng = np.random.default_rng(seed)
+        # sigma_k / sigma_1 from 1 to 1e-12 spans the guard, whose limit
+        # is near 1e-6 here; fall = 0 ties sigma_k and sigma_k+1.
+        drops = data.draw(st.lists(st.integers(0, 12 if k > 1 else 0), min_size=b, max_size=b))
+        falls = data.draw(st.lists(st.integers(0, 6), min_size=b, max_size=b))
+        scales = data.draw(st.lists(st.sampled_from([1.0, 1e300, 1e-300]), min_size=b, max_size=b))
+        B = np.stack([_graded_member(rng, r, c, k, *member) for member in zip(drops, falls, scales)])
+        if r > c:
+            with mock.patch.object(kernels, "_gram_left", side_effect=AssertionError("Gram route")):
+                got = truncated_svd_left(B, k)
+            off = set(range(b))
+        else:
+            got = truncated_svd_left(B, k)
+            off = set(kernels._gram_left(B, k)[1].tolist())
+        assert np.array_equal(truncated_svd_left(B[::-1], k)[::-1], got)
+        eps = np.finfo(float).eps
+        for t in range(b):
+            assert got[t].tobytes() == truncated_svd_left(B[t], k).tobytes()
+            tied = falls[t] == 0 and k < min(r, c)
+            if tied or drops[t] >= 9:
+                assert t in off
+            elif drops[t] <= 3 and r <= c:
+                assert t not in off
+            if t in off:
+                assert got[t].tobytes() == kernels._svd_left(B[t : t + 1], k)[0].tobytes()
+            # The bound: the squared residual exceeds the optimum by at most
+            # eps sigma_1^2, plus this check's own rounding, which scales
+            # with the residual.
+            member = np.ldexp(B[t], -np.frexp(np.abs(B[t]).max())[1])
+            svals = np.linalg.svd(member, compute_uv=False)
+            tail = np.sum(svals[k:] ** 2)
+            residual = member - got[t] @ (got[t].T @ member)
+            slack = 4 * (r + c) * eps * np.sqrt(tail) * np.linalg.norm(member)
+            assert np.sum(residual**2) - tail <= eps * svals[0] ** 2 + slack
+            assert np.abs(got[t].T @ got[t] - np.eye(k)).max() <= 1e-12
 
 
 def _stack_with_ratio(seed, b, n, t, ratio):
