@@ -10,11 +10,12 @@ blocks of each test-matrix line, extracts rank-k bases from the nullified
 sketches (sketched SVD or pivoted QR), and un-sketches the pattern blocks
 from an independent pair of sketches with the bases held fixed.  The SVD
 basis reads only a sketch's left singular vectors and values, so for it
-every row's nullified sketch comes from one R-only QR per stack
+each row's nullified sketch is Y - (Y Q1) Q1^T, Q1 from the factorization
+of the stacked pattern blocks that the remainder's pseudo-inverse uses
 (:func:`~hsskit.kernels.nullified_factor`); the pivoted QR, whose pivots
 depend on the sketch's own columns, gets the image blocks times an explicit
-nullspace basis.  The basis-method table entry chooses the route, and a
-row with no pattern blocks takes it too, through an omega with no rows.
+nullspace basis.  The basis-method table entry chooses the route; a row
+with no pattern blocks hands either kernel its image blocks as they are.
 
 Transposition is data: the column side of every rule is the row side run on
 ``pattern.T``, the pattern of A^T.  Every array of the step therefore has a
@@ -265,8 +266,8 @@ def _chunks(pattern: BLR2Pattern, s: int) -> tuple:
     ``pattern._step_groups`` cut into chunks (:class:`_Chunk`) of at most
     max(1, PANEL_BYTES // (8 s^2)) rows, so that a chunk's largest
     temporaries, of order 8 s^2 bytes a row each, take about PANEL_BYTES:
-    the pivoted-QR basis's complete s x s nullspace Q, the SVD basis's QR
-    copy of the s x (h m + m) input of ``nullified_factor``, and the
+    the pivoted-QR basis's complete s x s nullspace Q, the SVD basis's
+    s x h m factor Q1 and m x s product in ``nullified_factor``, and the
     remainder's h m x h m triangular inverse."""
     return _chunk_plan(pattern, max(1, structures.PANEL_BYTES // (8 * s * s)))
 
@@ -368,7 +369,12 @@ def blr2_factors_from_sketches(
         # nullspace basis of those pattern blocks.
         g, h = chunk.positions.shape
         rows, hits = images[chunk.rows], tests[chunk.hits].reshape(g, h * m, s)
-        sketches = nullified_factor(rows, hits) if method.rotation_free else rows @ nullspace_basis(hits)
+        if h == 0:
+            sketches = rows
+        elif method.rotation_free:
+            sketches = nullified_factor(rows, hits)
+        else:
+            sketches = rows @ nullspace_basis(hits)
         stack[chunk.rows] = method.kernel(sketches, k)
     return bases[0], bases[1], blr2_remainder(pattern, bases, tests_diag, images_diag)
 

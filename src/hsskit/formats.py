@@ -56,12 +56,15 @@ class TruncatedPayloadError(FormatError):
     """Payload ends before the declared contents are complete."""
 
 
-def _emit(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _emit(arr: np.ndarray) -> memoryview:
+    """The little-endian float64 buffer of ``arr``: the array's own memory
+    where it is C-contiguous little-endian float64, else one copy."""
+    return memoryview(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def serialize(T: TelescopingFactorization) -> bytes:
-    """Encode a telescoping factorization as an HSSF byte string."""
+    """Encode a telescoping factorization as an HSSF byte string.  The
+    arrays' buffers are joined as they are, so the payload is copied once."""
     parts = [HSSF_MAGIC, struct.pack("<III", HSSF_VERSION, T.depth, T.rank_param)]
     for lf in reversed(T.levels):  # level L down to 1
         parts.extend((_emit(lf.U), _emit(lf.V), _emit(lf.D)))
@@ -70,19 +73,21 @@ def serialize(T: TelescopingFactorization) -> bytes:
 
 
 class _Reader:
+    """The float64 arrays of a payload from byte ``offset`` on, in order, as
+    views of one writable copy of its floats: one copy per payload."""
+
     def __init__(self, data: bytes, offset: int):
-        self.data = data
-        self.offset = offset
+        self.size, self.start, self.offset = len(data), offset, offset
+        count = (len(data) - offset) // 8
+        self.floats = np.frombuffer(data, dtype="<f8", count=count, offset=offset).astype(np.float64)
 
     def take(self, count: int, shape) -> np.ndarray:
         end = self.offset + 8 * count
-        if end > len(self.data):
-            raise TruncatedPayloadError(
-                f"payload ends at byte {len(self.data)}, needed {end}"
-            )
-        flat = np.frombuffer(self.data, dtype="<f8", count=count, offset=self.offset)
+        if end > self.size:
+            raise TruncatedPayloadError(f"payload ends at byte {self.size}, needed {end}")
+        first = (self.offset - self.start) // 8
         self.offset = end
-        return flat.reshape(shape).astype(np.float64)
+        return self.floats[first : first + count].reshape(shape)
 
 
 def deserialize(data: bytes) -> TelescopingFactorization:

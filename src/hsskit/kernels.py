@@ -15,8 +15,8 @@ built on:
   - ``nullspace_basis``: orthonormal nullspace basis of a wide matrix, from
     a complete QR of its transpose.
   - ``nullified_factor``: a factor with the left singular vectors and
-    values of Y @ nullspace_basis(Omega), from one R-only QR of
-    [Omega^T | Y^T] and no Q.
+    values of Y @ nullspace_basis(Omega), from the factorization of Omega
+    that ``right_pinv_apply`` uses.
   - ``pivoted_qr_basis``: leading columns of a column-pivoted QR.
   - ``right_pinv_apply``: Y @ pinv(Omega) for wide Omega via a Cholesky
     factorization of Omega Omega^T, batched over the stack, with the
@@ -26,37 +26,28 @@ All five factorization kernels take one matrix or a stack (b, r, c) of
 equal-shape matrices and return the matching leading shape; one call serves
 a whole level of blocks, and the input checks run once per stack.  A 2-D
 argument is a stack of one, and every member's result is the same bytes
-alone as in any stack.  The module needs numpy only.  numpy has no pivoted
-QR, so ``pivoted_qr_basis`` takes LAPACK ``geqp3``'s pivots from a pivoted
-Cholesky factorization of each member's Gram matrix, batched over the
-stack, falls back to explicit residual norms for the members whose pivots
-fall to rounding level, and takes the columns from one batched
-``np.linalg.qr`` of the pivot columns.
+alone as in any stack.  The module needs numpy only; numpy has no pivoted
+QR, so ``pivoted_qr_basis`` reads LAPACK ``geqp3``'s pivots off each
+member's Gram matrix (:func:`_pivots`).
 
-``truncated_svd_left`` forms no right singular vectors.  A member of a
-stack with rows <= cols takes its top k eigenvectors of B B^T from one
-batched ``np.linalg.eigh`` wherever a guard on its own computed eigenvalues
-bounds the residual it adds at eps ||B||_2^2; the other members (1.4% of
-a banded-8192 fresh build's, 9.5% of a grid-1024 fresh build's) and tall
-stacks go to the SVD, with its tie rule.  Banded-8192 reused-svd builds
-run at 0.84x of the SVD alone (``BENCH_26.json``).
+``truncated_svd_left`` forms no right singular vectors: a member of a
+stack with rows <= cols takes the top k eigenvectors of B B^T from one
+batched ``np.linalg.eigh`` wherever a guard on its eigenvalues bounds the
+residual it adds at eps ||B||_2^2, and the SVD otherwise (banded-8192
+reused-svd builds: 0.84x of the SVD alone, ``BENCH_26.json``).
 
 ``nullspace_basis``, ``nullified_factor`` and ``right_pinv_apply`` decide
 rank from the square upper-triangular factor R of omega^T.  Each member is
 scaled by the power of two that brings max|R| into [0.5, 1), and the whole
-stack is inverted by one batched triangular inverse in numpy
-(``_invert_upper``: the inverses of diagonal blocks of doubling size, one
-level of batched products each).  Most members are settled by the proven
-bound sigma_min / sigma_max >= 1 / (||R||_F ||R^{-1}||_F), two norms; only
-members whose bound does not clear ``RANK_CUTOFF`` with a factor
-``RANK_BOUND_MARGIN`` to spare (or whose R has an exact zero pivot) go to
-the singular values.  ``right_pinv_apply`` takes R from the Cholesky
-factorization of the Gram matrix, where the same bound, below 2 (m + n),
-proves the member well enough conditioned for (Y Omega^T) R^{-1} R^{-T};
-every other member is overwritten from one thin Householder QR of those
-members and the rank check.  The Gram route and ``nullified_factor`` form
-no Q factor, and no kernel is left with an LU factorization or a general
-solve.
+stack is inverted by one batched triangular inverse (``_invert_upper``).
+Most members are settled by the proven bound sigma_min / sigma_max >= 1 /
+(||R||_F ||R^{-1}||_F), two norms; only members whose bound does not clear
+``RANK_CUTOFF`` with a factor ``RANK_BOUND_MARGIN`` to spare (or whose R
+has an exact zero pivot) go to the singular values.  ``nullified_factor``
+and ``right_pinv_apply`` share ``_row_factor``: R is the Cholesky factor of
+omega omega^T wherever the same bound, below 2 (m + n), proves the member
+well conditioned, and comes from one thin Householder QR of the others.
+No kernel is left with an LU factorization or a general solve.
 
 All functions are pure; streams are value types.
 """
@@ -528,58 +519,20 @@ def _pinv_operands(Y, omega) -> tuple:
     return Y, omega, single
 
 
-def nullified_factor(Y, omega) -> np.ndarray:
-    """A factor F of the nullified sketch Y @ nullspace_basis(omega): Y P =
-    F W for a W with orthonormal rows, so F has the left singular vectors
-    and the singular values of Y P.
-
-    Y (r, n) and omega (m, n) with m < n, or stacks (b, r, n) and (b, m, n)
-    of equal length; F is (r, min(r, n - m)), or (b, r, min(r, n - m)),
-    lower trapezoidal.  With the R-only QR [omega^T | Y^T] = Q [[R11, R12],
-    [0, R22]], Q1 the first m columns of Q and Q2 the next min(r, n - m), F
-    = R22^T: Y^T = Q1 R12 + Q2 R22, and P^T Q1 = 0, so Y P = R22^T (Q2^T
-    P), where W = Q2^T P has orthonormal rows.  No Q is formed, and an
-    omega with no rows gives the R factor of Y^T, transposed.  R11 is the R
-    factor of omega^T, and the rank check is :func:`nullspace_basis`'s,
-    with the same ``LinAlgError``.
-    """
-    Y, omega, single = _pinv_operands(Y, omega)
-    (m, n), r = omega.shape[1:], Y.shape[1]
-    if m >= n:
-        raise ValueError(f"expected a wide matrix (rows < cols), got {m}x{n}")
-    # mode="raw" leaves R in the upper triangle of the QR's own copy of
-    # the input, transposed, and forms no triu copy of all of it.
-    h = np.linalg.qr(np.concatenate((omega, Y), axis=1).transpose(0, 2, 1), mode="raw")[0]
-    _check_full_rank(np.triu(h[:, :m, :m].transpose(0, 2, 1)), single)
-    F = np.tril(h[:, m:, m : m + r])
-    return F[0] if single else F
-
-
-def right_pinv_apply(Y, omega) -> np.ndarray:
-    """Compute Y @ pinv(omega) for a wide, full-row-rank omega.
-
-    Y (r, n) and omega (m, n), or stacks (b, r, n) and (b, m, n) of equal
-    length.  With the Cholesky factorization omega omega^T = R^T R this is
-    (Y omega^T) R^{-1} R^{-T}: one batched Gram product, one batched
-    ``np.linalg.cholesky`` and the batched triangular inverse of the rank
-    check, scaled back by its power of two, for the whole stack.  The Gram
-    route holds only for a member whose proven bound ||R||_F ||R^{-1}||_F
-    on its condition number is below 2 (m + n), so its error stays within
-    a small multiple of eps cond (m + n), and whose Gram matrix's largest
-    diagonal entry lies in [2**-900, 2**900], so it neither overflows nor
-    loses digits to subnormals.  Every other member, and any whose
-    Cholesky factorization fails, is overwritten from one batched thin
-    Householder QR omega^T = Q R of those members: (Y Q) R^{-T}, with the
-    rank check of :func:`nullspace_basis`.  The route is a member's own,
-    and each batched routine works member by member, so each member's
-    result is the same bytes alone as in any stack.  Raises
-    ``LinAlgError``, naming the stack index, when omega is numerically
-    rank-deficient.
-    """
-    Y, omega, single = _pinv_operands(Y, omega)
+def _row_factor(omega: np.ndarray, single: bool):
+    """``(inverse, exponent, off, Q)``: the factor R = 2**exponent R' of
+    omega^T for each member of a wide (b, m, n) stack, as inverse = R'^{-1}
+    (see :func:`_scaled_inverse`).  R is the Cholesky factor of omega
+    omega^T = R^T R (one batched Gram product and ``np.linalg.cholesky``,
+    member by member where the stack's fails) where the Gram matrix's
+    largest diagonal entry lies in [2**-900, 2**900], so it neither
+    overflows nor loses digits to subnormals, and the proven bound
+    ||R||_F ||R^{-1}||_F on the condition number is below 2 (m + n), so
+    omega^T R^{-1} is orthonormal to a small multiple of eps (m + n)^2.
+    The other members, at the indices ``off``, take Q and R from one
+    batched thin Householder QR and the rank check of
+    :func:`_check_full_rank`."""
     m, n = omega.shape[1:]
-    if m > n:
-        raise ValueError(f"omega must be wide (rows <= cols), got {m}x{n}")
     with np.errstate(over="ignore"):
         gram = omega @ omega.transpose(0, 2, 1)
     # An overflowed Gram matrix reads inf and leaves the range.
@@ -595,17 +548,64 @@ def right_pinv_apply(Y, omega) -> np.ndarray:
                 L[t] = np.linalg.cholesky(gram[t])
             except np.linalg.LinAlgError:
                 gram_route[t], L[t] = False, np.eye(m)
-    del gram
     inverse, exponent, bound = _scaled_inverse(L.transpose(0, 2, 1))
-    del L
-    gram_route &= bound < (2.0 * (m + n)) ** 2
-    # A member off the route may overflow here; it is overwritten below.
+    off = np.flatnonzero(~(gram_route & (bound < (2.0 * (m + n)) ** 2)))
+    if not off.size:
+        return inverse, exponent, off, None
+    Q, R = np.linalg.qr(omega[off].transpose(0, 2, 1))
+    inverse[off], exponent[off] = _check_full_rank(R, single, off)
+    return inverse, exponent, off, Q
+
+
+def nullified_factor(Y, omega) -> np.ndarray:
+    """A factor F of the nullified sketch Y @ nullspace_basis(omega): F =
+    (Y P) W for a W with orthonormal rows, so F has the left singular
+    vectors and the singular values of Y P.
+
+    Y (r, n) and omega (m, n) with m < n, or stacks (b, r, n) and (b, m, n)
+    of equal length; F is (r, n), or (b, r, n).  F = Y - (Y Q1) Q1^T = Y P
+    P^T, so W = P^T, with Q1 = omega^T R^{-1} from :func:`_row_factor`'s
+    Cholesky factor R, or the Householder Q off its route; no P is formed,
+    and an omega with no rows gives Y.  The rank check and ``LinAlgError``
+    are :func:`nullspace_basis`'s.  Gain over one R-only QR of [omega^T |
+    Y^T]: banded-8192 reused-svd builds at 0.89x (``BENCH_28.json``).
+    """
+    Y, omega, single = _pinv_operands(Y, omega)
+    m, n = omega.shape[1:]
+    if m >= n:
+        raise ValueError(f"expected a wide matrix (rows < cols), got {m}x{n}")
+    if m == 0:
+        return (Y[0] if single else Y).copy()
+    inverse, exponent, off, Q = _row_factor(omega, single)
+    Q1 = np.ldexp(omega.transpose(0, 2, 1) @ inverse, -exponent[:, None, None])
+    if off.size:
+        Q1[off] = Q
+    F = (Y @ Q1) @ Q1.transpose(0, 2, 1)
+    np.subtract(Y, F, out=F)
+    return F[0] if single else F
+
+
+def right_pinv_apply(Y, omega) -> np.ndarray:
+    """Compute Y @ pinv(omega) for a wide, full-row-rank omega.
+
+    Y (r, n) and omega (m, n), or stacks (b, r, n) and (b, m, n) of equal
+    length.  With R from :func:`_row_factor` this is (Y omega^T) R^{-1}
+    R^{-T} on its Cholesky route, with an error within a small multiple of
+    eps cond (m + n), and (Y Q) R^{-T} off it.  The route is a member's
+    own, and each batched routine works member by member, so each member's
+    result is the same bytes alone as in any stack.  Raises
+    ``LinAlgError``, naming the stack index, when omega is numerically
+    rank-deficient.
+    """
+    Y, omega, single = _pinv_operands(Y, omega)
+    m, n = omega.shape[1:]
+    if m > n:
+        raise ValueError(f"omega must be wide (rows <= cols), got {m}x{n}")
+    inverse, exponent, off, Q = _row_factor(omega, single)
+    # Y omega^T may overflow for a member off the route; it is overwritten.
     with np.errstate(over="ignore", invalid="ignore"):
         X = np.matmul(Y @ omega.transpose(0, 2, 1), inverse) @ inverse.transpose(0, 2, 1)
     np.ldexp(X, -2 * exponent[:, None, None], out=X)
-    off = np.flatnonzero(~gram_route)
     if off.size:
-        Q, R = np.linalg.qr(omega[off].transpose(0, 2, 1))
-        inverse, exponent = _check_full_rank(R, single, off)
-        X[off] = np.ldexp((Y[off] @ Q) @ inverse.transpose(0, 2, 1), -exponent[:, None, None])
+        X[off] = np.ldexp((Y[off] @ Q) @ inverse[off].transpose(0, 2, 1), -exponent[off, None, None])
     return X[0] if single else X

@@ -23,10 +23,10 @@ class BasisMethod(NamedTuple):
     kernel: Callable  # (stack of sketches, k) -> stack of rank-k bases
     # The kernel reads a sketch B only through B B^T: the Gram route forms
     # it, and the SVD route takes its eigenvectors and values as B's left
-    # singular vectors and values.  So any F with B = F W, W with
-    # orthonormal rows, gives the same bases to rounding: the step then
-    # nullifies every block row through nullified_factor, which forms no
-    # nullspace basis.
+    # singular vectors and values.  So any F with F F^T = B B^T, such as
+    # F = B W with W orthonormal rows, gives the same bases to rounding:
+    # the step then nullifies every block row through nullified_factor,
+    # which forms no nullspace basis.
     rotation_free: bool
 
 

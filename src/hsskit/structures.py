@@ -53,8 +53,8 @@ ORTHO_TOL = 1e-12
 # It bounds the member stacks of the one-level step too: a chunk holds at
 # most max(1, PANEL_BYTES // (8 s^2)) members, whose largest temporaries are
 # of order s^2 doubles each: the pivoted-QR basis's complete s x s
-# nullspace Q, the SVD basis's R-only QR of an s x (h m + m) input and the
-# pseudo-inverse's h m x h m triangular inverse; see blr2._chunks.
+# nullspace Q, the SVD basis's s x h m factor Q1 of the pattern blocks and
+# the pseudo-inverse's h m x h m triangular inverse; see blr2._chunks.
 PANEL_BYTES = 2 << 20
 
 

@@ -123,10 +123,11 @@ def per_side_step(pattern, k, omega, psi, omega_diag, psi_diag, Y, Z, Y_diag, Z_
     called once per row group of the side's ``_row_groups``, whole, and the
     nullification of the basis method's route (``nullified_factor`` for a
     rotation-free kernel, the image blocks times ``nullspace_basis``
-    otherwise) on every row, as the step nullifies it: a row with no pattern
-    blocks hands the kernel the R factor of its image blocks' transpose, or
-    its image blocks times the identity.  The reference that the two-sided
-    step in chunks must match byte for byte."""
+    otherwise) on every row, a row with no pattern blocks included: its
+    image blocks, which ``nullified_factor`` of an omega with no rows
+    returns, or its image blocks times the identity, where the step hands
+    the kernel its image blocks as they are.  The reference that the
+    two-sided step in chunks must match byte for byte."""
     b, m = pattern.block_count, pattern.block_size
     method = BASIS_METHODS[basis_method]
 

@@ -22,6 +22,7 @@ from hsskit import (
 
 from hsskit import blr2, sketching, structures
 
+import helpers
 from helpers import nullify_rows, pattern_row, per_side_step, reference_width_floor, side_stacks
 
 
@@ -184,10 +185,9 @@ STEP_PATTERNS = {
 
 # Patterns with m = 6 and the sketch width over the floor for k = 2: the
 # diagonal one's rows have h m + m <= s, the others' rows with three
-# (tridiagonal) or two (superdiagonal) pattern blocks h m + m > s.  Rows of
-# both shapes take the R-only route, whose factor has only s - h m < m
-# columns on the latter; the test compares them with the forced explicit
-# route.
+# (tridiagonal) or two (superdiagonal) pattern blocks h m + m > s, where
+# the nullified sketch has rank s - h m < m.  Rows of both shapes take the
+# nullified factor; the test compares them with the forced explicit route.
 SIDED_ROUTES = {
     "diagonal": (BLR2Pattern.diagonal(8, 6), 2),
     "tridiagonal": (BLR2Pattern.tridiagonal(8, 6), 0),
@@ -224,32 +224,46 @@ class TestTwoSidedStep:
 
     @pytest.mark.parametrize("name", ["alternate", "empty"])
     def test_rows_with_no_pattern_blocks_keep_the_complete_qr_bytes(self, name, monkeypatch):
-        # nullspace_basis gives a row with no pattern blocks the identity
-        # with no QR; the pivoted-QR step's output is the bytes it was when
-        # the identity came from a complete QR of an (s, 0) stack.  The
-        # alternate pattern holds every other diagonal block.
+        # A row with no pattern blocks hands the basis kernel its image
+        # blocks as they are: no nullification kernel sees an omega with no
+        # rows, so no product with an identity is formed.  The output is
+        # the bytes of per_side_step, which still nullifies such a row, for
+        # the pivoted-QR basis by the identity from a complete QR of an
+        # (s, 0) stack.  The alternate pattern holds every other diagonal
+        # block.
         alternate = BLR2Pattern(8, 4, frozenset((i, i) for i in range(0, 8, 2)))
         pat, k = alternate if name == "alternate" else STEP_PATTERNS[name], 2
-        s = pat.width_floor(k, "pivoted-qr") + 1
         A = np.random.default_rng(48).standard_normal((pat.dim, pat.dim))
-        args = _side_args(pat, A, s, 49)
-        got = blr2_factors_from_sketches(pat, k, *args, basis_method="pivoted-qr")
-        plain = blr2.nullspace_basis
+        plain = helpers.nullspace_basis
 
         def complete_qr(omega):
             if omega.shape[1]:
                 return plain(omega)
             return np.linalg.qr(omega.transpose(0, 2, 1), mode="complete")[0]
 
-        monkeypatch.setattr(blr2, "nullspace_basis", complete_qr)
-        want = blr2_factors_from_sketches(pat, k, *args, basis_method="pivoted-qr")
-        for array, expected in zip(got, want):
-            assert array.tobytes() == expected.tobytes()
+        for method in ("svd-pcps", "pivoted-qr"):
+            s = pat.width_floor(k, method) + 1
+            omega, psi, od, pd = (gaussian(pat.dim, s, RngStream(49).child(role)) for role in ROLES)
+            sketches = (omega, psi, od, pd, A @ omega, A.T @ psi, A @ od, A.T @ pd)
+            omega_rows = []
+            for kernel in ("nullified_factor", "nullspace_basis"):
+                step_kernel = getattr(blr2, kernel)
+                monkeypatch.setattr(
+                    blr2, kernel, lambda *a, _k=step_kernel: omega_rows.append(a[-1].shape[1]) or _k(*a)
+                )
+            got = blr2_factors_from_sketches(pat, k, *side_stacks(*sketches), basis_method=method)
+            assert omega_rows == ([] if name == "empty" else [4])
+            monkeypatch.undo()
+            monkeypatch.setattr(helpers, "nullspace_basis", complete_qr)
+            want = per_side_step(pat, k, *sketches, basis_method=method)
+            monkeypatch.undo()
+            for array, expected in zip(got, want):
+                assert array.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name", SIDED_ROUTES)
     def test_svd_bases_match_the_explicit_nullspace_route(self, name, monkeypatch):
-        # The R-only route of the SVD basis gives the bases and remainder
-        # of the route through Y @ nullspace_basis, to rounding.
+        # The nullified-factor route of the SVD basis gives the bases and
+        # remainder of the route through Y @ nullspace_basis, to rounding.
         (pat, extra), k = SIDED_ROUTES[name], 2
         s = pat.width_floor(k) + extra
         routes = {h * pat.block_size + pat.block_size <= s for _, hits, _ in pat._step_groups
@@ -275,7 +289,7 @@ class TestTwoSidedStep:
             monkeypatch.setattr(module, name, lambda x, *rest: calls.append((name, len(x))) or kernel(x, *rest))
 
         basis = {"svd-pcps": "truncated_svd_left", "pivoted-qr": "pivoted_qr_basis"}[method]
-        # The SVD basis reads the nullified sketch off one R-only QR.
+        # The SVD basis reads the nullified sketch off nullified_factor.
         nullify = "nullified_factor" if sketching.BASIS_METHODS[method].rotation_free else "nullspace_basis"
         for module, name in ((blr2, nullify), (sketching, basis), (blr2, "right_pinv_apply")):
             record(module, name)

@@ -168,7 +168,7 @@ class TestStackedKernelsMatchTwoD:
         omega = rng.standard_normal((b, m, m + r + extra))
         Y = rng.standard_normal((b, r, m + r + extra))
         got = nullified_factor(Y, omega)
-        assert got.shape == (b, r, r)
+        assert got.shape == (b, r, m + r + extra)
         for i in range(b):
             assert got[i].tobytes() == nullified_factor(Y[i], omega[i]).tobytes()
 
@@ -422,7 +422,9 @@ class TestSharedInverse:
             right_pinv_apply(np.ones((7, 2, 9)), omega)
         with pytest.raises(np.linalg.LinAlgError, match=rf"\(stack index {bad}\)$"):
             nullspace_basis(omega)
-        assert sizes == [1, 1]
+        with pytest.raises(np.linalg.LinAlgError, match=rf"\(stack index {bad}\)$"):
+            nullified_factor(np.ones((7, 2, 9)), omega)
+        assert sizes == [1, 1, 1]
 
     def test_inverse_is_of_the_scaled_factor(self):
         R = np.linalg.qr(np.random.default_rng(22).standard_normal((4, 9, 6)), mode="r")
@@ -441,6 +443,13 @@ def _householder_pinv(Y, omega):
     Q, R = np.linalg.qr(omega.T)
     inverse, exponent = _check_full_rank(R[None], single=True)
     return np.ldexp((Y @ Q) @ inverse[0].T, -exponent[0])
+
+
+def _householder_nullified(Y, omega):
+    """The nullified factor of one member by the thin Householder route:
+    Y - (Y Q) Q^T from omega^T = Q R."""
+    Q = np.linalg.qr(omega.T)[0]
+    return Y - (Y @ Q) @ Q.T
 
 
 class TestKernelRoutes:
@@ -465,6 +474,47 @@ class TestKernelRoutes:
                 assert got[t].tobytes() == _householder_pinv(Y[t], omega[t]).tobytes()
         assert np.abs(got - Y @ np.linalg.pinv(omega)).max() <= 1e-8 * np.abs(got).max()
 
+    @pytest.mark.parametrize("ill", [(), (0,), (1, 4, 6), tuple(range(8))])
+    def test_mixed_stack_nullifies_each_member_alone(self, ill, monkeypatch):
+        # The Cholesky factor that right_pinv_apply uses gives the nullified
+        # factor of the well-conditioned members; only the others take a
+        # Householder QR, all in one, and their factor is Y - (Y Q) Q^T.
+        rng = np.random.default_rng(31)
+        omega = rng.standard_normal((8, 6, 14))
+        omega[list(ill)] = _conditioned_stack(rng, len(ill), 6, 14, 1e6)
+        Y = rng.standard_normal((8, 3, 14))
+        qr, sizes = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *r, **kw: sizes.append(a.shape) or qr(a, *r, **kw))
+        got = nullified_factor(Y, omega)
+        assert sizes == ([(len(ill), 14, 6)] if ill else [])
+        monkeypatch.undo()
+        for t in range(8):
+            assert got[t].tobytes() == nullified_factor(Y[t], omega[t]).tobytes()
+            if t in ill:
+                assert got[t].tobytes() == _householder_nullified(Y[t], omega[t]).tobytes()
+        sketch = Y @ nullspace_basis(omega)
+        gram = sketch @ sketch.transpose(0, 2, 1)
+        err = np.linalg.norm(got @ got.transpose(0, 2, 1) - gram, axis=(1, 2))
+        assert (err <= 1e-12 * np.linalg.norm(gram, axis=(1, 2))).all()
+
+    @pytest.mark.parametrize("bad", [0, 5])
+    @pytest.mark.parametrize("route", ["cholesky", "householder"])
+    def test_rank_deficient_member_is_named_beside_either_route(self, bad, route):
+        # The other members take the Cholesky route, or all go to the
+        # Householder QR with the rank-deficient one; either way the error
+        # names it, and a 2-D omega raises with no index.
+        rng = np.random.default_rng(32)
+        omega = rng.standard_normal((6, 5, 12))
+        if route == "householder":
+            omega[:] = _conditioned_stack(rng, 6, 5, 12, 1e6)
+        omega[bad, -1] = omega[bad, 0]
+        Y = rng.standard_normal((6, 3, 12))
+        for kernel in (nullified_factor, right_pinv_apply):
+            for args, where in (((Y, omega), f" (stack index {bad})"), ((Y[bad], omega[bad]), "")):
+                with pytest.raises(np.linalg.LinAlgError) as caught:
+                    kernel(*args)
+                assert str(caught.value) == f"omega is numerically rank-deficient{where}"
+
     @PROPERTY
     @given(
         seed=seeds,
@@ -485,8 +535,8 @@ class TestKernelRoutes:
         Y += 1e-3 * rng.standard_normal((b, r, n))
         sketch = Y @ nullspace_basis(omega)
         F = nullified_factor(Y, omega)
-        assert F.shape == (b, r, r)
-        assert np.array_equal(F, np.tril(F))
+        assert F.shape == (b, r, n)
+        assert np.abs(F @ omega.transpose(0, 2, 1)).max() <= 1e-12 * np.abs(Y).max() * n
         want, got = truncated_svd_left(sketch, k), truncated_svd_left(F, k)
         projectors = got @ got.transpose(0, 2, 1) - want @ want.transpose(0, 2, 1)
         assert np.abs(projectors).max() <= 1e-12
@@ -498,14 +548,16 @@ class TestKernelRoutes:
     @PROPERTY
     @given(seed=seeds, b=stack_sizes, m=st.integers(0, 8), r=st.integers(1, 8), data=st.data())
     def test_nullified_factor_on_every_wide_shape(self, seed, b, m, r, data):
-        # n on both sides of m + r: up to it F is r x r, past it F has the
-        # n - m columns of the nullified sketch itself.
+        # n on both sides of m + r: F is r x n on either side, with rows
+        # in the nullspace of omega, and an omega with no rows gives Y.
         n = data.draw(st.integers(m + 1, m + 2 * r))
         rng = np.random.default_rng(seed)
         omega, Y = rng.standard_normal((b, m, n)), rng.standard_normal((b, r, n))
         F = nullified_factor(Y, omega)
-        assert F.shape == (b, r, min(r, n - m))
-        assert np.array_equal(F, np.tril(F))
+        assert F.shape == (b, r, n)
+        assert np.abs(F @ omega.transpose(0, 2, 1)).max(initial=0.0) <= 1e-12 * np.abs(Y).max() * n
+        if m == 0:
+            assert np.array_equal(F, Y)
         sketch = Y @ nullspace_basis(omega)
         gram = sketch @ sketch.transpose(0, 2, 1)
         err = np.linalg.norm(F @ F.transpose(0, 2, 1) - gram, axis=(1, 2))
