@@ -28,7 +28,8 @@ a whole level of blocks, and the input checks run once per stack.  A 2-D
 argument is a stack of one, and every member's result is the same bytes
 alone as in any stack.  The module needs numpy only; numpy has no pivoted
 QR, so ``pivoted_qr_basis`` reads LAPACK ``geqp3``'s pivots off each
-member's Gram matrix (:func:`_pivots`).
+member's Gram matrix (:func:`_pivots`), or off its explicit residual where
+the Gram matrix no longer orders the columns (:func:`_residual_pivots`).
 
 ``truncated_svd_left`` forms no right singular vectors: a member of a
 stack with rows <= cols takes the top k eigenvectors of B B^T from one
@@ -39,7 +40,8 @@ reused-svd builds: 0.84x of the SVD alone, ``BENCH_26.json``).
 ``nullspace_basis``, ``nullified_factor`` and ``right_pinv_apply`` decide
 rank from the square upper-triangular factor R of omega^T.  Each member is
 scaled by the power of two that brings max|R| into [0.5, 1), and the whole
-stack is inverted by one batched triangular inverse (``_invert_upper``).
+stack is inverted by one batched triangular inverse (``_invert_upper``)
+at its own size, with no padding.
 Most members are settled by the proven bound sigma_min / sigma_max >= 1 /
 (||R||_F ||R^{-1}||_F), two norms; only members whose bound does not clear
 ``RANK_CUTOFF`` with a factor ``RANK_BOUND_MARGIN`` to spare (or whose R
@@ -48,6 +50,11 @@ and ``right_pinv_apply`` share ``_row_factor``: R is the Cholesky factor of
 omega omega^T wherever the same bound, below 2 (m + n), proves the member
 well conditioned, and comes from one thin Householder QR of the others.
 No kernel is left with an LU factorization or a general solve.
+
+Where a kernel has more than one route, each kept route's docstring gives
+its gain over the simplest correct form without it: a committed BENCH file
+where one is named, else the median of 15-40 in-process alternating A/B
+pairs (2-vCPU Xeon VM, one pinned CPU, 1 BLAS thread, numpy 2.4).
 
 All functions are pure; streams are value types.
 """
@@ -188,21 +195,6 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _inverse_work(b: int, n: int) -> np.ndarray:
-    """A zeroed (b, N, N) stack for :func:`_invert_upper`, N the least
-    multiple of 16 >= n (the least power of two >= n below 16), with ones on
-    the diagonal past n.  An upper triangular R written into ``[:, :n, :n]``
-    then makes each member block diagonal, and ``[:, :n, :n]`` of the
-    inverse is R^{-1}.  Gain over padding to a power of two: the (28, 48,
-    48) stacks of a BLR2 tridiagonal step invert in 181 against 288 us (one
-    core), with the same bytes."""
-    N = 1 << max(n - 1, 0).bit_length() if n <= 16 else -(-n // 16) * 16
-    work = np.zeros((b, N, N))
-    if N > n:
-        work[:, range(n, N), range(n, N)] = 1.0
-    return work
-
-
 def _invert_upper(work: np.ndarray) -> None:
     """Invert in place each member of a C-ordered (b, n, n) stack of upper
     triangular matrices; entries below the diagonal must be zero.
@@ -246,19 +238,17 @@ def _invert_upper(work: np.ndarray) -> None:
 def _scaled_inverse(R: np.ndarray):
     """``(inverse, exponent, bound)`` of a (b, n, n) stack of upper
     triangular factors: R[t] = 2**exponent[t] * R'[t] with max|R'[t]| in
-    [0.5, 1), inverse[t] = R'[t]^{-1} (a view into one
-    :func:`_inverse_work` stack), and bound[t] = ||R'[t]||_F^2
-    ||R'[t]^{-1}||_F^2, which is inf or NaN where R[t] has an exact zero
-    pivot or its norms overflow.  Scaling by a power of two is exact and
-    keeps the inverse finite at any scale of R."""
-    b, n = R.shape[:2]
+    [0.5, 1), inverse[t] = R'[t]^{-1} (a new C-ordered stack, inverted
+    in place by :func:`_invert_upper` at any n, with no padding), and
+    bound[t] = ||R'[t]||_F^2 ||R'[t]^{-1}||_F^2, which is inf or NaN where
+    R[t] has an exact zero pivot or its norms overflow.  Scaling by a power
+    of two is exact and keeps the inverse finite at any scale of R."""
     exponent = np.frexp(np.abs(R).max(axis=(1, 2), initial=0.0))[1]
-    work = _inverse_work(b, n)
-    inverse = work[:, :n, :n]
-    np.ldexp(R, -exponent[:, None, None], out=inverse)
+    # R may be a transposed view; _invert_upper needs a C-ordered stack.
+    inverse = np.ldexp(R, -exponent[:, None, None], out=np.empty(R.shape))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         squares = np.einsum("tij,tij->t", inverse, inverse)
-        _invert_upper(work)
+        _invert_upper(inverse)
         bound = squares * np.einsum("tij,tij->t", inverse, inverse)
     return inverse, exponent, bound
 
@@ -276,7 +266,8 @@ def _check_full_rank(R: np.ndarray, single: bool, index: np.ndarray | None = Non
     ||R^{-1}||_F) does not already prove full rank with
     ``RANK_BOUND_MARGIN`` to spare; a member with an exact zero pivot has an
     infinite inverse, fails the bound and is left to them, as does one whose
-    norms overflow.
+    norms overflow.  Gain over the singular values of every member: 0.08x
+    at (226, 16, 16), 0.37x at (4, 16, 16).
     """
     inverse, exponent, bound = _scaled_inverse(R)
     certain = bound < _BOUND_LIMIT
@@ -322,9 +313,12 @@ def truncated_svd_left(B, k: int) -> np.ndarray:
     l_k is within nu of zero).  Gain: banded-8192 reused-svd builds at
     0.84x of the SVD route alone (``BENCH_26.json``).
 
-    SVD route, for every other member and for a tall stack (rows > cols).
-    A wide member is first reduced to R^T from the QR factorization B^T = Q
-    R, which has the same left singular vectors and singular values.  When
+    SVD route, for every other member and for a tall stack (rows > cols),
+    which takes it directly: 0.88-0.93x of the Gram route at (b, 16, 10),
+    b = 4 to 226.  A wide member is first reduced to R^T from the QR
+    factorization B^T = Q R, which has the same left singular vectors and
+    singular values (0.45x of the SVD of B at (16, 16, 240), 0.73x at the
+    explicit build's (2, 16, 128)).  When
     retained and discarded singular values tie to within ``TIE_CUTOFF``
     relative, the lexicographically earlier sign-normalized singular
     vectors are kept, so results are deterministic.
@@ -382,8 +376,8 @@ def nullspace_basis(omega) -> np.ndarray:
 
     omega is one (m, n) matrix with m < n or a stack (b, m, n); the result is
     (n, n - m), or (b, n, n - m) for a stack.  P is the trailing n - m columns
-    of a complete QR of omega^T; an omega with no rows gives the identity,
-    with no QR.  Raises ``LinAlgError``, naming the stack index, when a
+    of a complete QR of omega^T; an omega with no rows gives the identity.
+    Raises ``LinAlgError``, naming the stack index, when a
     member's singular values (those of its R factor) fall to
     ``RANK_CUTOFF`` relative to the largest; a Gaussian input is full rank
     almost surely.
@@ -392,9 +386,6 @@ def nullspace_basis(omega) -> np.ndarray:
     m, n = omega.shape[1:]
     if m >= n:
         raise ValueError(f"expected a wide matrix (rows < cols), got {m}x{n}")
-    if m == 0:
-        P = np.repeat(np.eye(n)[None], len(omega), axis=0)
-        return P[0] if single else P
     Q, R = np.linalg.qr(omega.transpose(0, 2, 1), mode="complete")
     _check_full_rank(R[:, :m], single)
     P = np.ascontiguousarray(Q[:, :, m:])
@@ -439,10 +430,13 @@ def _pivots(B: np.ndarray, k: int) -> np.ndarray:
     Schur diagonal orders the columns as their residual norms do only while
     the pivot's entry stays above ``_GRAM_TRUST`` M, LAPACK's ``tol3z``
     bound for its downdated norms.  Members where one of the k pivots falls
-    to that bound, or whose M is zero, subnormal or overflows, take their
-    pivots from that step on from :func:`_residual_pivots`.  The member
-    axis is put last, where the updates run along it, once the stack is
-    longer than a member is wide.
+    to that bound, or whose M is zero, subnormal or overflows, take all k
+    pivots from :func:`_residual_pivots`.  Gain over
+    :func:`_residual_pivots` alone: 0.78x at (226, 16, 18); reused-qr builds
+    at 0.975x on banded-8192 and 0.987x on grid-1024 (lower in 28 of 40
+    pairs each).  The member axis is put last, where the updates run along
+    it, once the stack is longer than a member is wide: 0.88x at (226, 16,
+    18), though banded-8192 reused-qr builds read 0.99x (24 of 40 pairs).
     """
     b, _, cols = B.shape
     members = np.arange(b)
@@ -466,40 +460,30 @@ def _pivots(B: np.ndarray, k: int) -> np.ndarray:
             S -= update
     piv = piv.T
     trusted = pivot_entries > np.maximum(_GRAM_TRUST * pivot_entries[0], _GRAM_FLOOR)
-    if not trusted.all():
-        redo = np.flatnonzero(~trusted.all(axis=0))
-        piv = piv.copy()
-        piv[redo] = _residual_pivots(B[redo], piv[redo], trusted[:, redo].argmin(axis=0))
+    redo = np.flatnonzero(~trusted.all(axis=0))
+    if redo.size:
+        piv[redo] = _residual_pivots(B[redo], k)
     return piv
 
 
-def _residual_pivots(B: np.ndarray, piv: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Pivots (b, k) of each member from its explicit residual, keeping the
-    first ``start[t]`` of the given pivots ``piv`` of member t.
+def _residual_pivots(B: np.ndarray, k: int) -> np.ndarray:
+    """Pivots (b, k) of each member from its explicit residual.
 
     Each member is scaled by the power of two that brings max|B| into
-    [0.5, 1), which is exact, and the kept pivot columns are projected out
-    through the leading columns of a Householder QR of the k given pivot
-    columns.  Each later step recomputes the residual column norms, takes
-    the largest among the columns not yet taken (the lowest index on a tie,
-    so a zero residual takes the untaken columns in order), and projects
-    the pivot column out of the residual (modified Gram-Schmidt); a member
-    whose steps have not begun projects a zero column, which leaves it as
-    it is.  The norms are as accurate as Householder QR's.
+    [0.5, 1), which is exact.  Each step recomputes the residual column
+    norms, takes the largest among the columns not yet taken (the lowest
+    index on a tie, so a zero residual takes the untaken columns in order),
+    and projects the pivot column out of the residual (modified
+    Gram-Schmidt).  The norms are as accurate as Householder QR's.
     """
-    b, k = piv.shape
     R = np.ldexp(B, -np.frexp(np.abs(B).max(axis=(1, 2)))[1][:, None, None])
-    members = np.arange(b)
-    Q = np.linalg.qr(_columns(R, piv))[0]
-    Q *= np.arange(k) < start[:, None, None]
-    R -= Q @ (Q.transpose(0, 2, 1) @ R)
-    piv = piv.T.copy()
-    for j in range(int(start.min()), k):
+    members = np.arange(len(B))
+    piv = np.empty((k, len(B)), np.intp)
+    for j in range(k):
         norms = np.einsum("tic,tic->tc", R, R)
         norms[members, piv[:j]] = -1.0
-        live = j >= start
-        p = piv[j] = np.where(live, norms.argmax(axis=1), piv[j])
-        q = R[members, :, p][:, :, None] * live[:, None, None]
+        p = norms.argmax(axis=1, out=piv[j])
+        q = R[members, :, p][:, :, None]
         w = q.transpose(0, 2, 1) @ R
         w /= np.maximum(norms[members, p], _GRAM_FLOOR)[:, None, None]
         R -= q * w
@@ -531,7 +515,9 @@ def _row_factor(omega: np.ndarray, single: bool):
     omega^T R^{-1} is orthonormal to a small multiple of eps (m + n)^2.
     The other members, at the indices ``off``, take Q and R from one
     batched thin Householder QR and the rank check of
-    :func:`_check_full_rank`."""
+    :func:`_check_full_rank`.  Gain over that QR for every member, in both
+    callers: banded-8192 builds at 0.90x (fresh), 0.85x (reused-svd) and
+    0.88x (reused-qr), the banded-256 tridiagonal BLR2 build at 0.73x."""
     m, n = omega.shape[1:]
     with np.errstate(over="ignore"):
         gram = omega @ omega.transpose(0, 2, 1)
@@ -574,8 +560,6 @@ def nullified_factor(Y, omega) -> np.ndarray:
     m, n = omega.shape[1:]
     if m >= n:
         raise ValueError(f"expected a wide matrix (rows < cols), got {m}x{n}")
-    if m == 0:
-        return (Y[0] if single else Y).copy()
     inverse, exponent, off, Q = _row_factor(omega, single)
     Q1 = np.ldexp(omega.transpose(0, 2, 1) @ inverse, -exponent[:, None, None])
     if off.size:
@@ -591,9 +575,12 @@ def right_pinv_apply(Y, omega) -> np.ndarray:
     Y (r, n) and omega (m, n), or stacks (b, r, n) and (b, m, n) of equal
     length.  With R from :func:`_row_factor` this is (Y omega^T) R^{-1}
     R^{-T} on its Cholesky route, with an error within a small multiple of
-    eps cond (m + n), and (Y Q) R^{-T} off it.  The route is a member's
-    own, and each batched routine works member by member, so each member's
-    result is the same bytes alone as in any stack.  Raises
+    eps cond (m + n), and (Y Q) R^{-T} off it.  The first formula runs in
+    0.60x the time of (Y Q1) R^{-T} with :func:`nullified_factor`'s Q1 for
+    every member at (226, 16, 34) and at BLR2's (28, 48, 58), 0.95-0.98x at
+    32 members or fewer.  The route is a member's own, and each batched
+    routine works member by member, so each member's result is the same
+    bytes alone as in any stack.  Raises
     ``LinAlgError``, naming the stack index, when omega is numerically
     rank-deficient.
     """

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .blr2 import BLR2Factorization, BLR2Pattern, blr2_reconstruct
-from .kernels import RngStream, _invert_upper, _inverse_work, as_matrix, gaussian
+from .kernels import RngStream, _invert_upper, as_matrix, gaussian
 from .oracle import MatvecOracle, dense_from_oracle
 from . import structures
 from .structures import (
@@ -281,10 +281,9 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     nb = max(_BAND_BLOCK, h)
     count = -(-n // nb)
     N = count * nb
-    work = _inverse_work(count, nb)
-    inv = work[:, :nb, :nb]  # U's diagonal blocks, then their inverses
+    inv = np.zeros((count, nb, nb))  # U's diagonal blocks, then their inverses
     corners = _band_cholesky(diag, offs, inv)
-    _invert_upper(work)
+    _invert_upper(inv)
     inv_t = inv.transpose(0, 2, 1)
     head, tail = slice(0, h), slice(nb - h, nb)
     # U^T y = x runs forward: block i's head rows take corner i - 1 times

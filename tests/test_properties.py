@@ -49,7 +49,7 @@ from hsskit import (
 )
 from hsskit.experiment import run_cell
 from hsskit import kernels
-from hsskit.kernels import _check_full_rank, _invert_upper, _inverse_work, _pivots, nullified_factor
+from hsskit.kernels import _check_full_rank, _invert_upper, _pivots, _residual_pivots, nullified_factor
 from hsskit.structures import block_apply, block_apply_t, tree_levels
 
 from helpers import (
@@ -207,6 +207,30 @@ class TestStackedKernelsMatchTwoD:
                 assert err <= max(r, c) * eps * np.linalg.cond(theirs[:, :agree])
             assert np.abs(got[i].T @ got[i] - np.eye(k)).max() <= 1e-12
             assert np.array_equal(pivoted_qr_basis(B[i], k), got[i])
+
+    @PROPERTY
+    @given(
+        seed=seeds,
+        b=stack_sizes,
+        r=dims,
+        c=dims,
+        kind=st.sampled_from(PIVOTED_QR_MEMBERS),
+        data=st.data(),
+    )
+    def test_residual_pivots_match_scipy(self, seed, b, r, c, kind, data):
+        # The explicit-residual pivots, which the Gram pivots hand a member
+        # to when one of its pivots falls below sqrt(eps), run here on every
+        # member: geqp3's pivot columns up to that point, a duplicate up to
+        # sign counted as the same, and each member the same bytes alone.
+        k = data.draw(st.integers(1, min(r, c)))
+        B = _pivoted_qr_members(np.random.default_rng(seed), kind, b, r, c)
+        piv = _residual_pivots(B, k)
+        assert piv.shape == (b, k)
+        for i in range(b):
+            want, trusted = lapack_pivots(B[i], k)
+            mine, theirs = B[i][:, piv[i, :trusted]], B[i][:, want[:trusted]]
+            assert all(np.array_equal(x, y) or np.array_equal(x, -y) for x, y in zip(mine.T, theirs.T))
+            assert np.array_equal(_residual_pivots(B[i : i + 1], k)[0], piv[i])
 
     @pytest.mark.parametrize("kind", PIVOTED_QR_MEMBERS)
     def test_pivoted_qr_basis_stack_composition(self, kind):
@@ -612,10 +636,8 @@ class TestTriangularInverse:
         rng = np.random.default_rng(seed)
         R = np.linalg.qr(rng.standard_normal((b, n + 2, n)), mode="r")
         R *= np.logspace(0, -log_cond, n)
-        work = _inverse_work(b, n)
-        got = work[:, :n, :n]
-        got[...] = np.ldexp(R, exponent)
-        _invert_upper(work)
+        got = np.ldexp(R, exponent)
+        _invert_upper(got)
         if b == 0:
             return
         want = np.stack([lapack.dtrtri(member)[0] for member in R])
