@@ -235,7 +235,12 @@ def _selector(index: np.ndarray):
     """The index of the blocks that an array of block indices lists: a
     slice, which reads them as a view, when they are consecutive and in
     order, as the diagonal pattern's are; else the array itself, which
-    gathers a copy."""
+    gathers a copy.  Gain over gathering always: peak memory, not time.
+    With gathers, three rounds of fresh, reused-svd and reused-qr builds
+    raised ``ru_maxrss`` from 80.5 to 88.7 MB on banded-8192 and from 44.2
+    to 45.4 MB on grid-1024 (4 fresh processes per tree); tracemalloc's
+    fresh-build peak moved only from 24.2 to 25.4 MB, and in-process build
+    times stayed at 0.999-1.011x."""
     flat = index.ravel()
     if flat.size and np.array_equal(flat, np.arange(flat[0], flat[0] + flat.size)):
         return slice(int(flat[0]), int(flat[0]) + flat.size)
@@ -277,9 +282,10 @@ def _chunk_plan(pattern: BLR2Pattern, size: int) -> tuple:
     """:func:`_chunks` of ``size`` rows at most, built once per (pattern,
     size) while it is among the 64 last asked for.  Gain over building the
     plans on each step: 0.19 ms of a grid-1024 reused-svd build (12 plans)
-    and 0.33 ms of a banded-8192 one (18 plans); the builds read 0.99x
-    (lower in 25 and 24 of 40 in-process alternating pairs, one pinned CPU,
-    1 BLAS thread)."""
+    and 0.33 ms of a banded-8192 one (18 plans).  Fresh, reused-svd and
+    reused-qr builds without the cache read 0.995-1.115x per build kind in
+    one set of 30 in-process alternating pairs (uncached faster in 3 to 14
+    of them) and 0.992-1.017x in another (8 to 17), 1 BLAS thread."""
     return tuple(
         _Chunk(_selector(members[a : a + size]), _selector(hits[a : a + size]), positions[a : a + size])
         for members, hits, positions in pattern._step_groups

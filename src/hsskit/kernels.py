@@ -32,10 +32,10 @@ member's Gram matrix (:func:`_pivots`), or off its explicit residual where
 the Gram matrix no longer orders the columns (:func:`_residual_pivots`).
 
 ``truncated_svd_left`` forms no right singular vectors: a member of a
-stack with rows <= cols takes the top k eigenvectors of B B^T from one
-batched ``np.linalg.eigh`` wherever a guard on its eigenvalues bounds the
-residual it adds at eps ||B||_2^2, and the SVD otherwise (banded-8192
-reused-svd builds: 0.84x of the SVD alone, ``BENCH_26.json``).
+stack takes the top k eigenvectors of B B^T from one batched
+``np.linalg.eigh`` wherever a guard on its eigenvalues bounds the residual
+it adds at eps ||B||_2^2, and the SVD otherwise (banded-8192 reused-svd
+builds: 0.84x of the SVD alone, ``BENCH_26.json``).
 
 ``nullspace_basis``, ``nullified_factor`` and ``right_pinv_apply`` decide
 rank from the square upper-triangular factor R of omega^T.  Each member is
@@ -291,11 +291,10 @@ def truncated_svd_left(B, k: int) -> np.ndarray:
     the Frobenius norm, to the rounding stated below.  Columns are
     sign-normalized (the largest-magnitude entry of each is positive).
 
-    Gram route, for the members of a stack with rows <= cols whose guard
-    holds.  The member is scaled by the power of two that brings max|B|
-    into [0.5, 1), which is exact, and U is the top k eigenvectors of G =
-    B B^T from one batched ``np.linalg.eigh``; no QR, SVD or right factor
-    is formed.  Forming G (gamma_cols ||B||_F^2) and eigh (backward error
+    Gram route, for the members of a stack whose guard holds.  The member
+    is scaled by the power of two that brings max|B| into [0.5, 1), which
+    is exact, and U is the top k eigenvectors of G = B B^T from one batched
+    ``np.linalg.eigh``; no QR, SVD or right factor is formed.  Forming G (gamma_cols ||B||_F^2) and eigh (backward error
     taken as rows eps ||G||_F) make the computed eigenpairs exact for G + E
     with ||E||_F <= nu = (rows + cols) eps ||B||_F^2.  With the computed
     eigenvalues l_1 >= l_2 >= ... and the gap g = l_k - l_k+1 (l_k+1 = 0
@@ -313,33 +312,31 @@ def truncated_svd_left(B, k: int) -> np.ndarray:
     l_k is within nu of zero).  Gain: banded-8192 reused-svd builds at
     0.84x of the SVD route alone (``BENCH_26.json``).
 
-    SVD route, for every other member and for a tall stack (rows > cols),
-    which takes it directly: 0.88-0.93x of the Gram route at (b, 16, 10),
-    b = 4 to 226.  A wide member is first reduced to R^T from the QR
-    factorization B^T = Q R, which has the same left singular vectors and
-    singular values (0.45x of the SVD of B at (16, 16, 240), 0.73x at the
-    explicit build's (2, 16, 128)).  When
+    SVD route, for every other member.  A wide member is first reduced to
+    R^T from the QR factorization B^T = Q R, which has the same left
+    singular vectors and singular values (0.45x of the SVD of B at
+    (16, 16, 240), 0.73x at the explicit build's (2, 16, 128)).  When
     retained and discarded singular values tie to within ``TIE_CUTOFF``
     relative, the lexicographically earlier sign-normalized singular
     vectors are kept, so results are deterministic.
+
+    A tall stack (rows > cols) takes the same two routes.  No build makes
+    one: every step sketch and every explicit block row and column is wide.
     """
     B, single = _as_stack(B, "B")
     rows, cols = B.shape[1:]
     if not 1 <= k <= min(rows, cols):
         raise ValueError(f"k={k} out of range for shape {B.shape[1:]}")
-    if rows > cols:
-        U = _svd_left(B, k)
-    else:
-        U, off = _gram_left(B, k)
-        if off.size:
-            U[off] = _svd_left(B[off], k)
+    U, off = _gram_left(B, k)
+    if off.size:
+        U[off] = _svd_left(B[off], k)
     return U[0] if single else U
 
 
 def _gram_left(B: np.ndarray, k: int):
     """``(U, off)``: the Gram route of :func:`truncated_svd_left` for every
-    member of a (b, rows, cols) stack with rows <= cols, and the indices of
-    the members whose guard fails, whose rows of U are to be overwritten."""
+    member of a (b, rows, cols) stack, and the indices of the members whose
+    guard fails, whose rows of U are to be overwritten."""
     rows, cols = B.shape[1:]
     scaled = np.ldexp(B, -np.frexp(np.abs(B).max(axis=(1, 2)))[1][:, None, None])
     gram = scaled @ scaled.transpose(0, 2, 1)

@@ -75,10 +75,6 @@ class MatvecConfig:
         if self.sketch_policy == "fresh" and self.basis_method != "svd-pcps":
             raise ValueError("the fresh policy always extracts bases via the SVD")
 
-    @property
-    def dim(self) -> int:
-        return (1 << (self.L + 1)) * self.k
-
 
 @dataclass(frozen=True)
 class TheoremBounds:
@@ -141,7 +137,7 @@ def _build(oracle: MatvecOracle, config: MatvecConfig) -> TelescopingFactorizati
     queries, so only one level's sketches are held at a time.
     """
     if tree_levels(oracle.dim, config.k) != config.L:
-        raise ValueError(f"oracle dim {oracle.dim} does not match config dim {config.dim}")
+        raise ValueError(f"oracle dim {oracle.dim} is not 2**(L+1) * k for L={config.L}, k={config.k}")
     k = config.k
     stream = RngStream(config.seed)
     op, levels, sketches = oracle, [], None

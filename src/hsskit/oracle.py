@@ -17,6 +17,9 @@ operand column, at any depth.
 
 from __future__ import annotations
 
+import weakref
+from types import MethodType
+
 import numpy as np
 
 from .kernels import _as_real
@@ -40,11 +43,17 @@ __all__ = [
 ]
 
 
-def _checked(product, direction: str):
-    """Wrap a user's product so that each reply is checked where it is made.
-    A method of another oracle checks its own replies and stays unwrapped.
-    A non-finite reply names the operand if that is non-finite too."""
-    if isinstance(getattr(product, "__self__", None), MatvecOracle):
+def _checked(product, direction: str, oracle: "MatvecOracle"):
+    """Wrap a user's product of ``oracle`` so that each reply is checked
+    where it is made.  A method of an oracle checks its own replies and
+    stays unwrapped; one of ``oracle`` itself is bound to a weak proxy, so
+    that an oracle holding its own products forms no reference cycle and a
+    dropped view frees its bases at once.  A non-finite reply names the
+    operand if that is non-finite too."""
+    owner = getattr(product, "__self__", None)
+    if owner is oracle:
+        return MethodType(product.__func__, weakref.proxy(oracle))
+    if isinstance(owner, MatvecOracle):
         return product
 
     def call(x: np.ndarray) -> np.ndarray:
@@ -62,19 +71,15 @@ def _checked(product, direction: str):
 class MatvecOracle:
     """Linear operator accessed only through apply / apply_transpose.  Its
     two products receive (dim, w) float64 blocks and must reply with blocks
-    of the same shape and finite entries."""
+    of the same shape and finite entries.  Every oracle, a view or a
+    wrapper included, sets its two products here."""
 
     def __init__(self, dim: int, apply, apply_transpose):
-        self._bind(dim, _checked(apply, "forward"), _checked(apply_transpose, "transpose"))
-
-    def _bind(self, dim: int, apply, apply_transpose) -> "MatvecOracle":
-        """Set the two products, which must reply with checked arrays."""
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
-        self._apply = apply
-        self._apply_transpose = apply_transpose
-        return self
+        self._apply = _checked(apply, "forward", self)
+        self._apply_transpose = _checked(apply_transpose, "transpose", self)
 
     def apply(self, x) -> np.ndarray:
         """A @ x for a vector or a dense block of vectors."""
@@ -87,7 +92,7 @@ class MatvecOracle:
     @property
     def T(self) -> "MatvecOracle":
         """The oracle of A^T: the two products swapped."""
-        return _internal_oracle(self.dim, self._apply_transpose, self._apply)
+        return MatvecOracle(self.dim, self.apply_transpose, self.apply)
 
     @classmethod
     def from_dense(cls, A) -> "MatvecOracle":
@@ -95,11 +100,6 @@ class MatvecOracle:
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {A.shape}")
         return cls(A.shape[0], A.__matmul__, A.T.__matmul__)
-
-
-def _internal_oracle(dim: int, apply, apply_transpose) -> MatvecOracle:
-    """An oracle over products built from already-checked replies."""
-    return object.__new__(MatvecOracle)._bind(dim, apply, apply_transpose)
 
 
 class QueryCounter:
@@ -124,17 +124,16 @@ class CountingOracle(MatvecOracle):
     """Wrap an oracle and count the single-vector queries each call costs."""
 
     def __init__(self, inner: MatvecOracle):
-        self.counter = QueryCounter()
+        self._inner, self.counter = inner, QueryCounter()
+        super().__init__(inner.dim, self._forward, self._transpose)
 
-        def fwd(x):
-            self.counter.add_forward(x.shape[1])
-            return inner.apply(x)
+    def _forward(self, x):
+        self.counter.add_forward(x.shape[1])
+        return self._inner.apply(x)
 
-        def tr(x):
-            self.counter.add_transpose(x.shape[1])
-            return inner.apply_transpose(x)
-
-        self._bind(inner.dim, fwd, tr)
+    def _transpose(self, x):
+        self.counter.add_transpose(x.shape[1])
+        return self._inner.apply_transpose(x)
 
 
 class _CompressedOracle(MatvecOracle):
@@ -149,15 +148,15 @@ class _CompressedOracle(MatvecOracle):
     """
 
     def __init__(self, base: MatvecOracle, Wu: np.ndarray, Wv: np.ndarray, E: np.ndarray):
-        self.dim = E.shape[0] * E.shape[1]
         self.base, self.Wu, self.Wv, self.E = base, Wu, Wv, E
+        super().__init__(E.shape[0] * E.shape[1], self._forward, self._transpose)
 
-    def _apply(self, x):
+    def _forward(self, x):
         Ax = self.base.apply(block_apply(self.Wv, x))
         return block_apply_t(self.Wu, Ax) - block_apply(self.E, x)
 
-    def _apply_transpose(self, x):
-        return self.T._apply(x)
+    def _transpose(self, x):
+        return self.T._forward(x)
 
     @property
     def T(self) -> "_CompressedOracle":

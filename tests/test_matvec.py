@@ -81,7 +81,12 @@ class TestMatvecConfig:
             MatvecConfig(L=3, k=2, s=8, seed=0, sketch_policy="cached")
 
     def test_dim(self):
-        assert MatvecConfig(L=4, k=4, s=14, seed=0).dim == 128
+        # The size rule is tree_levels': L = 4, k = 4 takes an oracle of dim 128 only.
+        cfg = MatvecConfig(L=4, k=4, s=14, seed=0)
+        assert hss_from_matvecs_fresh(MatvecOracle.from_dense(np.eye(128)), cfg).dim == 128
+        for n in (64, 127, 256):
+            with pytest.raises(ValueError, match=rf"^oracle dim {n} is not 2\*\*\(L\+1\) \* k for L=4, k=4$"):
+                hss_from_matvecs_fresh(MatvecOracle.from_dense(np.eye(n)), cfg)
 
     @pytest.mark.parametrize("L", [1, 3])
     def test_accepts_what_the_reference_rule_accepts(self, L):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -18,6 +21,7 @@ from hsskit import (
     reconstruct_dense,
     sss_step_explicit,
 )
+from hsskit import oracle as oracle_module
 from hsskit.structures import block_apply_t
 
 
@@ -107,6 +111,52 @@ class TestReplyChecks:
         ):
             outer.apply(np.ones((4, 2)))
 
+    @pytest.mark.parametrize("view", ["o.T", "CountingOracle(o)", "CountingOracle(o).T"])
+    def test_a_view_calls_and_checks_each_reply_once(self, view, monkeypatch):
+        # Every oracle sets its products in MatvecOracle.__init__, where a
+        # product of another oracle goes in unwrapped: a view of o adds no
+        # second product call and no second reply check, and a counting view
+        # charges the direction of o's product that it calls.
+        checks, made, nan = [], [], [False]
+        as_real = oracle_module._as_real
+        monkeypatch.setattr(
+            oracle_module, "_as_real", lambda a, name: checks.append(name) or as_real(a, name)
+        )
+
+        def product(direction):
+            def call(x):
+                made.append(direction)
+                return np.full_like(x, np.nan) if nan[0] else 2.0 * x
+
+            return call
+
+        o = MatvecOracle(4, product("forward"), product("transpose"))
+        counted = CountingOracle(o)
+        v, counter = {
+            "o.T": (o.T, None),
+            "CountingOracle(o)": (counted, counted.counter),
+            "CountingOracle(o).T": (counted.T, counted.counter),
+        }[view]
+        directions = ("transpose", "forward") if view.endswith(".T") else ("forward", "transpose")
+        x = np.ones((4, 3))
+        for method, direction in zip((v.apply, v.apply_transpose), directions):
+            for reply_is_nan in (False, True):
+                made.clear()
+                checks.clear()
+                nan[0] = reply_is_nan
+                before = None if counter is None else (counter.forward_count, counter.transpose_count)
+                if reply_is_nan:
+                    with pytest.raises(
+                        ValueError, match=rf"^oracle {direction} reply of shape \(4, 3\) has non-finite entries$"
+                    ):
+                        method(x)
+                else:
+                    assert np.array_equal(method(x), 2.0 * x)
+                assert made == [direction] and checks == [f"oracle {direction} reply"]
+                if counter is not None:
+                    charged = (counter.forward_count - before[0], counter.transpose_count - before[1])
+                    assert charged == {"forward": (3, 0), "transpose": (0, 3)}[direction]
+
 
 class TestQueryCounting:
     def test_width_accounting(self):
@@ -179,6 +229,28 @@ class TestLevelApply:
             levels.append(factors)
             probe = _chain(o, levels).apply(np.eye(current.shape[0]))
             assert np.linalg.norm(probe - current) <= 1e-10 * np.linalg.norm(current)
+
+    def test_a_dropped_view_is_freed_without_the_cycle_collector(self):
+        # An oracle holds its own products weakly, so a build leaves no
+        # level's view, and no nested bases, for the collector to find.
+        A = random_hss_matrix(3, 2, seed=4)
+        o = MatvecOracle.from_dense(A)
+        factors, _ = sss_step_explicit(A, 2)
+        gc.collect()
+        gc.disable()
+        try:
+            views = [CountingOracle(o), CountingOracle(o).T, compress_oracle(CountingOracle(o), factors)]
+            views.append(compress_oracle(views[-1], sss_step_explicit(views[-1].apply(np.eye(16)), 2)[0]))
+            views[-1].apply_transpose(np.ones(8))
+            alive = [weakref.ref(v) for v in views]
+            del views
+            assert [r() for r in alive] == [None] * 4
+            before = [x for x in gc.get_objects() if isinstance(x, MatvecOracle)]
+            hss_from_matvecs_fresh(CountingOracle(o), MatvecConfig(3, 2, 8, seed=0))
+            after = [x for x in gc.get_objects() if isinstance(x, MatvecOracle)]
+            assert [x for x in after if not any(x is y for y in before)] == []
+        finally:
+            gc.enable()
 
     def test_adjoint_identity(self):
         A = random_hss_matrix(3, 2, seed=3)
