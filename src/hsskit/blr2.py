@@ -25,8 +25,8 @@ block rows, those of the pattern followed by those of ``pattern.T``, and
 the step works on stacks, not on one block at a time: the rows of both
 sides are grouped together by how many pattern blocks they hold, and each
 group goes through the stacked kernels of :mod:`hsskit.kernels`, the basis
-kernel included, in chunks of at most max(1, PANEL_BYTES // (8 s^2))
-members: one call per group at small b, bounded temporaries at large b.
+kernel included, in the chunks of :func:`_chunks`: one call per group at
+small b, bounded temporaries at large b.
 The diagonal pattern of the hierarchical drivers is one group of 2b
 members, whose kernel inputs are views of the sketch arrays.
 """
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -111,13 +110,19 @@ class BLR2Pattern:
         object.__setattr__(self, "_row_groups", _group_rows(self._rows))
         # (2, nnz): the row and the column index of each pair, in order.
         object.__setattr__(self, "_pair_index", np.array(ordered, dtype=np.intp).reshape(-1, 2).T)
+        object.__setattr__(self, "_symmetric", pairs == frozenset((j, i) for i, j in pairs))
 
-    @cached_property
+    @property
     def T(self) -> "BLR2Pattern":
         """The pattern of the transposed matrix: pairs (j, i).  A pattern
-        whose pairs are symmetric is its own transpose."""
-        pairs = frozenset((j, i) for i, j in self.pairs)
-        return self if pairs == self.pairs else BLR2Pattern(self.block_count, self.block_size, pairs)
+        whose pairs are symmetric is its own transpose; any other builds
+        its transpose once, and that transpose holds no reference back, so
+        a dropped pattern is freed by reference counting."""
+        return self if self._symmetric else self._transpose
+
+    @cached_property
+    def _transpose(self) -> "BLR2Pattern":
+        return BLR2Pattern(self.block_count, self.block_size, frozenset((j, i) for i, j in self.pairs))
 
     @cached_property
     def _step_groups(self) -> tuple:
@@ -135,7 +140,10 @@ class BLR2Pattern:
     def diagonal(cls, block_count: int, block_size: int) -> "BLR2Pattern":
         """The b x b diagonal pattern, built once per (b, m) while it is among
         the 64 last asked for: the hierarchical drivers ask for one per level
-        on every build."""
+        on every build.  Gain over building it and its step groups on each
+        ask: 1.3-1.9 ms at b = 512, 0.55-1.1 ms at b = 256, 0.14-0.34 ms at
+        b = 64; 2.7-3.1 ms of a banded-8192 build, 1-2% of a reused-svd
+        one."""
         return cls(block_count, block_size, frozenset((i, i) for i in range(block_count)))
 
     @classmethod
@@ -254,40 +262,24 @@ def _blocks(pattern: BLR2Pattern, arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1, pattern.block_size, arr.shape[-1])
 
 
-class _Chunk(NamedTuple):
-    """One stack of the one-level step: g block rows with h pattern blocks
-    each, from both sides.  ``rows`` and ``hits`` are the :func:`_selector`
-    of those rows and of their pattern blocks in a (2b, ...) stack of
-    :func:`_blocks`; ``positions`` (g, h) are the places of the pattern
-    blocks in the pattern's sorted pairs followed by those of ``pattern.T``."""
-
-    rows: slice | np.ndarray
-    hits: slice | np.ndarray
-    positions: np.ndarray
-
-
 def _chunks(pattern: BLR2Pattern, s: int) -> tuple:
     """The stacks of the one-level step on width-s sketches: each group of
-    ``pattern._step_groups`` cut into chunks (:class:`_Chunk`) of at most
-    max(1, PANEL_BYTES // (8 s^2)) rows, so that a chunk's largest
-    temporaries, of order 8 s^2 bytes a row each, take about PANEL_BYTES:
-    the pivoted-QR basis's complete s x s nullspace Q, the SVD basis's
-    s x h m factor Q1 and m x s product in ``nullified_factor``, and the
-    remainder's h m x h m triangular inverse."""
-    return _chunk_plan(pattern, max(1, structures.PANEL_BYTES // (8 * s * s)))
+    ``pattern._step_groups`` cut into chunks of at most max(1, PANEL_BYTES
+    // (8 s^2)) rows, so that a chunk's largest temporaries, of order 8 s^2
+    bytes a row each, take about PANEL_BYTES: the pivoted-QR basis's
+    complete s x s nullspace Q, the SVD basis's s x h m factor Q1 and m x s
+    product in ``nullified_factor``, and the remainder's h m x h m
+    triangular inverse.
 
-
-@lru_cache(maxsize=64)
-def _chunk_plan(pattern: BLR2Pattern, size: int) -> tuple:
-    """:func:`_chunks` of ``size`` rows at most, built once per (pattern,
-    size) while it is among the 64 last asked for.  Gain over building the
-    plans on each step: 0.19 ms of a grid-1024 reused-svd build (12 plans)
-    and 0.33 ms of a banded-8192 one (18 plans).  Fresh, reused-svd and
-    reused-qr builds without the cache read 0.995-1.115x per build kind in
-    one set of 30 in-process alternating pairs (uncached faster in 3 to 14
-    of them) and 0.992-1.017x in another (8 to 17), 1 BLAS thread."""
+    Each chunk is ``(rows, hits, positions)``: g block rows with h pattern
+    blocks each, from both sides.  ``rows`` and ``hits`` are the
+    :func:`_selector` of those rows and of their pattern blocks in a (2b,
+    ...) stack of :func:`_blocks`; ``positions`` (g, h) are the places of
+    the pattern blocks in the pattern's sorted pairs followed by those of
+    ``pattern.T``.  Built on each step, so no plan keeps a pattern alive."""
+    size = max(1, structures.PANEL_BYTES // (8 * s * s))
     return tuple(
-        _Chunk(_selector(members[a : a + size]), _selector(hits[a : a + size]), positions[a : a + size])
+        (_selector(members[a : a + size]), _selector(hits[a : a + size]), positions[a : a + size])
         for members, hits, positions in pattern._step_groups
         for a in range(0, len(members), size)
     )
@@ -325,16 +317,16 @@ def blr2_remainder(pattern: BLR2Pattern, bases, tests, images) -> np.ndarray:
     tests, images, stack = _blocks(pattern, tests), _blocks(pattern, images), _blocks(pattern, bases)
     nnz = len(pattern.sorted_pairs)
     out = np.empty((2 * nnz, m, m))
-    for chunk in _chunks(pattern, s):
-        g, h = chunk.positions.shape
+    for rows, hits, positions in _chunks(pattern, s):
+        g, h = positions.shape
         if h == 0:
             continue
-        block, basis = images[chunk.rows], stack[chunk.rows]
+        block, basis = images[rows], stack[rows]
         residual = np.matmul(basis, basis.transpose(0, 2, 1) @ block)
         np.subtract(block, residual, out=residual)
         del block, basis
-        slabs = right_pinv_apply(residual, tests[chunk.hits].reshape(g, h * m, s))
-        out[chunk.positions] = slabs.reshape(g, m, h, m).transpose(0, 2, 1, 3)
+        slabs = right_pinv_apply(residual, tests[hits].reshape(g, h * m, s))
+        out[positions] = slabs.reshape(g, m, h, m).transpose(0, 2, 1, 3)
     # C comes in the pair order of pattern.T; sorting the transpose's pairs
     # (j, i) by (i, j) puts it in the pair order of the pattern.
     R, C = out[:nnz], out[nnz:][np.lexsort(pattern.T._pair_index)]
@@ -372,20 +364,20 @@ def blr2_factors_from_sketches(
     method, m = BASIS_METHODS[basis_method], pattern.block_size
     bases = np.empty((2, pattern.block_count, m, k))
     stack, tests, images = _blocks(pattern, bases), _blocks(pattern, tests), _blocks(pattern, images)
-    for chunk in _chunks(pattern, s):
+    for rows, hits, positions in _chunks(pattern, s):
         # Sketch i is rho_i(A) G_i P_i, times a rotation on the right for
         # the SVD basis: rho_i(A) is block row i's admissible part, G_i the
         # blocks of tests outside row i's pattern blocks and P_i a
         # nullspace basis of those pattern blocks.
-        g, h = chunk.positions.shape
-        rows, hits = images[chunk.rows], tests[chunk.hits].reshape(g, h * m, s)
+        g, h = positions.shape
+        block, omega = images[rows], tests[hits].reshape(g, h * m, s)
         if h == 0:
-            sketches = rows
+            sketches = block
         elif method.rotation_free:
-            sketches = nullified_factor(rows, hits)
+            sketches = nullified_factor(block, omega)
         else:
-            sketches = rows @ nullspace_basis(hits)
-        stack[chunk.rows] = method.kernel(sketches, k)
+            sketches = block @ nullspace_basis(omega)
+        stack[rows] = method.kernel(sketches, k)
     return bases[0], bases[1], blr2_remainder(pattern, bases, tests_diag, images_diag)
 
 

@@ -432,8 +432,9 @@ def _pivots(B: np.ndarray, k: int) -> np.ndarray:
     :func:`_residual_pivots` alone: 0.78x at (226, 16, 18); reused-qr builds
     at 0.975x on banded-8192 and 0.987x on grid-1024 (lower in 28 of 40
     pairs each).  The member axis is put last, where the updates run along
-    it, once the stack is longer than a member is wide: 0.88x at (226, 16,
-    18), though banded-8192 reused-qr builds read 0.99x (24 of 40 pairs).
+    it, once the stack is longer than a member is wide.  Without it the
+    kernel ran 1.02-1.20x slower at grid-1024's reused-qr chunk sizes, (32
+    to 128, 16, 18), and 0.98-1.07x at banded-8192's (226, 16, 18).
     """
     b, _, cols = B.shape
     members = np.arange(b)

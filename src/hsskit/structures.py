@@ -50,11 +50,7 @@ __all__ = [
 ORTHO_TOL = 1e-12
 # Bytes that the largest temporary of one panel of a wide product may take,
 # unless the product's floor on the panel width needs more; see _in_panels.
-# It bounds the member stacks of the one-level step too: a chunk holds at
-# most max(1, PANEL_BYTES // (8 s^2)) members, whose largest temporaries are
-# of order s^2 doubles each: the pivoted-QR basis's complete s x s
-# nullspace Q, the SVD basis's s x h m factor Q1 of the pattern blocks and
-# the pseudo-inverse's h m x h m triangular inverse; see blr2._chunks.
+# It bounds the member stacks of the one-level step too; see blr2._chunks.
 PANEL_BYTES = 2 << 20
 
 
@@ -306,8 +302,8 @@ def validate_hss_ranks(A, k: int, tol: float) -> bool:
     column of the level-l repartitioning of A has (k+1)-th singular value at
     most ``tol`` times the largest singular value of A.
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     A, L = _conforming(A, k)
     smax = float(np.linalg.norm(A, 2))
     if smax == 0.0:

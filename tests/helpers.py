@@ -106,11 +106,11 @@ def nullify_rows(pattern, tests, images):
     b, m, s = pattern.block_count, pattern.block_size, tests.shape[-1]
     tests, images = (blr2._blocks(pattern, np.stack((arr, arr))) for arr in (tests, images))
     rows = {}
-    for chunk in blr2._chunks(pattern, s):
-        g, h = chunk.positions.shape
-        P = nullspace_basis(tests[chunk.hits].reshape(g, h * m, s))
-        sketches = images[chunk.rows] @ P
-        for t, i in enumerate(np.arange(2 * b)[chunk.rows]):
+    for chunk_rows, hits, positions in blr2._chunks(pattern, s):
+        g, h = positions.shape
+        P = nullspace_basis(tests[hits].reshape(g, h * m, s))
+        sketches = images[chunk_rows] @ P
+        for t, i in enumerate(np.arange(2 * b)[chunk_rows]):
             if i < b:
                 rows[int(i)] = (P[t], sketches[t])
     return rows

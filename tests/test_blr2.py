@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,11 @@ class TestPattern:
         with pytest.raises(ValueError):
             BLR2Pattern(3, 2, frozenset({(0, 3)}))
 
+    @pytest.mark.parametrize("b, m", [(0, 4), (4, 0), (-1, 4)])
+    def test_block_count_or_size_below_one_rejected(self, b, m):
+        with pytest.raises(ValueError, match=r"^block_count and block_size must be positive$"):
+            BLR2Pattern(b, m)
+
     def test_diagonal_is_built_once_per_shape(self):
         pat = BLR2Pattern.diagonal(8, 4)
         assert BLR2Pattern.diagonal(8, 4) is pat
@@ -90,6 +98,7 @@ class TestPattern:
     def test_asymmetric_pattern_transposes_its_pairs(self):
         pat = BLR2Pattern(3, 2, frozenset({(0, 0), (0, 2), (1, 1)}))
         assert pat.T is not pat
+        assert pat.T is pat.T
         assert pat.T.pairs == {(0, 0), (2, 0), (1, 1)}
         assert pat.T.T.pairs == pat.pairs
 
@@ -215,7 +224,7 @@ class TestTwoSidedStep:
         b = pat.block_count
         for side in (0, 1):
             groups = sum(bool(((members < b) != side).any()) for members, _, _ in pat._step_groups)
-            chunks = sum(bool(((np.arange(2 * b)[c.rows] < b) != side).any()) for c in blr2._chunks(pat, s))
+            chunks = sum(bool(((np.arange(2 * b)[rows] < b) != side).any()) for rows, _, _ in blr2._chunks(pat, s))
             assert chunks > groups
         split = blr2_factors_from_sketches(pat, k, *side_stacks(*sketches), basis_method=method)
         for got in (whole, split):
@@ -412,6 +421,29 @@ class TestBlr2Build:
         blr2_from_matvecs(o, pat, k, s=s, seed=6)
         assert o.counter.forward_count == 2 * s + pat.block_count * k  # sketches + core probes
         assert o.counter.transpose_count == 2 * s
+
+    def test_oracle_of_another_dim_rejected(self):
+        pat = BLR2Pattern.diagonal(4, 4)
+        with pytest.raises(ValueError, match=r"^oracle dim 12 does not match pattern dim 16$"):
+            blr2_from_matvecs(MatvecOracle.from_dense(np.eye(12)), pat, 2, s=8, seed=0)
+
+    @pytest.mark.parametrize("make", [BLR2Pattern.tridiagonal, _superdiagonal],
+                             ids=["tridiagonal", "superdiagonal"])
+    def test_a_dropped_pattern_is_freed_without_the_cycle_collector(self, make):
+        # The step keeps no plan of a pattern, and a pattern refers to no
+        # pattern that refers back to it, so reference counting frees a
+        # pattern, symmetric or not, once its caller drops it.
+        oracle = MatvecOracle.from_dense(random_blr2_matrix(BLR2Pattern.tridiagonal(8, 4), 2, seed=30))
+        gc.collect()
+        gc.disable()
+        try:
+            pat = make(8, 4)
+            F = blr2_from_matvecs(oracle, pat, 2, s=pat.width_floor(2), seed=31)
+            alive = weakref.ref(pat)
+            del pat, F
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_width_floor_enforced(self):
         pat = BLR2Pattern.tridiagonal(4, 4)

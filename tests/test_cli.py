@@ -114,6 +114,15 @@ def test_spec_rejects_unknown_key(tmp_path, capsys):
     assert "n, k, bandwidth, seed" in err
 
 
+def test_spec_rejects_fragment_without_equals(tmp_path, capsys):
+    code = main([
+        "approx", "explicit", "--k", "4", "--in", "banded:n=128,9",
+        "--out", str(tmp_path / "x.hssf"),
+    ])
+    assert code == 1
+    assert "bad oracle spec fragment '9'" in capsys.readouterr().err
+
+
 def test_spec_rejects_unparsable_value(tmp_path, capsys):
     code = main([
         "approx", "explicit", "--k", "4", "--in", "banded:n=abc",

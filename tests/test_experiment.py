@@ -1,13 +1,16 @@
+import numpy as np
 import pytest
 
 from hsskit import (
     CSV_HEADER,
     ConfigError,
+    MatvecOracle,
     parse_config,
     records_to_csv,
     run_experiment,
     run_sweep,
 )
+from hsskit.experiment import run_cell
 
 SMALL_SWEEP = """
 # small deterministic sweep for contract tests
@@ -117,6 +120,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^line 5: s = 5 does not suit reused-qr: .*floor 6\b"):
             parse_config(text.format("reused-qr"))
         assert parse_config(text.format("reused-qr").replace("8, 5", "8, 6"))["s"] == (8, 6)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: parse_config("matrix = hss\nn 32\n"), r"^line 2: expected 'key = value', got 'n 32'$"),
+            (lambda: parse_config("matrix = dense\nn = 32\nk = 2\nalgorithms = fresh\ns = 8\n"),
+             r"^matrix must be one of \('banded', 'grid', 'bie', 'hard', 'hss'\), got 'dense'$"),
+            (lambda: parse_config("matrix = hss\nn = 32\nk = 2\nalgorithms = fresh, greedy\ns = 8\n"),
+             r"^unknown algorithm 'greedy'$"),
+            (lambda: parse_config("matrix = hss\nn = 32\nk = 2\nalgorithms = fresh\ns = 8\ntiming = yes\n"),
+             r"^timing must be 'on' or 'off', got 'yes'$"),
+            (lambda: parse_config("matrix = hss\nn = 32\nk = 2\nalgorithms = fresh\ns = 8\ntrials = 0\n"),
+             r"^trials must be >= 1$"),
+            (lambda: run_cell("greedy", MatvecOracle.from_dense(np.eye(32)), 2, 8, 0),
+             r"^unknown algorithm 'greedy'$"),
+        ],
+        ids=["no-equals", "unknown-matrix", "unknown-algorithm", "timing", "trials", "run-cell-algorithm"],
+    )
+    def test_malformed_config_names_the_cause(self, call, message):
+        with pytest.raises(ConfigError, match=message):
+            call()
 
     def test_key_of_another_family_rejected(self):
         with pytest.raises(ConfigError, match=r"line 4: 'delta' does not apply to matrix = bie"):

@@ -93,6 +93,18 @@ class TestDmat:
         with pytest.raises(BadMagicError):
             read_dense(path)
 
+    @pytest.mark.parametrize("mangle, error, message", [
+        (lambda data: data[:8], TruncatedPayloadError, r"^payload shorter than the fixed header$"),
+        (lambda data: data + b"\x00" * 3, FormatError, r"^3 trailing bytes after payload$"),
+    ], ids=["short-header", "trailing-bytes"])
+    def test_header_and_length_checked(self, tmp_path, mangle, error, message):
+        path = tmp_path / "m.dmat"
+        write_dense(np.ones((2, 3)), path)
+        path.write_bytes(mangle(path.read_bytes()))
+        with pytest.raises(FormatError, match=message) as exc:
+            read_dense(path)
+        assert exc.type is error
+
     def test_truncated(self, tmp_path):
         A = np.ones((3, 3))
         path = tmp_path / "t.dmat"

@@ -17,7 +17,7 @@ from hsskit import (
 )
 
 from hsskit import kernels
-from hsskit.kernels import _pivots, nullified_factor
+from hsskit.kernels import _pivots, as_matrix, nullified_factor
 
 from helpers import lapack_pivots, stacked_direct_pivoted_qr_basis, svd_tail_energy
 
@@ -76,6 +76,25 @@ class TestRngStream:
         assert np.isnan(slab[0]).all() and np.isnan(slab[2]).all()
         with pytest.raises(ValueError, match="out has shape"):
             gaussian(rows, cols + 1, stream, out=slab[1])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: as_matrix(np.ones(3), "M"), ValueError, r"^M must be 2-D, got shape \(3,\)$"),
+    (lambda: RngStream(0).child(None), TypeError, r"^unsupported stream label type: <class 'NoneType'>$"),
+    (lambda: RngStream(0).child(b"x"), TypeError, r"^unsupported stream label type: <class 'bytes'>$"),
+    (lambda: gaussian(0, 3, RngStream(0)), ValueError, r"^matrix dimensions must be positive, got 0x3$"),
+    (lambda: gaussian(4, -1, RngStream(0)), ValueError, r"^matrix dimensions must be positive, got 4x-1$"),
+    (lambda: pivoted_qr_basis(np.ones(4), 1), ValueError,
+     r"^B must be a 2-D matrix or a 3-D stack, got shape \(4,\)$"),
+    (lambda: pivoted_qr_basis(np.ones((1, 2, 3, 4)), 1), ValueError,
+     r"^B must be a 2-D matrix or a 3-D stack, got shape \(1, 2, 3, 4\)$"),
+    (lambda: pivoted_qr_basis(np.eye(4), 0), ValueError, r"^k=0 out of range for shape \(4, 4\)$"),
+    (lambda: pivoted_qr_basis(np.ones((2, 4, 3)), 4), ValueError, r"^k=4 out of range for shape \(4, 3\)$"),
+], ids=["as-matrix-1d", "label-none", "label-bytes", "gaussian-rows", "gaussian-cols", "stack-1d",
+        "stack-4d", "qr-k-zero", "qr-k-above-min"])
+def test_bad_input_names_the_cause(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestTruncatedSvdLeft:

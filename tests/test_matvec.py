@@ -53,9 +53,11 @@ class TestTheoremBounds:
 
     @pytest.mark.parametrize("k, L", [(8, 0), (8, -2), (0, 2)])
     def test_depth_or_rank_below_one_rejected(self, k, L):
-        # A factor of 0 or below is a bound that no error can meet.
-        with pytest.raises(ValueError, match=rf"^need L >= 1 and k >= 1, got L={L}, k={k}$"):
-            theorem_bounds(s=34, k=k, L=L)
+        # A factor of 0 or below is a bound that no error can meet, and a
+        # config with no level or no rank describes no build.
+        for make in (lambda: theorem_bounds(s=34, k=k, L=L), lambda: MatvecConfig(L, k, 34, seed=0)):
+            with pytest.raises(ValueError, match=rf"^need L >= 1 and k >= 1, got L={L}, k={k}$"):
+                make()
 
 
 class TestMatvecConfig:
@@ -73,6 +75,15 @@ class TestMatvecConfig:
             MatvecConfig(L=3, k=4, s=11, seed=0, basis_method="pivoted-qr", sketch_policy="reused")
         with pytest.raises(ValueError):
             MatvecConfig(L=3, k=4, s=13, seed=0, sketch_policy="reused")
+
+    @pytest.mark.parametrize("build, policy, other", [
+        (hss_from_matvecs_fresh, "fresh", "reused"),
+        (hss_from_matvecs_reused, "reused", "fresh"),
+    ], ids=["fresh", "reused"])
+    def test_driver_rejects_the_other_policy(self, build, policy, other):
+        config = MatvecConfig(L=3, k=2, s=8, seed=0, sketch_policy=other)
+        with pytest.raises(ValueError, match=rf"^config.sketch_policy must be '{policy}'$"):
+            build(MatvecOracle.from_dense(np.eye(32)), config)
 
     def test_enum_validation(self):
         with pytest.raises(ValueError):

@@ -175,6 +175,17 @@ def test_operand_of_another_shape_is_rejected(A, T, F, name, shape):
         product(x)
 
 
+@pytest.mark.parametrize("name", PRODUCTS)
+@pytest.mark.parametrize("width", [None, 3])
+def test_integer_operand_is_read_as_float64(A, T, F, name, width):
+    product, dim = _applies(A, T, F)[name]
+    x = np.arange(dim * (width or 1)).reshape((dim,) if width is None else (dim, width)) - dim
+    assert x.dtype.kind == "i"
+    y = product(x)
+    assert y.dtype == np.float64
+    assert np.array_equal(y, product(x.astype(np.float64)))
+
+
 class TestComplexIsRejected:
     """Each entry point names the argument and its dtype; none truncates."""
 

@@ -51,6 +51,11 @@ class TestMatvecOracle:
         with pytest.raises(ValueError):
             MatvecOracle.from_dense(np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_dim_below_one_rejected(self, dim):
+        with pytest.raises(ValueError, match=rf"^dim must be positive, got {dim}$"):
+            MatvecOracle(dim, lambda x: x, lambda x: x)
+
     def test_factorization_backed_oracle(self):
         T = random_telescoping(3, 2, RngStream(9).child("oracle"))
         o = oracle_from_factorization(T)

@@ -83,6 +83,35 @@ class TestBlockSlabs:
             rows[4]
 
 
+def _level(b, k, w=None, d=None):
+    """A LevelFactors of b blocks of rank k with zero entries; ``w`` and
+    ``d`` override the basis block height and the D block side."""
+    U = np.zeros((b, w or 2 * k, k))
+    return LevelFactors(U, U, np.zeros((b, d or 2 * k, d or 2 * k)))
+
+
+class TestFactorShapes:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: LevelFactors(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((1, 4, 4))),
+         r"^U and V must be \(b, 2k, k\) block arrays of equal shape$"),
+        (lambda: LevelFactors(np.zeros((2, 4, 2)), np.zeros((2, 4, 1)), np.zeros((2, 4, 4))),
+         r"^U and V must be \(b, 2k, k\) block arrays of equal shape$"),
+        (lambda: _level(2, 2, w=3), r"^basis blocks must be \(2k, k\), got \(3, 2\)$"),
+        (lambda: _level(2, 2, d=3), r"^D must have shape \(2, 4, 4\), got \(2, 3, 3\)$"),
+        (lambda: TelescopingFactorization((), np.eye(4)),
+         r"^a telescoping factorization needs at least one level$"),
+        (lambda: TelescopingFactorization((_level(2, 2),), np.eye(3)),
+         r"^root must be \(2k, 2k\) = \(4, 4\), got \(3, 3\)$"),
+        (lambda: TelescopingFactorization((_level(2, 2), _level(4, 1)), np.eye(4)),
+         r"^all levels must share one rank parameter$"),
+        (lambda: TelescopingFactorization((_level(4, 2),), np.eye(4)), r"^level 1 must hold 2 blocks, got 4$"),
+    ], ids=["U-not-3d", "V-other-shape", "basis-height", "D-shape", "no-levels", "root-shape",
+            "mixed-ranks", "block-count"])
+    def test_misshapen_factors_named(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 class TestReconstruct:
     def test_one_level_hand_expansion(self):
         e1 = np.array([[1.0], [0.0]])
@@ -210,6 +239,13 @@ class TestValidateRanks:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             validate_hss_ranks(np.zeros((10, 10)), 2, 1e-10)
+
+    @pytest.mark.parametrize("tol", [-1e-10, np.nan])
+    def test_negative_or_nan_tol_rejected(self, tol):
+        # A NaN tol would compare false against every singular value and
+        # pass any matrix, the hard instance at rank one included.
+        with pytest.raises(ValueError, match=rf"^tol must be non-negative, got {tol}$"):
+            validate_hss_ranks(hard_instance(4, 0.1), 1, tol)
 
     def test_single_block_column_violation(self):
         # L = 2, k = 2: four level-2 blocks of side 4.  Below the diagonal,

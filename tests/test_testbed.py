@@ -155,6 +155,10 @@ class TestBandedInverse:
 
 
 class TestGridSchur:
+    def test_parameter_validation(self):
+        with pytest.raises(ValueError, match=r"^need at least two grid rows, got 1$"):
+            grid_schur_oracle(1)
+
     def test_annihilates_constants(self):
         oracle = grid_schur_oracle(64)
         A = dense_from_oracle(oracle)
@@ -215,6 +219,10 @@ def test_band_solve_oracle_reports_a_nan_operand_in_its_reply(oracle, direction)
 
 
 class TestBieStar:
+    def test_parameter_validation(self):
+        with pytest.raises(ValueError, match=r"^need at least two nodes, got 1$"):
+            bie_star_matrix(1, 0.3, 5)
+
     def test_circle_row_sums_vanish(self):
         A = bie_star_matrix(256, 0.0, 5)
         assert np.abs(A @ np.ones(256)).max() <= 1e-8
