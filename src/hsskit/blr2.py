@@ -92,6 +92,10 @@ class BLR2Pattern:
     pairs: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        for name in ("block_count", "block_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.block_count < 1 or self.block_size < 1:
             raise ValueError("block_count and block_size must be positive")
         pairs = frozenset((int(i), int(j)) for i, j in self.pairs)

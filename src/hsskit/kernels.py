@@ -10,8 +10,8 @@ built on:
   - ``gaussian``: reproducible i.i.d. standard-normal test matrices.
   - ``truncated_svd_left``: top-k left singular subspace with deterministic
     sign / tie handling, from one batched eigendecomposition of B B^T for
-    the members that a guard on their own eigenvalues proves accurate, and
-    from the SVD for the rest.
+    the members that a guard on their own eigenvalues or a check of their
+    own residual proves accurate, and from the SVD for the rest.
   - ``nullspace_basis``: orthonormal nullspace basis of a wide matrix, from
     a complete QR of its transpose.
   - ``nullified_factor``: a factor with the left singular vectors and
@@ -31,11 +31,16 @@ QR, so ``pivoted_qr_basis`` reads LAPACK ``geqp3``'s pivots off each
 member's Gram matrix (:func:`_pivots`), or off its explicit residual where
 the Gram matrix no longer orders the columns (:func:`_residual_pivots`).
 
-``truncated_svd_left`` forms no right singular vectors: a member of a
-stack takes the top k eigenvectors of B B^T from one batched
-``np.linalg.eigh`` wherever a guard on its eigenvalues bounds the residual
-it adds at eps ||B||_2^2, and the SVD otherwise (banded-8192 reused-svd
-builds: 0.84x of the SVD alone, ``BENCH_26.json``).
+``truncated_svd_left`` forms no right singular vectors.  Every member of
+a stack takes the top k eigenvectors U of B B^T from one batched
+``np.linalg.eigh``, and keeps them by a three-way rule: where a guard on
+its eigenvalues bounds the residual U adds at eps ||B||_2^2 (banded-8192
+reused-svd builds: 0.84x of the SVD alone, ``BENCH_26.json``); else where
+its own residual ||B - U U^T B||_F^2, computed from B, is at most eps / 4
+times B's largest squared column norm, a lower bound on ||B||_2^2, so the
+residual itself stays within eps ||B||_2^2 (explicit builds: 0.75x,
+``BENCH_32.json``); and the SVD takes the rest, ties above that floor and
+zero members.
 
 ``nullspace_basis``, ``nullified_factor`` and ``right_pinv_apply`` decide
 rank from the square upper-triangular factor R of omega^T.  Each member is
@@ -291,14 +296,18 @@ def truncated_svd_left(B, k: int) -> np.ndarray:
     the Frobenius norm, to the rounding stated below.  Columns are
     sign-normalized (the largest-magnitude entry of each is positive).
 
-    Gram route, for the members of a stack whose guard holds.  The member
-    is scaled by the power of two that brings max|B| into [0.5, 1), which
-    is exact, and U is the top k eigenvectors of G = B B^T from one batched
-    ``np.linalg.eigh``; no QR, SVD or right factor is formed.  Forming G (gamma_cols ||B||_F^2) and eigh (backward error
-    taken as rows eps ||G||_F) make the computed eigenpairs exact for G + E
-    with ||E||_F <= nu = (rows + cols) eps ||B||_F^2.  With the computed
-    eigenvalues l_1 >= l_2 >= ... and the gap g = l_k - l_k+1 (l_k+1 = 0
-    when k = rows), the guard is
+    Every member takes the Gram route; it keeps that U where its guard
+    holds, or else where its residual certificate holds, and takes the SVD
+    route otherwise (ties above the certificate's floor, zero members).
+
+    Gram route.  The member is scaled by the power of two that brings
+    max|B| into [0.5, 1), which is exact, and U is the top k eigenvectors of
+    G = B B^T from one batched ``np.linalg.eigh``; no QR, SVD or right
+    factor is formed.  Forming G (gamma_cols ||B||_F^2) and eigh (backward
+    error taken as rows eps ||G||_F) make the computed eigenpairs exact for
+    G + E with ||E||_F <= nu = (rows + cols) eps ||B||_F^2.  With the
+    computed eigenvalues l_1 >= l_2 >= ... and the gap g = l_k - l_k+1
+    (l_k+1 = 0 when k = rows), the guard is
 
         g > nu  and  nu^2 (l_k + nu) <= eps (l_1 - nu) (g - nu)^2.
 
@@ -312,6 +321,26 @@ def truncated_svd_left(B, k: int) -> np.ndarray:
     l_k is within nu of zero).  Gain: banded-8192 reused-svd builds at
     0.84x of the SVD route alone (``BENCH_26.json``).
 
+    Residual certificate, for a member whose guard fails.  With S the
+    scaled member, c = max_j ||S e_j||^2 and r = ||S - U (U^T S)||_F^2,
+    formed from S itself (two batched products and one norm, not the
+    cancelling ||S||_F^2 - ||U^T S||_F^2), the member keeps U where c > 0
+    and r <= eps c / 4.  Since sigma_1^2 >= c and the optimum is >= 0, an
+    exact residual of at most eps c meets the guard's own target outright.
+    The check's rounding: the computed residual matrix is off by at most
+    (gamma_rows + gamma_k) sqrt(k) ||S||_F <= (rows + k) eps sqrt(k cols c)
+    in the Frobenius norm (|U| has 2-norm at most sqrt(k), and ||S||_F^2 <=
+    cols c), and the two sums of squares by a relative rows cols eps, so
+    the exact residual norm is at most sqrt(eps c) (1/2 + 1/32 + (rows + k)
+    sqrt(eps k cols)), below sqrt(eps c) while (rows + k)^2 k cols eps <=
+    1/16 (rows = 2k = 16: any cols below 6e10); a larger stack certifies
+    nothing.  The members kept are mostly numerically rank-deficient
+    blocks, whose l_k falls below nu: coarse levels, grid edge rows and the
+    explicit build's slabs.
+    Gain: the n = 256 explicit builds at 0.75x (grid-1024 runs) and 0.77x
+    (banded-8192 runs), grid-1024 fresh builds at 0.94x and BLR2 builds at
+    0.96x, lower in 10 of 10 pairs each (``BENCH_32.json``).
+
     SVD route, for every other member.  A wide member is first reduced to
     R^T from the QR factorization B^T = Q R, which has the same left
     singular vectors and singular values (0.45x of the SVD of B at
@@ -320,8 +349,8 @@ def truncated_svd_left(B, k: int) -> np.ndarray:
     relative, the lexicographically earlier sign-normalized singular
     vectors are kept, so results are deterministic.
 
-    A tall stack (rows > cols) takes the same two routes.  No build makes
-    one: every step sketch and every explicit block row and column is wide.
+    A tall stack (rows > cols) takes the same routes.  No build makes one:
+    every step sketch and every explicit block row and column is wide.
     """
     B, single = _as_stack(B, "B")
     rows, cols = B.shape[1:]
@@ -329,16 +358,24 @@ def truncated_svd_left(B, k: int) -> np.ndarray:
         raise ValueError(f"k={k} out of range for shape {B.shape[1:]}")
     U, off = _gram_left(B, k)
     if off.size:
-        U[off] = _svd_left(B[off], k)
+        off = off[~_certified(B[off], U[off])]
+        if off.size:
+            U[off] = _svd_left(B[off], k)
     return U[0] if single else U
+
+
+def _scaled(B: np.ndarray) -> np.ndarray:
+    """Each member of a (b, rows, cols) stack times the power of two that
+    brings its max|B| into [0.5, 1), which is exact; a zero member stays."""
+    return np.ldexp(B, -np.frexp(np.abs(B).max(axis=(1, 2)))[1][:, None, None])
 
 
 def _gram_left(B: np.ndarray, k: int):
     """``(U, off)``: the Gram route of :func:`truncated_svd_left` for every
     member of a (b, rows, cols) stack, and the indices of the members whose
-    guard fails, whose rows of U are to be overwritten."""
+    guard fails."""
     rows, cols = B.shape[1:]
-    scaled = np.ldexp(B, -np.frexp(np.abs(B).max(axis=(1, 2)))[1][:, None, None])
+    scaled = _scaled(B)
     gram = scaled @ scaled.transpose(0, 2, 1)
     values, vectors = np.linalg.eigh(gram)
     nu = (rows + cols) * _EPS * np.einsum("tii->t", gram)
@@ -347,6 +384,21 @@ def _gram_left(B: np.ndarray, k: int):
     fine = (gap > 0) & (nu * nu * (kth + nu) <= _EPS * (top - nu) * gap * gap)
     U = _fix_signs(np.ascontiguousarray(vectors[:, :, : -k - 1 : -1]))
     return U, np.flatnonzero(~fine)
+
+
+def _certified(B: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Which members of a (b, rows, cols) stack the residual certificate of
+    :func:`truncated_svd_left` lets keep their Gram basis U (b, rows, k):
+    S, the scaled member, is nonzero and ||S - U (U^T S)||_F^2 is at most
+    eps / 4 times S's largest squared column norm."""
+    rows, cols = B.shape[1:]
+    k = U.shape[2]
+    S = _scaled(B)
+    R = U @ (U.transpose(0, 2, 1) @ S)
+    np.subtract(S, R, out=R)
+    top = np.einsum("tij,tij->tj", S, S).max(axis=1)
+    small = (rows + k) ** 2 * k * cols * _EPS <= 1 / 16
+    return small & (top > 0) & (np.einsum("tij,tij->t", R, R) <= 0.25 * _EPS * top)
 
 
 def _svd_left(B: np.ndarray, k: int) -> np.ndarray:
@@ -474,7 +526,7 @@ def _residual_pivots(B: np.ndarray, k: int) -> np.ndarray:
     and projects the pivot column out of the residual (modified
     Gram-Schmidt).  The norms are as accurate as Householder QR's.
     """
-    R = np.ldexp(B, -np.frexp(np.abs(B).max(axis=(1, 2)))[1][:, None, None])
+    R = _scaled(B)
     members = np.arange(len(B))
     piv = np.empty((k, len(B)), np.intp)
     for j in range(k):

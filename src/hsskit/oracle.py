@@ -75,6 +75,8 @@ class MatvecOracle:
     wrapper included, sets its two products here."""
 
     def __init__(self, dim: int, apply, apply_transpose):
+        if not isinstance(dim, (int, np.integer)):
+            raise ValueError(f"dim must be an integer, got {dim!r}")
         if dim < 1:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim

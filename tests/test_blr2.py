@@ -83,6 +83,17 @@ class TestPattern:
         with pytest.raises(ValueError, match=r"^block_count and block_size must be positive$"):
             BLR2Pattern(b, m)
 
+    @pytest.mark.parametrize("b, m, name", [(4, 2.5, "block_size"), (2.5, 4, "block_count"), (4.0, 2, "block_count")])
+    def test_non_integral_block_count_or_size_rejected(self, b, m, name):
+        value = b if name == "block_count" else m
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+            BLR2Pattern(b, m)
+
+    def test_numpy_integer_sizes_accepted(self):
+        pat = BLR2Pattern(np.int64(4), np.int32(2), frozenset({(0, 0)}))
+        assert pat.dim == 8
+        assert pat == BLR2Pattern(4, 2, frozenset({(0, 0)}))
+
     def test_diagonal_is_built_once_per_shape(self):
         pat = BLR2Pattern.diagonal(8, 4)
         assert BLR2Pattern.diagonal(8, 4) is pat

@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 
 from hsskit import (
+    BLR2Pattern,
     MatvecConfig,
+    MatvecOracle,
     RngStream,
+    banded_inverse_oracle,
+    blr2_from_matvecs,
     dense_from_oracle,
     frobenius_error,
     gaussian,
+    greedy_hss_explicit,
     grid_schur_oracle,
+    hss_from_matvecs_fresh,
     hss_from_matvecs_reused,
     nullspace_basis,
     pivoted_qr_basis,
+    random_hss_matrix,
     right_pinv_apply,
     sketching,
     truncated_svd_left,
@@ -150,8 +157,9 @@ class TestTruncatedSvdLeft:
         # 1e-9, sigma_5 = sigma_4 / 10, and nu = 32 eps ||B||_F^2, about
         # 7e-15.  The first clears the guard by far and takes the Gram
         # route.  The second's gap exceeds nu, but not by enough to bound
-        # its residual, and the third's sigma_4^2 is below nu: both take
-        # the SVD route, alone in their stack or not.
+        # its residual, and the third's sigma_4^2 is below nu: both fail
+        # the guard.  The third's own residual certifies its Gram basis,
+        # and the second takes the SVD route, alone in their stack or not.
         rng = np.random.default_rng(5)
         B = np.empty((3, 12, 20))
         for t, floor in enumerate((1e-3, 2e-7, 1e-9)):
@@ -161,11 +169,11 @@ class TestTruncatedSvdLeft:
             B[t] = (left * svals) @ right.T
         gram, off = kernels._gram_left(B, 4)
         assert off.tolist() == [1, 2]
+        assert kernels._certified(B[off], gram[off]).tolist() == [False, True]
         got = truncated_svd_left(B, 4)
-        assert got[0].tobytes() == gram[0].tobytes()
         for t in range(3):
-            if t:
-                assert got[t].tobytes() == kernels._svd_left(B[t : t + 1], 4)[0].tobytes()
+            want = kernels._svd_left(B[t : t + 1], 4)[0] if t == 1 else gram[t]
+            assert got[t].tobytes() == want.tobytes()
             assert got[t].tobytes() == truncated_svd_left(B[t], 4).tobytes()
             resid = np.linalg.norm(B[t] - got[t] @ (got[t].T @ B[t])) ** 2
             assert resid - svd_tail_energy(B[t], 4) <= np.finfo(float).eps
@@ -182,6 +190,64 @@ class TestTruncatedSvdLeft:
         B[0, 0] = np.nan
         with pytest.raises(ValueError):
             truncated_svd_left(B, 1)
+
+
+class TestCertifiedRoute:
+    """Guard-failing members that their own residual certifies keep the
+    Gram basis: builds on numerically rank-deficient blocks send no member
+    to the SVD route, and zero and tied members still take it."""
+
+    @staticmethod
+    def _svd_members(monkeypatch):
+        members = []
+        svd_left = kernels._svd_left
+
+        def counting(B, k):
+            members.append(len(B))
+            return svd_left(B, k)
+
+        monkeypatch.setattr(kernels, "_svd_left", counting)
+        return members
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_exact_recovery_when_k_exceeds_every_block_rank(self, monkeypatch, seed):
+        # An exactly (5, 2) rank-structured matrix (n = 128) built at k = 8:
+        # every block has rank 2 at most, so sigma_3 .. sigma_8 of each
+        # block are rounding and every Gram guard fails.
+        A = random_hss_matrix(5, 2, seed)
+        op = MatvecOracle.from_dense(A)
+        members = self._svd_members(monkeypatch)
+        builds = {
+            "explicit": greedy_hss_explicit(A, 3, 8),
+            "fresh": hss_from_matvecs_fresh(op, MatvecConfig(3, 8, 26, seed)),
+            "reused-svd": hss_from_matvecs_reused(op, MatvecConfig(3, 8, 32, seed, "svd-pcps", "reused")),
+        }
+        for name, T in builds.items():
+            assert frobenius_error(A, T) <= 1e-13, name
+        assert sum(members) == 0
+
+    def test_benchmark_reference_builds_take_no_svd_route(self, monkeypatch):
+        # The benchmark's dense reference: banded n = 256, bandwidth 17,
+        # matrix seed 0, k = 8.  The explicit build sent 12 members to the
+        # SVD route before the certificate, the tridiagonal BLR2 build 6.
+        A = dense_from_oracle(banded_inverse_oracle(256, 17, 0))
+        members = self._svd_members(monkeypatch)
+        greedy_hss_explicit(A, 4, 8)
+        assert sum(members) == 0
+        blr2_from_matvecs(MatvecOracle.from_dense(A), BLR2Pattern.tridiagonal(16, 16), 8, 58, 0)
+        assert sum(members) == 0
+
+    def test_zero_and_tied_members_keep_the_svd_route(self, monkeypatch):
+        B = np.zeros((2, 3, 3))
+        B[1] = np.eye(3)
+        want = np.stack((np.eye(3)[:, :2], np.eye(3)[:, [2, 1]]))
+        members = self._svd_members(monkeypatch)
+        got = truncated_svd_left(B, 2)
+        assert members == [2]
+        assert got.tobytes() == want.tobytes()
+        for t in range(2):
+            assert truncated_svd_left(B[t], 2).tobytes() == want[t].tobytes()
+        assert members == [2, 1, 1]
 
 
 class TestNullspaceBasis:

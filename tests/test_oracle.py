@@ -56,6 +56,17 @@ class TestMatvecOracle:
         with pytest.raises(ValueError, match=rf"^dim must be positive, got {dim}$"):
             MatvecOracle(dim, lambda x: x, lambda x: x)
 
+    @pytest.mark.parametrize("dim", [16.5, 4.0, "4"])
+    def test_non_integral_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match=rf"^dim must be an integer, got {dim!r}$"):
+            MatvecOracle(dim, lambda x: x, lambda x: x)
+
+    def test_numpy_integer_dim_accepted(self):
+        o = MatvecOracle(np.int64(3), lambda x: 2 * x, lambda x: 3 * x)
+        assert o.dim == 3
+        assert np.array_equal(o.apply(np.ones(3)), np.full(3, 2.0))
+        assert np.array_equal(o.T.apply(np.ones(3)), np.full(3, 3.0))
+
     def test_factorization_backed_oracle(self):
         T = random_telescoping(3, 2, RngStream(9).child("oracle"))
         o = oracle_from_factorization(T)

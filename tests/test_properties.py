@@ -272,7 +272,8 @@ class TestGramRoute:
     """``truncated_svd_left`` on graded spectra whose gaps fall on both sides
     of the Gram route's guard: its stated bound on the rank-k residual, one
     member's route and bytes whatever its stack, and the SVD route for tied
-    values, on wide and tall stacks alike."""
+    values that the residual certificate does not keep, on wide and tall
+    stacks alike."""
 
     @PROPERTY
     @given(
@@ -292,7 +293,9 @@ class TestGramRoute:
         scales = data.draw(st.lists(st.sampled_from([1.0, 1e300, 1e-300]), min_size=b, max_size=b))
         B = np.stack([_graded_member(rng, r, c, k, *member) for member in zip(drops, falls, scales)])
         got = truncated_svd_left(B, k)
-        off = set(kernels._gram_left(B, k)[1].tolist())
+        gram, off = kernels._gram_left(B, k)
+        svd = set(off[~kernels._certified(B[off], gram[off])].tolist())
+        off = set(off.tolist())
         assert np.array_equal(truncated_svd_left(B[::-1], k)[::-1], got)
         eps = np.finfo(float).eps
         for t in range(b):
@@ -302,8 +305,10 @@ class TestGramRoute:
                 assert t in off
             elif drops[t] <= 3:
                 assert t not in off
-            if t in off:
-                assert got[t].tobytes() == kernels._svd_left(B[t : t + 1], k)[0].tobytes()
+            # A guard-failing member keeps its Gram basis where its own
+            # residual certifies it, and takes the SVD route otherwise.
+            want = kernels._svd_left(B[t : t + 1], k)[0] if t in svd else gram[t]
+            assert got[t].tobytes() == want.tobytes()
             # The bound: the squared residual exceeds the optimum by at most
             # eps sigma_1^2, plus this check's own rounding, which scales
             # with the residual.
