@@ -30,6 +30,12 @@ alone as in any stack.  The module needs numpy only; numpy has no pivoted
 QR, so ``pivoted_qr_basis`` reads LAPACK ``geqp3``'s pivots off each
 member's Gram matrix (:func:`_pivots`), or off its explicit residual where
 the Gram matrix no longer orders the columns (:func:`_residual_pivots`).
+The Gram pivots come from a left-looking pivoted Cholesky factorization:
+each step forms only the pivot's row of the Schur complement, one batched
+(b, 1, j) @ (b, j, c) product, so the k steps cost O(k^2 c) per member
+past the O(r c^2) Gram product: 0.41x the time of a rank-one update of the
+whole Schur complement per pivot, on the stacks of a banded-8192 reused-qr
+build.
 
 ``truncated_svd_left`` forms no right singular vectors.  Every member of
 a stack takes the top k eigenvectors U of B B^T from one batched
@@ -366,8 +372,15 @@ def truncated_svd_left(B, k: int) -> np.ndarray:
 
 def _scaled(B: np.ndarray) -> np.ndarray:
     """Each member of a (b, rows, cols) stack times the power of two that
-    brings its max|B| into [0.5, 1), which is exact; a zero member stays."""
-    return np.ldexp(B, -np.frexp(np.abs(B).max(axis=(1, 2)))[1][:, None, None])
+    brings its max|B| into [0.5, 1), which is exact; a zero member stays.
+    Members stored column by column (the explicit step's block columns, a
+    transposed view) take max|B| per column first, in 0.22x the time of
+    the joint reduction at n = 256: explicit builds at 0.96x (banded n =
+    256) and 0.91x (grid n = 1024).  On C order the joint reduction is
+    2.6-6.6x faster."""
+    top = np.abs(B)
+    top = top.max(axis=2).max(axis=1) if B.strides[1] < B.strides[2] else top.max(axis=(1, 2))
+    return np.ldexp(B, -np.frexp(top)[1][:, None, None])
 
 
 def _gram_left(B: np.ndarray, k: int):
@@ -469,49 +482,52 @@ def _columns(B: np.ndarray, piv: np.ndarray) -> np.ndarray:
 def _pivots(B: np.ndarray, k: int) -> np.ndarray:
     """The first k pivots (b, k) of a column-pivoted QR of each member.
 
-    They come from a pivoted Cholesky factorization of each Gram matrix
-    B^T B: the Schur complement's diagonal holds the squared residual column
-    norms, its largest entry is the next pivot, and each step is one rank-one
-    update of the whole (cols, cols, b) stack.  A pivot's own diagonal entry
-    becomes exactly zero and never rises above it, so no pivot is taken
-    twice while the pivots' entries stay positive.  A Gram entry carries
-    an error of about eps times the largest squared column norm M, so the
-    Schur diagonal orders the columns as their residual norms do only while
-    the pivot's entry stays above ``_GRAM_TRUST`` M, LAPACK's ``tol3z``
-    bound for its downdated norms.  Members where one of the k pivots falls
-    to that bound, or whose M is zero, subnormal or overflows, take all k
-    pivots from :func:`_residual_pivots`.  Gain over
-    :func:`_residual_pivots` alone: 0.78x at (226, 16, 18); reused-qr builds
-    at 0.975x on banded-8192 and 0.987x on grid-1024 (lower in 28 of 40
-    pairs each).  The member axis is put last, where the updates run along
-    it, once the stack is longer than a member is wide.  Without it the
-    kernel ran 1.02-1.20x slower at grid-1024's reused-qr chunk sizes, (32
-    to 128, 16, 18), and 0.98-1.07x at banded-8192's (226, 16, 18).
+    They come from a left-looking pivoted Cholesky factorization of each
+    Gram matrix G = B^T B.  The residual diagonal d holds the squared
+    residual column norms; its largest entry d_p (the lowest index on an
+    exact tie) names the next pivot p.  Step j forms only the pivot's row of
+    the Schur complement: G's row p minus the earlier L rows weighted by
+    their entries at p, one batched (b, 1, j) @ (b, j, cols) product.  It
+    scales that row by 1 / sqrt(d_p) into L row j, subtracts its square
+    from d and sets d_p to exactly zero; later steps only subtract from it,
+    so no pivot is taken twice while the pivots' entries stay positive.
+    Past the Gram product (rows cols^2 per member), the k steps cost about
+    k^2 cols / 2 per member, where rank-one updates of the whole Schur
+    complement cost k cols^2.  A Gram entry carries an error of about eps
+    times the largest squared column norm M, so d orders the columns as
+    their residual norms do only while the pivot's entry stays above
+    ``_GRAM_TRUST`` M, LAPACK's ``tol3z`` bound for its downdated norms.
+    Members where one of the k pivots falls to that bound, or whose M is
+    zero, subnormal or overflows, take all k pivots from
+    :func:`_residual_pivots`.  Gain over :func:`_residual_pivots` alone:
+    0.78x at (226, 16, 18) with rank-one updates.  The left-looking form
+    then took 0.41x the rank-one form's time on the 16 stacks of one
+    banded-8192 reused-qr build (13.4 -> 5.4 ms), 0.38x at (226, 16, 18)
+    and 0.96x at (4, 16, 18), with the same pivots on every stack.
     """
     b, _, cols = B.shape
-    members = np.arange(b)
-    piv = np.empty((k, b), np.intp)
-    pivot_entries = np.empty((k, b))
+    piv, pivot_entries, L = np.empty((k, b), np.intp), np.empty((k, b)), np.empty((k, b, cols))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gram = B.transpose(0, 2, 1) @ B
-        S = gram.transpose(1, 2, 0)
-        if b > cols:
-            gram = S = np.ascontiguousarray(S)
-        strides = S.strides
-        diagonal = np.ndarray((cols, b), S.dtype, gram, 0, (strides[0] + strides[1], strides[2]))
-        update = np.empty_like(S)
+        rows, d = gram.reshape(b * cols, cols), gram.diagonal(axis1=1, axis2=2).copy()
+        flat_d, flat_L, stack_L = d.reshape(-1), L.reshape(k, b * cols), L.transpose(1, 0, 2)
+        # base + p[t] is entry (t, p[t]) of a (b, cols) array, flattened.
+        base = np.arange(0, b * cols, cols)
         for j in range(k):
-            p = diagonal.argmax(axis=0, out=piv[j])
-            entry = pivot_entries[j] = diagonal[p, members]
+            at = base + d.argmax(axis=1, out=piv[j])
+            entry = pivot_entries[j] = flat_d[at]
             if j + 1 == k:
                 break
-            row = S[p, :, members].T
-            np.multiply(row[:, None, :], row / entry, out=update)
-            S -= update
+            row = rows[at]
+            if j:
+                row -= (flat_L[:j, at].T[:, None] @ stack_L[:, :j])[:, 0]
+            L[j] = row = row / np.sqrt(entry)[:, None]
+            d -= row * row
+            flat_d[at] = 0.0
     piv = piv.T
     trusted = pivot_entries > np.maximum(_GRAM_TRUST * pivot_entries[0], _GRAM_FLOOR)
-    redo = np.flatnonzero(~trusted.all(axis=0))
-    if redo.size:
+    if not trusted.all():
+        redo = np.flatnonzero(~trusted.all(axis=0))
         piv[redo] = _residual_pivots(B[redo], k)
     return piv
 

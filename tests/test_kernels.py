@@ -322,6 +322,57 @@ class TestPivotedQrBasis:
             assert trusted == 8
             assert np.array_equal(got, want)
 
+    @staticmethod
+    def _assert_geqp3_pivots(B, k):
+        # Each member takes geqp3's pivots wherever they are trusted, and the
+        # same pivots alone as in the stack.
+        piv = _pivots(B, k)
+        for i, member in enumerate(B):
+            want, trusted = lapack_pivots(member, k)
+            assert np.array_equal(piv[i, :trusted], want[:trusted])
+            assert np.array_equal(_pivots(member[None], k)[0], piv[i])
+
+    @pytest.mark.parametrize("b", [17, 18, 19])
+    @pytest.mark.parametrize("kind", ["gaussian", "low rank plus noise"])
+    def test_pivots_match_geqp3_around_the_member_width(self, b, kind):
+        # Stacks shorter than, as long as and longer than a member is wide.
+        rng = np.random.default_rng(b)
+        B = rng.standard_normal((b, 16, 18))
+        if kind == "low rank plus noise":
+            B = rng.standard_normal((b, 16, 8)) @ rng.standard_normal((b, 8, 18)) + 1e-7 * B
+        self._assert_geqp3_pivots(B, 8)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pivots_match_geqp3_on_nullified_sketches(self, seed):
+        # The (b, 16, 34) factors of Gaussian sketches nullified against
+        # 16-row test blocks, the members a pivoted QR of the
+        # rotation-free factor would take.
+        rng = np.random.default_rng(seed)
+        F = nullified_factor(rng.standard_normal((40, 16, 34)), rng.standard_normal((40, 16, 34)))
+        self._assert_geqp3_pivots(F, 8)
+
+    def test_rank_deficient_and_zero_members_take_the_residual_pivots(self, monkeypatch):
+        # A member whose 18 columns are 9 columns twice (rank 9 < k = 10)
+        # and a zero member fall below the Gram matrix's accuracy; only
+        # they go to the explicit residual, and each keeps its pivots alone.
+        rng = np.random.default_rng(3)
+        B = rng.standard_normal((5, 16, 18))
+        B[1] = np.tile(rng.standard_normal((16, 9)), 2)
+        B[3] = 0.0
+        residual_pivots, redone = kernels._residual_pivots, []
+
+        def spy(stack, k):
+            redone.append(stack.copy())
+            return residual_pivots(stack, k)
+
+        monkeypatch.setattr(kernels, "_residual_pivots", spy)
+        piv = _pivots(B, 10)
+        assert len(redone) == 1 and np.array_equal(redone[0], B[[1, 3]])
+        assert np.array_equal(piv[[1, 3]], residual_pivots(B[[1, 3]], 10))
+        assert np.array_equal(piv[3], np.arange(10))
+        for i in range(len(B)):
+            assert np.array_equal(_pivots(B[i : i + 1], 10)[0], piv[i])
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_grid_build_matches_the_lapack_basis(self, seed, monkeypatch):
         # A reused-qr build on the grid operator, whose sketches decay fast

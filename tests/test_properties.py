@@ -234,9 +234,7 @@ class TestStackedKernelsMatchTwoD:
     @pytest.mark.parametrize("kind", PIVOTED_QR_MEMBERS)
     def test_pivoted_qr_basis_stack_composition(self, kind):
         # A member's bytes do not depend on its neighbours: the stack
-        # reversed, and every member alone, give the same bytes.  The stack
-        # is longer than a member is wide, so it is updated with the member
-        # axis last and each member alone with it first.
+        # reversed, and every member alone, give the same bytes.
         rng = np.random.default_rng(11)
         B = np.concatenate(
             [_pivoted_qr_members(rng, kind, 3, 16, 18), rng.standard_normal((20, 16, 18))]
