@@ -39,7 +39,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import structures
-from .kernels import RngStream, _as_real, gaussian, nullified_factor, nullspace_basis, right_pinv_apply
+from .kernels import (
+    RngStream,
+    _as_real,
+    _read_only,
+    gaussian,
+    nullified_factor,
+    nullspace_basis,
+    right_pinv_apply,
+)
 from .oracle import MatvecOracle
 from .sketching import BASIS_METHODS
 from .structures import _in_panels, _on_columns, block_apply, block_apply_t
@@ -198,7 +206,8 @@ class BLR2Factorization:
     U, V: (b, m, k) orthonormal-column blocks; X: (bk, bk) dense core;
     D: (nnz, m, m) remainder blocks, one per pair of ``pattern.sorted_pairs``
     in that order.  With a diagonal pattern and m = 2k, D[i] is diagonal
-    block i, as in :class:`~hsskit.structures.LevelFactors`.
+    block i, as in :class:`~hsskit.structures.LevelFactors`.  Each array is
+    stored as a read-only view; the arrays passed in stay writable.
     """
 
     pattern: BLR2Pattern
@@ -209,7 +218,7 @@ class BLR2Factorization:
 
     def __post_init__(self):
         for name in ("U", "V", "X", "D"):
-            object.__setattr__(self, name, _as_real(getattr(self, name), name))
+            object.__setattr__(self, name, _read_only(_as_real(getattr(self, name), name)))
         b, m, k = self.pattern.block_count, self.pattern.block_size, self.rank_param
         if self.U.shape != (b, m, k) or self.V.shape != (b, m, k):
             raise ValueError(f"bases U {self.U.shape}, V {self.V.shape} must both be ({b}, {m}, k), one k")

@@ -86,8 +86,7 @@ def _cmd_approx(args) -> int:
     T, fwd, tr = run_cell(args.algo, base, args.k, args.s, args.seed)
     wall = time.perf_counter() - started
     probe_q = base.dim if args.algo == "explicit" else 2 * args.k
-    with open(args.out, "wb") as fh:
-        fh.write(formats.serialize(T))
+    formats.write_hssf(T, args.out)
     print(f"wrote factorization (L={T.depth}, k={T.rank_param}) to {args.out}")
     print(
         f"queries: {fwd} forward + {tr} transpose = {fwd + tr} total "

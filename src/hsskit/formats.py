@@ -13,10 +13,21 @@ DMAT dense-matrix interchange:
 All integers are little-endian u32; all floating-point payloads are raw
 row-major little-endian 64-bit floats with no per-block headers (sizes are
 derivable from L and k).  Blocks are written in index order.
+
+Loading copies no payload.  :func:`deserialize` checks the header against
+the payload's size, then hands the factorization read-only views of the
+``bytes`` it was given; :func:`read_dense` checks the header against the
+file's size, allocates the matrix once and reads the entries into it.
+Writing copies at most once: :func:`serialize` joins the arrays' own
+buffers, and :func:`write_hssf` and :func:`write_dense` write them to the
+file one after another.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -33,6 +44,7 @@ __all__ = [
     "read_dense",
     "serialize",
     "write_dense",
+    "write_hssf",
 ]
 
 HSSF_MAGIC = b"HSSF"
@@ -62,36 +74,40 @@ def _emit(arr: np.ndarray) -> memoryview:
     return memoryview(np.ascontiguousarray(arr, dtype="<f8"))
 
 
-def serialize(T: TelescopingFactorization) -> bytes:
-    """Encode a telescoping factorization as an HSSF byte string.  The
-    arrays' buffers are joined as they are, so the payload is copied once."""
-    parts = [HSSF_MAGIC, struct.pack("<III", HSSF_VERSION, T.depth, T.rank_param)]
+def _hssf_parts(T: TelescopingFactorization) -> list:
+    """The HSSF encoding of ``T`` in order: the header, then each array's
+    buffer as :func:`_emit` gives it."""
+    parts = [HSSF_MAGIC + struct.pack("<III", HSSF_VERSION, T.depth, T.rank_param)]
     for lf in reversed(T.levels):  # level L down to 1
         parts.extend((_emit(lf.U), _emit(lf.V), _emit(lf.D)))
     parts.append(_emit(T.root))
-    return b"".join(parts)
+    return parts
 
 
-class _Reader:
-    """The float64 arrays of a payload from byte ``offset`` on, in order, as
-    views of one writable copy of its floats: one copy per payload."""
+def serialize(T: TelescopingFactorization) -> bytes:
+    """Encode a telescoping factorization as an HSSF byte string.  The
+    arrays' buffers are joined as they are, so the payload is copied once."""
+    return b"".join(_hssf_parts(T))
 
-    def __init__(self, data: bytes, offset: int):
-        self.size, self.start, self.offset = len(data), offset, offset
-        count = (len(data) - offset) // 8
-        self.floats = np.frombuffer(data, dtype="<f8", count=count, offset=offset).astype(np.float64)
 
-    def take(self, count: int, shape) -> np.ndarray:
-        end = self.offset + 8 * count
-        if end > self.size:
-            raise TruncatedPayloadError(f"payload ends at byte {self.size}, needed {end}")
-        first = (self.offset - self.start) // 8
-        self.offset = end
-        return self.floats[first : first + count].reshape(shape)
+def write_hssf(T: TelescopingFactorization, path):
+    """Write ``serialize(T)`` to ``path``, one array buffer after another, so
+    the joined byte string is never formed."""
+    with open(path, "wb") as fh:
+        fh.writelines(_hssf_parts(T))
 
 
 def deserialize(data: bytes) -> TelescopingFactorization:
-    """Decode an HSSF byte string produced by :func:`serialize`."""
+    """Decode an HSSF byte string produced by :func:`serialize`.
+
+    After the header and size checks, the factors are read-only views of
+    ``data``'s floats, so a ``bytes`` payload is not copied and stays alive
+    as long as the factorization does.  Any other buffer, a ``bytearray`` or
+    a ``memoryview``, is copied once into ``bytes`` first, so that no
+    factorization aliases a buffer that can change under it.
+    """
+    if not isinstance(data, bytes):
+        data = bytes(memoryview(data))
     if len(data) < 4:
         raise TruncatedPayloadError("payload shorter than the magic header")
     if data[:4] != HSSF_MAGIC:
@@ -117,16 +133,18 @@ def deserialize(data: bytes) -> TelescopingFactorization:
         )
     if size < len(data):
         raise FormatError(f"{len(data) - size} trailing bytes after the L={depth}, k={k} payload")
-    reader = _Reader(data, 16)
+    floats, at = np.frombuffer(data, dtype="<f8", offset=16), 0
+
+    def take(*shape) -> np.ndarray:
+        nonlocal at
+        start, at = at, at + math.prod(shape)
+        return floats[start:at].reshape(shape)
+
     levels = []
     for level in range(depth, 0, -1):
         b = 1 << level
-        U = reader.take(b * 2 * k * k, (b, 2 * k, k))
-        V = reader.take(b * 2 * k * k, (b, 2 * k, k))
-        D = reader.take(b * 2 * k * 2 * k, (b, 2 * k, 2 * k))
-        levels.append(LevelFactors(U, V, D))
-    root = reader.take(2 * k * 2 * k, (2 * k, 2 * k))
-    return TelescopingFactorization(tuple(reversed(levels)), root)
+        levels.append(LevelFactors(take(b, 2 * k, k), take(b, 2 * k, k), take(b, 2 * k, 2 * k)))
+    return TelescopingFactorization(tuple(reversed(levels)), take(2 * k, 2 * k))
 
 
 def write_dense(A, path):
@@ -139,17 +157,35 @@ def write_dense(A, path):
         fh.write(_emit(A))
 
 
+def _check_dmat_size(size: int, end: int):
+    """Raise unless a DMAT file of ``size`` bytes ends where its header
+    says, at byte ``end``."""
+    if end > size:
+        raise TruncatedPayloadError(f"payload ends at byte {size}, needed {end}")
+    if end < size:
+        raise FormatError(f"{size - end} trailing bytes after payload")
+
+
 def read_dense(path) -> np.ndarray:
-    """Read a dense matrix from a DMAT file."""
+    """Read a dense matrix from a DMAT file into a writable, C-contiguous
+    float64 matrix.  The header is checked against a regular file's size
+    before the matrix is allocated once and filled straight from the file.
+    A pipe's size is known only once it is read, so a pipe is read whole and
+    then checked, and its entries are copied once."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 4 or data[:4] != DMAT_MAGIC:
-        raise BadMagicError(f"expected magic {DMAT_MAGIC!r}")
-    if len(data) < 12:
-        raise TruncatedPayloadError("payload shorter than the fixed header")
-    rows, cols = struct.unpack_from("<II", data, 4)
-    reader = _Reader(data, 12)
-    A = reader.take(rows * cols, (rows, cols))
-    if reader.offset != len(data):
-        raise FormatError(f"{len(data) - reader.offset} trailing bytes after payload")
-    return A
+        head = fh.read(12)
+        if head[:4] != DMAT_MAGIC:
+            raise BadMagicError(f"expected magic {DMAT_MAGIC!r}")
+        if len(head) < 12:
+            raise TruncatedPayloadError("payload shorter than the fixed header")
+        rows, cols = struct.unpack_from("<II", head, 4)
+        end = 12 + 8 * rows * cols
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            rest = fh.read()
+            _check_dmat_size(12 + len(rest), end)
+            return np.frombuffer(rest, dtype="<f8").reshape(rows, cols).astype(np.float64)
+        _check_dmat_size(info.st_size, end)
+        A = np.empty((rows, cols), dtype="<f8")
+        _check_dmat_size(12 + fh.readinto(memoryview(A).cast("B")), end)
+    return A.astype(np.float64, copy=False)

@@ -119,6 +119,16 @@ def _as_real(a, name: str) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it is read-only, else a read-only view of it; ``arr``
+    itself stays writable.  Factor containers store their arrays this way,
+    and user products receive their operands this way."""
+    if arr.flags.writeable:
+        arr = arr.view()
+        arr.flags.writeable = False
+    return arr
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array and reject complex or non-finite entries."""
     arr = _as_real(a, name)

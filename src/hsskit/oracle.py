@@ -3,9 +3,12 @@
 An oracle exposes products with an N x N operator A and its transpose on
 vectors or dense blocks of vectors; ``oracle.T`` is the oracle of A^T.  The
 products behind it, a user's included, receive (N, w) float64 blocks only:
-a vector goes in as one column and its reply comes back as a vector.  Each
-reply of a user's product is checked once, where it is made, for its shape
-and finite entries.  ``CountingOracle`` wraps any oracle and charges one
+a vector goes in as one column and its reply comes back as a vector.  A
+user's product receives a read-only view of its operand, so a product that
+writes into it raises numpy's read-only ``ValueError`` instead of corrupting
+a build's test matrices; the caller's array stays writable.  Each reply of
+a user's product is checked once, where it is made, for its shape and
+finite entries.  ``CountingOracle`` wraps any oracle and charges one
 query per vector (a width-s block costs s).
 
 ``compress_oracle`` is the oracle of the compressed operator U^T (A - D) V of
@@ -22,7 +25,7 @@ from types import MethodType
 
 import numpy as np
 
-from .kernels import _as_real
+from .kernels import _as_real, _read_only
 from .structures import (
     LevelFactors,
     TelescopingFactorization,
@@ -48,8 +51,9 @@ def _checked(product, direction: str, oracle: "MatvecOracle"):
     where it is made.  A method of an oracle checks its own replies and
     stays unwrapped; one of ``oracle`` itself is bound to a weak proxy, so
     that an oracle holding its own products forms no reference cycle and a
-    dropped view frees its bases at once.  A non-finite reply names the
-    operand if that is non-finite too."""
+    dropped view frees its bases at once.  The product receives a read-only
+    view of its operand.  A non-finite reply names the operand if that is
+    non-finite too."""
     owner = getattr(product, "__self__", None)
     if owner is oracle:
         return MethodType(product.__func__, weakref.proxy(oracle))
@@ -57,7 +61,7 @@ def _checked(product, direction: str, oracle: "MatvecOracle"):
         return product
 
     def call(x: np.ndarray) -> np.ndarray:
-        y = _as_real(product(x), f"oracle {direction} reply")
+        y = _as_real(product(_read_only(x)), f"oracle {direction} reply")
         if y.shape != x.shape:
             raise ValueError(f"oracle {direction} reply has shape {y.shape}, expected {x.shape}")
         if not np.isfinite(y).all():
@@ -71,7 +75,8 @@ def _checked(product, direction: str, oracle: "MatvecOracle"):
 class MatvecOracle:
     """Linear operator accessed only through apply / apply_transpose.  Its
     two products receive (dim, w) float64 blocks and must reply with blocks
-    of the same shape and finite entries.  Every oracle, a view or a
+    of the same shape and finite entries, and must not write into their
+    operands, which they receive read-only.  Every oracle, a view or a
     wrapper included, sets its two products here."""
 
     def __init__(self, dim: int, apply, apply_transpose):

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import _as_real, as_matrix
+from .kernels import _as_real, _read_only, as_matrix
 
 __all__ = [
     "LevelFactors",
@@ -156,6 +156,7 @@ class LevelFactors:
     """One level of a telescoping factorization.
 
     U, V: (b, 2k, k) blocks with orthonormal columns; D: (b, 2k, 2k) blocks.
+    Each is stored as a read-only view; the arrays passed in stay writable.
     """
 
     U: np.ndarray
@@ -163,7 +164,7 @@ class LevelFactors:
     D: np.ndarray
 
     def __post_init__(self):
-        U, V, D = (_as_real(getattr(self, name), name) for name in ("U", "V", "D"))
+        U, V, D = (_read_only(_as_real(getattr(self, name), name)) for name in ("U", "V", "D"))
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "D", D)
@@ -192,14 +193,15 @@ class LevelFactors:
 @dataclass(frozen=True)
 class TelescopingFactorization:
     """Telescoping factorization: ``levels[j]`` holds level j+1 (levels[-1] is
-    the finest level L) and ``root`` is the (2k, 2k) core."""
+    the finest level L) and ``root`` is the (2k, 2k) core, stored as a
+    read-only view like the levels' arrays."""
 
     levels: tuple
     root: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
-        object.__setattr__(self, "root", as_matrix(self.root, "root"))
+        object.__setattr__(self, "root", _read_only(as_matrix(self.root, "root")))
         if len(self.levels) < 1:
             raise ValueError("a telescoping factorization needs at least one level")
         k = self.rank_param

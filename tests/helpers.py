@@ -5,6 +5,7 @@ are deliberately written here, independently of the library code paths they
 check.
 """
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -15,6 +16,18 @@ from hsskit.kernels import nullified_factor, nullspace_basis, right_pinv_apply
 from hsskit.sketching import BASIS_METHODS
 from hsskit.structures import block_apply, block_apply_t
 from hsskit.testbed import _banded_arrays
+
+
+def peak_bytes(fn):
+    """(fn(), bytes fn allocated at its peak beyond what was held before)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
 
 
 def rand_orthonormal(rows, cols, rng):

@@ -341,6 +341,55 @@ def test_misshapen_bases_are_named(shape):
         blr2_remainder(PATTERN, rng.standard_normal(shape), *_sketch_args(rng)[2:])
 
 
+class TestOperandsAreReadOnly:
+    """A user product receives a read-only view of its operand, so one that
+    writes into it fails inside the product, by numpy's read-only error,
+    instead of corrupting the build's stored test matrices."""
+
+    @staticmethod
+    def _rescaling(M):
+        def product(x):
+            x *= 2.0
+            return M @ x
+
+        return product
+
+    @staticmethod
+    def _zeroing(M):
+        def product(x):
+            y = M @ x
+            x[...] = 0.0
+            return y
+
+        return product
+
+    @pytest.mark.parametrize("writer", ["_rescaling", "_zeroing"])
+    @pytest.mark.parametrize("side", ["forward", "transpose"])
+    def test_writing_product_fails_the_build(self, writer, side):
+        A = random_hss_matrix(4, 4, seed=1)
+        if side == "forward":
+            products = getattr(self, writer)(A), A.T.__matmul__
+        else:
+            products = A.__matmul__, getattr(self, writer)(A.T)
+        with pytest.raises(ValueError, match="read-only"):
+            hss_from_matvecs_fresh(MatvecOracle(A.shape[0], *products), MatvecConfig(4, 4, 14, seed=0))
+
+    @pytest.mark.parametrize("shape", [(8,), (8, 3)], ids=["vector", "block"])
+    def test_caller_operand_stays_writable(self, shape):
+        seen = []
+
+        def product(x):
+            seen.append(x.flags.writeable)
+            return x + 1.0
+
+        o = MatvecOracle(8, product, product)
+        x = np.ones(shape)
+        o.apply(x)
+        o.apply_transpose(x)
+        assert seen == [False, False]
+        assert x.flags.writeable
+
+
 class TestNonFiniteOperandIsNamed:
     @staticmethod
     def _oracle():

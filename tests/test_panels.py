@@ -30,7 +30,7 @@ from hsskit import (
 )
 from hsskit import structures
 
-from helpers import grid_schur_dense, random_banded_matrix
+from helpers import grid_schur_dense, peak_bytes, random_banded_matrix
 
 SMALL_PANEL_BYTES = 12 << 10
 WIDTHS = [None, 1, 31, 32, 33, 300]  # None: a vector operand
@@ -58,18 +58,6 @@ def _recording(oracle, widths):
         return oracle.apply(x)
 
     return MatvecOracle(oracle.dim, apply, oracle.apply_transpose)
-
-
-def _peak_bytes(fn):
-    """(fn(), bytes fn allocated at its peak beyond what was held before)."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
 
 
 class TestPanelBoundaries:
@@ -141,7 +129,7 @@ class TestPanelMemory:
         T = random_telescoping(9, 8, RngStream(10))  # N = 8192
         x = _operand(T.dim, 128, 11)
         for op in (T, T.T):
-            y, peak = _peak_bytes(lambda: hss_apply(op, x))
+            y, peak = peak_bytes(lambda: hss_apply(op, x))
             assert peak <= y.nbytes + 4 * structures.PANEL_BYTES
 
     def test_banded_oracle_at_width_128(self):
@@ -150,12 +138,12 @@ class TestPanelMemory:
         # need a 4 MiB scratch.
         oracle = banded_inverse_oracle(8192, 17, 14)
         x = _operand(8192, 128, 15)
-        y, peak = _peak_bytes(lambda: oracle.apply(x))
+        y, peak = peak_bytes(lambda: oracle.apply(x))
         assert peak <= y.nbytes + 2 * structures.PANEL_BYTES
 
     def test_dense_grid_extraction(self):
         oracle = grid_schur_oracle(512)
-        A, peak = _peak_bytes(lambda: dense_from_oracle(oracle))
+        A, peak = peak_bytes(lambda: dense_from_oracle(oracle))
         assert peak <= A.nbytes + 4 * structures.PANEL_BYTES
 
     @pytest.mark.parametrize("n,probes", [(512, [256] * 2), (1024, [128] * 8)])
@@ -167,7 +155,7 @@ class TestPanelMemory:
         monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: ffts.append(1) or rfft(*a, **kw))
         oracle = grid_schur_oracle(n)
         widths = []
-        A, peak = _peak_bytes(lambda: dense_from_oracle(_recording(oracle, widths)))
+        A, peak = peak_bytes(lambda: dense_from_oracle(_recording(oracle, widths)))
         assert widths == probes
         assert len(ffts) == len(probes)
         assert peak <= A.nbytes + 2 * structures.PANEL_BYTES
@@ -176,7 +164,7 @@ class TestPanelMemory:
         n, m, k = 2048, 16, 8
         pat = BLR2Pattern.diagonal(n // m, m)
         oracle = banded_inverse_oracle(n, 2 * k + 1, 0)
-        _, peak = _peak_bytes(lambda: blr2_from_matvecs(oracle, pat, k, pat.width_floor(k), seed=0))
+        _, peak = peak_bytes(lambda: blr2_from_matvecs(oracle, pat, k, pat.width_floor(k), seed=0))
         assert peak < n * pat.block_count * k * 8
 
     def test_tridiagonal_blr2_build_runs_the_step_in_chunks(self):
@@ -186,7 +174,7 @@ class TestPanelMemory:
         n, m, k, s = 2048, 16, 8, 58
         pat = BLR2Pattern.tridiagonal(n // m, m)
         oracle = banded_inverse_oracle(n, 2 * k + 1, 0)
-        _, peak = _peak_bytes(lambda: blr2_from_matvecs(oracle, pat, k, s, seed=0))
+        _, peak = peak_bytes(lambda: blr2_from_matvecs(oracle, pat, k, s, seed=0))
         assert peak <= 8 * n * s * 8 + 6 * structures.PANEL_BYTES
 
     def test_fresh_driver_drops_a_levels_sketches_before_querying_the_next(self):
@@ -202,7 +190,7 @@ class TestPanelMemory:
             return call
 
         oracle = MatvecOracle(n, traced(base.apply), traced(base.apply_transpose))
-        _peak_bytes(lambda: hss_from_matvecs_fresh(oracle, MatvecConfig(7, k, s, 0)))
+        peak_bytes(lambda: hss_from_matvecs_fresh(oracle, MatvecConfig(7, k, s, 0)))
         # Calls 0-3 query level L and calls 4-7 level L - 1.  Level L's eight
         # sketches (four test matrices, four images) take 8 n s floats and
         # must be gone by call 4.

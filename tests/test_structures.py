@@ -4,16 +4,25 @@ from scipy.linalg import block_diag
 
 from hsskit import (
     BLR2Factorization,
+    BLR2Pattern,
     LevelFactors,
+    MatvecConfig,
+    MatvecOracle,
     RngStream,
     TelescopingFactorization,
+    blr2_from_matvecs,
+    deserialize,
     hard_instance,
+    hss_from_matvecs_fresh,
     hss_apply,
     hss_apply_transpose,
     blr2_apply,
     blr2_reconstruct,
+    random_blr2_matrix,
+    random_hss_matrix,
     random_telescoping,
     reconstruct_dense,
+    serialize,
     validate_hss_ranks,
 )
 
@@ -207,6 +216,43 @@ class TestSSSContainer:
         f = random_sss(2, 2, seed=1)
         with pytest.raises(ValueError):
             BLR2Factorization(f.pattern, f.U, f.V, f.X[:-1], f.D)
+
+
+class TestReadOnlyFactors:
+    """Containers store read-only views, so a built factorization and a
+    loaded one behave the same; the arrays passed in stay writable."""
+
+    @staticmethod
+    def _assert_read_only(arrays):
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+
+    @pytest.mark.parametrize("view", [
+        lambda T: T,
+        lambda T: deserialize(serialize(T)),
+        lambda T: T.T,
+        lambda T: deserialize(serialize(T)).T,
+    ], ids=["built", "loaded", "transposed", "loaded-transposed"])
+    def test_telescoping(self, view):
+        A = random_hss_matrix(3, 2, seed=0)
+        T = view(hss_from_matvecs_fresh(MatvecOracle.from_dense(A), MatvecConfig(3, 2, 8, seed=0)))
+        self._assert_read_only([a for lf in T.levels for a in (lf.U, lf.V, lf.D)] + [T.root])
+
+    def test_blr2(self):
+        pattern = BLR2Pattern.tridiagonal(4, 4)
+        A = random_blr2_matrix(pattern, 2, seed=1)
+        F = blr2_from_matvecs(MatvecOracle.from_dense(A), pattern, 2, pattern.width_floor(2), seed=2)
+        self._assert_read_only([F.U, F.V, F.X, F.D])
+
+    def test_arrays_passed_in_stay_writable(self):
+        U, D, root = np.zeros((2, 4, 2)), np.zeros((2, 4, 4)), np.eye(4)
+        T = TelescopingFactorization((LevelFactors(U, U, D),), root)
+        f = random_sss(1, 2, seed=3)
+        arrays = [np.array(a) for a in (f.U, f.V, f.X, f.D)]
+        BLR2Factorization(f.pattern, *arrays)
+        assert all(a.flags.writeable for a in [U, D, root, *arrays])
+        self._assert_read_only([T.levels[0].U, T.levels[0].D, T.root])
 
 
 class TestValidate:
