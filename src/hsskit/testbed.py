@@ -6,11 +6,11 @@ Generator families:
     whose best rank-structured approximation is known in closed form.
   - ``banded_inverse_oracle``: the inverse of a random symmetric banded,
     strictly diagonally dominant matrix, applied through its Cholesky
-    factor U, computed block by block in numpy: a product is two block
-    sweeps, each one batched product with the inverted diagonal blocks of
-    U plus a rank-h correction per block for the h rows that couple
-    neighbouring blocks.  With total bandwidth 2k + 1 the inverse has
-    rank-2k structure.
+    factor U, computed block by block in numpy: a product is one batched
+    product with the diagonal blocks' inverses W_i = U_i^{-1} U_i^{-T},
+    each widened by a rank-2h correction for the h rows on either side
+    that couple neighbouring blocks.  With total bandwidth 2k + 1 the
+    inverse has rank-2k structure.
   - ``grid_schur_oracle``: Schur complement of an N x 51 grid-graph Laplacian
     onto its middle separator column.  The grid is separable, so the
     operator is diagonal in the cosine basis: a product is two length-N
@@ -149,12 +149,11 @@ def _banded_arrays(n: int, bandwidth: int, seed: int):
     return diag, offs
 
 
-# Rows of a diagonal block in the banded-inverse sweeps (or h, if more), the
-# narrowest panel of a wide banded-inverse product, and the bytes of one
-# chunk of block products; see banded_inverse_oracle.
+# Rows of a diagonal block of the banded-inverse oracle (or h, if more) and
+# the narrowest panel of a wide banded-inverse product; see
+# banded_inverse_oracle.
 _BAND_BLOCK = 32
 _BAND_PANEL_FLOOR = 34
-_BAND_CHUNK_BYTES = 256 << 10
 
 
 def _band_cholesky(diag: np.ndarray, offs: list, blocks: np.ndarray) -> np.ndarray:
@@ -200,7 +199,7 @@ def _band_cholesky(diag: np.ndarray, offs: list, blocks: np.ndarray) -> np.ndarr
 
 def _seam_levels(maps: np.ndarray) -> list:
     """The levels of cyclic reduction for a seam recurrence in which
-    ``maps[i - 1]`` maps seam i - 1 into seam i (see :func:`_fold_seams`).
+    ``maps[i - 1]`` maps seam i - 1 into seam i (see :func:`_solve_seams`).
     Each level eliminates the even seams: it keeps the maps into the odd
     seams and into the even ones, and hands the next level the products that
     map odd seam 2m - 1 to odd seam 2m + 1."""
@@ -212,25 +211,17 @@ def _seam_levels(maps: np.ndarray) -> list:
     return levels
 
 
-def _fold_seams(X: np.ndarray, rows: np.ndarray, corners: np.ndarray, levels: list, lead: slice,
-                work: np.ndarray):
-    """Fold into the (B, nb, w) operand blocks X, in place, what a block
-    bidiagonal triangular solve carries from block i - 1 into block i.
-
-    Block i of the solution is inv_i (X_i - corners[i - 1] seam_{i-1} in
-    the rows ``lead``), where seam_i, the part of solution block i that
-    block i + 1 depends on, is ``rows[i]`` times that same operand.  So the
-    seams obey seam_i = rows[i] X_i + maps[i - 1] seam_{i-1}, maps[i - 1] =
-    -rows[i][:, lead] corners[i - 1], which ``levels`` solve by cyclic
-    reduction: 2 log2(B) batched products over B + B/2 + ... seams.  After
-    the call, block i of the solution is inv_i X_i.  The seams and the
-    products take the flat scratch ``work``, of 2 B h w floats.
-    """
-    B, h, w = len(rows), rows.shape[1], X.shape[2]
-    seams = np.matmul(rows, X, out=work[: B * h * w].reshape(B, h, w))
+def _solve_seams(seams: np.ndarray, levels: list, work: np.ndarray) -> None:
+    """Solve in place the recurrence seam_i = r_i + maps[i - 1] seam_{i-1}
+    on the (B, h, w) stack ``seams``, which holds the r_i on entry, by the
+    cyclic reduction ``levels = _seam_levels(maps)``: 2 log2(B) batched
+    products over B/2 + B/4 + ... seams.  Each product is written into the
+    leading blocks and rows of ``work``, a (B', r, w) stack with B' >= B / 2
+    and r >= h."""
+    h = seams.shape[1]
 
     def product(a, b):
-        return np.matmul(a, b, out=work[B * h * w : (B + len(a)) * h * w].reshape(len(a), h, w))
+        return np.matmul(a, b, out=work[: len(a), :h])
 
     views = [seams]
     for odd, _ in levels:
@@ -239,7 +230,6 @@ def _fold_seams(X: np.ndarray, rows: np.ndarray, corners: np.ndarray, levels: li
         views.append(view[1::2])
     for (_, even), view in zip(reversed(levels), reversed(views[:-1])):
         view[2::2] += product(even, view[1::2][: len(even)])
-    X[1:, lead] -= product(corners, seams[:-1])
 
 
 def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
@@ -248,75 +238,100 @@ def banded_inverse_oracle(n: int, bandwidth: int, seed: int) -> MatvecOracle:
     The banded matrix M, of half-bandwidth h = (bandwidth - 1) / 2, is cut
     into blocks of nb = max(32, h) rows, n padded to N, a multiple of nb,
     with identity rows that the reply drops, and factored once as M = U^T U
-    by block Cholesky (:func:`_band_cholesky`).  U^T is then block lower
-    bidiagonal, and its subdiagonal blocks are zero outside an h x h corner.
-    The oracle keeps the inverse of each diagonal block of U, all inverted
-    in one call of the batched triangular inverse of :mod:`hsskit.kernels`,
-    8 N nb bytes (2 MiB at n = 8192), and the corners and the maps of the
-    seam reductions below, under a third of that.
+    by block Cholesky (:func:`_band_cholesky`).  U is block upper
+    bidiagonal: its diagonal blocks U_i are inverted all at once by the
+    batched triangular inverse of :mod:`hsskit.kernels`, and its
+    superdiagonal block i is zero outside an h x h corner C_i^T in its last
+    h rows (``tail``) and first h columns (``head``).
 
-    A product is a forward sweep U^T y = x and a backward sweep U z = y,
-    both in place in the reply.  Each sweep solves for the h seam rows
-    through which each block of the solution reaches the next, by cyclic
-    reduction over the blocks, folds them into the operand as a rank-h
-    correction per block, and applies all block inverses in batched
-    (nb, nb) products, in chunks of blocks through a scratch of S = max(2 h
-    N / nb, N / 8) rows that also holds the seams.  A chunk is as many
-    blocks as that scratch holds, but no more than fill 256 KiB: at n = 256
-    a 34-column product then takes two chunks instead of eight, and at
-    n = 8192 the chunk's output stays in cache as it did at N / 8 rows.
+    So z = M^{-1} x = U^{-1} U^{-T} x is, block by block, W_i = U_i^{-1}
+    U_i^{-T} times x_i plus a rank-2h correction.  With s_i the tail rows
+    of block i of U^{-T} x and b_i the head rows of block i of z,
 
-    A wide operand runs in panels of max(34, PANEL_BYTES // (8 S)) columns
-    computed in place in the reply, one scratch for all, so a product holds
-    its reply and one panel's scratch and frees no array of a panel's size;
-    panels written into a separate output, as ``structures._in_panels``
-    does, would free one per panel and raise the peak RSS.  A panel's fixed
-    cost, mostly the cyclic reduction, is that of about ten columns, so the
-    floor keeps a query of s = 34 columns, the sketch width of a k = 8
-    build, in one product.  The operator is symmetric, so forward and
-    transpose products agree.
+        s_i = R_i x_i + F_i s_{i-1},          R_i = (U_i^{-T})[tail, :],
+                                              F_i = -(U_i^{-T})[tail, head] C_{i-1},
+        b_i = (W_i x_i)[head] - P_i[head] s_{i-1} + G_i b_{i+1},
+        z_i = W_i x_i - P_i s_{i-1} - Q_i b_{i+1},
+                                              P_i = W_i[:, head] C_{i-1},
+                                              Q_i = U_i^{-1}[:, tail] C_i^T,
+                                              G_i = -Q_i[head],
+
+    with no s_{-1} and no b_count.  A query forms the R_i x_i, solves the s
+    recurrence by cyclic reduction over the blocks (:func:`_solve_seams`),
+    forms b's right-hand sides [W_i[head] | -P_i[head]] [x_i; s_{i-1}],
+    solves b's recurrence likewise, and ends with one batched (nb, nb + 2h)
+    block product: block i of z is [W_i | -P_i | -Q_i] [x_i; s_{i-1};
+    b_{i+1}].  Construction forms W, P and Q by one batched product each.
+    The oracle holds [W | -P | -Q], R and the seam maps, 8 N (nb + 3h)
+    bytes and about 24 N h^2 / nb for the maps, 3.9 MiB at n = 8192 (h =
+    8), and keeps no U_i^{-1}.  Construction at n = 8192 takes 9.4 ms in a
+    long-lived process and 12.2 ms as a fresh process's first, against 7.9
+    and 8.9 ms for an oracle that held the U_i^{-1} and swept the blocks
+    twice per query (medians, one pinned CPU, 1 BLAS thread); the rise is
+    the three products and the first touch of the 3 MiB they fill.  Most
+    of it is :func:`_band_cholesky`'s per-block loop.
+
+    A query holds one scratch of S = N + 2 h N / nb rows, the stack of the
+    [x_i; s_{i-1}; b_{i+1}], into which it copies its operand; until the
+    last product writes the reply, the reply takes the reductions'
+    products.  A wide operand runs in panels of max(34, PANEL_BYTES // (8
+    S)) columns, one scratch for all, each written by its last product
+    into its columns of the reply, so a product holds its reply and one
+    panel's scratch and frees no array of a panel's size; panels written
+    into a separate output, as ``structures._in_panels`` does, would free
+    one per panel and raise the peak RSS.  A panel's fixed cost, mostly the
+    cyclic reductions, is that of about ten columns, so the floor keeps a
+    query of s = 34 columns, the sketch width of a k = 8 build, in one
+    product.  The operator is symmetric, so forward and transpose products
+    agree.
     """
     diag, offs = _banded_arrays(n, bandwidth, seed)
     h = len(offs)
     nb = max(_BAND_BLOCK, h)
     count = -(-n // nb)
     N = count * nb
+    full = count - 1  # blocks 0 .. count - 2 lie wholly inside the n rows
     inv = np.zeros((count, nb, nb))  # U's diagonal blocks, then their inverses
     corners = _band_cholesky(diag, offs, inv)
     _invert_upper(inv)
-    inv_t = inv.transpose(0, 2, 1)
     head, tail = slice(0, h), slice(nb - h, nb)
-    # U^T y = x runs forward: block i's head rows take corner i - 1 times
-    # the tail of y's block i - 1.  U z = y runs backward: block i's tail
-    # rows take corner i transposed times the head of z's block i + 1.
-    rows_fwd, corners_fwd = inv_t[:, tail, :], corners
-    rows_bwd, corners_bwd = inv[::-1, head, :], corners.transpose(0, 2, 1)[::-1]
-    levels_fwd = _seam_levels(-np.matmul(rows_fwd[1:, :, head], corners_fwd))
-    levels_bwd = _seam_levels(-np.matmul(rows_bwd[1:, :, tail], corners_bwd))
-    scratch_rows = max(2 * count * h, -(-count // 8) * nb)
-
-    def apply_blocks(stack, blocks, work):
-        chunk = max(1, min(scratch_rows // nb, _BAND_CHUNK_BYTES // (8 * blocks[0].size)))
-        spare = work[: chunk * blocks[0].size].reshape(chunk, *blocks.shape[1:])
-        for a in range(0, count, chunk):
-            z = min(a + chunk, count)
-            np.matmul(stack[a:z], blocks[a:z], out=spare[: z - a])
-            blocks[a:z] = spare[: z - a]
+    block_rows = np.empty((count, nb, nb + 2 * h))  # [W_i | -P_i | -Q_i]
+    W = np.matmul(inv, inv.transpose(0, 2, 1), out=block_rows[:, :, :nb])
+    P, Q = block_rows[:, :, nb : nb + h], block_rows[:, :, nb + h :]
+    np.matmul(W[1:, :, head], -corners, out=P[1:])
+    np.matmul(inv[:-1, :, tail], -corners.transpose(0, 2, 1), out=Q[:-1])
+    P[0] = Q[-1] = 0.0
+    R = inv[:full, :, tail].transpose(0, 2, 1).copy()
+    # The forward seams run s_0 .. s_{count-2}, the backward ones b_{count-1}
+    # down to b_1.
+    levels_fwd = _seam_levels(-np.matmul(R[1:, :, head], corners[:-1]))
+    levels_bwd = _seam_levels(block_rows[1:-1, head, nb + h :][::-1])
+    rhs_bwd = block_rows[1:, head, : nb + h]  # [W_i[head] | -P_i[head]]
+    rows = nb + 2 * h
+    scratch_rows = count * rows
 
     def apply(x):
         width = x.shape[1]
         y = np.empty((N, width))
-        y[:n] = x
-        y[n:] = 0.0
-        blocks = y.reshape(count, nb, width)
+        replies = y.reshape(count, nb, width)
         panel = max(_BAND_PANEL_FLOOR, structures.PANEL_BYTES // (8 * scratch_rows))
         work = np.empty(scratch_rows * min(panel, width))
         for a in range(0, width, panel):
-            part = blocks[:, :, a : a + panel]
-            _fold_seams(part, rows_fwd, corners_fwd, levels_fwd, head, work)
-            apply_blocks(inv_t, part, work)
-            _fold_seams(part[::-1], rows_bwd, corners_bwd, levels_bwd, tail, work)
-            apply_blocks(inv, part, work)
+            xp = x[:, a : a + panel]
+            w = xp.shape[1]
+            stack = work[: scratch_rows * w].reshape(count, rows, w)  # [x_i; s_{i-1}; b_{i+1}]
+            s, b = stack[1:, nb : nb + h], stack[:-1, nb + h :]
+            reply = replies[:, :, a : a + w]
+            body = xp[: full * nb].reshape(full, nb, w)
+            stack[:full, :nb] = body
+            stack[full, : n - full * nb] = xp[full * nb :]
+            stack[full, n - full * nb : nb] = 0.0
+            np.matmul(R, body, out=s)
+            _solve_seams(s, levels_fwd, reply)
+            np.matmul(rhs_bwd, stack[1:, : nb + h], out=b)  # disjoint rows of one stack
+            _solve_seams(b[::-1], levels_bwd, reply)
+            stack[0, nb : nb + h] = stack[-1, nb + h :] = 0.0
+            np.matmul(block_rows, stack, out=reply)
         return y[:n]
 
     return MatvecOracle(n, apply, apply)

@@ -51,6 +51,18 @@ def _assert_close(y, expected):
     assert np.linalg.norm(y - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
+def _held_after(fn):
+    """(fn(), bytes still allocated when fn returns beyond what was held
+    before)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+
+
 def _recording(oracle, widths):
     """The oracle, recording the width of each forward call."""
     def apply(x):
@@ -133,13 +145,28 @@ class TestPanelMemory:
             assert peak <= y.nbytes + 4 * structures.PANEL_BYTES
 
     def test_banded_oracle_at_width_128(self):
-        # At n = 8192 the panels run in place in the reply through one
-        # scratch of PANEL_BYTES; a single panel of all 128 columns would
-        # need a 4 MiB scratch.
+        # At n = 8192 the panels run through one scratch of 34 columns of
+        # N + 2 h N / nb rows, 3.2 MiB, each written by its last product
+        # into the reply; a single panel of all 128 columns would need a
+        # 12 MiB scratch.
         oracle = banded_inverse_oracle(8192, 17, 14)
         x = _operand(8192, 128, 15)
         y, peak = peak_bytes(lambda: oracle.apply(x))
         assert peak <= y.nbytes + 2 * structures.PANEL_BYTES
+
+    def test_banded_oracle_at_width_34(self):
+        # A query of a k = 8 build is one panel: its scratch holds the
+        # operand's blocks and the seams, N + 2 h N / nb rows.
+        oracle = banded_inverse_oracle(8192, 17, 14)
+        x = _operand(8192, 34, 15)
+        y, peak = peak_bytes(lambda: oracle.apply(x))
+        assert peak <= y.nbytes + 2 * structures.PANEL_BYTES
+
+    def test_banded_oracle_holds_at_most_5_mib(self):
+        # The block products [W_i | -P_i | -Q_i] (3 MiB at n = 8192), the
+        # seam rows R_i and the seam maps, but no inverse diagonal block.
+        _, held = _held_after(lambda: banded_inverse_oracle(8192, 17, 14))
+        assert held <= 5 << 20
 
     def test_dense_grid_extraction(self):
         oracle = grid_schur_oracle(512)

@@ -19,6 +19,7 @@ from hsskit import (
 from hsskit import testbed
 from hsskit.testbed import make_problem, resolve_params
 
+import helpers
 from helpers import grid_schur_band, grid_schur_dense, random_banded_matrix
 
 
@@ -108,9 +109,9 @@ class TestBandedInverse:
         assert validate_hss_ranks(A, k=2 * k, tol=1e-8)
 
     # (n, bandwidth): n a multiple of the 32-row block (nine blocks, so an
-    # odd count for the seam reduction and a short last chunk), n = 1000 and
-    # n = 37 padded to one, n below one block, h = 0, and a band wider than
-    # a block (h = 40, so the block grows to 40 rows and n = 100 pads to 120).
+    # odd count for the seam reductions), n = 1000 and n = 37 padded to one,
+    # n below one block, h = 0, and a band wider than a block (h = 40, so
+    # the block grows to 40 rows and n = 100 pads to 120).
     SOLVE_CASES = [(288, 17), (1000, 17), (37, 17), (20, 9), (64, 1), (37, 1), (100, 81)]
 
     @pytest.mark.parametrize("n,bw", SOLVE_CASES)
@@ -146,6 +147,36 @@ class TestBandedInverse:
         monkeypatch.setattr(testbed, "_banded_arrays", indefinite)
         with pytest.raises(np.linalg.LinAlgError):
             banded_inverse_oracle(100, 17, seed=10)
+
+    @pytest.mark.parametrize("n", [288, 1000])
+    @pytest.mark.parametrize("margin", [1.0, 1e-3, 1e-6, 1e-9])
+    def test_ill_conditioned_band_has_a_small_backward_error(self, n, margin, monkeypatch):
+        # Every off-diagonal negative and each row sum equal to the margin:
+        # M is diagonally dominant by the margin alone, and at 1e-9 its
+        # condition number passes 1e10.
+        arrays = testbed._banded_arrays
+
+        def graded(n, bandwidth, seed):
+            _, offs = arrays(n, bandwidth, seed)
+            offs = [-np.abs(off) for off in offs]
+            diag = np.full(n, margin)
+            for d, off in enumerate(offs, start=1):
+                diag[: n - d] -= off
+                diag[d:] -= off
+            return diag, offs
+
+        monkeypatch.setattr(testbed, "_banded_arrays", graded)
+        monkeypatch.setattr(helpers, "_banded_arrays", graded)
+        oracle = banded_inverse_oracle(n, 17, seed=11)
+        M = random_banded_matrix(n, 17, 11)
+        eigs = np.linalg.eigvalsh(M)
+        if margin == 1e-9:
+            assert eigs[-1] / eigs[0] > 1e10
+        rng = np.random.default_rng(n)
+        for width in (1, 34):
+            x = rng.standard_normal((n, width))
+            y = oracle.apply(x)
+            assert np.linalg.norm(M @ y - x) <= 1e-15 * eigs[-1] * np.linalg.norm(y)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
